@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "analysis/known_regs.hpp"
 #include "isa/disasm.hpp"
 #include "ssr/addr_gen.hpp"
 #include "ssr/ssr_config.hpp"
@@ -108,112 +109,57 @@ class Walker {
       }
       if (fatal_) return finish(false);
       const Instr& in = prog_.at(pc);
+      const OpDesc& d = op_desc(in.op);
 
-      if (is_fp_op(in.op)) {
-        if (in.op == Op::kFld || in.op == Op::kFsd) {
-          if (!known(in.rs1)) {
-            diag(DiagKind::kUnboundedValue, DiagSeverity::kError, pc,
-                 "FP memory address depends on a runtime value: " +
-                     disasm(in));
-            return finish(false);
-          }
-          const Addr a = x_[in.rs1.idx] + static_cast<u32>(in.imm);
-          access(pc, kPortFlsu, a, 8, in.op == Op::kFsd, disasm(in));
+      if (d.mem != MemDir::kNone) {
+        if (!regs_.known(in.rs1)) {
+          diag(DiagKind::kUnboundedValue, DiagSeverity::kError, pc,
+               std::string(d.is_fp() ? "FP memory" : "memory") +
+                   " address depends on a runtime value: " + disasm(in));
+          return finish(false);
         }
-        ++pc;
-        continue;
-      }
-
-      switch (in.op) {
-        case Op::kAddi:
-          set(in.rd, x_[in.rs1.idx] + static_cast<u32>(in.imm),
-              known(in.rs1));
-          break;
-        case Op::kAdd:
-          set(in.rd, x_[in.rs1.idx] + x_[in.rs2.idx],
-              known(in.rs1) && known(in.rs2));
-          break;
-        case Op::kSub:
-          set(in.rd, x_[in.rs1.idx] - x_[in.rs2.idx],
-              known(in.rs1) && known(in.rs2));
-          break;
-        case Op::kLui:
-          set(in.rd, static_cast<u32>(in.imm) << 12, true);
-          break;
-        case Op::kSlli:
-          set(in.rd, x_[in.rs1.idx] << in.imm, known(in.rs1));
-          break;
-        case Op::kSrli:
-          set(in.rd, x_[in.rs1.idx] >> in.imm, known(in.rs1));
-          break;
-        case Op::kAndi:
-          set(in.rd, x_[in.rs1.idx] & static_cast<u32>(in.imm),
-              known(in.rs1));
-          break;
-        case Op::kMul:
-          set(in.rd, x_[in.rs1.idx] * x_[in.rs2.idx],
-              known(in.rs1) && known(in.rs2));
-          break;
-        case Op::kLw:
-        case Op::kLh: {
-          if (!int_mem(pc, in, /*is_write=*/false)) return finish(false);
-          set(in.rd, 0, false);  // loaded data is runtime-dependent
-          break;
+        if (!access(pc, d.is_fp() ? kPortFlsu : kPortIlsu, regs_.address(in),
+                    d.mem_bytes, d.mem == MemDir::kStore,
+                    [&] { return disasm(in); })) {
+          return finish(false);
         }
-        case Op::kSw:
-        case Op::kSh: {
-          if (!int_mem(pc, in, /*is_write=*/true)) return finish(false);
-          break;
-        }
-        case Op::kBeq:
-        case Op::kBne:
-        case Op::kBlt:
-        case Op::kBge: {
-          if (!known(in.rs1) || !known(in.rs2)) {
+      } else if (d.cls == OpClass::kBranch) {
+        switch (regs_.branch(in)) {
+          case KnownRegs::Branch::kUnknown:
             diag(DiagKind::kUnboundedValue, DiagSeverity::kWarning, pc,
                  "branch condition depends on a runtime value; static "
                  "execution stops here: " +
                      disasm(in));
             return finish(false);
-          }
-          if (taken(in)) {
+          case KnownRegs::Branch::kTaken:
             pc = in.target;
             continue;
-          }
-          break;
+          case KnownRegs::Branch::kFallThrough:
+            break;
         }
-        case Op::kJal:
-          pc = in.target;
-          continue;
-        case Op::kHalt:
-          return finish(true);
-        case Op::kFrep: {
-          if (!known(in.rs1)) {
-            diag(DiagKind::kUnboundedValue, DiagSeverity::kWarning, pc,
-                 "frep repetition count depends on a runtime value: " +
-                     disasm(in));
-          } else if (x_[in.rs1.idx] == 0) {
-            diag(DiagKind::kBadFrepBody, DiagSeverity::kError, pc,
-                 "frep with zero repetitions aborts at runtime: " +
-                     disasm(in));
-          }
-          break;
+      } else {
+        switch (in.op) {
+          case Op::kHalt:
+            return finish(true);
+          case Op::kFrep:
+            if (!regs_.known(in.rs1)) {
+              diag(DiagKind::kUnboundedValue, DiagSeverity::kWarning, pc,
+                   "frep repetition count depends on a runtime value: " +
+                       disasm(in));
+            } else if (regs_.value(in.rs1) == 0) {
+              diag(DiagKind::kBadFrepBody, DiagSeverity::kError, pc,
+                   "frep with zero repetitions aborts at runtime: " +
+                       disasm(in));
+            }
+            break;
+          case Op::kScfgwi:
+            if (!scfgwi(pc, in)) return finish(false);
+            break;
+          default:  // ALU, FP compute, SSR enable, barrier, ...
+            break;
         }
-        case Op::kScfgwi:
-          if (!scfgwi(pc, in)) return finish(false);
-          break;
-        case Op::kCsrrCycle:
-        case Op::kCsrrCycleH:
-          set(in.rd, 0, false);
-          break;
-        case Op::kSsrEn:
-        case Op::kSsrDis:
-        case Op::kBarrier:
-        case Op::kNop:
-          break;
-        default:
-          break;
       }
+      regs_.retire(in);
       ++pc;
     }
     // Running off the end is a structural finding (kFallOffEnd); the walk
@@ -231,32 +177,12 @@ class Walker {
     diags_.push_back(Diagnostic{kind, sev, core_, pc, std::move(msg)});
   }
 
-  bool known(XReg r) const { return (known_ >> r.idx) & 1u; }
-  void set(XReg rd, u32 v, bool k) {
-    if (rd.idx == 0) return;
-    x_[rd.idx] = v;
-    if (k) {
-      known_ |= 1u << rd.idx;
-    } else {
-      known_ &= ~(1u << rd.idx);
-    }
-  }
-
-  bool taken(const Instr& in) const {
-    const u32 a = x_[in.rs1.idx], b = x_[in.rs2.idx];
-    switch (in.op) {
-      case Op::kBeq: return a == b;
-      case Op::kBne: return a != b;
-      case Op::kBlt: return static_cast<i32>(a) < static_cast<i32>(b);
-      case Op::kBge: return static_cast<i32>(a) >= static_cast<i32>(b);
-      default: return false;
-    }
-  }
-
   /// Bounds/arena checks for one access; accounts it on `port` when legal.
   /// Returns false when the walk should stop (diagnostic cap reached).
+  /// `what()` names the access in a finding; it runs only when one is made.
+  template <typename Describe>
   bool access(u32 pc, u32 port, Addr a, u32 size, bool is_write,
-              const std::string& what) {
+              const Describe& what) {
     if (++accounted_ > kAccessBudget) {
       diag(DiagKind::kStepBudgetExceeded, DiagSeverity::kWarning, pc,
            "static execution exceeded the access budget");
@@ -285,7 +211,7 @@ class Walker {
         if (kind == DiagKind::kOutOfArenaAccess && arena >= 0) {
           os << " '" << am_.arenas[arena].name << "'";
         }
-        os << ": " << what;
+        os << ": " << what();
         diag(kind, DiagSeverity::kError, pc, os.str());
       }
       if (++addr_diags_ >= kMaxAddrDiags) {
@@ -298,73 +224,38 @@ class Walker {
     return true;
   }
 
-  bool int_mem(u32 pc, const Instr& in, bool is_write) {
-    if (!known(in.rs1)) {
-      diag(DiagKind::kUnboundedValue, DiagSeverity::kError, pc,
-           "memory address depends on a runtime value: " + disasm(in));
-      return false;
-    }
-    const Addr a = x_[in.rs1.idx] + static_cast<u32>(in.imm);
-    const u32 size = (in.op == Op::kLh || in.op == Op::kSh) ? 2 : 4;
-    return access(pc, kPortIlsu, a, size, is_write, disasm(in));
-  }
-
   bool scfgwi(u32 pc, const Instr& in) {
-    if (!known(in.rs1)) {
+    if (!regs_.known(in.rs1)) {
       diag(DiagKind::kUnboundedValue, DiagSeverity::kError, pc,
            "SSR configuration value depends on a runtime value: " +
                disasm(in));
       return false;
     }
-    const u32 value = x_[in.rs1.idx];
-    const u32 lane = static_cast<u32>(in.imm) / 256;
-    const u32 word = static_cast<u32>(in.imm) % 256;
-    if (lane >= kNumSsrLanes) {
+    const u32 value = regs_.value(in.rs1);
+    const ScfgSel sel = scfg_select(in.imm);
+    if (!sel.lane_ok()) {
       diag(DiagKind::kBadScfgwi, DiagSeverity::kError, pc,
-           "scfgwi to bad lane " + std::to_string(lane) + ": " + disasm(in));
+           "scfgwi to bad lane " + std::to_string(sel.lane) + ": " +
+               disasm(in));
       return false;
     }
-    SsrLaneConfig& cfg = ssr_cfg_[lane];
-    switch (word) {
-      case kSsrBound0:
-      case kSsrBound1:
-      case kSsrBound2:
-      case kSsrBound3:
-        cfg.bounds[word - kSsrBound0] = value;
-        return true;
-      case kSsrStride0:
-      case kSsrStride1:
-      case kSsrStride2:
-      case kSsrStride3:
-        cfg.strides[word - kSsrStride0] = static_cast<i32>(value);
-        return true;
-      case kSsrIdxBase:
-        cfg.idx_base = value;
-        return true;
-      case kSsrIdxCount:
-        cfg.idx_count = value;
-        return true;
-      case kSsrIdxSize:
-        if (value != 1 && value != 2 && value != 4) {
-          diag(DiagKind::kBadScfgwi, DiagSeverity::kError, pc,
-               "bad SSR index size " + std::to_string(value) + ": " +
-                   disasm(in));
-          return false;
-        }
-        cfg.idx_size = value;
-        return true;
-      case kSsrLaunchRead:
-        return launch_affine(pc, in, lane, value, /*is_write=*/false);
-      case kSsrLaunchWrite:
-        return launch_affine(pc, in, lane, value, /*is_write=*/true);
-      case kSsrLaunchIndirect:
-        return launch_indirect(pc, in, lane, value);
-      default:
-        diag(DiagKind::kBadScfgwi, DiagSeverity::kError, pc,
-             "bad SSR config word " + std::to_string(word) + ": " +
-                 disasm(in));
-        return false;
+    const ScfgEffect e = apply_scfg_word(ssr_cfg_[sel.lane], sel, value);
+    if (e.status != ScfgStatus::kOk) {
+      diag(DiagKind::kBadScfgwi, DiagSeverity::kError, pc,
+           std::string(scfg_status_text(e.status)) + ": " + disasm(in));
+      return false;
     }
+    switch (e.launch) {
+      case SsrStreamKind::kNone:
+        return true;
+      case SsrStreamKind::kAffineRead:
+        return launch_affine(pc, in, sel.lane, value, /*is_write=*/false);
+      case SsrStreamKind::kAffineWrite:
+        return launch_affine(pc, in, sel.lane, value, /*is_write=*/true);
+      case SsrStreamKind::kIndirectRead:
+        return launch_indirect(pc, in, sel.lane, value);
+    }
+    return true;
   }
 
   bool launch_affine(u32 pc, const Instr& in, u32 lane, Addr base,
@@ -379,9 +270,10 @@ class Walker {
     AffineAddrGen gen;
     gen.start(cfg, base);
     while (!gen.done()) {
-      if (!access(pc, kPortSsr0 + lane, gen.next(), 8, is_write,
-                  "SSR lane " + std::to_string(lane) +
-                      (is_write ? " write stream" : " read stream"))) {
+      if (!access(pc, kPortSsr0 + lane, gen.next(), 8, is_write, [&] {
+            return "SSR lane " + std::to_string(lane) +
+                   (is_write ? " write stream" : " read stream");
+          })) {
         return false;
       }
     }
@@ -390,23 +282,14 @@ class Walker {
 
   bool launch_indirect(u32 pc, const Instr& in, u32 lane, Addr base) {
     const SsrLaneConfig& cfg = ssr_cfg_[lane];
-    if (lane >= 2) {
-      diag(DiagKind::kBadScfgwi, DiagSeverity::kError, pc,
-           "indirect launch on the affine-only lane 2: " + disasm(in));
-      return false;
-    }
-    if (cfg.idx_count == 0) {
-      diag(DiagKind::kBadScfgwi, DiagSeverity::kError, pc,
-           "indirect launch with idx_count == 0: " + disasm(in));
-      return false;
-    }
     // Index-word fetches through the shared index port, 8 B at a time.
     const u32 per_word = kWordBytes / cfg.idx_size;
     const u64 n_words = (cfg.idx_count + per_word - 1) / per_word;
     for (u64 k = 0; k < n_words; ++k) {
       if (!access(pc, kPortSsrIdx, cfg.idx_base + k * kWordBytes, 8,
-                  /*is_write=*/false,
-                  "SSR lane " + std::to_string(lane) + " index fetch")) {
+                  /*is_write=*/false, [&] {
+                    return "SSR lane " + std::to_string(lane) + " index fetch";
+                  })) {
         return false;
       }
     }
@@ -430,8 +313,9 @@ class Walker {
     for (u32 k = 0; k < cfg.idx_count; ++k) {
       const Addr a =
           base + static_cast<Addr>((*vals)[k]) * kWordBytes;
-      if (!access(pc, kPortSsr0 + lane, a, 8, /*is_write=*/false,
-                  "SSR lane " + std::to_string(lane) + " gather")) {
+      if (!access(pc, kPortSsr0 + lane, a, 8, /*is_write=*/false, [&] {
+            return "SSR lane " + std::to_string(lane) + " gather";
+          })) {
         return false;
       }
     }
@@ -444,8 +328,7 @@ class Walker {
   const ArenaMap& am_;
   std::vector<Diagnostic>& diags_;
 
-  std::array<u32, 32> x_{};
-  u32 known_ = 0xFFFFFFFFu;  // registers are zeroed at reset
+  KnownRegs regs_;
   std::array<SsrLaneConfig, kNumSsrLanes> ssr_cfg_{};
 
   CorePrediction pred_;

@@ -10,7 +10,7 @@ namespace saris {
 namespace {
 
 bool is_control_flow(Op op) {
-  return op_class(op) == OpClass::kBranch || op == Op::kJal || op == Op::kHalt;
+  return op_class(op) == OpClass::kBranch || op == Op::kHalt;
 }
 
 struct FrepShape {
@@ -39,20 +39,6 @@ void diag(std::vector<Diagnostic>& diags, DiagKind kind, DiagSeverity sev,
   diags.push_back(Diagnostic{kind, sev, core, pc, std::move(msg)});
 }
 
-Instr rotate_instr(Instr in, u32 stagger_base, u8 off) {
-  // Mirrors FrepSequencer::next (core/frep.cpp): every FP operand field with
-  // index >= stagger_base is offset; unused fields sit at f0 and are below
-  // any base the code generators emit.
-  auto rot = [&](FReg& r) {
-    if (r.idx >= stagger_base) r.idx = static_cast<u8>(r.idx + off);
-  };
-  rot(in.frd);
-  rot(in.frs1);
-  rot(in.frs2);
-  rot(in.frs3);
-  return in;
-}
-
 }  // namespace
 
 void check_structure(const Program& p, u32 core,
@@ -62,7 +48,7 @@ void check_structure(const Program& p, u32 core,
     const Instr& in = p.at(pc);
     const OpClass cls = op_class(in.op);
 
-    if (cls == OpClass::kBranch || in.op == Op::kJal) {
+    if (cls == OpClass::kBranch) {  // conditional branches and jal
       if (in.target >= n) {
         std::ostringstream os;
         os << "resolved target @" << in.target << " outside program of " << n
@@ -103,7 +89,7 @@ void check_structure(const Program& p, u32 core,
                core, q,
                "control-flow instruction inside the frep body at @" +
                    std::to_string(pc) + ": " + disasm(b));
-        } else if (op_class(b.op) != OpClass::kFpCompute) {
+        } else if (!op_desc(b.op).frep_body) {
           diag(diags, DiagKind::kBadFrepBody, DiagSeverity::kError, core, q,
                "non-FP-compute instruction inside the frep body at @" +
                    std::to_string(pc) + ": " + disasm(b));
@@ -170,10 +156,9 @@ std::optional<Cfg> Cfg::build(const Program& p, u32 core,
     for (u32 o = 1; o < e.shape.stagger; ++o) {
       e.copy_start.push_back(static_cast<u32>(cfg.vinstrs_.size()));
       for (u32 q = pc + 1; q < pc + 1 + e.shape.body_len; ++q) {
-        cfg.vinstrs_.push_back(
-            VirtInstr{rotate_instr(p.at(q), e.shape.stagger_base,
-                                   static_cast<u8>(o)),
-                      q, static_cast<u8>(o)});
+        Instr rotated = p.at(q);
+        stagger_rotate(rotated, e.shape.stagger_base, o);
+        cfg.vinstrs_.push_back(VirtInstr{rotated, q, static_cast<u8>(o)});
       }
     }
     expansions.push_back(std::move(e));

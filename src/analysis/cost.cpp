@@ -7,9 +7,10 @@
 //   * memory: each requester port is a two-bit {pending, response} machine
 //     that always grants — exact whenever no TCDM bank has two requesters
 //     (a lone pending request is always granted by the real arbiter);
-//   * data: integer registers are concrete-with-known-bits (absint style);
-//     FP data is never computed because it never influences timing, and SSR
-//     lanes carry FIFO occupancy counts instead of values.
+//   * data: integer registers are concrete-with-known-bits (KnownRegs, the
+//     stepper absint uses too); FP data is never computed because it never
+//     influences timing, and SSR lanes carry FIFO occupancy counts instead
+//     of values.
 // Anything whose *timing* depends on an unknown value (branch condition,
 // frep repetition count, scfgwi operand) aborts that core's walk and marks
 // the report incomplete; generated kernels are statically bounded, so this
@@ -25,6 +26,7 @@
 #include <sstream>
 #include <string>
 
+#include "analysis/known_regs.hpp"
 #include "analysis/lint.hpp"
 #include "analysis/verifier.hpp"
 #include "cluster/barrier.hpp"
@@ -106,18 +108,10 @@ struct SeqModel {
 
   QueuedOp next(bool* rotation_ok) {
     QueuedOp op = buf[pos];
-    if (stagger > 1) {
-      u8 off = static_cast<u8>(iter % stagger);
-      auto rot = [&](FReg& r) {
-        if (r.idx >= stagger_base) {
-          if (r.idx + off >= kNumFRegs) *rotation_ok = false;
-          r.idx = static_cast<u8>(r.idx + off);
-        }
-      };
-      rot(op.in.frd);
-      rot(op.in.frs1);
-      rot(op.in.frs2);
-      rot(op.in.frs3);
+    if (stagger > 1 &&
+        !stagger_rotate(op.in, stagger_base,
+                        static_cast<u32>(iter % stagger))) {
+      *rotation_ok = false;
     }
     ++pos;
     if (pos == buf.size()) {
@@ -133,7 +127,6 @@ struct SeqModel {
 /// snapshot is kept for launch records (lint) and element counts; addresses
 /// are never generated because the ideal TCDM ignores them.
 struct LaneModel {
-  bool indirect_capable = false;
   SsrStreamKind kind = SsrStreamKind::kNone;
   SsrLaneConfig cfg;
   u64 to_fetch = 0;
@@ -170,10 +163,6 @@ class CoreModel {
   CoreModel(u32 id, const Program& prog, Barrier& barrier)
       : id_(id), prog_(prog), barrier_(barrier) {
     freg_ready_.fill(0);
-    x_.fill(0);
-    known_ = ~0u;
-    lanes_[0].indirect_capable = true;
-    lanes_[1].indirect_capable = true;
     cost_.pc_stalls.resize(prog.size());
   }
 
@@ -224,18 +213,6 @@ class CoreModel {
     failed_ = true;
     fail_pc_ = pc;
     fail_msg_ = what;
-  }
-
-  // ---- integer registers: concrete values with known bits ----
-  bool xknown(u8 idx) const { return (known_ >> idx) & 1; }
-  void set_x(u8 idx, u32 v, bool known) {
-    if (idx == 0) return;
-    x_[idx] = v;
-    if (known) {
-      known_ |= 1u << idx;
-    } else {
-      known_ &= ~(1u << idx);
-    }
   }
 
   // ---- SSR unit mirror ----
@@ -323,52 +300,6 @@ class CoreModel {
     }
   }
 
-  void lane_write_cfg(u32 lane, u32 word, u32 value) {
-    LaneModel& l = lanes_[lane];
-    switch (word) {
-      case kSsrBound0:
-      case kSsrBound1:
-      case kSsrBound2:
-      case kSsrBound3:
-        l.cfg.bounds[word - kSsrBound0] = value;
-        return;
-      case kSsrStride0:
-      case kSsrStride1:
-      case kSsrStride2:
-      case kSsrStride3:
-        l.cfg.strides[word - kSsrStride0] = static_cast<i32>(value);
-        return;
-      case kSsrIdxBase:
-        l.cfg.idx_base = value;
-        return;
-      case kSsrIdxCount:
-        l.cfg.idx_count = value;
-        return;
-      case kSsrIdxSize:
-        if (value != 1 && value != 2 && value != 4) {
-          fail(pc_, "bad SSR index size");
-          return;
-        }
-        l.cfg.idx_size = value;
-        return;
-      case kSsrLaunchRead:
-        lane_launch(lane, SsrStreamKind::kAffineRead, value);
-        return;
-      case kSsrLaunchWrite:
-        lane_launch(lane, SsrStreamKind::kAffineWrite, value);
-        return;
-      case kSsrLaunchIndirect:
-        if (!l.indirect_capable) {
-          fail(pc_, "indirect launch on affine-only lane");
-          return;
-        }
-        lane_launch(lane, SsrStreamKind::kIndirectRead, value);
-        return;
-      default:
-        fail(pc_, "bad SSR config word");
-    }
-  }
-
   void lane_launch(u32 lane, SsrStreamKind kind, Addr base) {
     LaneModel& l = lanes_[lane];
     if (!l.residual_clear()) {
@@ -385,10 +316,6 @@ class CoreModel {
         l.to_fetch = 0;
         break;
       case SsrStreamKind::kIndirectRead:
-        if (l.cfg.idx_count == 0) {
-          fail(pc_, "indirect launch with idx_count == 0");
-          return;
-        }
         l.idx_to_fetch = l.cfg.idx_count;
         l.to_fetch = l.to_consume = l.cfg.idx_count;
         break;
@@ -430,25 +357,9 @@ class CoreModel {
   }
 
   bool operands_ready(const Instr& in, Cycle now) const {
-    switch (in.op) {
-      case Op::kFaddD:
-      case Op::kFsubD:
-      case Op::kFmulD:
-        return src_ready(in.frs1, now) && src_ready(in.frs2, now);
-      case Op::kFmaddD:
-      case Op::kFmsubD:
-      case Op::kFnmsubD:
-        return src_ready(in.frs1, now) && src_ready(in.frs2, now) &&
-               src_ready(in.frs3, now);
-      case Op::kFsgnjD:
-        return src_ready(in.frs1, now);
-      case Op::kFld:
-        return true;
-      case Op::kFsd:
-        return src_ready(in.frs2, now);
-      default:
-        return false;
-    }
+    bool ready = true;
+    for_each_fp_read(in, [&](FReg r) { ready = ready && src_ready(r, now); });
+    return ready;
   }
 
   PcStalls& attr(u32 pc) { return cost_.pc_stalls[pc]; }
@@ -479,16 +390,17 @@ class CoreModel {
       ++perf.fpu_idle_empty;
       return;
     }
-    const QueuedOp& head = queue_.front();
+    const QueuedOp head = queue_.front();
     const Instr& in = head.in;
+    const OpDesc& d = op_desc(in.op);
 
-    if (op_class(in.op) == OpClass::kFpMem) {
+    if (d.mem != MemDir::kNone) {
       if (lsu_busy_ || !flsu_.idle()) {
         ++perf.fpu_stall_mem;
         ++attr(head.pc).mem;
         return;
       }
-      if (in.op == Op::kFld) {
+      if (d.mem == MemDir::kLoad) {
         if (ssr_enabled_ && is_ssr_reg(in.frd)) {
           fail(head.pc, "fld into an enabled stream register");
           return;
@@ -505,7 +417,7 @@ class CoreModel {
           ++attr(head.pc).operand;
           return;
         }
-        pop_src(in.frs2);
+        for_each_fp_read(in, [&](FReg r) { pop_src(r); });
         flsu_.post();
         lsu_busy_ = true;
         lsu_is_load_ = false;
@@ -518,18 +430,10 @@ class CoreModel {
 
     if (!operands_ready(in, now)) {
       bool sr_block = false;
-      auto check_sr = [&](FReg r) {
-        if (ssr_enabled_ && is_ssr_reg(r) &&
-            !lanes_[ssr_lane_of(r)].can_pop()) {
-          sr_block = true;
-        }
-      };
-      check_sr(in.frs1);
-      if (in.op != Op::kFsgnjD) check_sr(in.frs2);
-      if (in.op == Op::kFmaddD || in.op == Op::kFmsubD ||
-          in.op == Op::kFnmsubD) {
-        check_sr(in.frs3);
-      }
+      for_each_fp_read(in, [&](FReg r) {
+        sr_block = sr_block || (ssr_enabled_ && is_ssr_reg(r) &&
+                                !lanes_[ssr_lane_of(r)].can_pop());
+      });
       if (sr_block) {
         ++perf.fpu_stall_sr_empty;
         ++attr(head.pc).sr_empty;
@@ -556,31 +460,9 @@ class CoreModel {
       }
     }
 
-    // Issue: consume SR source elements in the same order the FPU reads
-    // them (a source appearing twice pops twice).
-    switch (in.op) {
-      case Op::kFaddD:
-      case Op::kFsubD:
-      case Op::kFmulD:
-        pop_src(in.frs1);
-        pop_src(in.frs2);
-        break;
-      case Op::kFmaddD:
-      case Op::kFmsubD:
-      case Op::kFnmsubD:
-        pop_src(in.frs1);
-        pop_src(in.frs2);
-        pop_src(in.frs3);
-        break;
-      case Op::kFsgnjD:
-        pop_src(in.frs1);
-        break;
-      default:
-        fail(head.pc, "unhandled FP op");
-        return;
-    }
-
-    u32 lat = (in.op == Op::kFsgnjD) ? kFpuMoveLatency : kFpuLatencyCycles;
+    // Issue: consume SR source elements in the order the FPU reads them.
+    for_each_fp_read(in, [&](FReg r) { pop_src(r); });
+    const u32 lat = fpu_latency(in.op);
     if (dst_is_sr) {
       ++lanes_[ssr_lane_of(in.frd)].reserved;
     } else {
@@ -623,7 +505,6 @@ class CoreModel {
         return;
       }
       ilsu_.take();
-      set_x(int_load_rd_, 0, /*known=*/false);
       int_load_wait_ = false;
     }
 
@@ -643,208 +524,147 @@ class CoreModel {
     }
 
     const Instr& in = prog_.at(pc_);
+    const OpDesc& d = op_desc(in.op);
 
-    if (is_fp_op(in.op)) {
-      if (seq_.replaying()) {
-        ++perf.stall_seq_busy;
-        return;
-      }
-      if (queue_.size() >= kFpuQueueDepth) {
-        ++perf.stall_fpu_queue_full;
-        return;
-      }
-      QueuedOp op{in, pc_};
-      queue_.push_back(op);
-      ++perf.fp_offloads;
-      if (seq_.capturing()) {
-        if (op_class(in.op) != OpClass::kFpCompute) {
-          fail(pc_, "non-compute op in frep body");
-          return;
-        }
-        seq_.capture(op);
-      }
-      ++pc_;
-      return;
-    }
-
-    switch (in.op) {
-      case Op::kFrep: {
-        if (seq_.busy()) {
+    switch (d.cls) {
+      case OpClass::kFpCompute:
+      case OpClass::kFpMem: {
+        if (seq_.replaying()) {
           ++perf.stall_seq_busy;
           return;
         }
-        if (!xknown(in.rs1.idx)) {
-          fail(pc_, "frep repetition count depends on an unknown value");
+        if (queue_.size() >= kFpuQueueDepth) {
+          ++perf.stall_fpu_queue_full;
           return;
         }
-        u64 reps = x_[in.rs1.idx];
-        u32 body = frep_body_len(in.imm);
-        u32 stg = frep_stagger(in.imm);
-        if (reps < 1 || body < 1 || body > kFrepBufferDepth || stg < 1 ||
-            stg > 8) {
-          fail(pc_, "bad frep encoding");
-          return;
+        QueuedOp op{in, pc_};
+        queue_.push_back(op);
+        ++perf.fp_offloads;
+        if (seq_.capturing()) {
+          if (!d.frep_body) {
+            fail(pc_, "non-compute op in frep body");
+            return;
+          }
+          seq_.capture(op);
         }
-        seq_.start(reps, body, stg, frep_stagger_base(in.imm));
-        ++perf.int_instrs;
         ++pc_;
         return;
       }
-      case Op::kScfgwi: {
-        u32 lane = static_cast<u32>(in.imm) / 256;
-        u32 word = static_cast<u32>(in.imm) % 256;
-        if (lane >= kNumSsrLanes) {
-          fail(pc_, "scfgwi to bad lane");
+      case OpClass::kInt:
+        break;
+      case OpClass::kBranch: {
+        const KnownRegs::Branch b = regs_.branch(in);
+        if (b == KnownRegs::Branch::kUnknown) {
+          fail(pc_, "branch condition depends on an unknown value");
           return;
         }
-        if (lanes_[lane].busy()) {
-          ++perf.stall_scfg_busy;
-          return;
-        }
-        if (!xknown(in.rs1.idx)) {
-          fail(pc_, "scfgwi value depends on an unknown value");
-          return;
-        }
-        lane_write_cfg(lane, word, x_[in.rs1.idx]);
         ++perf.int_instrs;
-        ++pc_;
+        if (b == KnownRegs::Branch::kTaken) {
+          pc_ = in.target;
+          stall_cycles_ = kBranchPenaltyCycles;
+          perf.stall_branch += kBranchPenaltyCycles;
+        } else {
+          ++pc_;
+        }
         return;
       }
-      case Op::kSsrEn:
-        ssr_enabled_ = true;
-        ++perf.int_instrs;
-        ++pc_;
-        return;
-      case Op::kSsrDis:
-        if (ssr_any_busy() || !fpu_drained()) {
-          ++perf.stall_halt_drain;
-          return;
-        }
-        ssr_enabled_ = false;
-        ++perf.int_instrs;
-        ++pc_;
-        return;
-      case Op::kBarrier:
-        barrier_.arrive(id_);
-        barrier_wait_ = true;
-        ++perf.int_instrs;
-        ++pc_;
-        return;
-      case Op::kHalt:
-        if (!fpu_drained() || ssr_any_busy() || seq_.busy()) {
-          ++perf.stall_halt_drain;
-          return;
-        }
-        perf.halted = true;
-        perf.halted_at = now;
-        return;
-      case Op::kLw:
-      case Op::kLh:
+      case OpClass::kIntMem:
+        // No load is outstanding here: the wait above returned or retired it.
         if (int_store_wait_ || !ilsu_.idle()) {
           ++perf.stall_int_lsu;
           return;
         }
         ilsu_.post();
-        int_load_wait_ = true;
-        int_load_rd_ = in.rd.idx;
-        ++perf.int_instrs;
-        ++pc_;
-        return;
-      case Op::kSw:
-      case Op::kSh:
-        if (int_store_wait_ || int_load_wait_ || !ilsu_.idle()) {
-          ++perf.stall_int_lsu;
-          return;
+        if (d.mem == MemDir::kLoad) {
+          int_load_wait_ = true;
+        } else {
+          int_store_wait_ = true;
         }
-        ilsu_.post();
-        int_store_wait_ = true;
-        ++perf.int_instrs;
-        ++pc_;
-        return;
-      default:
-        exec_int(in);
-        return;
+        break;
+      case OpClass::kSys:
+        if (!sys_step(in, now)) return;
+        break;
     }
-  }
-
-  void exec_int(const Instr& in) {
-    CorePerf& perf = cost_.perf;
-    auto s1 = [&] { return x_[in.rs1.idx]; };
-    auto s2 = [&] { return x_[in.rs2.idx]; };
-    auto k1 = [&] { return xknown(in.rs1.idx); };
-    auto k2 = [&] { return xknown(in.rs2.idx); };
-
-    auto branch_to = [&](bool known, bool taken) {
-      if (!known) {
-        fail(pc_, "branch condition depends on an unknown value");
-        return;
-      }
-      ++perf.int_instrs;
-      if (taken) {
-        pc_ = in.target;
-        stall_cycles_ = kBranchPenaltyCycles;
-        perf.stall_branch += kBranchPenaltyCycles;
-      } else {
-        ++pc_;
-      }
-    };
-
-    switch (in.op) {
-      case Op::kAddi:
-        set_x(in.rd.idx, s1() + static_cast<u32>(in.imm), k1());
-        break;
-      case Op::kAdd:
-        set_x(in.rd.idx, s1() + s2(), k1() && k2());
-        break;
-      case Op::kSub:
-        set_x(in.rd.idx, s1() - s2(), k1() && k2());
-        break;
-      case Op::kLui:
-        set_x(in.rd.idx, static_cast<u32>(in.imm) << 12, true);
-        break;
-      case Op::kSlli:
-        set_x(in.rd.idx, s1() << in.imm, k1());
-        break;
-      case Op::kSrli:
-        set_x(in.rd.idx, s1() >> in.imm, k1());
-        break;
-      case Op::kAndi:
-        set_x(in.rd.idx, s1() & static_cast<u32>(in.imm), k1());
-        break;
-      case Op::kMul:
-        set_x(in.rd.idx, s1() * s2(), k1() && k2());
-        break;
-      case Op::kBeq:
-        branch_to(k1() && k2(), s1() == s2());
-        return;
-      case Op::kBne:
-        branch_to(k1() && k2(), s1() != s2());
-        return;
-      case Op::kBlt:
-        branch_to(k1() && k2(),
-                  static_cast<i32>(s1()) < static_cast<i32>(s2()));
-        return;
-      case Op::kBge:
-        branch_to(k1() && k2(),
-                  static_cast<i32>(s1()) >= static_cast<i32>(s2()));
-        return;
-      case Op::kJal:
-        branch_to(true, true);
-        return;
-      case Op::kCsrrCycle:
-      case Op::kCsrrCycleH:
-        // The value is the model's own clock, but treat it as unknown so a
-        // kernel that *times itself* cannot silently skew the prediction.
-        set_x(in.rd.idx, 0, /*known=*/false);
-        break;
-      case Op::kNop:
-        break;
-      default:
-        fail(pc_, "unhandled op in cost walk");
-        return;
-    }
+    // Loaded data and rdcycle are runtime values, so retire() marks them
+    // unknown: a kernel that times itself cannot skew the prediction.
+    regs_.retire(in);
     ++perf.int_instrs;
     ++pc_;
+  }
+
+  /// One kSys instruction; false when it stalled, halted or failed.
+  bool sys_step(const Instr& in, Cycle now) {
+    CorePerf& perf = cost_.perf;
+    switch (in.op) {
+      case Op::kFrep: {
+        if (seq_.busy()) {
+          ++perf.stall_seq_busy;
+          return false;
+        }
+        if (!regs_.known(in.rs1)) {
+          fail(pc_, "frep repetition count depends on an unknown value");
+          return false;
+        }
+        const u64 reps = regs_.value(in.rs1);
+        const u32 body = frep_body_len(in.imm);
+        const u32 stg = frep_stagger(in.imm);
+        if (reps < 1 || body < 1 || body > kFrepBufferDepth || stg < 1 ||
+            stg > 8) {
+          fail(pc_, "bad frep encoding");
+          return false;
+        }
+        seq_.start(reps, body, stg, frep_stagger_base(in.imm));
+        return true;
+      }
+      case Op::kScfgwi: {
+        const ScfgSel sel = scfg_select(in.imm);
+        if (!sel.lane_ok()) {
+          fail(pc_, "scfgwi to bad lane");
+          return false;
+        }
+        LaneModel& l = lanes_[sel.lane];
+        if (l.busy()) {
+          ++perf.stall_scfg_busy;
+          return false;
+        }
+        if (!regs_.known(in.rs1)) {
+          fail(pc_, "scfgwi value depends on an unknown value");
+          return false;
+        }
+        const u32 value = regs_.value(in.rs1);
+        const ScfgEffect e = apply_scfg_word(l.cfg, sel, value);
+        if (e.status != ScfgStatus::kOk) {
+          fail(pc_, scfg_status_text(e.status));
+        } else if (e.launch != SsrStreamKind::kNone) {
+          lane_launch(sel.lane, e.launch, value);
+        }
+        return true;  // a failed write retires; the walk stops after it
+      }
+      case Op::kSsrEn:
+        ssr_enabled_ = true;
+        return true;
+      case Op::kSsrDis:
+        if (ssr_any_busy() || !fpu_drained()) {
+          ++perf.stall_halt_drain;
+          return false;
+        }
+        ssr_enabled_ = false;
+        return true;
+      case Op::kBarrier:
+        barrier_.arrive(id_);
+        barrier_wait_ = true;
+        return true;
+      case Op::kHalt:
+        if (!fpu_drained() || ssr_any_busy() || seq_.busy()) {
+          ++perf.stall_halt_drain;
+        } else {
+          perf.halted = true;
+          perf.halted_at = now;
+        }
+        return false;
+      default:  // rdcycle, nop
+        return true;
+    }
   }
 
   u32 id_;
@@ -856,13 +676,11 @@ class CoreModel {
   std::vector<StreamLaunch> launches_;
 
   u32 pc_ = 0;
-  std::array<u32, kNumXRegs> x_;
-  u32 known_ = ~0u;
+  KnownRegs regs_;
   u32 stall_cycles_ = 0;
   bool barrier_wait_ = false;
   bool int_load_wait_ = false;
   bool int_store_wait_ = false;
-  u8 int_load_rd_ = 0;
   i64 icache_paid_pc_ = -1;
 
   SeqModel seq_;

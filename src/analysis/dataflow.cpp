@@ -17,48 +17,6 @@ std::string fname(u8 i) {
   return (i < kNumSsrLanes ? "ft" : "f") + std::to_string(i % 32);
 }
 
-/// FP source registers an op actually reads (fsd reads frs2; fsgnj only
-/// frs1) — mirrors FpSubsystem::operands_ready/read_src.
-void fp_reads(const Instr& in, std::vector<FReg>& out) {
-  out.clear();
-  switch (in.op) {
-    case Op::kFaddD:
-    case Op::kFsubD:
-    case Op::kFmulD:
-      out = {in.frs1, in.frs2};
-      break;
-    case Op::kFmaddD:
-    case Op::kFmsubD:
-    case Op::kFnmsubD:
-      out = {in.frs1, in.frs2, in.frs3};
-      break;
-    case Op::kFsgnjD:
-      out = {in.frs1};
-      break;
-    case Op::kFsd:
-      out = {in.frs2};
-      break;
-    default:
-      break;
-  }
-}
-
-bool fp_writes_frd(Op op) {
-  switch (op) {
-    case Op::kFaddD:
-    case Op::kFsubD:
-    case Op::kFmulD:
-    case Op::kFmaddD:
-    case Op::kFmsubD:
-    case Op::kFnmsubD:
-    case Op::kFsgnjD:
-    case Op::kFld:
-      return true;
-    default:
-      return false;
-  }
-}
-
 bool is_pop(FReg r, const SsrState& s) {
   return is_ssr_reg(r) && s.enabled == SsrState::kOn &&
          s.lane[r.idx] == SsrState::kRead;
@@ -82,14 +40,18 @@ void SsrStateProblem::transfer(u32 /*vi*/, const VirtInstr& v,
       s.enabled = SsrState::kOff;
       break;
     case Op::kScfgwi: {
-      const u32 lane = static_cast<u32>(in.imm) / 256;
-      const u32 word = static_cast<u32>(in.imm) % 256;
-      if (lane < kNumSsrLanes) {
-        if (word == kSsrLaunchRead || word == kSsrLaunchIndirect) {
-          s.lane[lane] = SsrState::kRead;
-        } else if (word == kSsrLaunchWrite) {
-          s.lane[lane] = SsrState::kWrite;
-        }
+      const ScfgSel sel = scfg_select(in.imm);
+      if (!sel.lane_ok()) break;
+      switch (scfg_launch_kind(sel.word)) {
+        case SsrStreamKind::kAffineRead:
+        case SsrStreamKind::kIndirectRead:
+          s.lane[sel.lane] = SsrState::kRead;
+          break;
+        case SsrStreamKind::kAffineWrite:
+          s.lane[sel.lane] = SsrState::kWrite;
+          break;
+        case SsrStreamKind::kNone:
+          break;
       }
       break;
     }
@@ -100,74 +62,20 @@ void SsrStateProblem::transfer(u32 /*vi*/, const VirtInstr& v,
 
 UseDef use_def(const VirtInstr& v, const SsrState& before) {
   const Instr& in = v.in;
+  const OpDesc& d = op_desc(in.op);
   UseDef ud;
-  switch (in.op) {
-    case Op::kAddi:
-    case Op::kSlli:
-    case Op::kSrli:
-    case Op::kAndi:
-      ud.use.add_x(in.rs1.idx);
-      ud.def.add_x(in.rd.idx);
-      break;
-    case Op::kAdd:
-    case Op::kSub:
-    case Op::kMul:
-      ud.use.add_x(in.rs1.idx);
-      ud.use.add_x(in.rs2.idx);
-      ud.def.add_x(in.rd.idx);
-      break;
-    case Op::kLui:
-      ud.def.add_x(in.rd.idx);
-      break;
-    case Op::kLw:
-    case Op::kLh:
-      ud.use.add_x(in.rs1.idx);
-      ud.def.add_x(in.rd.idx);
-      break;
-    case Op::kSw:
-    case Op::kSh:
-      ud.use.add_x(in.rs1.idx);
-      ud.use.add_x(in.rs2.idx);
-      break;
-    case Op::kBeq:
-    case Op::kBne:
-    case Op::kBlt:
-    case Op::kBge:
-      ud.use.add_x(in.rs1.idx);
-      ud.use.add_x(in.rs2.idx);
-      break;
-    case Op::kFrep:
-    case Op::kScfgwi:
-      ud.use.add_x(in.rs1.idx);
-      break;
-    case Op::kCsrrCycle:
-    case Op::kCsrrCycleH:
-      ud.def.add_x(in.rd.idx);
-      break;
-    case Op::kJal:
-    case Op::kHalt:
-    case Op::kSsrEn:
-    case Op::kSsrDis:
-    case Op::kBarrier:
-    case Op::kNop:
-      break;
-    default: {
-      // FP instructions: reads with the pop overlay, write with the push
-      // overlay; fld/fsd also use the integer address base.
-      std::vector<FReg> reads;
-      fp_reads(in, reads);
-      for (FReg r : reads) {
-        if (!is_pop(r, before)) ud.use.add_f(r.idx);
-      }
-      if (in.op == Op::kFld || in.op == Op::kFsd) ud.use.add_x(in.rs1.idx);
-      if (fp_writes_frd(in.op)) {
-        if (in.op != Op::kFld && is_push(in.frd, before)) {
-          ud.stream_push = true;
-        } else {
-          ud.def.add_f(in.frd.idx);
-        }
-      }
-      break;
+  for_each_x_read(in, [&](XReg r) { ud.use.add_x(r.idx); });
+  if (d.x_write) ud.def.add_x(in.rd.idx);
+  // Stream overlay: a pop is not a register use; an FP result pushed to a
+  // write stream is not a register def (a load always writes the register).
+  for_each_fp_read(in, [&](FReg r) {
+    if (!is_pop(r, before)) ud.use.add_f(r.idx);
+  });
+  if (d.f_write) {
+    if (d.mem == MemDir::kNone && is_push(in.frd, before)) {
+      ud.stream_push = true;
+    } else {
+      ud.def.add_f(in.frd.idx);
     }
   }
   return ud;
@@ -239,16 +147,14 @@ LivenessExport analyze_dataflow(const Cfg& cfg, u32 prog_size,
   }
 
   std::set<std::pair<u32, u32>> ssr_reported;  // (pc, lane)
-  std::vector<FReg> reads;
   for (u32 vi = 0; vi < vn; ++vi) {
     const VirtInstr& v = cfg.vinstrs()[vi];
     const SsrState& st = ssr.in[vi];
     if (!(st.enabled & SsrState::kOn)) continue;
     const bool definitely_on = st.enabled == SsrState::kOn;
 
-    fp_reads(v.in, reads);
-    for (FReg r : reads) {
-      if (!is_ssr_reg(r)) continue;
+    for_each_fp_read(v.in, [&](FReg r) {
+      if (!is_ssr_reg(r)) return;
       const u8 lane_state = st.lane[r.idx];
       if (lane_state & SsrState::kRead) {
         if (lane_state != SsrState::kRead && definitely_on &&
@@ -261,9 +167,9 @@ LivenessExport analyze_dataflow(const Cfg& cfg, u32 prog_size,
                   "path: " +
                   disasm(v.in)});
         }
-        continue;
+        return;
       }
-      if (!ssr_reported.emplace(v.pc, r.idx).second) continue;
+      if (!ssr_reported.emplace(v.pc, r.idx).second) return;
       std::ostringstream os;
       os << "SSR-enabled read of " << fname(r.idx) << " but lane " << r.idx
          << (lane_state == SsrState::kWrite
@@ -274,7 +180,7 @@ LivenessExport analyze_dataflow(const Cfg& cfg, u32 prog_size,
                                  definitely_on ? DiagSeverity::kError
                                                : DiagSeverity::kWarning,
                                  core, v.pc, os.str()});
-    }
+    });
 
     // fld into a stream register aborts the FPU at runtime.
     if (v.in.op == Op::kFld && is_ssr_reg(v.in.frd) &&

@@ -491,11 +491,8 @@ Program SarisCodegen::emit(u32 core, const KernelLayout& lay) const {
   if (plan.blocks > 0) {
     if (use_frep_) {
       b.frep(rep, static_cast<i32>(plan.body.size()), stagger_, acc_reg0_);
-      for (const BodyInstr& bi : plan.body) {
-        SARIS_CHECK(op_class(bi.instr.op) == OpClass::kFpCompute,
-                    "frep body must be FP compute");
-        b.raw(bi.instr);
-      }
+      // ProgramBuilder::build checks the body against the opcode table.
+      for (const BodyInstr& bi : plan.body) b.raw(bi.instr);
     } else if (plan.blocks == 1) {
       for (const BodyInstr& bi : plan.body) b.raw(bi.instr);
       if (out_via_lsu) b.addi(out_ptr, out_ptr, block_bytes);

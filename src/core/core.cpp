@@ -134,198 +134,131 @@ void Core::int_step(Cycle now) {
   }
 
   const Instr& in = prog_.at(pc_);
+  const OpDesc& d = op_desc(in.op);
 
-  // ---- FP instructions: offload ----
-  if (is_fp_op(in.op)) {
-    if (seq_.replaying()) {
-      ++perf_.stall_seq_busy;
-      return;
-    }
-    if (fpu_.queue_full()) {
-      ++perf_.stall_fpu_queue_full;
-      return;
-    }
-    Instr off = in;
-    if (op_class(in.op) == OpClass::kFpMem) {
-      // The integer core computes the effective address at offload time.
-      off.target = xregs_[in.rs1.idx] + static_cast<u32>(in.imm);
-    }
-    fpu_.enqueue(off);
-    ++perf_.fp_offloads;
-    quiescent_ = false;
-    if (seq_.capturing()) {
-      SARIS_CHECK(op_class(in.op) == OpClass::kFpCompute,
-                  "frep bodies must contain FP compute only");
-      seq_.capture(off);
-    }
-    ++pc_;
-    return;
-  }
-
-  // ---- integer / system instructions ----
-  switch (in.op) {
-    case Op::kFrep: {
-      if (seq_.busy()) {
+  switch (d.cls) {
+    case OpClass::kFpCompute:
+    case OpClass::kFpMem: {  // offload to the FP subsystem
+      if (seq_.replaying()) {
         ++perf_.stall_seq_busy;
         return;
       }
-      u64 reps = xregs_[in.rs1.idx];
-      seq_.start(reps, frep_body_len(in.imm), frep_stagger(in.imm),
-                 frep_stagger_base(in.imm));
+      if (fpu_.queue_full()) {
+        ++perf_.stall_fpu_queue_full;
+        return;
+      }
+      Instr off = in;
+      if (d.mem != MemDir::kNone) {
+        // The integer core computes the effective address at offload time.
+        off.target = xregs_[in.rs1.idx] + static_cast<u32>(in.imm);
+      }
+      fpu_.enqueue(off);
+      ++perf_.fp_offloads;
       quiescent_ = false;
-      ++perf_.int_instrs;
+      if (seq_.capturing()) {
+        SARIS_CHECK(d.frep_body, "frep bodies must contain FP compute only");
+        seq_.capture(off);
+      }
       ++pc_;
       return;
     }
-    case Op::kScfgwi: {
-      u32 lane = static_cast<u32>(in.imm) / 256;
-      u32 word = static_cast<u32>(in.imm) % 256;
-      SARIS_CHECK(lane < kNumSsrLanes, "scfgwi to bad lane " << lane);
-      if (ssr_.lane(lane).busy()) {
-        ++perf_.stall_scfg_busy;
-        return;
+    case OpClass::kInt:
+      set_xreg(in.rd.idx, int_alu(in.op, xregs_[in.rs1.idx],
+                                  xregs_[in.rs2.idx], in.imm));
+      break;
+    case OpClass::kBranch:
+      ++perf_.int_instrs;
+      if (branch_taken(in.op, xregs_[in.rs1.idx], xregs_[in.rs2.idx])) {
+        pc_ = in.target;
+        stall_cycles_ = kBranchPenaltyCycles;
+        perf_.stall_branch += kBranchPenaltyCycles;
+      } else {
+        ++pc_;
       }
-      ssr_.lane(lane).write_cfg(word, xregs_[in.rs1.idx]);
-      quiescent_ = false;  // the write may have launched a stream
-      ++perf_.int_instrs;
-      ++pc_;
       return;
-    }
-    case Op::kSsrEn:
-      ssr_.set_enabled(true);
-      ++perf_.int_instrs;
-      ++pc_;
-      return;
-    case Op::kSsrDis:
-      if (ssr_.any_busy() || !fpu_.drained()) {
-        ++perf_.stall_halt_drain;
-        return;
-      }
-      ssr_.set_enabled(false);
-      ++perf_.int_instrs;
-      ++pc_;
-      return;
-    case Op::kBarrier:
-      barrier_.arrive(id_);
-      barrier_wait_ = true;
-      ++perf_.int_instrs;
-      ++pc_;
-      return;
-    case Op::kHalt:
-      if (!fpu_.drained() || ssr_.any_busy() || seq_.busy()) {
-        ++perf_.stall_halt_drain;
-        return;
-      }
-      perf_.halted = true;
-      perf_.halted_at = now;
-      return;
-    case Op::kLw:
-    case Op::kLh: {
+    case OpClass::kIntMem: {
+      // No load is outstanding here: the wait above returned or retired it.
       if (int_store_wait_ || !tcdm_.port_idle(int_port_)) {
         ++perf_.stall_int_lsu;
         return;
       }
-      u32 size = (in.op == Op::kLh) ? 2 : 4;
-      Addr a = xregs_[in.rs1.idx] + static_cast<u32>(in.imm);
-      tcdm_.post(int_port_, a, size, /*is_write=*/false, 0);
-      int_load_wait_ = true;
-      quiescent_ = false;
-      int_load_rd_ = in.rd;
-      int_load_size_ = size;
-      ++perf_.int_instrs;
-      ++pc_;
-      return;
-    }
-    case Op::kSw:
-    case Op::kSh: {
-      if (int_store_wait_ || int_load_wait_ || !tcdm_.port_idle(int_port_)) {
-        ++perf_.stall_int_lsu;
-        return;
+      const Addr a = xregs_[in.rs1.idx] + static_cast<u32>(in.imm);
+      if (d.mem == MemDir::kLoad) {
+        tcdm_.post(int_port_, a, d.mem_bytes, /*is_write=*/false, 0);
+        int_load_wait_ = true;
+        int_load_rd_ = in.rd;
+        int_load_size_ = d.mem_bytes;
+      } else {
+        tcdm_.post(int_port_, a, d.mem_bytes, /*is_write=*/true,
+                   xregs_[in.rs2.idx]);
+        int_store_wait_ = true;
       }
-      u32 size = (in.op == Op::kSh) ? 2 : 4;
-      Addr a = xregs_[in.rs1.idx] + static_cast<u32>(in.imm);
-      tcdm_.post(int_port_, a, size, /*is_write=*/true, xregs_[in.rs2.idx]);
-      int_store_wait_ = true;
       quiescent_ = false;
-      ++perf_.int_instrs;
-      ++pc_;
-      return;
+      break;
     }
-    default:
-      exec_int(in, now);
-      return;
+    case OpClass::kSys:
+      if (!sys_step(in, now)) return;
+      break;
   }
+  ++perf_.int_instrs;
+  ++pc_;
 }
 
-void Core::exec_int(const Instr& in, Cycle now) {
-  auto branch_to = [&](bool taken) {
-    ++perf_.int_instrs;
-    if (taken) {
-      pc_ = in.target;
-      stall_cycles_ = kBranchPenaltyCycles;
-      perf_.stall_branch += kBranchPenaltyCycles;
-    } else {
-      ++pc_;
-    }
-  };
-
+bool Core::sys_step(const Instr& in, Cycle now) {
   switch (in.op) {
-    case Op::kAddi:
-      set_xreg(in.rd.idx, xregs_[in.rs1.idx] + static_cast<u32>(in.imm));
-      break;
-    case Op::kAdd:
-      set_xreg(in.rd.idx, xregs_[in.rs1.idx] + xregs_[in.rs2.idx]);
-      break;
-    case Op::kSub:
-      set_xreg(in.rd.idx, xregs_[in.rs1.idx] - xregs_[in.rs2.idx]);
-      break;
-    case Op::kLui:
-      set_xreg(in.rd.idx, static_cast<u32>(in.imm) << 12);
-      break;
-    case Op::kSlli:
-      set_xreg(in.rd.idx, xregs_[in.rs1.idx] << in.imm);
-      break;
-    case Op::kSrli:
-      set_xreg(in.rd.idx, xregs_[in.rs1.idx] >> in.imm);
-      break;
-    case Op::kAndi:
-      set_xreg(in.rd.idx, xregs_[in.rs1.idx] & static_cast<u32>(in.imm));
-      break;
-    case Op::kMul:
-      set_xreg(in.rd.idx, xregs_[in.rs1.idx] * xregs_[in.rs2.idx]);
-      break;
-    case Op::kBeq:
-      branch_to(xregs_[in.rs1.idx] == xregs_[in.rs2.idx]);
-      return;
-    case Op::kBne:
-      branch_to(xregs_[in.rs1.idx] != xregs_[in.rs2.idx]);
-      return;
-    case Op::kBlt:
-      branch_to(static_cast<i32>(xregs_[in.rs1.idx]) <
-                static_cast<i32>(xregs_[in.rs2.idx]));
-      return;
-    case Op::kBge:
-      branch_to(static_cast<i32>(xregs_[in.rs1.idx]) >=
-                static_cast<i32>(xregs_[in.rs2.idx]));
-      return;
-    case Op::kJal:
-      branch_to(true);
-      return;
+    case Op::kFrep:
+      if (seq_.busy()) {
+        ++perf_.stall_seq_busy;
+        return false;
+      }
+      seq_.start(xregs_[in.rs1.idx], frep_body_len(in.imm),
+                 frep_stagger(in.imm), frep_stagger_base(in.imm));
+      quiescent_ = false;
+      return true;
+    case Op::kScfgwi: {
+      const ScfgSel sel = scfg_select(in.imm);
+      SARIS_CHECK(sel.lane_ok(), "scfgwi to bad lane " << sel.lane);
+      if (ssr_.lane(sel.lane).busy()) {
+        ++perf_.stall_scfg_busy;
+        return false;
+      }
+      ssr_.lane(sel.lane).write_cfg(sel.word, xregs_[in.rs1.idx]);
+      quiescent_ = false;  // the write may have launched a stream
+      return true;
+    }
+    case Op::kSsrEn:
+      ssr_.set_enabled(true);
+      return true;
+    case Op::kSsrDis:
+      if (ssr_.any_busy() || !fpu_.drained()) {
+        ++perf_.stall_halt_drain;
+        return false;
+      }
+      ssr_.set_enabled(false);
+      return true;
+    case Op::kBarrier:
+      barrier_.arrive(id_);
+      barrier_wait_ = true;
+      return true;
+    case Op::kHalt:
+      if (!fpu_.drained() || ssr_.any_busy() || seq_.busy()) {
+        ++perf_.stall_halt_drain;
+      } else {
+        perf_.halted = true;
+        perf_.halted_at = now;
+      }
+      return false;  // halt never retires
     case Op::kCsrrCycle:
       // Low half of the 64-bit cycle counter; pair with kCsrrCycleH for
       // wrap-safe timing on runs past 2^32 cycles (RV32 rdcycle/rdcycleh).
       set_xreg(in.rd.idx, static_cast<u32>(now));
-      break;
+      return true;
     case Op::kCsrrCycleH:
       set_xreg(in.rd.idx, static_cast<u32>(now >> 32));
-      break;
-    case Op::kNop:
-      break;
-    default:
-      SARIS_CHECK(false, "unhandled op " << op_name(in.op));
+      return true;
+    default:  // nop
+      return true;
   }
-  ++perf_.int_instrs;
-  ++pc_;
 }
 
 }  // namespace saris

@@ -90,7 +90,9 @@ class Core {
 
  private:
   void int_step(Cycle now);
-  void exec_int(const Instr& in, Cycle now);
+  /// One kSys instruction; false when it stalled (or halted) and must not
+  /// retire.
+  bool sys_step(const Instr& in, Cycle now);
   bool compute_quiescent() const;
 
   u32 id_;

@@ -61,25 +61,16 @@ double FpSubsystem::read_src(FReg r) {
 }
 
 bool FpSubsystem::operands_ready(const Instr& in, Cycle now) const {
-  switch (in.op) {
-    case Op::kFaddD:
-    case Op::kFsubD:
-    case Op::kFmulD:
-      return src_ready(in.frs1, now) && src_ready(in.frs2, now);
-    case Op::kFmaddD:
-    case Op::kFmsubD:
-    case Op::kFnmsubD:
-      return src_ready(in.frs1, now) && src_ready(in.frs2, now) &&
-             src_ready(in.frs3, now);
-    case Op::kFsgnjD:
-      return src_ready(in.frs1, now);
-    case Op::kFld:
-      return true;
-    case Op::kFsd:
-      return src_ready(in.frs2, now);
-    default:
-      SARIS_CHECK(false, "bad FP op " << op_name(in.op));
-  }
+  bool ready = true;
+  for_each_fp_read(in, [&](FReg r) { ready = ready && src_ready(r, now); });
+  return ready;
+}
+
+std::array<double, 3> FpSubsystem::read_sources(const Instr& in) {
+  std::array<double, 3> v{};
+  u32 k = 0;
+  for_each_fp_read(in, [&](FReg r) { v[k++] = read_src(r); });
+  return v;
 }
 
 void FpSubsystem::tick(Cycle now) {
@@ -106,19 +97,19 @@ void FpSubsystem::tick(Cycle now) {
     return;
   }
   const Instr in = queue_.front();
+  const OpDesc& d = op_desc(in.op);
 
-  // Memory ops need the LSU port.
-  if (op_class(in.op) == OpClass::kFpMem) {
+  // Memory ops need the LSU port; the Core pre-resolved the address into
+  // Instr::target.
+  if (d.mem != MemDir::kNone) {
     if (lsu_busy_ || !tcdm_.port_idle(lsu_port_)) {
       ++perf_.fpu_stall_mem;
       return;
     }
-    if (in.op == Op::kFld) {
+    if (d.mem == MemDir::kLoad) {
       SARIS_CHECK(!(ssr_.enabled() && is_ssr_reg(in.frd)),
                   "fld into an enabled stream register");
-      Addr a = 0;  // address comes via rs1 snapshot in imm2? — see Core.
-      a = static_cast<Addr>(in.target);  // Core pre-resolves the address.
-      tcdm_.post(lsu_port_, a, kWordBytes, /*is_write=*/false, 0);
+      tcdm_.post(lsu_port_, in.target, d.mem_bytes, /*is_write=*/false, 0);
       lsu_busy_ = true;
       lsu_is_load_ = true;
       lsu_dest_ = in.frd;
@@ -129,9 +120,9 @@ void FpSubsystem::tick(Cycle now) {
         ++perf_.fpu_stall_operand;
         return;
       }
-      double v = read_src(in.frs2);
-      Addr a = static_cast<Addr>(in.target);
-      tcdm_.post(lsu_port_, a, kWordBytes, /*is_write=*/true, f64_to_bits(v));
+      const double data = read_sources(in)[0];  // a store's one FP source
+      tcdm_.post(lsu_port_, in.target, d.mem_bytes, /*is_write=*/true,
+                 f64_to_bits(data));
       lsu_busy_ = true;
       lsu_is_load_ = false;
       ++perf_.fp_stores;
@@ -145,17 +136,10 @@ void FpSubsystem::tick(Cycle now) {
   if (!operands_ready(in, now)) {
     // Attribute the stall: SR FIFO empty vs scoreboard.
     bool sr_block = false;
-    auto check_sr = [&](FReg r) {
-      if (ssr_.enabled() && is_ssr_reg(r) &&
-          !ssr_.lane(ssr_lane_of(r)).can_pop()) {
-        sr_block = true;
-      }
-    };
-    check_sr(in.frs1);
-    if (in.op != Op::kFsgnjD) check_sr(in.frs2);
-    if (in.op == Op::kFmaddD || in.op == Op::kFmsubD || in.op == Op::kFnmsubD) {
-      check_sr(in.frs3);
-    }
+    for_each_fp_read(in, [&](FReg r) {
+      sr_block = sr_block || (ssr_.enabled() && is_ssr_reg(r) &&
+                              !ssr_.lane(ssr_lane_of(r)).can_pop());
+    });
     if (sr_block) {
       ++perf_.fpu_stall_sr_empty;
     } else {
@@ -180,51 +164,9 @@ void FpSubsystem::tick(Cycle now) {
   }
 
   // All clear: pop sources (consuming SR elements) and start execution.
-  double a = 0.0, b = 0.0, c = 0.0, r = 0.0;
-  switch (in.op) {
-    case Op::kFaddD:
-      a = read_src(in.frs1);
-      b = read_src(in.frs2);
-      r = a + b;
-      break;
-    case Op::kFsubD:
-      a = read_src(in.frs1);
-      b = read_src(in.frs2);
-      r = a - b;
-      break;
-    case Op::kFmulD:
-      a = read_src(in.frs1);
-      b = read_src(in.frs2);
-      r = a * b;
-      break;
-    case Op::kFmaddD:
-      a = read_src(in.frs1);
-      b = read_src(in.frs2);
-      c = read_src(in.frs3);
-      r = a * b + c;
-      break;
-    case Op::kFmsubD:
-      a = read_src(in.frs1);
-      b = read_src(in.frs2);
-      c = read_src(in.frs3);
-      r = a * b - c;
-      break;
-    case Op::kFnmsubD:
-      a = read_src(in.frs1);
-      b = read_src(in.frs2);
-      c = read_src(in.frs3);
-      r = -(a * b) + c;
-      break;
-    case Op::kFsgnjD:
-      a = read_src(in.frs1);
-      r = a;
-      break;
-    default:
-      SARIS_CHECK(false, "unhandled FP op");
-  }
-
-  u32 lat =
-      (in.op == Op::kFsgnjD) ? kFpuMoveLatency : kFpuLatencyCycles;
+  const std::array<double, 3> src = read_sources(in);
+  const double r = fp_alu(in.op, src[0], src[1], src[2]);
+  const u32 lat = fpu_latency(in.op);
   if (dst_is_sr) {
     ssr_.lane(ssr_lane_of(in.frd)).reserve_push();
   } else {

@@ -25,6 +25,12 @@ inline constexpr u32 kFpuQueueDepth = 8;
 inline constexpr u32 kFpuLatencyCycles = 2;
 inline constexpr u32 kFpuMoveLatency = 1;
 
+/// Issue-to-writeback latency of an FP compute op, by its latency class.
+constexpr u32 fpu_latency(Op op) {
+  return op_desc(op).lat == FpLat::kMove ? kFpuMoveLatency
+                                         : kFpuLatencyCycles;
+}
+
 class FpSubsystem {
  public:
   FpSubsystem(Tcdm& tcdm, SsrUnit& ssr, CorePerf& perf,
@@ -63,6 +69,9 @@ class FpSubsystem {
 
   bool operands_ready(const Instr& in, Cycle now) const;
   double read_src(FReg r);
+  /// Read (popping stream registers) every FP source of `in`, in operand
+  /// order.
+  std::array<double, 3> read_sources(const Instr& in);
   bool src_ready(FReg r, Cycle now) const;
   void writeback(const Inflight& fin, Cycle now);
 

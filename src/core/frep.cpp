@@ -23,7 +23,7 @@ void FrepSequencer::start(u64 reps, u32 body_len, u32 stagger,
 
 void FrepSequencer::capture(const Instr& in) {
   SARIS_CHECK(capturing(), "capture while not capturing");
-  SARIS_CHECK(op_class(in.op) == OpClass::kFpCompute,
+  SARIS_CHECK(op_desc(in.op).frep_body,
               "frep body must be FP compute instructions");
   buf_.push_back(in);
   --to_capture_;
@@ -33,17 +33,9 @@ Instr FrepSequencer::next() {
   SARIS_CHECK(replaying(), "next() while not replaying");
   Instr in = buf_[pos_];
   if (stagger_ > 1) {
-    u8 off = static_cast<u8>(iter_ % stagger_);
-    auto rot = [&](FReg& r) {
-      if (r.idx >= stagger_base_) {
-        SARIS_CHECK(r.idx + off < kNumFRegs, "stagger past f31");
-        r.idx = static_cast<u8>(r.idx + off);
-      }
-    };
-    rot(in.frd);
-    rot(in.frs1);
-    rot(in.frs2);
-    rot(in.frs3);
+    const bool in_range =
+        stagger_rotate(in, stagger_base_, static_cast<u32>(iter_ % stagger_));
+    SARIS_CHECK(in_range, "stagger past f31");
   }
   ++pos_;
   if (pos_ == buf_.size()) {

@@ -16,6 +16,19 @@ namespace saris {
 
 inline constexpr u32 kFrepBufferDepth = 16;
 
+/// Register staggering of one replayed body instruction: every FP register
+/// field at or above `base` moves up by `off` (unused fields sit at f0, below
+/// any base the code generators emit). False when a field passes f31.
+inline bool stagger_rotate(Instr& in, u32 base, u32 off) {
+  bool in_range = true;
+  for (FReg* r : {&in.frd, &in.frs1, &in.frs2, &in.frs3}) {
+    if (r->idx < base) continue;
+    in_range = in_range && r->idx + off < kNumFRegs;
+    r->idx = static_cast<u8>(r->idx + off);
+  }
+  return in_range;
+}
+
 class FrepSequencer {
  public:
   /// Begin capturing `body_len` instructions; `reps` total iterations.

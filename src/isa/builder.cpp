@@ -1,6 +1,7 @@
 #include "isa/builder.hpp"
 
 #include "common/log.hpp"
+#include "ssr/ssr_config.hpp"
 
 namespace saris {
 
@@ -86,9 +87,11 @@ void ProgramBuilder::li(XReg rd, i32 value) {
     return;
   }
   // lui + addi, matching RV32 constant materialization: sign-extend the low
-  // 12 bits and compensate in the upper immediate.
+  // 12 bits and compensate in the upper immediate (in wrapping 32-bit
+  // arithmetic: value - lo overflows i32 near INT32_MAX).
   i32 lo = ((value & 0xFFF) ^ 0x800) - 0x800;
-  i32 hi = (value - lo) >> 12;
+  i32 hi = static_cast<i32>(static_cast<u32>(value) - static_cast<u32>(lo)) >>
+           12;
   lui(rd, hi);
   if (lo != 0) addi(rd, rd, lo);
 }
@@ -233,7 +236,7 @@ void ProgramBuilder::frep(XReg reps, i32 body_len, u32 stagger,
 void ProgramBuilder::scfgwi(XReg value, u32 lane, u32 word) {
   Instr& in = emit(Op::kScfgwi);
   in.rs1 = value;
-  in.imm = static_cast<i32>(lane * 256 + word);
+  in.imm = scfg_imm(lane, word);
 }
 
 void ProgramBuilder::ssr_enable() { emit(Op::kSsrEn); }
@@ -267,15 +270,18 @@ Program ProgramBuilder::build() {
     SARIS_CHECK(it != labels_.end(), "unresolved label " << fx.label);
     p.instrs_[fx.instr_idx].target = it->second;
   }
-  // Well-formedness: frep bodies must be FP instructions entirely.
+  // Well-formedness: every frep body op must be one the sequencer replays.
   for (u32 i = 0; i < p.size(); ++i) {
     const Instr& in = p.instrs_[i];
     if (in.op == Op::kFrep) {
       u32 len = frep_body_len(in.imm);
       SARIS_CHECK(i + len < p.size(), "frep body exceeds program");
       for (u32 k = 1; k <= len; ++k) {
-        SARIS_CHECK(is_fp_op(p.instrs_[i + k].op),
-                    "frep body instr " << k << " is not an FP op");
+        const Op op = p.instrs_[i + k].op;
+        SARIS_CHECK(op_desc(op).frep_body,
+                    "frep body instr " << k << " (" << op_name(op)
+                                       << ") is not an FP op the sequencer "
+                                          "can replay");
       }
     }
   }

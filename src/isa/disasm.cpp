@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "ssr/ssr_config.hpp"
+
 namespace saris {
 
 namespace {
@@ -13,79 +15,49 @@ std::string fr(FReg r) {
 }
 }  // namespace
 
+// Operands come from the opcode table, in assembler order: destination,
+// integer sources, FP sources, then the immediate (a load/store prints its
+// base register inside the offset operand) and a branch target.
 std::string disasm(const Instr& in) {
+  const OpDesc& d = op_desc(in.op);
   std::ostringstream os;
-  os << op_name(in.op) << " ";
-  switch (in.op) {
-    case Op::kAddi:
-    case Op::kSlli:
-    case Op::kSrli:
-    case Op::kAndi:
-      os << xr(in.rd) << ", " << xr(in.rs1) << ", " << in.imm;
+  os << d.name << " ";
+  const char* sep = "";
+  auto operand = [&]() -> std::ostream& {
+    os << sep;
+    sep = ", ";
+    return os;
+  };
+  if (d.x_write) operand() << xr(in.rd);
+  if (d.f_write) operand() << fr(in.frd);
+  const u8 x_reads = d.imm == ImmUse::kOffset ? d.x_reads & ~kSlot1
+                                               : d.x_reads;
+  if (x_reads & kSlot1) operand() << xr(in.rs1);
+  if (x_reads & kSlot2) operand() << xr(in.rs2);
+  for_each_fp_read(in, [&](FReg r) { operand() << fr(r); });
+  switch (d.imm) {
+    case ImmUse::kNone:
       break;
-    case Op::kAdd:
-    case Op::kSub:
-    case Op::kMul:
-      os << xr(in.rd) << ", " << xr(in.rs1) << ", " << xr(in.rs2);
+    case ImmUse::kValue:
+      operand() << in.imm;
       break;
-    case Op::kLui:
-      os << xr(in.rd) << ", " << in.imm;
+    case ImmUse::kOffset:
+      operand() << in.imm << "(" << xr(in.rs1) << ")";
       break;
-    case Op::kLw:
-    case Op::kLh:
-      os << xr(in.rd) << ", " << in.imm << "(" << xr(in.rs1) << ")";
-      break;
-    case Op::kSw:
-    case Op::kSh:
-      os << xr(in.rs2) << ", " << in.imm << "(" << xr(in.rs1) << ")";
-      break;
-    case Op::kBeq:
-    case Op::kBne:
-    case Op::kBlt:
-    case Op::kBge:
-      os << xr(in.rs1) << ", " << xr(in.rs2) << ", @" << in.target;
-      break;
-    case Op::kJal:
-      os << "@" << in.target;
-      break;
-    case Op::kFaddD:
-    case Op::kFsubD:
-    case Op::kFmulD:
-      os << fr(in.frd) << ", " << fr(in.frs1) << ", " << fr(in.frs2);
-      break;
-    case Op::kFmaddD:
-    case Op::kFmsubD:
-    case Op::kFnmsubD:
-      os << fr(in.frd) << ", " << fr(in.frs1) << ", " << fr(in.frs2) << ", "
-         << fr(in.frs3);
-      break;
-    case Op::kFsgnjD:
-      os << fr(in.frd) << ", " << fr(in.frs1);
-      break;
-    case Op::kFld:
-      os << fr(in.frd) << ", " << in.imm << "(" << xr(in.rs1) << ")";
-      break;
-    case Op::kFsd:
-      os << fr(in.frs2) << ", " << in.imm << "(" << xr(in.rs1) << ")";
-      break;
-    case Op::kFrep:
-      os << xr(in.rs1) << ", body=" << frep_body_len(in.imm);
+    case ImmUse::kFrep:
+      operand() << "body=" << frep_body_len(in.imm);
       if (frep_stagger(in.imm) > 1) {
         os << ", stagger=" << frep_stagger(in.imm) << "@f"
            << frep_stagger_base(in.imm);
       }
       break;
-    case Op::kScfgwi:
-      os << xr(in.rs1) << ", lane=" << (in.imm / 256)
-         << ", word=" << (in.imm % 256);
+    case ImmUse::kScfg: {
+      const ScfgSel sel = scfg_select(in.imm);
+      operand() << "lane=" << sel.lane << ", word=" << sel.word;
       break;
-    case Op::kCsrrCycle:
-    case Op::kCsrrCycleH:
-      os << xr(in.rd);
-      break;
-    default:
-      break;
+    }
   }
+  if (d.cls == OpClass::kBranch) operand() << "@" << in.target;
   return os.str();
 }
 

@@ -25,6 +25,25 @@ struct Instr {
   u32 target = 0;
 };
 
+/// Visit the integer registers `in` reads (OpDesc::x_reads), rs1 first.
+template <typename Fn>
+void for_each_x_read(const Instr& in, Fn&& fn) {
+  const u8 m = op_desc(in.op).x_reads;
+  if (m & kSlot1) fn(in.rs1);
+  if (m & kSlot2) fn(in.rs2);
+}
+
+/// Visit the FP registers `in` reads (OpDesc::f_reads) in operand order —
+/// the order the FPU reads them, so a stream register named twice pops
+/// twice.
+template <typename Fn>
+void for_each_fp_read(const Instr& in, Fn&& fn) {
+  const u8 m = op_desc(in.op).f_reads;
+  if (m & kSlot1) fn(in.frs1);
+  if (m & kSlot2) fn(in.frs2);
+  if (m & kSlot3) fn(in.frs3);
+}
+
 /// frep immediate encoding: body length [7:0], stagger count [15:8],
 /// stagger base register [23:16].
 inline u32 frep_body_len(i32 imm) { return static_cast<u32>(imm) & 0xFF; }

@@ -36,9 +36,10 @@ u32 sweep_thread_count(u32 requested, std::size_t num_jobs) {
     }
   }
   if (n == 0) n = std::thread::hardware_concurrency();
-  if (n == 0) n = 1;
-  if (num_jobs > 0 && n > num_jobs) n = static_cast<u32>(num_jobs);
-  return n;
+  // At least one worker, and never more workers than jobs (zero jobs
+  // included).
+  return static_cast<u32>(
+      std::clamp<std::size_t>(n, 1, std::max<std::size_t>(1, num_jobs)));
 }
 
 namespace {

@@ -86,9 +86,9 @@ std::vector<SweepResult> run_sweep_isolated(const std::vector<SweepJob>& jobs,
 
 /// Resolve the worker count: `requested` if nonzero, else the
 /// SARIS_SWEEP_THREADS environment variable, else hardware concurrency;
-/// clamped to [1, num_jobs]. A set-but-invalid SARIS_SWEEP_THREADS (zero,
-/// non-numeric, trailing garbage, overflow) aborts with a clear message
-/// instead of being silently ignored.
+/// clamped to [1, max(1, num_jobs)]. A set-but-invalid SARIS_SWEEP_THREADS
+/// (zero, non-numeric, trailing garbage, overflow) aborts with a clear
+/// message instead of being silently ignored.
 u32 sweep_thread_count(u32 requested, std::size_t num_jobs);
 
 /// Run all jobs and return their metrics in job order. `threads` as in

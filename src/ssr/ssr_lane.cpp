@@ -20,10 +20,9 @@ u64 f64_to_bits(double v) {
 }
 }  // namespace
 
-SsrLane::SsrLane(Tcdm& tcdm, u32 lane_id, bool indirect_capable)
+SsrLane::SsrLane(Tcdm& tcdm, u32 lane_id)
     : tcdm_(tcdm),
       lane_id_(lane_id),
-      indirect_capable_(indirect_capable),
       data_port_(tcdm.make_port("ssr" + std::to_string(lane_id))),
       rfifo_(kSsrFifoDepth),
       pending_gather_(kSsrIdxQueueDepth),
@@ -36,44 +35,11 @@ bool SsrLane::busy() const {
 void SsrLane::write_cfg(u32 word, u32 value) {
   SARIS_CHECK(!busy(), "scfgwi to busy SSR lane " << lane_id_
                                                   << " (core must stall)");
-  switch (word) {
-    case kSsrBound0:
-    case kSsrBound1:
-    case kSsrBound2:
-    case kSsrBound3:
-      cfg_.bounds[word - kSsrBound0] = value;
-      break;
-    case kSsrStride0:
-    case kSsrStride1:
-    case kSsrStride2:
-    case kSsrStride3:
-      cfg_.strides[word - kSsrStride0] = static_cast<i32>(value);
-      break;
-    case kSsrIdxBase:
-      cfg_.idx_base = value;
-      break;
-    case kSsrIdxCount:
-      cfg_.idx_count = value;
-      break;
-    case kSsrIdxSize:
-      SARIS_CHECK(value == 1 || value == 2 || value == 4,
-                  "bad SSR index size " << value);
-      cfg_.idx_size = value;
-      break;
-    case kSsrLaunchRead:
-      launch(SsrStreamKind::kAffineRead, value);
-      break;
-    case kSsrLaunchWrite:
-      launch(SsrStreamKind::kAffineWrite, value);
-      break;
-    case kSsrLaunchIndirect:
-      SARIS_CHECK(indirect_capable_,
-                  "lane " << lane_id_ << " is not indirection-capable");
-      launch(SsrStreamKind::kIndirectRead, value);
-      break;
-    default:
-      SARIS_CHECK(false, "bad SSR config word " << word);
-  }
+  const ScfgEffect e = apply_scfg_word(cfg_, ScfgSel{lane_id_, word}, value);
+  SARIS_CHECK(e.status == ScfgStatus::kOk,
+              "lane " << lane_id_ << ": " << scfg_status_text(e.status)
+                      << " (word " << word << ", value " << value << ")");
+  if (e.launch != SsrStreamKind::kNone) launch(e.launch, value);
 }
 
 void SsrLane::launch(SsrStreamKind kind, Addr base) {
@@ -94,7 +60,6 @@ void SsrLane::launch(SsrStreamKind kind, Addr base) {
       break;
     }
     case SsrStreamKind::kIndirectRead: {
-      SARIS_CHECK(cfg_.idx_count > 0, "indirect launch with idx_count == 0");
       indir_base_ = base;
       idx_fetch_addr_ = cfg_.idx_base;
       idx_to_fetch_ = cfg_.idx_count;

@@ -16,13 +16,16 @@ namespace saris {
 
 class SsrLane {
  public:
-  /// `indirect_capable`: lanes 0/1 on Snitch SSSR; lane 2 is affine-only.
-  SsrLane(Tcdm& tcdm, u32 lane_id, bool indirect_capable);
+  /// Lanes below kNumIndirectSsrLanes are indirection-capable (Snitch
+  /// SSSR); the rest are affine-only.
+  SsrLane(Tcdm& tcdm, u32 lane_id);
 
   // ---- configuration (integer core, via scfgwi) ----
   /// True while a stream is armed and not fully consumed/drained; config
   /// writes to a busy lane stall the integer core.
   bool busy() const;
+  /// Apply one config word (decoded by apply_scfg_word); a launch word
+  /// starts the stream. Aborts on a busy lane or a bad write.
   void write_cfg(u32 word, u32 value);
 
   // ---- FPU-side interface ----
@@ -82,7 +85,6 @@ class SsrLane {
 
   Tcdm& tcdm_;
   u32 lane_id_;
-  bool indirect_capable_;
   u32 data_port_;
 
   SsrLaneConfig cfg_{};

@@ -9,9 +9,7 @@ SsrUnit::SsrUnit(Tcdm& tcdm, u32 core_id)
       idx_port_(tcdm.make_port("idx" + std::to_string(core_id))),
       idx_inflight_lane_(kNumSsrLanes) {
   for (u32 i = 0; i < kNumSsrLanes; ++i) {
-    // Lanes 0 and 1 are indirection-capable, lane 2 affine-only (SSSR).
-    lanes_[i] = std::make_unique<SsrLane>(
-        tcdm, i, /*indirect_capable=*/i < kNumIndirectSsrLanes);
+    lanes_[i] = std::make_unique<SsrLane>(tcdm, i);
   }
 }
 

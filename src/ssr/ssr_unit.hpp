@@ -16,11 +16,6 @@
 
 namespace saris {
 
-/// Lanes 0..kNumIndirectSsrLanes-1 are indirection-capable (SSSR); the
-/// remaining lane(s) are affine-only, so the shared index port never needs
-/// to consider them.
-inline constexpr u32 kNumIndirectSsrLanes = 2;
-
 class SsrUnit {
  public:
   SsrUnit(Tcdm& tcdm, u32 core_id);

@@ -293,6 +293,39 @@ TEST(SsrUnit, TwoIndirectLanesShareTheIndexPort) {
   EXPECT_GE(r.unit.total_idx_words_fetched(), 2u);
 }
 
+// ---- scfgwi decoder ----
+
+TEST(ScfgDecoder, SplitsSelectorAndAppliesConfigWords) {
+  const ScfgSel sel = scfg_select(scfg_imm(2, kSsrStride1));
+  EXPECT_EQ(sel.lane, 2u);
+  EXPECT_EQ(sel.word, kSsrStride1);
+  EXPECT_TRUE(sel.lane_ok());
+  EXPECT_FALSE(scfg_select(scfg_imm(kNumSsrLanes, kSsrBound0)).lane_ok());
+
+  SsrLaneConfig cfg;
+  const ScfgEffect e = apply_scfg_word(cfg, sel, static_cast<u32>(-16));
+  EXPECT_EQ(e.status, ScfgStatus::kOk);
+  EXPECT_EQ(e.launch, SsrStreamKind::kNone);
+  EXPECT_EQ(cfg.strides[1], -16);
+  EXPECT_EQ(apply_scfg_word(cfg, {2, kSsrLaunchWrite}, 64).launch,
+            SsrStreamKind::kAffineWrite);
+}
+
+TEST(ScfgDecoder, ReportsBadWritesAsStatus) {
+  SsrLaneConfig cfg;
+  EXPECT_EQ(apply_scfg_word(cfg, {0, kSsrIdxSize}, 3).status,
+            ScfgStatus::kBadIdxSize);
+  EXPECT_EQ(cfg.idx_size, 2u);  // unchanged
+  EXPECT_EQ(apply_scfg_word(cfg, {0, 12}, 0).status, ScfgStatus::kBadWord);
+  EXPECT_EQ(apply_scfg_word(cfg, {0, kSsrLaunchIndirect}, 0).status,
+            ScfgStatus::kNoIndices);
+  cfg.idx_count = 4;
+  EXPECT_EQ(apply_scfg_word(cfg, {2, kSsrLaunchIndirect}, 0).status,
+            ScfgStatus::kAffineOnlyLane);
+  EXPECT_EQ(apply_scfg_word(cfg, {1, kSsrLaunchIndirect}, 0).launch,
+            SsrStreamKind::kIndirectRead);
+}
+
 TEST(SsrLaneDeath, ConfigWhileBusyAborts) {
   LaneRig r;
   SsrLane& lane = r.unit.lane(2);
