@@ -2,7 +2,7 @@
 // core's program against an ideal (always-granted) TCDM.
 //
 // The walk is a transliteration of the simulator's per-cycle traversal
-// (Core::tick dense order, FpSubsystem::tick, SsrLane/SsrUnit tick,
+// (Core::tick full traversal, FpSubsystem::tick, SsrLane/SsrUnit tick,
 // Cluster::step ordering) with two substitutions that make it static:
 //   * memory: each requester port is a two-bit {pending, response} machine
 //     that always grants — exact whenever no TCDM bank has two requesters
@@ -169,9 +169,9 @@ class CoreModel {
   bool halted() const { return cost_.perf.halted; }
   bool failed() const { return failed_; }
 
-  /// Full dense-order traversal of one cycle, including after halt (a
-  /// halted core's drained FPU keeps bumping the idle counter, exactly as
-  /// the simulator's dense mode does and its event mode credits).
+  /// Full traversal of one cycle, including after halt: a halted core's
+  /// drained FPU keeps bumping the idle counter, which the simulator
+  /// credits when it retires the core (Cluster::sync_idle_counters).
   void tick(Cycle now) {
     ssr_collect();
     fpu_collect(now);

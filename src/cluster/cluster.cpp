@@ -25,12 +25,9 @@ Cluster::Cluster(const ClusterConfig& cfg, MemoryPort& mem_port,
 void Cluster::init(MemoryPort& mem_port) {
   for (u32 i = 0; i < cfg_.num_cores; ++i) {
     cores_.push_back(std::make_unique<Core>(i, tcdm_, barrier_));
-    cores_.back()->set_event_driven(cfg_.event_driven);
   }
   dma_ = std::make_unique<Dma>(tcdm_, mem_port);
-  tcdm_.set_dense_arbitration(!cfg_.event_driven);
   tcdm_.set_ideal_arbitration(cfg_.ideal_tcdm);
-  dma_->set_dense_scan(!cfg_.event_driven);
   state_.assign(cfg_.num_cores, CoreState::kActive);
   last_ticked_.assign(cfg_.num_cores, 0);
   halted_seen_.assign(cfg_.num_cores, false);
@@ -66,20 +63,7 @@ MainMemory& Cluster::mem() {
   return *owned_mem_;
 }
 
-void Cluster::step_dense() {
-  // Pre-refactor cycle loop: tick everything, every cycle.
-  for (auto& c : cores_) c->tick(now_);
-  dma_->tick(now_);
-  tcdm_.arbitrate(now_);
-  barrier_.tick(now_);
-  ++now_;
-}
-
 void Cluster::step() {
-  if (!cfg_.event_driven) {
-    step_dense();
-    return;
-  }
   just_deactivated_.clear();
 
   // A retired or parked core can only come back to life from the outside
@@ -104,8 +88,8 @@ void Cluster::step() {
 
 void Cluster::update_core_states() {
   // Wake parked cores first: if the barrier released this very cycle, a
-  // would-be parker must not park (it proceeds next tick, like in the
-  // dense loop).
+  // would-be parker must not park (it proceeds next tick, as it would if
+  // every core were ticked every cycle).
   if (barrier_.episodes() != barrier_episodes_seen_) {
     barrier_episodes_seen_ = barrier_.episodes();
     for (u32 id = 0; id < cores_.size(); ++id) {
@@ -138,9 +122,9 @@ void Cluster::update_core_states() {
 }
 
 void Cluster::wake(u32 id) {
-  // The dense loop would have ticked this core on every skipped cycle and
-  // on the release cycle itself: one FPU idle bump and one barrier stall
-  // each. `now_` has not advanced past the release cycle yet.
+  // Ticking this core on every skipped cycle and on the release cycle
+  // itself would have cost one FPU idle bump and one barrier stall each.
+  // `now_` has not advanced past the release cycle yet.
   cores_[id]->credit_idle_cycles(now_ - last_ticked_[id], /*at_barrier=*/true);
   state_[id] = CoreState::kActive;
   last_ticked_[id] = now_;
@@ -159,7 +143,7 @@ void Cluster::reactivate(u32 id) {
 }
 
 void Cluster::sync_idle_counters() {
-  if (!cfg_.event_driven || now_ == 0) return;
+  if (now_ == 0) return;
   const Cycle through = now_ - 1;  // last simulated cycle
   for (u32 id = 0; id < cores_.size(); ++id) {
     if (state_[id] == CoreState::kActive || last_ticked_[id] >= through) {
@@ -170,14 +154,6 @@ void Cluster::sync_idle_counters() {
         /*at_barrier=*/state_[id] == CoreState::kParked);
     last_ticked_[id] = through;
   }
-}
-
-bool Cluster::all_halted() const {
-  if (cfg_.event_driven) return halted_count_ == cores_.size();
-  for (const auto& c : cores_) {
-    if (!c->halted()) return false;
-  }
-  return true;
 }
 
 Cycle Cluster::run_until_halted(Cycle max_cycles) {

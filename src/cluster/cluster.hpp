@@ -5,9 +5,9 @@
 // that are parked at the barrier (or halted) are taken off the active list
 // and skipped entirely; the ticks they would have spent idling are credited
 // back to their counters on wake-up (or lazily via sync_idle_counters), so
-// every architectural result and performance counter is bit-identical to
-// ticking everything densely. ClusterConfig::event_driven = false restores
-// the dense loop (and the dense TCDM arbiter) as a regression baseline.
+// every architectural result and performance counter is what ticking every
+// core on every cycle would give. tests/test_contract.cpp pins those results
+// for all 20 (code, variant) cells.
 #pragma once
 
 #include <memory>
@@ -27,12 +27,6 @@ struct ClusterConfig {
   u32 tcdm_bytes = kTcdmSizeBytes;
   u32 tcdm_banks = kTcdmBanks;
   u64 main_mem_bytes = 512ull * 1024 * 1024;
-  /// Event-aware hot path: O(pending) TCDM arbitration, idle skipping of
-  /// quiescent cores, and active-port DMA scans. false = the pre-refactor
-  /// dense scan everywhere (slow; kept for the equivalence regression tests
-  /// and as the sim_throughput baseline). Results are identical in both
-  /// modes.
-  bool event_driven = true;
   /// Conflict-free TCDM (Tcdm::set_ideal_arbitration): every pending
   /// request granted each cycle. Validation mode for the static cost model
   /// — its walk assumes exactly this memory, so a run here must match the
@@ -77,7 +71,7 @@ class Cluster {
   /// state, and the clock rewinds to 0. Kept across a re-arm: the cluster
   /// id, the memory-port binding (and any lazily allocated main-memory
   /// chunks behind it — overlap-DMA writes may linger there; nothing in the
-  /// pipeline reads them back), and the dense/event-driven mode. Contract:
+  /// pipeline reads them back). Contract:
   /// a re-armed cluster is bit-identical to a freshly constructed one —
   /// stage the next kernel with stage_kernel and every simulated result and
   /// performance counter matches a fresh cluster's (tests/test_cluster.cpp,
@@ -85,18 +79,15 @@ class Cluster {
   /// (not with cores mid-flight); any cycle state is simply discarded.
   void rearm();
 
-  /// O(1) in event-driven mode (an active halted-core count), O(cores)
-  /// under the dense baseline.
-  bool all_halted() const;
+  /// O(1): a running count of halted cores.
+  bool all_halted() const { return halted_count_ == cores_.size(); }
 
   /// Cores ticked by the most recent step(): the current active list plus
   /// deactivated_last_step() (cores parked/retired during that very step —
   /// a core can issue its last useful FPU op on the cycle it drains and
   /// parks, so it must still be scanned once). Lets per-cycle
   /// instrumentation (e.g. the FPU-activity timeline) visit only cores
-  /// whose counters can have changed instead of densely scanning all of
-  /// them. Under the dense baseline the active list is every core and the
-  /// deactivated list is empty.
+  /// whose counters can have changed instead of scanning all of them.
   const std::vector<u32>& active_core_ids() const { return active_ids_; }
   const std::vector<u32>& deactivated_last_step() const {
     return just_deactivated_;
@@ -124,7 +115,6 @@ class Cluster {
   };
 
   void init(MemoryPort& mem_port);
-  void step_dense();
   void wake(u32 id);
   void reactivate(u32 id);
   void update_core_states();
@@ -140,7 +130,7 @@ class Cluster {
                               ///< ports precede DMA ports in arbitration
   Cycle now_ = 0;
 
-  // Event-driven bookkeeping.
+  // Idle-skip bookkeeping.
   std::vector<CoreState> state_;
   std::vector<u32> active_ids_;
   std::vector<u32> just_deactivated_;  ///< parked/retired by the last step

@@ -45,7 +45,7 @@ bool Core::compute_quiescent() const {
 }
 
 void Core::tick(Cycle now) {
-  if (event_driven_ && quiescent_) {
+  if (quiescent_) {
     // Fast path: with the FPU, SSR lanes, sequencer, and LSU all idle, the
     // full traversal below reduces to one FPU idle-counter bump plus the
     // integer step. int_step clears quiescent_ whenever it hands work to a

@@ -45,8 +45,7 @@ class Core {
   /// When every subsystem below the integer pipeline is quiescent the tick
   /// collapses to the integer step plus the FPU idle-counter update, which
   /// is exactly what the full traversal would have done; counters stay
-  /// bit-identical. Disable via set_event_driven(false) to force the dense
-  /// traversal (regression baseline).
+  /// bit-identical.
   void tick(Cycle now);
 
   bool halted() const { return perf_.halted; }
@@ -67,8 +66,6 @@ class Core {
     perf_.fpu_idle_empty += cycles;
     if (at_barrier) perf_.stall_barrier += cycles;
   }
-
-  void set_event_driven(bool on) { event_driven_ = on; }
 
   u32 id() const { return id_; }
   /// Current program counter (diagnostics: verification-miss reports print
@@ -125,7 +122,6 @@ class Core {
   /// subsystem (FP offload, FREP, scfgwi, load/store), recomputed at the
   /// end of every full-traversal tick.
   bool quiescent_ = true;
-  bool event_driven_ = true;
 };
 
 }  // namespace saris

@@ -127,62 +127,50 @@ bool Dma::advance_row_cursor() {
 
 void Dma::retire_responses() {
   // Only ports with a word in flight can have a response; visit exactly
-  // those (ascending port order, same as the dense scan). A main-memory
-  // write additionally needs a word of memory bandwidth: if the port denies
-  // the grant, the TCDM response is simply left pending (the bank holds it
-  // and the datapath port stays busy) and retires on a later cycle.
-  auto try_retire = [&](u32 i) {
-    if (!tcdm_.response_ready(ports_[i])) return;
+  // those, in ascending port order. A main-memory write additionally needs
+  // a word of memory bandwidth: if the port denies the grant, the TCDM
+  // response is simply left pending (the bank holds it and the datapath
+  // port stays busy) and retires on a later cycle.
+  for (u32 m = busy_mask_; m != 0; m &= m - 1) {
+    const u32 i = static_cast<u32>(std::countr_zero(m));
+    if (!tcdm_.response_ready(ports_[i])) continue;
     // An injected word error rejects the main-memory write before the port
     // sees it (no bandwidth credit consumed); the pending TCDM response is
     // simply retried next cycle, exactly like a denied grant.
     if (!out_[i].to_tcdm && faults_ &&
         faults_->dma_deny(fault_cluster_, fault_now_)) {
-      return;
+      continue;
     }
-    if (!out_[i].to_tcdm && !mem_.acquire_word()) return;
+    if (!out_[i].to_tcdm && !mem_.acquire_word()) continue;
     u64 data = tcdm_.take_response(ports_[i]);
     if (!out_[i].to_tcdm) {
       mem_.write(out_[i].mem_addr, &data, kWordBytes);
     }
-    out_[i].in_flight = false;
     busy_mask_ &= ~(1u << i);
     SARIS_CHECK(words_outstanding_ > 0, "DMA outstanding underflow");
     --words_outstanding_;
-  };
-
-  if (dense_) {
-    for (u32 i = 0; i < ports_.size(); ++i) {
-      if (out_[i].in_flight) try_retire(i);
-    }
-    return;
-  }
-  for (u32 m = busy_mask_; m != 0; m &= m - 1) {
-    try_retire(static_cast<u32>(std::countr_zero(m)));
   }
 }
 
 void Dma::issue_words() {
   // Issue up to one full datapath width of word ops for this row, on free
-  // ports in ascending order. The sparse path walks the clear bits of the
-  // busy mask; grant order and every observable side effect match the dense
-  // all-ports scan bit for bit.
+  // ports (the clear bits of the busy mask) in ascending order; stop once
+  // the row or the datapath-width budget is exhausted.
   u32 issued_bytes = 0;
-  // Returns false once the row or the datapath-width budget is exhausted.
-  auto try_port = [&](u32 i) -> bool {
-    if (row_pos_ >= cur_.row_bytes || issued_bytes >= kDmaWidthBytes) {
-      return false;
-    }
-    if (out_[i].in_flight || !tcdm_.port_idle(ports_[i])) return true;
+  const u32 free = ~busy_mask_ & ((1u << ports_.size()) - 1);
+  for (u32 m = free; m != 0; m &= m - 1) {
+    if (row_pos_ >= cur_.row_bytes || issued_bytes >= kDmaWidthBytes) break;
+    const u32 i = static_cast<u32>(std::countr_zero(m));
+    if (!tcdm_.port_idle(ports_[i])) continue;
     // Reads from main memory draw a word of memory bandwidth at issue time
     // (writes draw theirs at retire); once the port's grant budget for the
     // cycle is gone, stop issuing entirely. An injected word error rejects
     // the read the same way, before any credit is drawn.
     if (cur_.to_tcdm && faults_ &&
         faults_->dma_deny(fault_cluster_, fault_now_)) {
-      return false;
+      break;
     }
-    if (cur_.to_tcdm && !mem_.acquire_word()) return false;
+    if (cur_.to_tcdm && !mem_.acquire_word()) break;
 
     Addr taddr = cur_.tcdm_addr +
                  static_cast<i64>(cur_.tcdm_plane_stride) * cur_plane_ +
@@ -197,24 +185,12 @@ void Dma::issue_words() {
     } else {
       tcdm_.post(ports_[i], taddr, kWordBytes, /*is_write=*/false, 0);
     }
-    out_[i] = Outstanding{true, cur_.to_tcdm, maddr};
+    out_[i] = Outstanding{cur_.to_tcdm, maddr};
     busy_mask_ |= 1u << i;
     ++words_outstanding_;
     row_pos_ += kWordBytes;
     issued_bytes += kWordBytes;
     bytes_moved_ += kWordBytes;
-    return true;
-  };
-
-  if (dense_) {
-    for (u32 i = 0; i < ports_.size(); ++i) {
-      if (!try_port(i)) break;
-    }
-    return;
-  }
-  u32 free = ~busy_mask_ & ((1u << ports_.size()) - 1);
-  for (u32 m = free; m != 0; m &= m - 1) {
-    if (!try_port(static_cast<u32>(std::countr_zero(m)))) break;
   }
 }
 

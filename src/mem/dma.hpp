@@ -100,12 +100,6 @@ class Dma {
     fault_offset_ = cycle_offset;
   }
 
-  /// Test hook: route tick() through the original dense scan over all
-  /// datapath ports. Used by the DMA-equivalence regression test and the
-  /// dense-baseline simulator mode; results must be identical in both modes.
-  void set_dense_scan(bool on) { dense_ = on; }
-  bool dense_scan() const { return dense_; }
-
   // ---- statistics ----
   u64 bytes_moved() const { return bytes_moved_; }
   u64 active_cycles() const { return active_cycles_; }
@@ -115,12 +109,13 @@ class Dma {
 
   /// Back to power-on: job queue, row cursors, outstanding words, and
   /// statistics cleared. Cluster re-arm path — the TCDM port registrations
-  /// and the memory port binding are kept, as is the dense/sparse scan mode.
+  /// and the memory port binding are kept.
   void reset();
 
  private:
+  /// The word in flight on a datapath port (valid while its busy_mask_ bit
+  /// is set).
   struct Outstanding {
-    bool in_flight = false;
     bool to_tcdm = false;
     u64 mem_addr = 0;  ///< main-memory address paired with this word
   };
@@ -131,7 +126,6 @@ class Dma {
 
   bool job_active_ = false;
   bool issuing_done_ = false;  ///< all rows issued, draining outstanding
-  bool dense_ = false;
   DmaJob cur_{};
   u32 cur_row_ = 0;
   u32 cur_plane_ = 0;

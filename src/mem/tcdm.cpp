@@ -75,10 +75,6 @@ void Tcdm::arbitrate(Cycle /*now*/) {
     arbitrate_ideal();
     return;
   }
-  if (dense_) {
-    arbitrate_dense();
-    return;
-  }
   arbitrate_sparse();
 }
 
@@ -110,9 +106,8 @@ void Tcdm::arbitrate_sparse() {
   for (std::size_t bi = 0; bi < active_banks_.size();) {
     const u32 bank = active_banks_[bi];
     std::vector<u32>& pend = bank_pending_[bank];
-    // The dense arbiter scans ports circularly from rr_next_[bank]; the
-    // winner is therefore the pending port with the smallest circular
-    // distance from the round-robin pointer.
+    // Round robin: the winner is the pending port with the smallest
+    // circular distance from the bank's pointer.
     u32 best_dist = n;
     std::size_t best_pos = 0;
     for (std::size_t j = 0; j < pend.size(); ++j) {
@@ -140,48 +135,6 @@ void Tcdm::arbitrate_sparse() {
     } else {
       ++bi;
     }
-  }
-}
-
-void Tcdm::arbitrate_dense() {
-  // The pre-refactor arbiter, verbatim: gather pending requests per bank by
-  // scanning every port, grant one per bank round-robin.
-  for (u32 bank = 0; bank < num_banks_; ++bank) {
-    u32 n = num_ports();
-    if (n == 0) continue;
-    u32 winner = n;  // sentinel: none
-    for (u32 k = 0; k < n; ++k) {
-      u32 cand = (rr_next_[bank] + k) % n;
-      const Port& p = ports_[cand];
-      if (p.pending && bank_of(p.addr) == bank) {
-        winner = cand;
-        break;
-      }
-    }
-    if (winner == n) continue;
-    // Count the losers on this bank as conflicts this cycle.
-    for (u32 cand = 0; cand < n; ++cand) {
-      Port& p = ports_[cand];
-      if (cand != winner && p.pending && bank_of(p.addr) == bank) {
-        ++p.conflicts;
-        ++total_conflicts_;
-      }
-    }
-    grant(winner, bank);
-  }
-  // Keep the pending lists coherent so the two modes can be switched freely
-  // (this path is a test/baseline hook; O(ports) here is fine).
-  rebuild_pending_lists();
-}
-
-void Tcdm::rebuild_pending_lists() {
-  for (u32 bank : active_banks_) bank_pending_[bank].clear();
-  active_banks_.clear();
-  for (u32 port = 0; port < num_ports(); ++port) {
-    const Port& p = ports_[port];
-    if (!p.pending) continue;
-    if (bank_pending_[p.bank].empty()) active_banks_.push_back(p.bank);
-    bank_pending_[p.bank].push_back(port);
   }
 }
 

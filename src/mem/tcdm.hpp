@@ -36,17 +36,11 @@ class Tcdm {
   /// Resolve this cycle's arbitration; at most one grant per bank.
   ///
   /// Cost is O(pending requests): banks with no request posted are never
-  /// visited. Grant order, round-robin state, and conflict accounting are
-  /// bit-identical to a dense scan over all banks x ports (the pre-refactor
-  /// arbiter, kept below as a regression baseline).
+  /// visited. Each bank grants the pending port nearest at or after its
+  /// round-robin pointer, circularly in port order, and counts every other
+  /// pending port on that bank as a conflict. tests/test_tcdm.cpp pins the
+  /// outcome of adversarial random traffic to a recorded digest.
   void arbitrate(Cycle now);
-
-  /// Test hook: route arbitrate() through the original dense O(banks*ports)
-  /// scan instead of the pending lists. Used by the arbiter-equivalence
-  /// regression test and the sim_throughput baseline; results must be
-  /// identical in both modes.
-  void set_dense_arbitration(bool on) { dense_ = on; }
-  bool dense_arbitration() const { return dense_; }
 
   /// Validation hook: grant *every* pending request each cycle instead of
   /// one per bank — a conflict-free TCDM with unchanged single-cycle
@@ -54,8 +48,7 @@ class Tcdm {
   /// (analysis/cost.hpp) walks against, so a run in this mode must match
   /// its prediction bit-for-bit on every cell; tests/test_cost.cpp enforces
   /// that. Functionally inert: grant order within a cycle is port order,
-  /// so values are identical to the arbitrated run. Takes precedence over
-  /// the dense hook.
+  /// so values are identical to the arbitrated run.
   void set_ideal_arbitration(bool on) { ideal_ = on; }
   bool ideal_arbitration() const { return ideal_; }
 
@@ -90,8 +83,8 @@ class Tcdm {
   /// Back to power-on: memory zeroed, every port's request/response state
   /// and statistics cleared, per-bank round-robin pointers and pending
   /// lists reset. Port registrations (ids and names) are kept — requesters
-  /// hold their port ids across a cluster re-arm. The dense/sparse
-  /// arbitration mode is preserved.
+  /// hold their port ids across a cluster re-arm. The ideal-arbitration
+  /// mode is preserved.
   void reset();
 
  private:
@@ -112,9 +105,7 @@ class Tcdm {
   u64 do_access(Port& p);
   void grant(u32 winner, u32 bank);
   void arbitrate_sparse();
-  void arbitrate_dense();
   void arbitrate_ideal();
-  void rebuild_pending_lists();
 
   std::vector<u8> mem_;
   u32 num_banks_;
@@ -126,7 +117,6 @@ class Tcdm {
   // post() time so arbitration only ever touches banks with work.
   std::vector<std::vector<u32>> bank_pending_;
   std::vector<u32> active_banks_;  ///< banks with >= 1 pending request
-  bool dense_ = false;
   bool ideal_ = false;
 
   u64 total_accesses_ = 0;

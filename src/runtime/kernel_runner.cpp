@@ -113,10 +113,9 @@ void stage_kernel(const CompiledKernel& ck, Cluster& cluster,
 }
 
 u32 count_active_fpu(Cluster& cluster, std::vector<u64>& last_useful) {
-  // Only cores the cluster actually ticked can have issued an FPU op;
-  // halted/parked cores are skipped via the cluster's idle bookkeeping
-  // instead of a dense O(cores) scan every cycle. Bit-identical to the
-  // dense scan: a skipped core's fpu_useful_ops cannot have changed.
+  // Only cores the cluster actually ticked can have issued an FPU op: a
+  // parked or retired core's fpu_useful_ops cannot change, so scanning the
+  // ticked cores counts every active one without visiting all of them.
   u32 active = 0;
   auto scan = [&](u32 c) {
     u64 now_useful = cluster.core(c).perf().fpu_useful_ops;

@@ -29,7 +29,7 @@ class FaultPlan;
 struct RunConfig {
   KernelVariant variant = KernelVariant::kSaris;
   CodegenOptions cg{};
-  ClusterConfig cluster{};  ///< e.g. event_driven=false for the dense baseline
+  ClusterConfig cluster{};  ///< e.g. ideal_tcdm for the cost-model check
   bool overlap_dma = true;  ///< model steady-state double-buffered DMA
   bool verify = true;
   bool record_timeline = false;  ///< fill RunMetrics::fpu_timeline

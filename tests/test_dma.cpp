@@ -208,9 +208,8 @@ TEST(Dma, ActivePortScanMatchesPinnedDigest) {
   // byte/activity trajectory, the TCDM statistics and the final TCDM and
   // main-memory contents; it was recorded when a dense all-ports reference
   // scan still existed and agreed with the active-port-mask tick.
-  auto digest_run = [](bool dense) {
+  auto digest_run = [] {
     DmaRig r;
-    r.dma.set_dense_scan(dense);
     for (u32 i = 0; i < 256; ++i) r.mem.write_f64(8 * i, i * 0.5 + 1.0);
     for (u32 i = 0; i < 64; ++i) r.tcdm.host_write_f64(8192 + 8 * i, i - 3.5);
 
@@ -261,8 +260,7 @@ TEST(Dma, ActivePortScanMatchesPinnedDigest) {
     return digest;
   };
   constexpr u64 kDigest = 0x7A32FBFCABD4AEC5ull;
-  EXPECT_EQ(digest_run(/*dense=*/false), kDigest);
-  EXPECT_EQ(digest_run(/*dense=*/true), kDigest);
+  EXPECT_EQ(digest_run(), kDigest);
 }
 
 TEST(DmaDeath, RejectsJobBeyondMainMemory) {

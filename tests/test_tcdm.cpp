@@ -141,9 +141,8 @@ TEST(Tcdm, PerPortStats) {
 // dense O(banks x ports) reference arbiter still existed and agreed with
 // the pending-list arbiter, so a change to grant order, round-robin state
 // or conflict accounting moves it.
-u64 random_traffic_digest(bool dense) {
+u64 random_traffic_digest() {
   Tcdm t;
-  t.set_dense_arbitration(dense);
   std::vector<u32> ports;
   for (u32 i = 0; i < 12; ++i) {
     ports.push_back(t.make_port("p" + std::to_string(i)));
@@ -177,8 +176,7 @@ u64 random_traffic_digest(bool dense) {
 
 TEST(Tcdm, RandomTrafficMatchesPinnedDigest) {
   constexpr u64 kDigest = 0x40FF4BA3791D9DE3ull;
-  EXPECT_EQ(random_traffic_digest(/*dense=*/false), kDigest);
-  EXPECT_EQ(random_traffic_digest(/*dense=*/true), kDigest);
+  EXPECT_EQ(random_traffic_digest(), kDigest);
 }
 
 TEST(TcdmDeath, UnalignedAccessAborts) {
