@@ -38,7 +38,7 @@ void Tcdm::post(u32 port, Addr addr, u32 size, bool is_write, u64 wdata) {
               "post to busy port " << p.name);
   SARIS_CHECK(size == 2 || size == 4 || size == 8, "bad access size " << size);
   SARIS_CHECK(addr % size == 0, "unaligned access at " << addr);
-  SARIS_CHECK(addr + size <= mem_.size(),
+  SARIS_CHECK(in_range(addr, size),
               "TCDM access out of range: " << addr << "+" << size);
   p.pending = true;
   p.addr = addr;
@@ -152,12 +152,12 @@ u64 Tcdm::take_response(u32 port) {
 }
 
 void Tcdm::host_write(Addr addr, const void* src, u32 len) {
-  SARIS_CHECK(addr + len <= mem_.size(), "host_write out of range");
+  SARIS_CHECK(in_range(addr, len), "host_write out of range");
   std::memcpy(mem_.data() + addr, src, len);
 }
 
 void Tcdm::host_read(Addr addr, void* dst, u32 len) const {
-  SARIS_CHECK(addr + len <= mem_.size(), "host_read out of range");
+  SARIS_CHECK(in_range(addr, len), "host_read out of range");
   std::memcpy(dst, mem_.data() + addr, len);
 }
 

@@ -102,6 +102,11 @@ class Tcdm {
     u32 bank = 0;  ///< bank of the pending request (valid while pending)
   };
 
+  /// [addr, addr + len) lies inside the memory. Written so that no sum can
+  /// wrap: a 32-bit addr + len past 4 GiB would otherwise pass.
+  bool in_range(Addr addr, u32 len) const {
+    return len <= mem_.size() && addr <= mem_.size() - len;
+  }
   u64 do_access(Port& p);
   void grant(u32 winner, u32 bank);
   void arbitrate_sparse();

@@ -191,6 +191,26 @@ TEST(TcdmDeath, OutOfRangeAborts) {
   EXPECT_DEATH(t.post(p, 128 * 1024, 8, false, 0), "out of range");
 }
 
+// An access ending exactly at 4 GiB wraps a 32-bit end address to 0; the
+// bounds checks must not be fooled into accepting it.
+TEST(TcdmDeath, WrappingPostAborts) {
+  Tcdm t;
+  u32 p = t.make_port("p");
+  EXPECT_DEATH(t.post(p, 0xFFFFFFF8u, 8, false, 0), "out of range");
+}
+
+TEST(TcdmDeath, WrappingHostReadAborts) {
+  Tcdm t;
+  u64 v = 0;
+  EXPECT_DEATH(t.host_read(0xFFFFFFF8u, &v, 8), "out of range");
+}
+
+TEST(TcdmDeath, WrappingHostWriteAborts) {
+  Tcdm t;
+  u64 v = 0;
+  EXPECT_DEATH(t.host_write(0xFFFFFFF8u, &v, 8), "out of range");
+}
+
 TEST(TcdmDeath, DoublePostAborts) {
   Tcdm t;
   u32 p = t.make_port("p");
