@@ -28,9 +28,8 @@ FrepShape frep_shape(const Program& p, u32 pc) {
   f.body_len = frep_body_len(in.imm);
   f.stagger = frep_stagger(in.imm);
   f.stagger_base = frep_stagger_base(in.imm);
-  f.legal = f.body_len >= 1 && f.body_len <= kFrepBufferDepth &&
-            pc + 1 + f.body_len <= p.size() && f.stagger >= 1 &&
-            f.stagger <= 8;
+  f.legal = frep_body_len_ok(f.body_len) && pc + 1 + f.body_len <= p.size() &&
+            frep_stagger_ok(f.stagger);
   return f;
 }
 
@@ -69,7 +68,7 @@ void check_structure(const Program& p, u32 core,
 
     if (in.op != Op::kFrep) continue;
     const FrepShape f = frep_shape(p, pc);
-    if (f.body_len < 1 || f.body_len > kFrepBufferDepth) {
+    if (!frep_body_len_ok(f.body_len)) {
       std::ostringstream os;
       os << "frep body length " << f.body_len << " outside [1, "
          << kFrepBufferDepth << "]";
@@ -96,9 +95,10 @@ void check_structure(const Program& p, u32 core,
         }
       }
     }
-    if (f.stagger < 1 || f.stagger > 8) {
+    if (!frep_stagger_ok(f.stagger)) {
       diag(diags, DiagKind::kBadStagger, DiagSeverity::kError, core, pc,
-           "frep stagger " + std::to_string(f.stagger) + " outside [1, 8]");
+           "frep stagger " + std::to_string(f.stagger) + " outside [1, " +
+               std::to_string(kFrepMaxStagger) + "]");
     } else if (f.stagger > 1 && f.legal) {
       // Rotation reaches idx + (stagger - 1); it must stay inside the
       // register file for every staggered operand of every body instruction.

@@ -608,8 +608,7 @@ class CoreModel {
         const u64 reps = regs_.value(in.rs1);
         const u32 body = frep_body_len(in.imm);
         const u32 stg = frep_stagger(in.imm);
-        if (reps < 1 || body < 1 || body > kFrepBufferDepth || stg < 1 ||
-            stg > 8) {
+        if (reps < 1 || !frep_body_len_ok(body) || !frep_stagger_ok(stg)) {
           fail(pc_, "bad frep encoding");
           return false;
         }

@@ -21,7 +21,8 @@ enum class DiagKind : u8 {
   kBadFrepBody,          ///< body length 0, > buffer, past program end, or a
                          ///< non-FP-compute (e.g. int-memory) op in the body
   kFrepOverControlFlow,  ///< control-flow instruction inside an FREP body
-  kBadStagger,           ///< stagger outside [1,8] or rotation past f31
+  kBadStagger,           ///< stagger outside [1, kFrepMaxStagger] or
+                         ///< rotation past f31
   // ---- dataflow ----
   kUseBeforeDef,         ///< register read reachable with no prior write
   kDeadStore,            ///< register written but never read afterwards

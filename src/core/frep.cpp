@@ -8,10 +8,10 @@ void FrepSequencer::start(u64 reps, u32 body_len, u32 stagger,
                           u32 stagger_base) {
   SARIS_CHECK(!busy(), "frep while sequencer busy (core must stall)");
   SARIS_CHECK(reps >= 1, "frep with zero repetitions");
-  SARIS_CHECK(body_len >= 1 && body_len <= kFrepBufferDepth,
+  SARIS_CHECK(frep_body_len_ok(body_len),
               "frep body length " << body_len << " exceeds buffer of "
                                   << kFrepBufferDepth);
-  SARIS_CHECK(stagger >= 1 && stagger <= 8, "bad frep stagger " << stagger);
+  SARIS_CHECK(frep_stagger_ok(stagger), "bad frep stagger " << stagger);
   buf_.clear();
   to_capture_ = body_len;
   reps_left_ = reps - 1;  // first iteration goes through the fetch path

@@ -14,8 +14,6 @@
 
 namespace saris {
 
-inline constexpr u32 kFrepBufferDepth = 16;
-
 /// Register staggering of one replayed body instruction: every FP register
 /// field at or above `base` moves up by `off` (unused fields sit at f0, below
 /// any base the code generators emit). False when a field passes f31.

@@ -224,8 +224,13 @@ void ProgramBuilder::fsd(FReg src, XReg base, i32 offs) {
 
 void ProgramBuilder::frep(XReg reps, i32 body_len, u32 stagger,
                           u32 stagger_base) {
-  SARIS_CHECK(body_len > 0 && body_len <= 255, "bad frep body length");
-  SARIS_CHECK(stagger >= 1 && stagger <= 8, "bad frep stagger");
+  // A negative length wraps to a huge u32 and fails the range test.
+  SARIS_CHECK(frep_body_len_ok(static_cast<u32>(body_len)),
+              "frep body length " << body_len << " outside [1, "
+                                  << kFrepBufferDepth << "]");
+  SARIS_CHECK(frep_stagger_ok(stagger),
+              "frep stagger " << stagger << " outside [1, " << kFrepMaxStagger
+                              << "]");
   SARIS_CHECK(stagger_base <= 32, "bad frep stagger base");
   Instr& in = emit(Op::kFrep);
   in.rs1 = reps;

@@ -60,7 +60,8 @@ class ProgramBuilder {
   /// frep.o: repeat the following `body_len` FP instructions, number of
   /// repetitions taken from integer register `reps`. `stagger` > 1 rotates
   /// FP register operands with index >= `stagger_base` by (iteration %
-  /// stagger) on replay (Snitch frep register staggering).
+  /// stagger) on replay (Snitch frep register staggering). Aborts unless
+  /// frep_body_len_ok(body_len) and frep_stagger_ok(stagger) (isa/instr.hpp).
   void frep(XReg reps, i32 body_len, u32 stagger = 1, u32 stagger_base = 32);
   /// scfgwi: write config word `word` of SSR lane `lane` with value xrs1.
   void scfgwi(XReg value, u32 lane, u32 word);

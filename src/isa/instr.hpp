@@ -54,4 +54,12 @@ inline u32 frep_stagger_base(i32 imm) {
   return (static_cast<u32>(imm) >> 16) & 0xFF;
 }
 
+/// FREP limits, the one definition the builder, the sequencer, the
+/// verifier and the cost walk test against: a body is 1..kFrepBufferDepth
+/// instructions (the sequence buffer), a stagger count 1..kFrepMaxStagger.
+inline constexpr u32 kFrepBufferDepth = 16;
+inline constexpr u32 kFrepMaxStagger = 8;
+inline bool frep_body_len_ok(u32 n) { return n >= 1 && n <= kFrepBufferDepth; }
+inline bool frep_stagger_ok(u32 s) { return s >= 1 && s <= kFrepMaxStagger; }
+
 }  // namespace saris

@@ -163,6 +163,15 @@ TEST(BuilderDeath, FrepBodyRejectsFpMemory) {
   EXPECT_DEATH(b.build(), "not an FP op");
 }
 
+TEST(BuilderDeath, FrepBodyLongerThanBufferAborts) {
+  ProgramBuilder b;
+  b.frep(x(5), static_cast<i32>(kFrepBufferDepth));  // the largest legal body
+  EXPECT_DEATH(b.frep(x(5), static_cast<i32>(kFrepBufferDepth) + 1),
+               "frep body length 17 outside");
+  EXPECT_DEATH(b.frep(x(5), 0), "frep body length 0 outside");
+  EXPECT_DEATH(b.frep(x(5), 1, kFrepMaxStagger + 1), "frep stagger 9 outside");
+}
+
 TEST(BuilderDeath, UnresolvedLabelAborts) {
   ProgramBuilder b;
   b.bne(x(5), x(6), "nowhere");
