@@ -16,12 +16,10 @@
 
 namespace saris {
 
-// Artifact/config mismatches are recoverable per-job errors (kBadConfig),
-// not invariant violations: a sweep cell handed a bad user config must fail
-// typed so the rest of the sweep survives it.
-void check_artifact(const CompiledKernel& ck, Cluster& cluster,
-                    const RunConfig& cfg, const KernelIO& io) {
-  const StencilCode& sc = ck.code;
+namespace {
+
+// Raise kBadConfig unless `io` has the code's input and coefficient counts.
+void check_io(const StencilCode& sc, const KernelIO& io) {
   if (io.inputs.size() != sc.n_inputs) {
     SARIS_RAISE(SimErrc::kBadConfig, 0,
                 sc.name << ": expected " << sc.n_inputs << " input arrays, got "
@@ -32,6 +30,17 @@ void check_artifact(const CompiledKernel& ck, Cluster& cluster,
                 sc.name << ": expected " << sc.n_coeffs
                         << " coefficients, got " << io.coeffs.size());
   }
+}
+
+}  // namespace
+
+// Artifact/config mismatches are recoverable per-job errors (kBadConfig),
+// not invariant violations: a sweep cell handed a bad user config must fail
+// typed so the rest of the sweep survives it.
+void check_artifact(const CompiledKernel& ck, Cluster& cluster,
+                    const RunConfig& cfg, const KernelIO& io) {
+  const StencilCode& sc = ck.code;
+  check_io(sc, io);
   u32 n = cluster.num_cores();
   if (n != ck.n_cores) {
     SARIS_RAISE(SimErrc::kBadConfig, 0,
@@ -316,16 +325,7 @@ RunMetrics run_kernel_io(const StencilCode& sc, const RunConfig& cfg,
                          KernelIO& io) {
   // Validate before compiling: bad user-supplied data is a typed,
   // recoverable kBadConfig, raised before any cluster is built.
-  if (io.inputs.size() != sc.n_inputs) {
-    SARIS_RAISE(SimErrc::kBadConfig, 0,
-                sc.name << ": expected " << sc.n_inputs << " input arrays, got "
-                        << io.inputs.size());
-  }
-  if (io.coeffs.size() != sc.n_coeffs) {
-    SARIS_RAISE(SimErrc::kBadConfig, 0,
-                sc.name << ": expected " << sc.n_coeffs
-                        << " coefficients, got " << io.coeffs.size());
-  }
+  check_io(sc, io);
   std::shared_ptr<const CompiledKernel> ck =
       PlanCache::global().get_or_compile(sc, cfg.variant, cfg.cg,
                                          cfg.cluster.num_cores,

@@ -185,6 +185,21 @@ TEST(RuntimeErrors, WrongInputCountIsTypedBadConfig) {
   EXPECT_FALSE(e.retryable());  // a bad config never fixes itself
 }
 
+TEST(RuntimeErrors, ExecuteKernelChecksInputCount) {
+  // The execute stage checks the data shape itself, for callers that hold
+  // a compiled artifact and skip run_kernel_io.
+  const StencilCode& sc = code_by_name("ac_iso_cd");  // needs 2 inputs
+  RunConfig cfg;
+  CompiledKernel ck = compile_kernel(sc, cfg.variant, cfg.cg,
+                                     cfg.cluster.num_cores);
+  Cluster cluster(cfg.cluster);
+  KernelIO io;
+  io.inputs.emplace_back(sc.tile_nx, sc.tile_ny, sc.tile_nz);
+  io.coeffs = sc.default_coeffs();
+  expect_sim_error([&] { execute_kernel(ck, cluster, cfg, io); },
+                   SimErrc::kBadConfig, "expected 2 input arrays, got 1");
+}
+
 TEST(RuntimeErrors, WrongCoeffCountIsTypedBadConfig) {
   const StencilCode& sc = code_by_name("jacobi_2d");
   KernelIO io;
