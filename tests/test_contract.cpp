@@ -1,10 +1,10 @@
 // Behavioural contract fixture: absolute results of all 20 (code, variant)
 // cells at seed 1, pinned against a committed text file.
 //
-// It is the oracle for the simulator's single cycle loop: the results
-// come from recorded numbers, not from a second implementation, so drift
-// fails even where two paths share code (as the cost walk and an
-// ideal-TCDM run do). Per cell it records:
+// This is the oracle for the simulator's one cycle loop. It compares
+// against recorded numbers, not a second implementation, so drift fails
+// even where two paths share code (as the cost walk and an ideal-TCDM run
+// do). Per cell it records:
 //   * every field metrics_bit_identical compares (record_timeline on, the
 //     timeline as a digest) and a digest of the output grid;
 //   * from a compile with verify and cost on: the diagnostic count, absint

@@ -208,59 +208,55 @@ TEST(Dma, ActivePortScanMatchesPinnedDigest) {
   // byte/activity trajectory, the TCDM statistics and the final TCDM and
   // main-memory contents; it was recorded when a dense all-ports reference
   // scan still existed and agreed with the active-port-mask tick.
-  auto digest_run = [] {
-    DmaRig r;
-    for (u32 i = 0; i < 256; ++i) r.mem.write_f64(8 * i, i * 0.5 + 1.0);
-    for (u32 i = 0; i < 64; ++i) r.tcdm.host_write_f64(8192 + 8 * i, i - 3.5);
+  DmaRig r;
+  for (u32 i = 0; i < 256; ++i) r.mem.write_f64(8 * i, i * 0.5 + 1.0);
+  for (u32 i = 0; i < 64; ++i) r.tcdm.host_write_f64(8192 + 8 * i, i - 3.5);
 
-    DmaJob in3d;  // short strided rows: long drain tails between rows
-    in3d.to_tcdm = true;
-    in3d.tcdm_addr = 0;
-    in3d.mem_addr = 0;
-    in3d.row_bytes = 16;
-    in3d.rows = 3;
-    in3d.tcdm_row_stride = 64;
-    in3d.mem_row_stride = 16;
-    in3d.planes = 2;
-    in3d.tcdm_plane_stride = 1024;
-    in3d.mem_plane_stride = 48;
-    r.dma.push(in3d);
+  DmaJob in3d;  // short strided rows: long drain tails between rows
+  in3d.to_tcdm = true;
+  in3d.tcdm_addr = 0;
+  in3d.mem_addr = 0;
+  in3d.row_bytes = 16;
+  in3d.rows = 3;
+  in3d.tcdm_row_stride = 64;
+  in3d.mem_row_stride = 16;
+  in3d.planes = 2;
+  in3d.tcdm_plane_stride = 1024;
+  in3d.mem_plane_stride = 48;
+  r.dma.push(in3d);
 
-    DmaJob out1d;  // TCDM -> memory direction exercises retirement writes
-    out1d.to_tcdm = false;
-    out1d.tcdm_addr = 8192;
-    out1d.mem_addr = 65536;
-    out1d.row_bytes = 64 * 8;
-    r.dma.push(out1d);
+  DmaJob out1d;  // TCDM -> memory direction exercises retirement writes
+  out1d.to_tcdm = false;
+  out1d.tcdm_addr = 8192;
+  out1d.mem_addr = 65536;
+  out1d.row_bytes = 64 * 8;
+  r.dma.push(out1d);
 
-    DmaJob in1d;  // full-width rows: all eight ports busy at once
-    in1d.to_tcdm = true;
-    in1d.tcdm_addr = 4096;
-    in1d.mem_addr = 1024;
-    in1d.row_bytes = 512;
-    r.dma.push(in1d);
+  DmaJob in1d;  // full-width rows: all eight ports busy at once
+  in1d.to_tcdm = true;
+  in1d.tcdm_addr = 4096;
+  in1d.mem_addr = 1024;
+  in1d.row_bytes = 512;
+  r.dma.push(in1d);
 
-    u64 digest = 0;
-    Cycle cyc = 0;
-    while (!r.dma.idle()) {
-      r.dma.tick(cyc);
-      r.tcdm.arbitrate(cyc);
-      digest = digest * 31 + r.dma.bytes_moved();
-      digest = digest * 31 + r.dma.active_cycles();
-      EXPECT_LT(++cyc, 100000u) << "DMA did not drain";
-    }
-    digest = digest * 31 + r.tcdm.total_accesses();
-    digest = digest * 31 + r.tcdm.total_conflicts();
-    for (u32 i = 0; i < 64; ++i) {
-      digest = digest * 31 + r.tcdm.host_read_u64(4096 + 8 * i);
-      u64 w;
-      r.mem.read(65536 + 8 * i, &w, 8);
-      digest = digest * 31 + w;
-    }
-    return digest;
-  };
-  constexpr u64 kDigest = 0x7A32FBFCABD4AEC5ull;
-  EXPECT_EQ(digest_run(), kDigest);
+  u64 digest = 0;
+  Cycle cyc = 0;
+  while (!r.dma.idle()) {
+    r.dma.tick(cyc);
+    r.tcdm.arbitrate(cyc);
+    digest = digest * 31 + r.dma.bytes_moved();
+    digest = digest * 31 + r.dma.active_cycles();
+    ASSERT_LT(++cyc, 100000u) << "DMA did not drain";
+  }
+  digest = digest * 31 + r.tcdm.total_accesses();
+  digest = digest * 31 + r.tcdm.total_conflicts();
+  for (u32 i = 0; i < 64; ++i) {
+    digest = digest * 31 + r.tcdm.host_read_u64(4096 + 8 * i);
+    u64 w = 0;
+    r.mem.read(65536 + 8 * i, &w, 8);
+    digest = digest * 31 + w;
+  }
+  EXPECT_EQ(digest, 0x7A32FBFCABD4AEC5ull);
 }
 
 TEST(DmaDeath, RejectsJobBeyondMainMemory) {

@@ -135,13 +135,13 @@ TEST(Tcdm, PerPortStats) {
   EXPECT_EQ(t.port_accesses(a), 0u);
 }
 
-// Adversarial traffic the kernels do not produce: twelve ports hammering
-// four banks in a deterministic xorshift mix. The digest folds every
-// response, the totals and the per-port statistics; it was recorded when a
-// dense O(banks x ports) reference arbiter still existed and agreed with
-// the pending-list arbiter, so a change to grant order, round-robin state
-// or conflict accounting moves it.
-u64 random_traffic_digest() {
+TEST(Tcdm, RandomTrafficMatchesPinnedDigest) {
+  // Adversarial traffic the kernels do not produce: twelve ports hammering
+  // four banks in a deterministic xorshift mix. The digest folds every
+  // response, the totals and the per-port statistics. It was recorded
+  // while a dense O(banks x ports) reference arbiter still existed and
+  // agreed, so a change to grant order, round-robin state or conflict
+  // accounting moves it.
   Tcdm t;
   std::vector<u32> ports;
   for (u32 i = 0; i < 12; ++i) {
@@ -171,12 +171,7 @@ u64 random_traffic_digest() {
     digest = digest * 31 + t.port_accesses(p);
     digest = digest * 31 + t.port_conflicts(p);
   }
-  return digest;
-}
-
-TEST(Tcdm, RandomTrafficMatchesPinnedDigest) {
-  constexpr u64 kDigest = 0x40FF4BA3791D9DE3ull;
-  EXPECT_EQ(random_traffic_digest(), kDigest);
+  EXPECT_EQ(digest, 0x40FF4BA3791D9DE3ull);
 }
 
 TEST(TcdmDeath, UnalignedAccessAborts) {
