@@ -1,128 +1,54 @@
-// Regression test: the event-aware hot path (O(pending) TCDM arbitration,
-// idle-skipped core ticks) must be cycle-for-cycle identical to the dense
-// pre-refactor simulator kept behind ClusterConfig::event_driven = false.
-//
-// Every code of the Table 1 evaluation set is run in both variants under
-// both modes; total cycles, TCDM accesses/conflicts (total and per port),
-// and every per-core performance counter must match exactly.
+// Regression test: the pending-list TCDM round-robin arbiter must grant
+// exactly as the dense O(banks x ports) reference arbiter it replaced did.
+// The reference is gone; its result under adversarial traffic is pinned as
+// a digest. Cycle-exactness of whole kernels is pinned by test_contract.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "mem/tcdm.hpp"
-#include "runtime/kernel_runner.hpp"
-#include "stencil/codes.hpp"
 
 namespace saris {
 namespace {
 
-void expect_identical(const RunMetrics& fast, const RunMetrics& dense,
-                      const std::string& what) {
-  EXPECT_EQ(fast.cycles, dense.cycles) << what;
-  EXPECT_EQ(fast.tcdm_accesses, dense.tcdm_accesses) << what;
-  EXPECT_EQ(fast.tcdm_conflicts, dense.tcdm_conflicts) << what;
-  ASSERT_EQ(fast.tcdm_port_accesses.size(), dense.tcdm_port_accesses.size())
-      << what;
-  for (std::size_t p = 0; p < fast.tcdm_port_accesses.size(); ++p) {
-    EXPECT_EQ(fast.tcdm_port_accesses[p], dense.tcdm_port_accesses[p])
-        << what << " port " << p;
-    EXPECT_EQ(fast.tcdm_port_conflicts[p], dense.tcdm_port_conflicts[p])
-        << what << " port " << p;
+TEST(ArbiterEquiv, RandomTrafficMatchesPinnedDigest) {
+  // Adversarial traffic the kernels do not produce: twelve ports hammering
+  // four banks in a deterministic xorshift mix. The digest folds every
+  // response, the totals and the per-port statistics. It was recorded
+  // while a dense O(banks x ports) reference arbiter still existed and
+  // agreed, so a change to grant order, round-robin state or conflict
+  // accounting moves it.
+  Tcdm t;
+  std::vector<u32> ports;
+  for (u32 i = 0; i < 12; ++i) {
+    ports.push_back(t.make_port("p" + std::to_string(i)));
   }
-  EXPECT_EQ(fast.flops, dense.flops) << what;
-  EXPECT_EQ(fast.fp_instrs, dense.fp_instrs) << what;
-  EXPECT_EQ(fast.int_instrs, dense.int_instrs) << what;
-  EXPECT_EQ(fast.ssr_elems, dense.ssr_elems) << what;
-  EXPECT_EQ(fast.ssr_idx_words, dense.ssr_idx_words) << what;
-  EXPECT_EQ(fast.dma_bytes, dense.dma_bytes) << what;
-  // Per-cycle, not just aggregate: the event-driven timeline scan visits
-  // only ticked cores (active list + cores parked/retired that step), so
-  // equality with the dense all-cores scan proves the skip logic exact.
-  EXPECT_EQ(fast.fpu_timeline, dense.fpu_timeline) << what;
-  ASSERT_EQ(fast.per_core.size(), dense.per_core.size()) << what;
-  for (u32 c = 0; c < fast.num_cores(); ++c) {
-    const CorePerf& a = fast.per_core[c];
-    const CorePerf& b = dense.per_core[c];
-    const std::string who = what + " core " + std::to_string(c);
-#define SARIS_EQ_FIELD(f) EXPECT_EQ(a.f, b.f) << who << " ." #f
-    SARIS_EQ_FIELD(int_instrs);
-    SARIS_EQ_FIELD(fp_instrs);
-    SARIS_EQ_FIELD(fpu_useful_ops);
-    SARIS_EQ_FIELD(flops);
-    SARIS_EQ_FIELD(fp_loads);
-    SARIS_EQ_FIELD(fp_stores);
-    SARIS_EQ_FIELD(stall_icache);
-    SARIS_EQ_FIELD(stall_fpu_queue_full);
-    SARIS_EQ_FIELD(stall_seq_busy);
-    SARIS_EQ_FIELD(stall_scfg_busy);
-    SARIS_EQ_FIELD(stall_branch);
-    SARIS_EQ_FIELD(stall_barrier);
-    SARIS_EQ_FIELD(stall_int_lsu);
-    SARIS_EQ_FIELD(stall_halt_drain);
-    SARIS_EQ_FIELD(fpu_stall_operand);
-    SARIS_EQ_FIELD(fpu_stall_sr_empty);
-    SARIS_EQ_FIELD(fpu_stall_sr_full);
-    SARIS_EQ_FIELD(fpu_stall_mem);
-    SARIS_EQ_FIELD(fpu_idle_empty);
-    SARIS_EQ_FIELD(halted_at);
-#undef SARIS_EQ_FIELD
-  }
-}
-
-RunMetrics run_mode(const StencilCode& sc, KernelVariant v,
-                    bool event_driven) {
-  RunConfig cfg;
-  cfg.variant = v;
-  cfg.cluster.event_driven = event_driven;
-  cfg.record_timeline = true;
-  return run_kernel(sc, cfg);
-}
-
-TEST(ArbiterEquiv, AllCodesBothVariantsIdenticalToDense) {
-  for (const StencilCode& sc : all_codes()) {
-    for (KernelVariant v : {KernelVariant::kBase, KernelVariant::kSaris}) {
-      RunMetrics fast = run_mode(sc, v, /*event_driven=*/true);
-      RunMetrics dense = run_mode(sc, v, /*event_driven=*/false);
-      expect_identical(fast, dense, sc.name + "/" + variant_name(v));
-    }
-  }
-}
-
-TEST(ArbiterEquiv, SparseMatchesDenseUnderRandomTraffic) {
-  // Direct Tcdm-level check with adversarial patterns the kernels do not
-  // produce: many ports hammering few banks, deterministic xorshift mix.
-  auto run = [](bool dense) {
-    Tcdm t;
-    t.set_dense_arbitration(dense);
-    std::vector<u32> ports;
-    for (u32 i = 0; i < 12; ++i) {
-      ports.push_back(t.make_port("p" + std::to_string(i)));
-    }
-    u64 s = 0x9E3779B97F4A7C15ull;
-    u64 digest = 0;
-    for (Cycle cyc = 0; cyc < 5000; ++cyc) {
-      for (u32 p : ports) {
-        if (t.response_ready(p)) digest = digest * 31 + t.take_response(p);
-        if (!t.port_idle(p)) continue;
-        s ^= s << 13;
-        s ^= s >> 7;
-        s ^= s << 17;
-        if ((s & 3) == 0) continue;  // idle cycle for this port
-        // Concentrate on 4 banks to force heavy conflicts.
-        Addr addr = static_cast<Addr>(((s >> 8) & 3) * kWordBytes +
-                                      ((s >> 16) & 31) * 32 * kWordBytes);
-        bool is_write = (s & 4) != 0;
-        t.post(p, addr, 8, is_write, s);
-      }
-      t.arbitrate(cyc);
-    }
-    digest = digest * 31 + t.total_accesses();
-    digest = digest * 31 + t.total_conflicts();
+  u64 s = 0x9E3779B97F4A7C15ull;
+  u64 digest = 0;
+  for (Cycle cyc = 0; cyc < 5000; ++cyc) {
     for (u32 p : ports) {
-      digest = digest * 31 + t.port_accesses(p);
-      digest = digest * 31 + t.port_conflicts(p);
+      if (t.response_ready(p)) digest = digest * 31 + t.take_response(p);
+      if (!t.port_idle(p)) continue;
+      s ^= s << 13;
+      s ^= s >> 7;
+      s ^= s << 17;
+      if ((s & 3) == 0) continue;  // idle cycle for this port
+      // Concentrate on 4 banks to force heavy conflicts.
+      Addr addr = static_cast<Addr>(((s >> 8) & 3) * kWordBytes +
+                                    ((s >> 16) & 31) * 32 * kWordBytes);
+      bool is_write = (s & 4) != 0;
+      t.post(p, addr, 8, is_write, s);
     }
-    return digest;
-  };
-  EXPECT_EQ(run(false), run(true));
+    t.arbitrate(cyc);
+  }
+  digest = digest * 31 + t.total_accesses();
+  digest = digest * 31 + t.total_conflicts();
+  for (u32 p : ports) {
+    digest = digest * 31 + t.port_accesses(p);
+    digest = digest * 31 + t.port_conflicts(p);
+  }
+  EXPECT_EQ(digest, 0x40FF4BA3791D9DE3ull);
 }
 
 }  // namespace
