@@ -1,23 +1,10 @@
 #include "core/fpu.hpp"
 
-#include <cstring>
+#include <bit>
 
 #include "common/log.hpp"
 
 namespace saris {
-
-namespace {
-double bits_to_f64(u64 bits) {
-  double v;
-  std::memcpy(&v, &bits, sizeof v);
-  return v;
-}
-u64 f64_to_bits(double v) {
-  u64 bits;
-  std::memcpy(&bits, &v, sizeof bits);
-  return bits;
-}
-}  // namespace
 
 FpSubsystem::FpSubsystem(Tcdm& tcdm, SsrUnit& ssr, CorePerf& perf,
                          std::array<double, kNumFRegs>& fregs, u32 core_id)
@@ -26,6 +13,7 @@ FpSubsystem::FpSubsystem(Tcdm& tcdm, SsrUnit& ssr, CorePerf& perf,
       perf_(perf),
       fregs_(fregs),
       queue_(kFpuQueueDepth),
+      pipe_(kFpuLatencyCycles),
       lsu_port_(tcdm.make_port("flsu" + std::to_string(core_id))) {
   freg_ready_.fill(0);
 }
@@ -39,7 +27,7 @@ void FpSubsystem::collect(Cycle now) {
   if (lsu_busy_ && tcdm_.response_ready(lsu_port_)) {
     u64 data = tcdm_.take_response(lsu_port_);
     if (lsu_is_load_) {
-      fregs_[lsu_dest_.idx] = bits_to_f64(data);
+      fregs_[lsu_dest_.idx] = std::bit_cast<double>(data);
       freg_ready_[lsu_dest_.idx] = now + 1;
     }
     lsu_busy_ = false;
@@ -82,13 +70,8 @@ void FpSubsystem::tick(Cycle now) {
   }
 
   // ---- retire finished arithmetic ----
-  for (std::size_t i = 0; i < pipe_.size();) {
-    if (pipe_[i].done_at <= now) {
-      writeback(pipe_[i], now);
-      pipe_.erase(pipe_.begin() + static_cast<std::ptrdiff_t>(i));
-    } else {
-      ++i;
-    }
+  while (!pipe_.empty() && pipe_.front().done_at <= now) {
+    writeback(pipe_.pop(), now);
   }
 
   // ---- issue at most one instruction, in order ----
@@ -122,7 +105,7 @@ void FpSubsystem::tick(Cycle now) {
       }
       const double data = read_sources(in)[0];  // a store's one FP source
       tcdm_.post(lsu_port_, in.target, d.mem_bytes, /*is_write=*/true,
-                 f64_to_bits(data));
+                 std::bit_cast<u64>(data));
       lsu_busy_ = true;
       lsu_is_load_ = false;
       ++perf_.fp_stores;
@@ -172,7 +155,9 @@ void FpSubsystem::tick(Cycle now) {
   } else {
     freg_ready_[in.frd.idx] = now + lat;
   }
-  pipe_.push_back(Inflight{in, now + lat, r});
+  SARIS_CHECK(pipe_.empty() || pipe_.back().done_at <= now + lat,
+              "FPU op would complete before an earlier-issued one");
+  pipe_.push(Inflight{in, now + lat, r});
   queue_.pop();
   ++perf_.fp_instrs;
   perf_.fpu_useful_ops += is_useful_fpu_op(in.op) ? 1 : 0;

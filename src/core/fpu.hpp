@@ -9,7 +9,6 @@
 #pragma once
 
 #include <array>
-#include <vector>
 
 #include "common/fixed_queue.hpp"
 #include "core/perf_counters.hpp"
@@ -24,6 +23,8 @@ inline constexpr u32 kFpuQueueDepth = 8;
 /// forwarding to the issue stage (FPnew as configured in Snitch).
 inline constexpr u32 kFpuLatencyCycles = 2;
 inline constexpr u32 kFpuMoveLatency = 1;
+static_assert(kFpuMoveLatency <= kFpuLatencyCycles,
+              "the FPU pipeline holds at most kFpuLatencyCycles ops");
 
 /// Issue-to-writeback latency of an FP compute op, by its latency class.
 constexpr u32 fpu_latency(Op op) {
@@ -81,7 +82,11 @@ class FpSubsystem {
   std::array<double, kNumFRegs>& fregs_;
 
   FixedQueue<Instr> queue_;
-  std::vector<Inflight> pipe_;
+  /// Issued ops in issue order. At most one op issues per cycle and each
+  /// retires within kFpuLatencyCycles, so that many slots suffice; and
+  /// completion cycles never decrease in issue order, so the finished ops
+  /// are always a prefix.
+  FixedQueue<Inflight> pipe_;
   std::array<Cycle, kNumFRegs> freg_ready_{};
 
   u32 lsu_port_;

@@ -18,7 +18,7 @@ void FrepSequencer::start(u64 reps, u32 body_len, u32 stagger,
   pos_ = 0;
   stagger_ = stagger;
   stagger_base_ = stagger_base;
-  iter_ = 1;  // the fetch pass was iteration 0
+  stagger_off_ = 1 % stagger;  // the fetch pass was iteration 0
 }
 
 void FrepSequencer::capture(const Instr& in) {
@@ -34,14 +34,14 @@ Instr FrepSequencer::next() {
   Instr in = buf_[pos_];
   if (stagger_ > 1) {
     const bool in_range =
-        stagger_rotate(in, stagger_base_, static_cast<u32>(iter_ % stagger_));
+        stagger_rotate(in, stagger_base_, stagger_off_);
     SARIS_CHECK(in_range, "stagger past f31");
   }
   ++pos_;
   if (pos_ == buf_.size()) {
     pos_ = 0;
     --reps_left_;
-    ++iter_;
+    if (++stagger_off_ == stagger_) stagger_off_ = 0;
   }
   return in;
 }
@@ -53,7 +53,7 @@ void FrepSequencer::reset() {
   pos_ = 0;
   stagger_ = 1;
   stagger_base_ = 32;
-  iter_ = 0;
+  stagger_off_ = 0;
 }
 
 }  // namespace saris

@@ -59,7 +59,7 @@ class FrepSequencer {
   u32 pos_ = 0;
   u32 stagger_ = 1;
   u32 stagger_base_ = 32;
-  u64 iter_ = 0;  ///< current replay iteration (first fetch pass = 0)
+  u32 stagger_off_ = 0;  ///< replay iteration mod stagger_ (fetch pass = 0)
 };
 
 }  // namespace saris

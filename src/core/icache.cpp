@@ -1,5 +1,7 @@
 #include "core/icache.hpp"
 
+#include <bit>
+
 #include "common/log.hpp"
 
 namespace saris {
@@ -7,8 +9,9 @@ namespace saris {
 ICache::ICache(u32 num_sets, u32 assoc, u32 line_bytes, u32 miss_latency)
     : num_sets_(num_sets),
       assoc_(assoc),
-      line_bytes_(line_bytes),
       miss_latency_(miss_latency),
+      line_shift_(static_cast<u32>(std::countr_zero(line_bytes))),
+      set_shift_(static_cast<u32>(std::countr_zero(num_sets))),
       ways_(num_sets * assoc) {
   SARIS_CHECK(num_sets > 0 && assoc > 0 && line_bytes >= 4,
               "bad icache geometry");
@@ -19,9 +22,9 @@ ICache::ICache(u32 num_sets, u32 assoc, u32 line_bytes, u32 miss_latency)
 
 u32 ICache::access(u32 byte_addr) {
   ++tick_;
-  u32 line = byte_addr / line_bytes_;
-  u32 set = line & (num_sets_ - 1);
-  u32 tag = line / num_sets_;
+  const u32 line = byte_addr >> line_shift_;
+  const u32 set = line & (num_sets_ - 1);
+  const u32 tag = line >> set_shift_;
   Way* base = &ways_[set * assoc_];
   // Hit?
   for (u32 w = 0; w < assoc_; ++w) {

@@ -39,8 +39,9 @@ class ICache {
 
   u32 num_sets_;
   u32 assoc_;
-  u32 line_bytes_;
   u32 miss_latency_;
+  u32 line_shift_;  ///< log2(line bytes)
+  u32 set_shift_;   ///< log2(num_sets)
   u64 tick_ = 0;
   std::vector<Way> ways_;  ///< num_sets_ * assoc_
   u64 hits_ = 0;

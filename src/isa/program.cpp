@@ -4,11 +4,6 @@
 
 namespace saris {
 
-const Instr& Program::at(u32 pc) const {
-  SARIS_CHECK(pc < instrs_.size(), "pc " << pc << " out of range");
-  return instrs_[pc];
-}
-
 u32 Program::label(const std::string& name) const {
   auto it = labels_.find(name);
   SARIS_CHECK(it != labels_.end(), "unknown label " << name);

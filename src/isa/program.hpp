@@ -6,6 +6,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/log.hpp"
 #include "isa/instr.hpp"
 
 namespace saris {
@@ -13,7 +14,10 @@ namespace saris {
 class Program {
  public:
   const std::vector<Instr>& instrs() const { return instrs_; }
-  const Instr& at(u32 pc) const;
+  const Instr& at(u32 pc) const {
+    SARIS_CHECK(pc < instrs_.size(), "pc " << pc << " out of range");
+    return instrs_[pc];
+  }
   u32 size() const { return static_cast<u32>(instrs_.size()); }
   bool empty() const { return instrs_.empty(); }
 

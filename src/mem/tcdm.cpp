@@ -21,21 +21,15 @@ Tcdm::Tcdm(u32 size_bytes, u32 num_banks)
 
 u32 Tcdm::make_port(std::string name) {
   ports_.push_back(Port{});
-  ports_.back().name = std::move(name);
+  port_names_.push_back(std::move(name));
   return static_cast<u32>(ports_.size() - 1);
-}
-
-bool Tcdm::port_idle(u32 port) const {
-  SARIS_CHECK(port < ports_.size(), "bad port " << port);
-  const Port& p = ports_[port];
-  return !p.pending && !p.resp_ready;
 }
 
 void Tcdm::post(u32 port, Addr addr, u32 size, bool is_write, u64 wdata) {
   SARIS_CHECK(port < ports_.size(), "bad port " << port);
   Port& p = ports_[port];
   SARIS_CHECK(!p.pending && !p.resp_ready,
-              "post to busy port " << p.name);
+              "post to busy port " << port_names_[port]);
   SARIS_CHECK(size == 2 || size == 4 || size == 8, "bad access size " << size);
   SARIS_CHECK(addr % size == 0, "unaligned access at " << addr);
   SARIS_CHECK(in_range(addr, size),
@@ -51,11 +45,20 @@ void Tcdm::post(u32 port, Addr addr, u32 size, bool is_write, u64 wdata) {
 }
 
 u64 Tcdm::do_access(Port& p) {
+  // Nearly every access is a whole word; a constant-size copy compiles to
+  // one load or store.
+  u8* const at = mem_.data() + p.addr;
   u64 rdata = 0;
   if (p.is_write) {
-    std::memcpy(mem_.data() + p.addr, &p.wdata, p.size);
+    if (p.size == kWordBytes) {
+      std::memcpy(at, &p.wdata, kWordBytes);
+    } else {
+      std::memcpy(at, &p.wdata, p.size);
+    }
+  } else if (p.size == kWordBytes) {
+    std::memcpy(&rdata, at, kWordBytes);
   } else {
-    std::memcpy(&rdata, mem_.data() + p.addr, p.size);
+    std::memcpy(&rdata, at, p.size);
   }
   return rdata;
 }
@@ -67,7 +70,7 @@ void Tcdm::grant(u32 winner, u32 bank) {
   w.resp_ready = true;
   ++w.accesses;
   ++total_accesses_;
-  rr_next_[bank] = (winner + 1) % num_ports();
+  rr_next_[bank] = winner + 1 == num_ports() ? 0 : winner + 1;
 }
 
 void Tcdm::arbitrate(Cycle /*now*/) {
@@ -81,8 +84,7 @@ void Tcdm::arbitrate(Cycle /*now*/) {
 void Tcdm::arbitrate_ideal() {
   // Conflict-free validation mode: every pending request is granted this
   // cycle, as if each requester had a private single-cycle memory. Grants
-  // happen in port order within a bank, so write/write and read/write
-  // outcomes match what the arbitrated modes would eventually produce.
+  // within a bank happen in post order (the order of bank_pending_).
   // Round-robin pointers are left untouched — there are never losers.
   for (u32 bank : active_banks_) {
     for (u32 port : bank_pending_[bank]) {
@@ -108,10 +110,11 @@ void Tcdm::arbitrate_sparse() {
     std::vector<u32>& pend = bank_pending_[bank];
     // Round robin: the winner is the pending port with the smallest
     // circular distance from the bank's pointer.
+    const u32 rr = rr_next_[bank];
     u32 best_dist = n;
     std::size_t best_pos = 0;
     for (std::size_t j = 0; j < pend.size(); ++j) {
-      u32 d = (pend[j] + n - rr_next_[bank]) % n;
+      const u32 d = pend[j] >= rr ? pend[j] - rr : pend[j] + n - rr;
       if (d < best_dist) {
         best_dist = d;
         best_pos = j;
@@ -136,19 +139,6 @@ void Tcdm::arbitrate_sparse() {
       ++bi;
     }
   }
-}
-
-bool Tcdm::response_ready(u32 port) const {
-  SARIS_CHECK(port < ports_.size(), "bad port " << port);
-  return ports_[port].resp_ready;
-}
-
-u64 Tcdm::take_response(u32 port) {
-  SARIS_CHECK(port < ports_.size(), "bad port " << port);
-  Port& p = ports_[port];
-  SARIS_CHECK(p.resp_ready, "no response on port " << p.name);
-  p.resp_ready = false;
-  return p.rdata;
 }
 
 void Tcdm::host_write(Addr addr, const void* src, u32 len) {
@@ -198,11 +188,7 @@ void Tcdm::reset_stats() {
 
 void Tcdm::reset() {
   std::memset(mem_.data(), 0, mem_.size());
-  for (Port& p : ports_) {
-    std::string name = std::move(p.name);
-    p = Port{};
-    p.name = std::move(name);
-  }
+  ports_.assign(ports_.size(), Port{});
   rr_next_.assign(rr_next_.size(), 0);
   for (auto& bp : bank_pending_) bp.clear();
   active_banks_.clear();

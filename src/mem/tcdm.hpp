@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/log.hpp"
 #include "common/types.hpp"
 
 namespace saris {
@@ -27,7 +28,11 @@ class Tcdm {
   u32 num_ports() const { return static_cast<u32>(ports_.size()); }
 
   /// True iff the port has neither a pending request nor an unread response.
-  bool port_idle(u32 port) const;
+  bool port_idle(u32 port) const {
+    SARIS_CHECK(port < ports_.size(), "bad port " << port);
+    const Port& p = ports_[port];
+    return !p.pending && !p.resp_ready;
+  }
 
   /// Post a request (port must be idle). `size` in {2,4,8} bytes; accesses
   /// must not cross a 64-bit word boundary (they never do in our kernels).
@@ -47,14 +52,26 @@ class Tcdm {
   /// response timing. This is exactly the memory the static cost model
   /// (analysis/cost.hpp) walks against, so a run in this mode must match
   /// its prediction bit-for-bit on every cell; tests/test_cost.cpp enforces
-  /// that. Functionally inert: grant order within a cycle is port order,
-  /// so values are identical to the arbitrated run.
+  /// that. Requests to one bank in one cycle are granted in post order, so
+  /// a read posted after a write to the same word sees the written value
+  /// and one posted before it does not. The arbitrated run grants such a
+  /// pair in round-robin order instead, so values may differ from it when
+  /// two ports touch the same word in the same cycle.
   void set_ideal_arbitration(bool on) { ideal_ = on; }
   bool ideal_arbitration() const { return ideal_; }
 
   /// Response interface (valid from the cycle after the grant).
-  bool response_ready(u32 port) const;
-  u64 take_response(u32 port);
+  bool response_ready(u32 port) const {
+    SARIS_CHECK(port < ports_.size(), "bad port " << port);
+    return ports_[port].resp_ready;
+  }
+  u64 take_response(u32 port) {
+    SARIS_CHECK(port < ports_.size(), "bad port " << port);
+    Port& p = ports_[port];
+    SARIS_CHECK(p.resp_ready, "no response on port " << port_names_[port]);
+    p.resp_ready = false;
+    return p.rdata;
+  }
 
   // ---- zero-time host access (test setup, verification, DMA data path) ----
   void host_write(Addr addr, const void* src, u32 len);
@@ -89,7 +106,6 @@ class Tcdm {
 
  private:
   struct Port {
-    std::string name;
     bool pending = false;
     bool resp_ready = false;
     Addr addr = 0;
@@ -116,7 +132,8 @@ class Tcdm {
   u32 num_banks_;
   u32 bank_mask_ = 0;  ///< num_banks - 1 when a power of two, else 0
   std::vector<Port> ports_;
-  std::vector<u32> rr_next_;  ///< per-bank round-robin pointer
+  std::vector<std::string> port_names_;  ///< diagnostics, by port id
+  std::vector<u32> rr_next_;  ///< per-bank round-robin pointer, < num_ports
 
   // Pending-work tracking: per-bank lists of requesting ports, populated at
   // post() time so arbitration only ever touches banks with work.

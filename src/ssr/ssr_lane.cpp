@@ -1,24 +1,10 @@
 #include "ssr/ssr_lane.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/log.hpp"
 
 namespace saris {
-
-namespace {
-double bits_to_f64(u64 bits) {
-  double v;
-  std::memcpy(&v, &bits, sizeof v);
-  return v;
-}
-u64 f64_to_bits(double v) {
-  u64 bits;
-  std::memcpy(&bits, &v, sizeof bits);
-  return bits;
-}
-}  // namespace
 
 SsrLane::SsrLane(Tcdm& tcdm, u32 lane_id)
     : tcdm_(tcdm),
@@ -63,22 +49,13 @@ void SsrLane::launch(SsrStreamKind kind, Addr base) {
       indir_base_ = base;
       idx_fetch_addr_ = cfg_.idx_base;
       idx_to_fetch_ = cfg_.idx_count;
+      idx_per_word_ = kWordBytes / cfg_.idx_size;
       to_fetch_ = to_consume_ = cfg_.idx_count;
       break;
     }
     case SsrStreamKind::kNone:
       SARIS_CHECK(false, "launch(kNone)");
   }
-}
-
-bool SsrLane::can_pop() const { return is_read_stream() && !rfifo_.empty(); }
-
-double SsrLane::pop() {
-  SARIS_CHECK(can_pop(), "pop on empty SSR lane " << lane_id_);
-  SARIS_CHECK(to_consume_ > 0, "pop past end of stream");
-  --to_consume_;
-  ++elems_streamed_;
-  return rfifo_.pop();
 }
 
 bool SsrLane::can_reserve_push() const {
@@ -96,69 +73,6 @@ void SsrLane::push(double v) {
   wfifo_.push(v);
 }
 
-void SsrLane::collect(Cycle /*now*/) {
-  if (inflight_data_ > 0 && tcdm_.response_ready(data_port_)) {
-    u64 data = tcdm_.take_response(data_port_);
-    --inflight_data_;
-    if (is_read_stream()) {
-      rfifo_.push(bits_to_f64(data));
-    } else {
-      // Write acknowledged: one element drained to memory.
-      SARIS_CHECK(to_consume_ > 0, "write ack past end of stream");
-      --to_consume_;
-      ++elems_streamed_;
-    }
-  }
-}
-
-void SsrLane::tick(Cycle /*now*/) {
-  switch (kind_) {
-    case SsrStreamKind::kNone:
-      return;
-    case SsrStreamKind::kAffineRead: {
-      if (to_fetch_ > 0 && tcdm_.port_idle(data_port_) &&
-          rfifo_.size() + inflight_data_ < rfifo_.capacity()) {
-        Addr a = affine_.next();
-        tcdm_.post(data_port_, a, kWordBytes, /*is_write=*/false, 0);
-        ++inflight_data_;
-        --to_fetch_;
-      }
-      break;
-    }
-    case SsrStreamKind::kIndirectRead: {
-      if (to_fetch_ > 0 && !pending_gather_.empty() &&
-          tcdm_.port_idle(data_port_) &&
-          rfifo_.size() + inflight_data_ < rfifo_.capacity()) {
-        Addr a = pending_gather_.pop();
-        tcdm_.post(data_port_, a, kWordBytes, /*is_write=*/false, 0);
-        ++inflight_data_;
-        --to_fetch_;
-      }
-      break;
-    }
-    case SsrStreamKind::kAffineWrite: {
-      if (!wfifo_.empty() && tcdm_.port_idle(data_port_) &&
-          inflight_data_ == 0) {
-        double v = wfifo_.pop();
-        Addr a = affine_.next();
-        tcdm_.post(data_port_, a, kWordBytes, /*is_write=*/true,
-                   f64_to_bits(v));
-        ++inflight_data_;
-      }
-      break;
-    }
-  }
-}
-
-bool SsrLane::wants_index_word(Addr* addr_out) const {
-  if (kind_ != SsrStreamKind::kIndirectRead) return false;
-  if (idx_to_fetch_ == 0 || idx_req_inflight_) return false;
-  u32 per_word = kWordBytes / cfg_.idx_size;
-  if (pending_gather_.space() < per_word) return false;
-  *addr_out = idx_fetch_addr_;
-  return true;
-}
-
 void SsrLane::index_word_sent() {
   SARIS_CHECK(!idx_req_inflight_, "double index request");
   idx_req_inflight_ = true;
@@ -168,15 +82,14 @@ void SsrLane::deliver_index_word(u64 word) {
   SARIS_CHECK(idx_req_inflight_, "unexpected index word");
   idx_req_inflight_ = false;
   ++idx_words_fetched_;
-  u32 per_word = kWordBytes / cfg_.idx_size;
   // The word may start mid-way if idx_base is not 8B-aligned; our layouts
-  // always align index arrays, so decode from bit 0.
-  u32 n = static_cast<u32>(
-      std::min<u64>(per_word, idx_to_fetch_));
+  // always align index arrays, so decode from bit 0. apply_scfg_word admits
+  // only 1-, 2- and 4-byte indices, so the mask never needs all 64 bits.
+  const u32 n = static_cast<u32>(std::min<u64>(idx_per_word_, idx_to_fetch_));
+  const u32 bits = 8 * cfg_.idx_size;
+  const u64 mask = (1ull << bits) - 1;
   for (u32 k = 0; k < n; ++k) {
-    u64 mask = (cfg_.idx_size == 8) ? ~0ull
-                                    : ((1ull << (8 * cfg_.idx_size)) - 1);
-    u64 idx = (word >> (8 * cfg_.idx_size * k)) & mask;
+    const u64 idx = (word >> (bits * k)) & mask;
     Addr a = indir_base_ + static_cast<Addr>(idx * kWordBytes);
     pending_gather_.push(a);
   }
@@ -195,6 +108,7 @@ void SsrLane::reset() {
   indir_base_ = 0;
   idx_fetch_addr_ = 0;
   idx_to_fetch_ = 0;
+  idx_per_word_ = 0;
   idx_req_inflight_ = false;
   pending_gather_.clear();
   wfifo_.clear();

@@ -7,7 +7,10 @@
 // accepts FPU results into a FIFO and drains them to affine addresses.
 #pragma once
 
+#include <bit>
+
 #include "common/fixed_queue.hpp"
+#include "common/log.hpp"
 #include "mem/tcdm.hpp"
 #include "ssr/addr_gen.hpp"
 #include "ssr/ssr_config.hpp"
@@ -35,8 +38,14 @@ class SsrLane {
   }
   bool is_write_stream() const { return kind_ == SsrStreamKind::kAffineWrite; }
   /// Read stream: data available to pop this cycle?
-  bool can_pop() const;
-  double pop();
+  bool can_pop() const { return is_read_stream() && !rfifo_.empty(); }
+  double pop() {
+    SARIS_CHECK(can_pop(), "pop on empty SSR lane " << lane_id_);
+    SARIS_CHECK(to_consume_ > 0, "pop past end of stream");
+    --to_consume_;
+    ++elems_streamed_;
+    return rfifo_.pop();
+  }
   /// Write stream: room for one more result (accounting for in-flight FPU
   /// results that already reserved a slot)?
   bool can_reserve_push() const;
@@ -45,14 +54,66 @@ class SsrLane {
 
   // ---- cycle behaviour ----
   /// Phase 1: absorb TCDM responses granted last cycle.
-  void collect(Cycle now);
+  void collect(Cycle /*now*/) {
+    if (inflight_data_ == 0 || !tcdm_.response_ready(data_port_)) return;
+    const u64 data = tcdm_.take_response(data_port_);
+    --inflight_data_;
+    if (is_read_stream()) {
+      rfifo_.push(std::bit_cast<double>(data));
+    } else {
+      // Write acknowledged: one element drained to memory.
+      SARIS_CHECK(to_consume_ > 0, "write ack past end of stream");
+      --to_consume_;
+      ++elems_streamed_;
+    }
+  }
+
   /// Phase 2: issue new data requests / drain writes. Index words are
   /// delivered by the owning SsrUnit via deliver_index_word().
-  void tick(Cycle now);
+  void tick(Cycle /*now*/) {
+    switch (kind_) {
+      case SsrStreamKind::kNone:
+        return;
+      case SsrStreamKind::kAffineRead:
+        if (to_fetch_ > 0 && tcdm_.port_idle(data_port_) &&
+            rfifo_.size() + inflight_data_ < rfifo_.capacity()) {
+          tcdm_.post(data_port_, affine_.next(), kWordBytes,
+                     /*is_write=*/false, 0);
+          ++inflight_data_;
+          --to_fetch_;
+        }
+        return;
+      case SsrStreamKind::kIndirectRead:
+        if (to_fetch_ > 0 && !pending_gather_.empty() &&
+            tcdm_.port_idle(data_port_) &&
+            rfifo_.size() + inflight_data_ < rfifo_.capacity()) {
+          tcdm_.post(data_port_, pending_gather_.pop(), kWordBytes,
+                     /*is_write=*/false, 0);
+          ++inflight_data_;
+          --to_fetch_;
+        }
+        return;
+      case SsrStreamKind::kAffineWrite:
+        if (!wfifo_.empty() && tcdm_.port_idle(data_port_) &&
+            inflight_data_ == 0) {
+          const double v = wfifo_.pop();
+          tcdm_.post(data_port_, affine_.next(), kWordBytes,
+                     /*is_write=*/true, std::bit_cast<u64>(v));
+          ++inflight_data_;
+        }
+        return;
+    }
+  }
 
   /// Indirect support, driven by SsrUnit's shared index port:
   /// does this lane want an index-word fetch, and at which address?
-  bool wants_index_word(Addr* addr_out) const;
+  bool wants_index_word(Addr* addr_out) const {
+    if (kind_ != SsrStreamKind::kIndirectRead) return false;
+    if (idx_to_fetch_ == 0 || idx_req_inflight_) return false;
+    if (pending_gather_.space() < idx_per_word_) return false;
+    *addr_out = idx_fetch_addr_;
+    return true;
+  }
   void index_word_sent();                ///< the shared port took our request
   void deliver_index_word(u64 word);     ///< response arrived
 
@@ -101,6 +162,7 @@ class SsrLane {
   Addr indir_base_ = 0;
   Addr idx_fetch_addr_ = 0;
   u64 idx_to_fetch_ = 0;  ///< indices not yet covered by a fetched word
+  u32 idx_per_word_ = 0;  ///< indices packed in one TCDM word, set at launch
   bool idx_req_inflight_ = false;
   FixedQueue<Addr> pending_gather_;  ///< decoded gather addresses
 

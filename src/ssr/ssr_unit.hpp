@@ -9,8 +9,8 @@
 #pragma once
 
 #include <array>
-#include <memory>
 
+#include "common/log.hpp"
 #include "isa/reg.hpp"
 #include "ssr/ssr_lane.hpp"
 
@@ -20,8 +20,14 @@ class SsrUnit {
  public:
   SsrUnit(Tcdm& tcdm, u32 core_id);
 
-  SsrLane& lane(u32 i);
-  const SsrLane& lane(u32 i) const;
+  SsrLane& lane(u32 i) {
+    SARIS_CHECK(i < kNumSsrLanes, "bad lane " << i);
+    return lanes_[i];
+  }
+  const SsrLane& lane(u32 i) const {
+    SARIS_CHECK(i < kNumSsrLanes, "bad lane " << i);
+    return lanes_[i];
+  }
 
   bool enabled() const { return enabled_; }
   void set_enabled(bool on);
@@ -34,10 +40,22 @@ class SsrUnit {
   bool quiescent() const;
 
   /// Phase 1 each cycle: absorb data + index responses.
-  void collect(Cycle now);
+  void collect(Cycle now) {
+    if (never_launched()) return;
+    for (SsrLane& l : lanes_) l.collect(now);
+    if (idx_inflight_lane_ < kNumSsrLanes && tcdm_.response_ready(idx_port_)) {
+      lanes_[idx_inflight_lane_].deliver_index_word(
+          tcdm_.take_response(idx_port_));
+      idx_inflight_lane_ = kNumSsrLanes;
+    }
+  }
   /// Phase 2 each cycle: issue new requests (data per lane, one shared
   /// index fetch).
-  void tick(Cycle now);
+  void tick(Cycle now) {
+    if (never_launched()) return;
+    issue_index_fetch();
+    for (SsrLane& l : lanes_) l.tick(now);
+  }
 
   u64 total_elems_streamed() const;
   u64 total_idx_words_fetched() const;
@@ -47,12 +65,25 @@ class SsrUnit {
   void reset();
 
  private:
+  /// No lane has launched a stream since power-on (and so no index word is
+  /// in flight): collect() and tick() have nothing to do. Base kernels never
+  /// leave this state.
+  bool never_launched() const {
+    for (const SsrLane& l : lanes_) {
+      if (l.kind() != SsrStreamKind::kNone) return false;
+    }
+    return idx_inflight_lane_ == kNumSsrLanes;
+  }
+  void issue_index_fetch();
+
   Tcdm& tcdm_;
-  std::array<std::unique_ptr<SsrLane>, kNumSsrLanes> lanes_;
+  // Registered before the lanes' data ports: port ids fix the TCDM's
+  // round-robin order, which is part of the timing contract.
   u32 idx_port_;
+  std::array<SsrLane, kNumSsrLanes> lanes_;
   bool enabled_ = false;
   // Which lane the in-flight index word belongs to; kNumSsrLanes = none.
-  u32 idx_inflight_lane_;
+  u32 idx_inflight_lane_ = kNumSsrLanes;
   u32 idx_rr_ = 0;
 };
 

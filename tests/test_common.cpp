@@ -1,6 +1,9 @@
 // Unit tests: common utilities (fixed-capacity queue, statistics helpers).
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <random>
+
 #include "common/fixed_queue.hpp"
 #include "common/stats.hpp"
 
@@ -36,6 +39,47 @@ TEST(FixedQueue, FrontDoesNotPop) {
   EXPECT_EQ(q.front(), 7);
   EXPECT_EQ(q.size(), 1u);
   EXPECT_EQ(q.pop(), 7);
+}
+
+// The ring's head wraps many times over a mixed push/pop sequence; every
+// observable must match a std::deque driven the same way, including after a
+// clear() taken while the head sits mid-buffer.
+TEST(FixedQueue, RingMatchesDequeReference) {
+  FixedQueue<int> q(3);
+  std::deque<int> ref;
+  std::mt19937 rng(7);
+  int next = 0;
+  bool cleared_mid_ring = false;
+  for (int step = 0; step < 400; ++step) {
+    const unsigned r = rng() % 8;
+    if (step == 200) {
+      while (ref.size() < 2) {
+        q.push(next);
+        ref.push_back(next++);
+      }
+      q.pop();
+      ref.pop_front();  // head is now non-zero
+      q.clear();
+      ref.clear();
+      cleared_mid_ring = true;
+    } else if (r < 4 && !ref.empty()) {
+      ASSERT_EQ(q.pop(), ref.front());
+      ref.pop_front();
+    } else if (ref.size() < 3) {
+      q.push(next);
+      ref.push_back(next++);
+    }
+    ASSERT_EQ(q.size(), ref.size()) << "step " << step;
+    ASSERT_EQ(q.space(), 3 - ref.size()) << "step " << step;
+    ASSERT_EQ(q.full(), ref.size() == 3) << "step " << step;
+    ASSERT_EQ(q.empty(), ref.empty()) << "step " << step;
+    if (!ref.empty()) {
+      ASSERT_EQ(q.front(), ref.front()) << "step " << step;
+      ASSERT_EQ(q.back(), ref.back()) << "step " << step;
+    }
+  }
+  EXPECT_TRUE(cleared_mid_ring);
+  EXPECT_GT(next, 100);  // the head went round the 3-slot ring 30+ times
 }
 
 TEST(FixedQueue, ClearEmpties) {

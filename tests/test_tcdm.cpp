@@ -118,6 +118,32 @@ TEST(Tcdm, PendingRequestRetriesUntilGranted) {
   EXPECT_TRUE(t.response_ready(b));
 }
 
+// Ideal mode grants every request to a bank in the order they were posted,
+// not in port order: a read posted after a same-cycle write to its word
+// sees the new value, and one posted before it sees the old one.
+TEST(Tcdm, IdealModeGrantsInPostOrder) {
+  for (const bool write_first : {true, false}) {
+    Tcdm t;
+    t.set_ideal_arbitration(true);
+    const u32 reader = t.make_port("reader");
+    const u32 writer = t.make_port("writer");
+    t.host_write_u64(64, 1);
+    if (write_first) {
+      t.post(writer, 64, 8, /*is_write=*/true, 2);
+      t.post(reader, 64, 8, /*is_write=*/false, 0);
+    } else {
+      t.post(reader, 64, 8, /*is_write=*/false, 0);
+      t.post(writer, 64, 8, /*is_write=*/true, 2);
+    }
+    t.arbitrate(0);
+    EXPECT_EQ(t.take_response(reader), write_first ? 2u : 1u)
+        << "write posted first: " << write_first;
+    t.take_response(writer);
+    EXPECT_EQ(t.host_read_u64(64), 2u);
+    EXPECT_EQ(t.total_conflicts(), 0u);
+  }
+}
+
 TEST(Tcdm, PerPortStats) {
   Tcdm t;
   u32 a = t.make_port("a");
