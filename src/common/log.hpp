@@ -46,13 +46,17 @@ void log_message(LogLevel level, const std::string& msg);
 #define SARIS_WARN(...) SARIS_LOG(::saris::LogLevel::kWarn, __VA_ARGS__)
 
 /// Hard invariant check, enabled in all build types: the simulator's
-/// correctness claims rest on these.
+/// correctness claims rest on these. The failure branch is a cold,
+/// out-of-line lambda, so formatting the message adds no code to the cycle
+/// loop's inline accessors that check on every call.
 #define SARIS_CHECK(expr, ...)                                              \
   do {                                                                      \
-    if (!(expr)) {                                                          \
-      std::ostringstream saris_chk_oss_;                                    \
-      saris_chk_oss_ << __VA_ARGS__;                                        \
-      ::saris::detail::check_failed(__FILE__, __LINE__, #expr,              \
-                                    saris_chk_oss_.str());                  \
+    if (!(expr)) [[unlikely]] {                                             \
+      [&]() __attribute__((cold, noinline, noreturn)) {                     \
+        std::ostringstream saris_chk_oss_;                                  \
+        saris_chk_oss_ << __VA_ARGS__;                                      \
+        ::saris::detail::check_failed(__FILE__, __LINE__, #expr,            \
+                                      saris_chk_oss_.str());                \
+      }();                                                                  \
     }                                                                       \
   } while (0)
