@@ -65,8 +65,8 @@ class SsrUnit {
   void reset();
 
  private:
-  /// No lane has launched a stream since power-on (and so no index word is
-  /// in flight): collect() and tick() have nothing to do. Base kernels never
+  /// No lane has launched a stream since power-on and no index word is in
+  /// flight: collect() and tick() have nothing to do. Base kernels never
   /// leave this state.
   bool never_launched() const {
     for (const SsrLane& l : lanes_) {
