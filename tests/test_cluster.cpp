@@ -8,6 +8,45 @@
 namespace saris {
 namespace {
 
+// The two sums of core/perf_counters.hpp's conservation laws: the integer
+// side tiles a core's busy window (+1 for the halt cycle), the FPU side the
+// cluster's compute window.
+u64 int_side_sum(const CorePerf& p) {
+  return p.int_instrs + p.fp_offloads + p.stall_icache +
+         p.stall_fpu_queue_full + p.stall_seq_busy + p.stall_scfg_busy +
+         p.stall_branch + p.stall_barrier + p.stall_int_lsu +
+         p.stall_halt_drain;
+}
+
+u64 fpu_side_sum(const CorePerf& p) {
+  return p.fp_instrs + p.fpu_stall_operand + p.fpu_stall_sr_empty +
+         p.fpu_stall_sr_full + p.fpu_stall_mem + p.fpu_idle_empty;
+}
+
+// Core c's program: three barrier rounds whose lengths differ per core
+// (an FP op per iteration), then a tail loop of 10 + 90*c iterations and a
+// halt with no closing barrier, so the cores halt at different cycles.
+Program uneven_rounds_program(u32 c) {
+  ProgramBuilder b;
+  for (u32 r = 0; r < 3; ++r) {
+    const std::string loop = "round" + std::to_string(r);
+    b.li(x(5), 0);
+    b.li(x(6), static_cast<i32>(20 + 30 * ((c + 3 * r) % 8)));
+    b.bind(loop);
+    b.fmadd_d(f(4), f(4), f(4), f(4));
+    b.addi(x(5), x(5), 1);
+    b.bne(x(5), x(6), loop);
+    b.barrier();
+  }
+  b.li(x(5), 0);
+  b.li(x(6), static_cast<i32>(10 + 90 * c));
+  b.bind("tail");
+  b.addi(x(5), x(5), 1);
+  b.bne(x(5), x(6), "tail");
+  b.halt();
+  return b.build();
+}
+
 TEST(Barrier, ReleasesOnlyWhenAllArrive) {
   Barrier bar(3);
   bar.arrive(0);
@@ -89,7 +128,42 @@ TEST(Cluster, BarrierSynchronizesCores) {
   EXPECT_GT(core0_arrival, 1000u);
   for (u32 c = 0; c < cl.num_cores(); ++c) {
     EXPECT_GE(cl.core(c).xreg(9), core0_arrival);
-    EXPECT_GT(cl.core(c).perf().stall_barrier + 1, 0u);
+    // Core 0 arrives last and waits out only the release delay; the others
+    // stall from their arrival to the release. All halt on one cycle, and
+    // no core issues an FP op, so each FPU idles for the whole window.
+    const CorePerf& p = cl.core(c).perf();
+    EXPECT_EQ(p.stall_barrier, c == 0 ? kBarrierReleaseDelay : 2002u)
+        << "core " << c;
+    EXPECT_EQ(p.fpu_idle_empty, 2017u) << "core " << c;
+    EXPECT_EQ(p.halted_at, 2016u) << "core " << c;
+  }
+}
+
+TEST(Cluster, UnevenBarrierRoundsThenStaggeredHaltsKeepBooks) {
+  // Every core waits at some barriers and halts while others still run, and
+  // its books must tile both windows of core/perf_counters.hpp. The
+  // counters are pinned: how the cluster steps a waiting or halted core
+  // must not move them.
+  Cluster cl;
+  for (u32 c = 0; c < cl.num_cores(); ++c) {
+    cl.core(c).load_program(uneven_rounds_program(c));
+  }
+  const Cycle window = cl.run_until_halted();
+  EXPECT_EQ(window, 6053u);
+  const u64 halted_at[] = {3532, 3892, 4252, 4612, 4972, 5332, 5692, 6052};
+  const u64 stall_barrier[] = {1806, 1356, 2106, 1656,
+                               1206, 1956, 1506, 1056};
+  const u64 fpu_idle_empty[] = {5723, 5633, 5783, 5693,
+                                5603, 5753, 5663, 5573};
+  for (u32 c = 0; c < cl.num_cores(); ++c) {
+    const CorePerf& p = cl.core(c).perf();
+    const u64 busy = p.halted_at + 1;  // the window starts at cycle 0
+    EXPECT_EQ(int_side_sum(p) + 1, busy)
+        << "integer-side conservation, core " << c;
+    EXPECT_EQ(fpu_side_sum(p), window) << "FPU-side conservation, core " << c;
+    EXPECT_EQ(p.halted_at, halted_at[c]) << "core " << c;
+    EXPECT_EQ(p.stall_barrier, stall_barrier[c]) << "core " << c;
+    EXPECT_EQ(p.fpu_idle_empty, fpu_idle_empty[c]) << "core " << c;
   }
 }
 
