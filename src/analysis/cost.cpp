@@ -170,8 +170,8 @@ class CoreModel {
   bool failed() const { return failed_; }
 
   /// Full traversal of one cycle, including after halt: a halted core's
-  /// drained FPU keeps bumping the idle counter, which the simulator
-  /// credits when it retires the core (Cluster::sync_idle_counters).
+  /// drained FPU keeps bumping the idle counter, as it does in the
+  /// simulator, which ticks every core every cycle.
   void tick(Cycle now) {
     ssr_collect();
     fpu_collect(now);

@@ -1,13 +1,12 @@
 // The Snitch compute cluster: eight cores, 128 KiB / 32-bank TCDM, DMA
 // engine, hardware barrier, single clock domain.
 //
-// The cycle loop is event-aware: cores whose subsystems are all idle and
-// that are parked at the barrier (or halted) are taken off the active list
-// and skipped entirely; the ticks they would have spent idling are credited
-// back to their counters on wake-up (or lazily via sync_idle_counters), so
-// every architectural result and performance counter is what ticking every
-// core on every cycle would give. tests/test_contract.cpp pins those results
-// for all 20 (code, variant) cells.
+// Every cycle ticks every core, as the RTL clocks them, so each core's
+// performance counters are exact after every step. A core with nothing in
+// flight (waiting at the barrier, or halted) ticks through Core::tick's
+// quiescent fast path: its idle counters and nothing else.
+// tests/test_contract.cpp pins the results for all 20 (code, variant)
+// cells.
 #pragma once
 
 #include <memory>
@@ -62,7 +61,7 @@ class Cluster {
 
   Cycle now() const { return now_; }
 
-  /// Advance one cycle: active cores, DMA, TCDM arbitration, barrier.
+  /// Advance one cycle: every core, DMA, TCDM arbitration, barrier.
   void step();
 
   /// Re-arm the cluster for the next kernel without reconstruction: cores
@@ -79,25 +78,12 @@ class Cluster {
   /// (not with cores mid-flight); any cycle state is simply discarded.
   void rearm();
 
-  /// O(1): a running count of halted cores.
-  bool all_halted() const { return halted_count_ == cores_.size(); }
-
-  /// Cores ticked by the most recent step(): the current active list plus
-  /// deactivated_last_step() (cores parked/retired during that very step —
-  /// a core can issue its last useful FPU op on the cycle it drains and
-  /// parks, so it must still be scanned once). Lets per-cycle
-  /// instrumentation (e.g. the FPU-activity timeline) visit only cores
-  /// whose counters can have changed instead of scanning all of them.
-  const std::vector<u32>& active_core_ids() const { return active_ids_; }
-  const std::vector<u32>& deactivated_last_step() const {
-    return just_deactivated_;
+  bool all_halted() const {
+    for (const auto& c : cores_) {
+      if (!c->halted()) return false;
+    }
+    return true;
   }
-
-  /// Fold the ticks skipped for parked/retired cores into their idle
-  /// counters (FPU idle, barrier stalls) up to the current cycle. Called
-  /// automatically by the run_until_* loops; call it manually before
-  /// reading per-core counters from a hand-stepped cluster. Idempotent.
-  void sync_idle_counters();
 
   /// Step until every core has halted; returns cycles elapsed. Aborts (with
   /// a CHECK diagnostic) if `max_cycles` elapse first — a deadlocked stream
@@ -108,16 +94,7 @@ class Cluster {
   Cycle run_until_dma_idle(Cycle max_cycles = 100'000'000);
 
  private:
-  enum class CoreState : u8 {
-    kActive,   ///< ticked every cycle
-    kParked,   ///< quiescent at the barrier; woken on release
-    kRetired,  ///< halted and quiescent; never ticked again
-  };
-
   void init(MemoryPort& mem_port);
-  void wake(u32 id);
-  void reactivate(u32 id);
-  void update_core_states();
 
   ClusterConfig cfg_;
   u32 id_ = 0;
@@ -129,15 +106,6 @@ class Cluster {
   std::unique_ptr<Dma> dma_;  ///< constructed after the cores so compute
                               ///< ports precede DMA ports in arbitration
   Cycle now_ = 0;
-
-  // Idle-skip bookkeeping.
-  std::vector<CoreState> state_;
-  std::vector<u32> active_ids_;
-  std::vector<u32> just_deactivated_;  ///< parked/retired by the last step
-  std::vector<Cycle> last_ticked_;  ///< counters are exact through here
-  u32 halted_count_ = 0;
-  std::vector<bool> halted_seen_;
-  u64 barrier_episodes_seen_ = 0;
 };
 
 }  // namespace saris

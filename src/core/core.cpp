@@ -79,7 +79,7 @@ void Core::tick(Cycle now) {
 
 void Core::int_step(Cycle now) {
   if (perf_.halted) return;
-  if (prog_.empty()) {  // no program loaded: core stays parked
+  if (prog_.empty()) {  // no program loaded: the core halts at once
     perf_.halted = true;
     perf_.halted_at = now;
     return;

@@ -50,23 +50,6 @@ class Core {
 
   bool halted() const { return perf_.halted; }
 
-  /// True when the FPU, SSR streamer, FREP sequencer, and integer LSU all
-  /// have no queued or in-flight work. A quiescent core's tick has no
-  /// effect beyond the integer step and idle-counter bookkeeping, so the
-  /// cluster may park it (at a barrier) or retire it (after halt) and
-  /// credit the skipped cycles later via credit_idle_cycles().
-  bool quiescent() const { return quiescent_; }
-  /// Is the core stalled at the cluster barrier?
-  bool waiting_at_barrier() const { return barrier_wait_; }
-
-  /// Account for `cycles` ticks the cluster skipped while this core was
-  /// parked or retired: each skipped tick would have bumped the FPU idle
-  /// counter, plus the barrier-stall counter when parked at the barrier.
-  void credit_idle_cycles(Cycle cycles, bool at_barrier) {
-    perf_.fpu_idle_empty += cycles;
-    if (at_barrier) perf_.stall_barrier += cycles;
-  }
-
   u32 id() const { return id_; }
   /// Current program counter (diagnostics: verification-miss reports print
   /// a disassembly window around the failing core's final pc).
@@ -118,9 +101,11 @@ class Core {
   bool barrier_wait_ = false;
   i64 icache_paid_pc_ = -1;
 
-  /// Cached activity flag: cleared by int_step when it hands work to a
-  /// subsystem (FP offload, FREP, scfgwi, load/store), recomputed at the
-  /// end of every full-traversal tick.
+  /// True while the FPU, SSR streamer, FREP sequencer, and integer LSU all
+  /// have no queued or in-flight work, so tick() takes its fast path (a
+  /// core waiting at the barrier or halted stays here). Cleared by int_step
+  /// when it hands work to a subsystem (FP offload, FREP, scfgwi,
+  /// load/store), recomputed at the end of every full-traversal tick.
   bool quiescent_ = true;
 };
 

@@ -122,17 +122,12 @@ void stage_kernel(const CompiledKernel& ck, Cluster& cluster,
 }
 
 u32 count_active_fpu(Cluster& cluster, std::vector<u64>& last_useful) {
-  // Only cores the cluster actually ticked can have issued an FPU op: a
-  // parked or retired core's fpu_useful_ops cannot change, so scanning the
-  // ticked cores counts every active one without visiting all of them.
   u32 active = 0;
-  auto scan = [&](u32 c) {
-    u64 now_useful = cluster.core(c).perf().fpu_useful_ops;
+  for (u32 c = 0; c < cluster.num_cores(); ++c) {
+    const u64 now_useful = cluster.core(c).perf().fpu_useful_ops;
     if (now_useful > last_useful[c]) ++active;
     last_useful[c] = now_useful;
-  };
-  for (u32 c : cluster.active_core_ids()) scan(c);
-  for (u32 c : cluster.deactivated_last_step()) scan(c);
+  }
   return active;
 }
 
@@ -312,7 +307,6 @@ RunMetrics execute_kernel(const CompiledKernel& ck, Cluster& cluster,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
           .count();
   cluster.run_until_dma_idle();
-  cluster.sync_idle_counters();
 
   // ---- read back the result, verify, extract metrics ----
   RunMetrics m = finish_kernel(ck, cluster, cfg, io, golden_ext, t0, window);

@@ -112,7 +112,7 @@ u32 count_active_fpu(Cluster& cluster, std::vector<u64>& last_useful);
 /// Finish a run on a halted, DMA-drained cluster: read back the output
 /// tile into io.outputs, verify against `golden` (computed from `io` when
 /// null and cfg.verify is set), and extract RunMetrics with `window` as the
-/// compute window. Call Cluster::sync_idle_counters first.
+/// compute window.
 RunMetrics finish_kernel(const CompiledKernel& ck, Cluster& cluster,
                          const RunConfig& cfg, KernelIO& io,
                          const Grid<>* golden, Cycle t0, Cycle window);

@@ -6,15 +6,6 @@
 
 namespace saris {
 
-double ActivityTimeline::fpu_utilization(u32 num_cores) const {
-  SARIS_CHECK(num_cores > 0 && !fpu_active_cores.empty(),
-              "empty timeline");
-  u64 active = 0;
-  for (u32 n : fpu_active_cores) active += n;
-  return static_cast<double>(active) /
-         (static_cast<double>(fpu_active_cores.size()) * num_cores);
-}
-
 std::string ascii_activity_strip(const std::vector<u32>& series,
                                  u32 buckets) {
   SARIS_CHECK(buckets > 0, "need at least one bucket");
@@ -32,49 +23,6 @@ std::string ascii_activity_strip(const std::vector<u32>& series,
     out += static_cast<char>('0' + std::min(8, static_cast<int>(avg + 0.5)));
   }
   return out;
-}
-
-std::string ActivityTimeline::ascii_strip(u32 buckets) const {
-  return ascii_activity_strip(fpu_active_cores, buckets);
-}
-
-ActivityTimeline run_traced(
-    Cluster& cluster, const std::function<void(const CycleSample&)>& on_sample,
-    Cycle max_cycles) {
-  ActivityTimeline tl;
-  u32 n = cluster.num_cores();
-  std::vector<u64> last_fpu(n, 0), last_int(n, 0);
-  for (u32 c = 0; c < n; ++c) {
-    last_fpu[c] = cluster.core(c).perf().fpu_useful_ops;
-    last_int[c] = cluster.core(c).perf().int_instrs;
-  }
-  Cycle start = cluster.now();
-  while (!cluster.all_halted()) {
-    SARIS_CHECK(cluster.now() - start < max_cycles,
-                "traced run did not halt");
-    cluster.step();
-    u32 fpu_active = 0, int_active = 0;
-    for (u32 c = 0; c < n; ++c) {
-      const CorePerf& p = cluster.core(c).perf();
-      if (p.fpu_useful_ops > last_fpu[c]) ++fpu_active;
-      if (p.int_instrs > last_int[c]) ++int_active;
-      if (on_sample) {
-        CycleSample s;
-        s.cycle = cluster.now() - 1;
-        s.core = c;
-        s.int_instrs = p.int_instrs;
-        s.fp_instrs = p.fp_instrs;
-        s.fpu_useful = p.fpu_useful_ops;
-        s.halted = p.halted;
-        on_sample(s);
-      }
-      last_fpu[c] = p.fpu_useful_ops;
-      last_int[c] = p.int_instrs;
-    }
-    tl.fpu_active_cores.push_back(fpu_active);
-    tl.int_active_cores.push_back(int_active);
-  }
-  return tl;
 }
 
 }  // namespace saris

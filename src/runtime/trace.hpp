@@ -1,52 +1,20 @@
-// Cycle-state tracing: an optional per-cycle observer on the cluster loop
-// that records what each core is doing (program counter, issue activity,
-// stall class) — the moral equivalent of the Snitch RTL traces the paper
-// extracts its utilization metrics from. Used by the debug tooling and by
-// tests that assert fine-grained timing behaviour.
+// ASCII rendering of a per-cycle activity series, such as the FPU-activity
+// timeline a run records when RunConfig::record_timeline is set
+// (RunMetrics::fpu_timeline: for each cycle of the compute window, the
+// number of cores that issued a useful FPU op). The paper reads
+// utilization from Snitch RTL traces; the strip is a quick look at the same
+// signal (bench/debug_stalls prints one per cell).
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
-#include "cluster/cluster.hpp"
+#include "common/types.hpp"
 
 namespace saris {
 
-struct CycleSample {
-  Cycle cycle = 0;
-  u32 core = 0;
-  u64 int_instrs = 0;       ///< cumulative integer retires
-  u64 fp_instrs = 0;        ///< cumulative FPU issues
-  u64 fpu_useful = 0;       ///< cumulative useful FPU ops
-  bool halted = false;
-};
-
-/// Runs `cluster` until all cores halt, sampling every core each cycle.
-/// `on_sample` may be empty, in which case samples are only aggregated
-/// into the returned activity timeline.
-struct ActivityTimeline {
-  /// Per-cycle number of cores that issued a useful FPU op.
-  std::vector<u32> fpu_active_cores;
-  /// Per-cycle number of cores that retired an integer instruction.
-  std::vector<u32> int_active_cores;
-
-  Cycle cycles() const {
-    return static_cast<Cycle>(fpu_active_cores.size());
-  }
-  /// Fraction of core-cycles with useful FPU work (equals the paper's
-  /// FPU-utilization metric when measured over the full window).
-  double fpu_utilization(u32 num_cores) const;
-  /// Render an ASCII utilization strip ('0'-'8' cores active per bucket).
-  std::string ascii_strip(u32 buckets = 64) const;
-};
-
-ActivityTimeline run_traced(
-    Cluster& cluster,
-    const std::function<void(const CycleSample&)>& on_sample = {},
-    Cycle max_cycles = 100'000'000);
-
-/// Render any per-cycle activity series (0..8 cores) as an ASCII strip.
+/// Render a per-cycle activity series (0..8 cores) as `buckets` characters,
+/// each '0'-'8': the bucket's mean active-core count, rounded.
 std::string ascii_activity_strip(const std::vector<u32>& series,
                                  u32 buckets = 64);
 

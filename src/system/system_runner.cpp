@@ -197,7 +197,6 @@ SystemRunMetrics execute_system_kernel(const CompiledKernel& ck, System& sys,
 
     const u32 t = ts.cur_tile;
     const std::size_t idx = static_cast<std::size_t>(g) * tiles + t;
-    cl.sync_idle_counters();
     const Grid<>* golden = goldens.empty() ? nullptr : goldens[idx];
     // Finish under this tile's own seed so a verification failure's
     // diagnostic (and typed error context) names the seed that reproduces

@@ -300,7 +300,6 @@ TEST(AnalysisConflicts, SingleCoreBaseIsProvablyFreeAndExact) {
   io.coeffs = sc.default_coeffs();
   stage_kernel(ck, cluster, io);
   cluster.run_until_halted();
-  cluster.sync_idle_counters();
 
   EXPECT_EQ(cluster.tcdm().total_conflicts(), 0u);
   for (u32 k = 0; k < kCorePorts; ++k) {

@@ -167,6 +167,23 @@ TEST(Cluster, UnevenBarrierRoundsThenStaggeredHaltsKeepBooks) {
   }
 }
 
+TEST(Cluster, FpuBooksTileEveryStep) {
+  // Every core is ticked every cycle, so the FPU-side books are exact after
+  // any step — while cores wait at a barrier and after they halt — with
+  // nothing to fold in before reading them.
+  Cluster cl;
+  for (u32 c = 0; c < cl.num_cores(); ++c) {
+    cl.core(c).load_program(uneven_rounds_program(c));
+  }
+  while (!cl.all_halted()) {
+    cl.step();
+    for (u32 c = 0; c < cl.num_cores(); ++c) {
+      ASSERT_EQ(fpu_side_sum(cl.core(c).perf()), cl.now())
+          << "core " << c << " at cycle " << cl.now();
+    }
+  }
+}
+
 TEST(Cluster, SharedTcdmVisibleAcrossCores) {
   // Core 0 stores, waits at a barrier, core 1 loads after the barrier.
   Cluster cl;

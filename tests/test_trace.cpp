@@ -1,8 +1,7 @@
 // Unit tests: activity tracing — timeline consistency with the aggregate
-// utilization counters, ASCII rendering, per-sample callback.
+// utilization counters, ASCII rendering.
 #include <gtest/gtest.h>
 
-#include "isa/builder.hpp"
 #include "runtime/kernel_runner.hpp"
 #include "runtime/trace.hpp"
 #include "stencil/codes.hpp"
@@ -47,35 +46,6 @@ TEST(Trace, AsciiStripShape) {
   std::string ramp = ascii_activity_strip(series, 4);
   EXPECT_EQ(ramp, "0088");
   EXPECT_TRUE(ascii_activity_strip({}, 8).empty());
-}
-
-TEST(Trace, RunTracedOnHandBuiltPrograms) {
-  Cluster cl;
-  for (u32 c = 0; c < cl.num_cores(); ++c) {
-    ProgramBuilder b;
-    b.li(x(6), 50);
-    b.frep(x(6), 2);
-    b.fadd_d(f(4), f(4), f(5));
-    b.fmul_d(f(6), f(6), f(6));
-    b.halt();
-    cl.core(c).load_program(b.build());
-  }
-  u64 samples = 0;
-  ActivityTimeline tl = run_traced(
-      cl, [&](const CycleSample& s) {
-        EXPECT_LT(s.core, 8u);
-        ++samples;
-      });
-  EXPECT_GT(tl.cycles(), 100u);
-  EXPECT_EQ(samples, tl.cycles() * 8);
-  // 100 FP ops per core across the window.
-  EXPECT_GT(tl.fpu_utilization(8), 0.5);
-  EXPECT_EQ(tl.ascii_strip(16).size(), 16u);
-  // Integer activity exists (loop setup) but is far sparser than FP.
-  u64 int_act = 0, fpu_act = 0;
-  for (u32 v : tl.int_active_cores) int_act += v;
-  for (u32 v : tl.fpu_active_cores) fpu_act += v;
-  EXPECT_LT(int_act, fpu_act);
 }
 
 TEST(Trace, SarisStripIsDenserThanBase) {
