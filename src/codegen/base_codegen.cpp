@@ -9,6 +9,9 @@ namespace saris {
 
 namespace {
 
+/// Load staging registers per unrolled point instance.
+constexpr u32 kStagingRegs = 4;
+
 void add_disp(ProgramBuilder& b, XReg r, i32 v) {
   while (v != 0) {
     i32 step = std::clamp(v, -2048, 2047);
@@ -59,9 +62,8 @@ Instr fsd_i(FReg src, XReg base, i32 offs) {
 BaseCodegen::BaseCodegen(const StencilCode& sc, CodegenOptions opt)
     : sc_(sc), opt_(opt) {
   u32 chains = opt.chains != 0 ? opt.chains : default_chains(sc);
-  sched_ = make_schedule(sc, chains, opt.pair_pipeline);
-  staging_ = std::max<u32>(2, opt.base_staging);
-  regs_per_instance_ = sched_.chains + sched_.tmp_regs + staging_;
+  sched_ = make_schedule(sc, chains);
+  regs_per_instance_ = sched_.chains + sched_.tmp_regs + kStagingRegs;
 
   // Unroll selection mimics the paper's LLVM -Ofast baseline: unroll 4x if
   // coefficients stay resident, else 2x -- accepting coefficient spills
@@ -110,7 +112,7 @@ std::vector<Instr> BaseCodegen::lower_instances(
     auto acc = [&](i32 c) { return f(static_cast<u8>(inst_base + c)); };
     auto stage_alloc = [&]() {
       u8 r = static_cast<u8>(inst_base + sched_.chains + sched_.tmp_regs +
-                             (stage_next % staging_));
+                             (stage_next % kStagingRegs));
       ++stage_next;
       return f(r);
     };

@@ -53,7 +53,6 @@ class BaseCodegen {
   Schedule sched_;
   u32 unroll_ = 1;
   u32 resident_coeffs_ = 0;
-  u32 staging_ = 4;
   u8 coeff_reg0_ = 3;
   u8 inst_reg0_ = 0;        ///< first per-instance register
   u32 regs_per_instance_ = 0;

@@ -13,8 +13,6 @@ struct CodegenOptions {
   u32 chains = 0;          ///< accumulator chains; 0 = auto
   bool use_frep = true;    ///< saris: allow FREP hardware loops
   i32 stream_coeffs = -1;  ///< saris: -1 auto, 0 never, 1 force
-  u32 pair_pipeline = 2;   ///< pair-adds kept in flight (AxisPairs codes)
-  u32 base_staging = 4;    ///< baseline: load staging registers per instance
   /// Static kernel verifier at compile time: -1 = env default (SARIS_VERIFY,
   /// on unless set to 0/off/false), 0 = off, 1 = on. Part of the plan-cache
   /// key so a cached artifact always carries the verdict it was compiled
@@ -42,8 +40,6 @@ struct CodegenOptions {
     mix(chains);
     mix(use_frep ? 1 : 0);
     mix(static_cast<u64>(static_cast<i64>(stream_coeffs)));
-    mix(pair_pipeline);
-    mix(base_staging);
     mix(static_cast<u64>(static_cast<i64>(verify)));
     mix(static_cast<u64>(static_cast<i64>(analyze_cost)));
     return h;

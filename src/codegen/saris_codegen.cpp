@@ -45,7 +45,7 @@ SarisCodegen::SarisCodegen(const StencilCode& sc, CodegenOptions opt)
   // up register residency of the coefficients.
   u32 chains = opt.chains != 0 ? opt.chains : default_chains(sc);
   for (;; --chains) {
-    sched_ = make_schedule(sc, chains, opt.pair_pipeline);
+    sched_ = make_schedule(sc, chains);
     u32 ops_pp = sched_.ops();
     logical_per_instance_ = sched_.chains + sched_.tmp_regs;
 

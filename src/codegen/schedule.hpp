@@ -50,11 +50,15 @@ struct Schedule {
   u32 flops() const;
 };
 
+/// kPairAdd temporaries both code generators keep in flight for
+/// pair-style codes.
+inline constexpr u32 kPairPipeline = 2;
+
 /// Build the point schedule for `sc` with `chains` accumulator chains
 /// (clamped to what the tap count supports). `pair_pipeline` controls how
 /// many kPairAdd temporaries are kept in flight for pair-style codes.
 Schedule make_schedule(const StencilCode& sc, u32 chains,
-                       u32 pair_pipeline = 2);
+                       u32 pair_pipeline = kPairPipeline);
 
 /// Default chain count heuristic for a code (enough to hide FPU latency
 /// without exhausting registers).
