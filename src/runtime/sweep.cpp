@@ -44,15 +44,14 @@ u32 sweep_thread_count(u32 requested, std::size_t num_jobs) {
 
 namespace {
 
-/// One job under the isolation contract: bounded deterministic retry, the
-/// sweep-level watchdog override, and per-attempt fault-plan construction.
+/// One job under the isolation contract: bounded deterministic retry and
+/// per-attempt fault-plan construction.
 SweepResult run_one_isolated(const SweepJob& job, const SweepOptions& opts) {
   SweepResult r;
   const u32 max_attempts = std::max<u32>(1, opts.max_attempts);
   for (u32 attempt = 0; attempt < max_attempts; ++attempt) {
     r.attempts = attempt + 1;
     RunConfig cfg = job.cfg;
-    if (opts.job_wall_seconds > 0) cfg.max_wall_seconds = opts.job_wall_seconds;
     // The attempt's storm: the same seed replays the same event list, the
     // attempt index expires events whose persistence has run out — so a
     // retry deterministically clears transient faults and deterministically

@@ -15,10 +15,11 @@
 // bit-identical to cold compiles, so the determinism contract is unchanged.
 // Fault isolation: run_sweep_isolated is the error-aware engine — one
 // job's typed failure (common/sim_error.hpp) becomes a SweepResult instead
-// of taking the sweep down, with a configurable fail-fast/isolate policy,
-// bounded deterministic retry for retryable codes, and an optional per-job
-// wall-clock watchdog. The legacy run_sweep keeps its all-or-nothing
-// contract on top of it.
+// of taking the sweep down, with a configurable fail-fast/isolate policy
+// and bounded deterministic retry for retryable codes. A job's own
+// RunConfig::max_wall_seconds is the wall-clock watchdog against one
+// pathological cell starving the rest. The legacy run_sweep keeps its
+// all-or-nothing contract on top of it.
 #pragma once
 
 #include <memory>
@@ -59,9 +60,6 @@ struct SweepOptions {
   /// Attempts per job (>= 1). Only SimError codes with
   /// sim_errc_retryable() true are retried; the rest fail immediately.
   u32 max_attempts = 1;
-  /// When > 0, overrides every job's RunConfig::max_wall_seconds — the
-  /// sweep-level watchdog against one pathological cell starving the rest.
-  double job_wall_seconds = 0.0;
 };
 
 /// Outcome of one job under run_sweep_isolated.
