@@ -78,6 +78,7 @@ class Cluster {
   /// (not with cores mid-flight); any cycle state is simply discarded.
   void rearm();
 
+  /// Has every core halted?
   bool all_halted() const {
     for (const auto& c : cores_) {
       if (!c->halted()) return false;
