@@ -1,6 +1,9 @@
 // Unit tests: TCDM banking, arbitration, response timing, statistics.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "mem/tcdm.hpp"
 
 namespace saris {
@@ -144,6 +147,42 @@ TEST(Tcdm, IdealModeGrantsInPostOrder) {
   }
 }
 
+// Twelve ports per bank on two banks, every port re-posting each cycle, so
+// both banks hold a request from all of their ports on every arbitration:
+// the pending lists run at their full per-bank capacity. Round robin then
+// grants each bank's ports in port order, one per cycle.
+TEST(Tcdm, FullBanksGrantInPortOrder) {
+  constexpr u32 kPerBank = 12;
+  constexpr u32 kCycles = 36;
+  Tcdm t;
+  std::vector<u32> ports;
+  for (u32 i = 0; i < 2 * kPerBank; ++i) {
+    ports.push_back(t.make_port("p" + std::to_string(i)));
+  }
+  // Ports [0, 12) on bank 0, [12, 24) on bank 1, each at its own row.
+  auto addr_of = [&](u32 i) -> Addr {
+    const u32 bank = i / kPerBank;
+    return (i * kTcdmBanks + bank) * kWordBytes;
+  };
+  for (Cycle cyc = 0; cyc < kCycles; ++cyc) {
+    for (u32 p : ports) {
+      if (t.response_ready(p)) t.take_response(p);
+      if (t.port_idle(p)) t.post(p, addr_of(p), 8, false, 0);
+    }
+    t.arbitrate(cyc);
+    for (u32 p : ports) {
+      const bool expect = p % kPerBank == cyc % kPerBank;
+      EXPECT_EQ(t.response_ready(p), expect)
+          << "port " << p << " cycle " << cyc;
+    }
+  }
+  for (u32 p : ports) {
+    EXPECT_EQ(t.port_accesses(p), kCycles / kPerBank) << "port " << p;
+    EXPECT_EQ(t.port_conflicts(p), kCycles - kCycles / kPerBank)
+        << "port " << p;
+  }
+}
+
 TEST(Tcdm, PerPortStats) {
   Tcdm t;
   u32 a = t.make_port("a");
@@ -194,6 +233,15 @@ TEST(TcdmDeath, DoublePostAborts) {
   Tcdm t;
   u32 p = t.make_port("p");
   t.post(p, 0, 8, false, 0);
+  EXPECT_DEATH(t.post(p, 8, 8, false, 0), "busy port");
+}
+
+// A granted response that was never taken still holds the port.
+TEST(TcdmDeath, PostWithUnreadResponseAborts) {
+  Tcdm t;
+  u32 p = t.make_port("p");
+  t.post(p, 0, 8, false, 0);
+  t.arbitrate(0);
   EXPECT_DEATH(t.post(p, 8, 8, false, 0), "busy port");
 }
 
