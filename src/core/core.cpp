@@ -177,8 +177,9 @@ void Core::int_step(Cycle now) {
       }
       return;
     case OpClass::kIntMem: {
-      // No load is outstanding here: the wait above returned or retired it.
-      if (int_store_wait_ || !tcdm_.port_idle(int_port_)) {
+      // No load is outstanding here: the wait above returned or retired it,
+      // so the port is busy exactly while a store ack is owed.
+      if (int_store_wait_) {
         ++perf_.stall_int_lsu;
         return;
       }

@@ -85,7 +85,7 @@ void FpSubsystem::tick(Cycle now) {
   // Memory ops need the LSU port; the Core pre-resolved the address into
   // Instr::target.
   if (d.mem != MemDir::kNone) {
-    if (lsu_busy_ || !tcdm_.port_idle(lsu_port_)) {
+    if (lsu_busy_) {
       ++perf_.fpu_stall_mem;
       return;
     }

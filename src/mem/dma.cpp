@@ -161,7 +161,6 @@ void Dma::issue_words() {
   for (u32 m = free; m != 0; m &= m - 1) {
     if (row_pos_ >= cur_.row_bytes || issued_bytes >= kDmaWidthBytes) break;
     const u32 i = static_cast<u32>(std::countr_zero(m));
-    if (!tcdm_.port_idle(ports_[i])) continue;
     // Reads from main memory draw a word of memory bandwidth at issue time
     // (writes draw theirs at retire); once the port's grant budget for the
     // cycle is gone, stop issuing entirely. An injected word error rejects

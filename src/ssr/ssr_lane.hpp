@@ -75,8 +75,8 @@ class SsrLane {
       case SsrStreamKind::kNone:
         return;
       case SsrStreamKind::kAffineRead:
-        if (to_fetch_ > 0 && tcdm_.port_idle(data_port_) &&
-            rfifo_.size() + inflight_data_ < rfifo_.capacity()) {
+        if (to_fetch_ > 0 && inflight_data_ == 0 &&
+            rfifo_.size() < rfifo_.capacity()) {
           tcdm_.post(data_port_, affine_.next(), kWordBytes,
                      /*is_write=*/false, 0);
           ++inflight_data_;
@@ -85,8 +85,7 @@ class SsrLane {
         return;
       case SsrStreamKind::kIndirectRead:
         if (to_fetch_ > 0 && !pending_gather_.empty() &&
-            tcdm_.port_idle(data_port_) &&
-            rfifo_.size() + inflight_data_ < rfifo_.capacity()) {
+            inflight_data_ == 0 && rfifo_.size() < rfifo_.capacity()) {
           tcdm_.post(data_port_, pending_gather_.pop(), kWordBytes,
                      /*is_write=*/false, 0);
           ++inflight_data_;
@@ -94,8 +93,7 @@ class SsrLane {
         }
         return;
       case SsrStreamKind::kAffineWrite:
-        if (!wfifo_.empty() && tcdm_.port_idle(data_port_) &&
-            inflight_data_ == 0) {
+        if (!wfifo_.empty() && inflight_data_ == 0) {
           const double v = wfifo_.pop();
           tcdm_.post(data_port_, affine_.next(), kWordBytes,
                      /*is_write=*/true, std::bit_cast<u64>(v));

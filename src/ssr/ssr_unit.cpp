@@ -34,9 +34,7 @@ bool SsrUnit::quiescent() const {
 void SsrUnit::issue_index_fetch() {
   // One shared index fetch per cycle, round-robin between the indirect-
   // capable lanes only — the affine lane can never want an index word.
-  if (idx_inflight_lane_ != kNumSsrLanes || !tcdm_.port_idle(idx_port_)) {
-    return;
-  }
+  if (idx_inflight_lane_ != kNumSsrLanes) return;
   for (u32 k = 0; k < kNumIndirectSsrLanes; ++k) {
     const u32 cand = (idx_rr_ + k) % kNumIndirectSsrLanes;
     Addr addr = 0;
