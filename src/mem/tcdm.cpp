@@ -10,18 +10,20 @@ Tcdm::Tcdm(u32 size_bytes, u32 num_banks)
     : mem_(size_bytes, 0),
       num_banks_(num_banks),
       rr_next_(num_banks, 0),
-      bank_pending_(num_banks) {
+      bank_count_(num_banks, 0),
+      active_banks_(num_banks, 0) {
   SARIS_CHECK(size_bytes % (num_banks * kWordBytes) == 0,
               "TCDM size must be a multiple of the bank row");
   if (num_banks > 1 && (num_banks & (num_banks - 1)) == 0) {
     bank_mask_ = num_banks - 1;
   }
-  active_banks_.reserve(num_banks);
 }
 
 u32 Tcdm::make_port(std::string name) {
+  SARIS_CHECK(num_active_ == 0, "make_port with requests pending");
   ports_.push_back(Port{});
   port_names_.push_back(std::move(name));
+  pending_.resize(num_banks_ * ports_.size());
   return static_cast<u32>(ports_.size() - 1);
 }
 
@@ -39,9 +41,10 @@ void Tcdm::post(u32 port, Addr addr, u32 size, bool is_write, u64 wdata) {
   p.size = size;
   p.is_write = is_write;
   p.wdata = wdata;
-  p.bank = bank_of(addr);
-  if (bank_pending_[p.bank].empty()) active_banks_.push_back(p.bank);
-  bank_pending_[p.bank].push_back(port);
+  const u32 bank = bank_of(addr);
+  u32& count = bank_count_[bank];
+  if (count == 0) active_banks_[num_active_++] = bank;
+  pending_[bank * num_ports() + count++] = port;
 }
 
 u64 Tcdm::do_access(Port& p) {
@@ -84,20 +87,22 @@ void Tcdm::arbitrate(Cycle /*now*/) {
 void Tcdm::arbitrate_ideal() {
   // Conflict-free validation mode: every pending request is granted this
   // cycle, as if each requester had a private single-cycle memory. Grants
-  // within a bank happen in post order (the order of bank_pending_).
+  // within a bank happen in post order (the order of its pending list).
   // Round-robin pointers are left untouched — there are never losers.
-  for (u32 bank : active_banks_) {
-    for (u32 port : bank_pending_[bank]) {
-      Port& p = ports_[port];
+  for (u32 bi = 0; bi < num_active_; ++bi) {
+    const u32 bank = active_banks_[bi];
+    const u32* const pend = &pending_[bank * num_ports()];
+    for (u32 j = 0; j < bank_count_[bank]; ++j) {
+      Port& p = ports_[pend[j]];
       p.rdata = do_access(p);
       p.pending = false;
       p.resp_ready = true;
       ++p.accesses;
       ++total_accesses_;
     }
-    bank_pending_[bank].clear();
+    bank_count_[bank] = 0;
   }
-  active_banks_.clear();
+  num_active_ = 0;
 }
 
 void Tcdm::arbitrate_sparse() {
@@ -105,36 +110,33 @@ void Tcdm::arbitrate_sparse() {
   // request in exactly one bank, so banks are independent and the visit
   // order does not affect the outcome.
   const u32 n = num_ports();
-  for (std::size_t bi = 0; bi < active_banks_.size();) {
+  for (u32 bi = 0; bi < num_active_;) {
     const u32 bank = active_banks_[bi];
-    std::vector<u32>& pend = bank_pending_[bank];
+    u32* const pend = &pending_[bank * n];
+    u32& count = bank_count_[bank];
     // Round robin: the winner is the pending port with the smallest
-    // circular distance from the bank's pointer.
+    // circular distance from the bank's pointer. Every pending port is
+    // charged a conflict in the same pass, and the winner's is taken back.
     const u32 rr = rr_next_[bank];
     u32 best_dist = n;
-    std::size_t best_pos = 0;
-    for (std::size_t j = 0; j < pend.size(); ++j) {
+    u32 best_pos = 0;
+    for (u32 j = 0; j < count; ++j) {
       const u32 d = pend[j] >= rr ? pend[j] - rr : pend[j] + n - rr;
       if (d < best_dist) {
         best_dist = d;
         best_pos = j;
       }
+      ++ports_[pend[j]].conflicts;
     }
     const u32 winner = pend[best_pos];
-    for (std::size_t j = 0; j < pend.size(); ++j) {
-      if (j != best_pos) {
-        ++ports_[pend[j]].conflicts;
-        ++total_conflicts_;
-      }
-    }
+    --ports_[winner].conflicts;
+    total_conflicts_ += count - 1;
     grant(winner, bank);
-    pend[best_pos] = pend.back();
-    pend.pop_back();
-    if (pend.empty()) {
+    pend[best_pos] = pend[--count];
+    if (count == 0) {
       // Swap-remove the bank; the bank swapped into slot `bi` still needs a
       // visit, so do not advance.
-      active_banks_[bi] = active_banks_.back();
-      active_banks_.pop_back();
+      active_banks_[bi] = active_banks_[--num_active_];
     } else {
       ++bi;
     }
@@ -190,8 +192,8 @@ void Tcdm::reset() {
   std::memset(mem_.data(), 0, mem_.size());
   ports_.assign(ports_.size(), Port{});
   rr_next_.assign(rr_next_.size(), 0);
-  for (auto& bp : bank_pending_) bp.clear();
-  active_banks_.clear();
+  bank_count_.assign(bank_count_.size(), 0);
+  num_active_ = 0;
   total_accesses_ = 0;
   total_conflicts_ = 0;
 }

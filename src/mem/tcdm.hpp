@@ -115,7 +115,6 @@ class Tcdm {
     u64 rdata = 0;
     u64 accesses = 0;
     u64 conflicts = 0;
-    u32 bank = 0;  ///< bank of the pending request (valid while pending)
   };
 
   /// [addr, addr + len) lies inside the memory. Written so that no sum can
@@ -135,10 +134,14 @@ class Tcdm {
   std::vector<std::string> port_names_;  ///< diagnostics, by port id
   std::vector<u32> rr_next_;  ///< per-bank round-robin pointer, < num_ports
 
-  // Pending-work tracking: per-bank lists of requesting ports, populated at
-  // post() time so arbitration only ever touches banks with work.
-  std::vector<std::vector<u32>> bank_pending_;
-  std::vector<u32> active_banks_;  ///< banks with >= 1 pending request
+  // Pending-work tracking, populated at post() time so arbitration only
+  // ever touches banks with work. A port has at most one request pending,
+  // so bank b's list is the num_ports() slots from b * num_ports() in
+  // pending_, of which the first bank_count_[b] are in use.
+  std::vector<u32> pending_;
+  std::vector<u32> bank_count_;
+  std::vector<u32> active_banks_;  ///< the first num_active_ have requests
+  u32 num_active_ = 0;
   bool ideal_ = false;
 
   u64 total_accesses_ = 0;
