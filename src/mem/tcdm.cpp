@@ -33,7 +33,7 @@ void Tcdm::post(u32 port, Addr addr, u32 size, bool is_write, u64 wdata) {
   SARIS_CHECK(!p.pending && !p.resp_ready,
               "post to busy port " << port_names_[port]);
   SARIS_CHECK(size == 2 || size == 4 || size == 8, "bad access size " << size);
-  SARIS_CHECK(addr % size == 0, "unaligned access at " << addr);
+  SARIS_CHECK((addr & (size - 1)) == 0, "unaligned access at " << addr);
   SARIS_CHECK(in_range(addr, size),
               "TCDM access out of range: " << addr << "+" << size);
   p.pending = true;
