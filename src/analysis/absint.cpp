@@ -220,7 +220,7 @@ class Walker {
       }
       return true;  // keep walking; the access itself is not accounted
     }
-    pred_.ports[port].account(a, kTcdmBanks);
+    pred_.ports[port].account(a);
     return true;
   }
 
@@ -374,7 +374,7 @@ AbsintResult abstract_interpret(const CompiledKernel& ck,
               }
               continue;
             }
-            r.dma.account(a, kTcdmBanks);
+            r.dma.account(a);
           }
         }
       }

@@ -67,11 +67,11 @@ struct ArenaMap {
 /// Predicted access counts for one TCDM requester port.
 struct PortPrediction {
   u64 accesses = 0;
-  std::vector<u64> per_bank;  ///< size = num_banks
+  std::vector<u64> per_bank;  ///< size = kTcdmBanks
 
-  void account(Addr addr, u32 num_banks) {
+  void account(Addr addr) {
     ++accesses;
-    per_bank[(addr / kWordBytes) % num_banks] += 1;
+    per_bank[Tcdm::bank_of(addr)] += 1;
   }
 };
 

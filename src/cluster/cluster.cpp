@@ -6,7 +6,7 @@ namespace saris {
 
 Cluster::Cluster(const ClusterConfig& cfg)
     : cfg_(cfg),
-      tcdm_(cfg.tcdm_bytes, cfg.tcdm_banks),
+      tcdm_(cfg.tcdm_bytes),
       owned_mem_(std::make_unique<MainMemory>(cfg.main_mem_bytes)),
       owned_port_(std::make_unique<DirectMemoryPort>(*owned_mem_)),
       barrier_(cfg.num_cores) {
@@ -17,7 +17,7 @@ Cluster::Cluster(const ClusterConfig& cfg, MemoryPort& mem_port,
                  u32 cluster_id)
     : cfg_(cfg),
       id_(cluster_id),
-      tcdm_(cfg.tcdm_bytes, cfg.tcdm_banks),
+      tcdm_(cfg.tcdm_bytes),
       barrier_(cfg.num_cores) {
   init(mem_port);
 }

@@ -24,7 +24,6 @@ namespace saris {
 struct ClusterConfig {
   u32 num_cores = 8;
   u32 tcdm_bytes = kTcdmSizeBytes;
-  u32 tcdm_banks = kTcdmBanks;
   u64 main_mem_bytes = 512ull * 1024 * 1024;
   /// Conflict-free TCDM (Tcdm::set_ideal_arbitration): every pending
   /// request granted each cycle. Validation mode for the static cost model

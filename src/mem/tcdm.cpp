@@ -6,24 +6,16 @@
 
 namespace saris {
 
-Tcdm::Tcdm(u32 size_bytes, u32 num_banks)
-    : mem_(size_bytes, 0),
-      num_banks_(num_banks),
-      rr_next_(num_banks, 0),
-      bank_count_(num_banks, 0),
-      active_banks_(num_banks, 0) {
-  SARIS_CHECK(size_bytes % (num_banks * kWordBytes) == 0,
+Tcdm::Tcdm(u32 size_bytes) : mem_(size_bytes, 0) {
+  SARIS_CHECK(size_bytes % (kTcdmBanks * kWordBytes) == 0,
               "TCDM size must be a multiple of the bank row");
-  if (num_banks > 1 && (num_banks & (num_banks - 1)) == 0) {
-    bank_mask_ = num_banks - 1;
-  }
 }
 
 u32 Tcdm::make_port(std::string name) {
   SARIS_CHECK(num_active_ == 0, "make_port with requests pending");
   ports_.push_back(Port{});
   port_names_.push_back(std::move(name));
-  pending_.resize(num_banks_ * ports_.size());
+  pending_.resize(kTcdmBanks * ports_.size());
   return static_cast<u32>(ports_.size() - 1);
 }
 
@@ -191,8 +183,8 @@ void Tcdm::reset_stats() {
 void Tcdm::reset() {
   std::memset(mem_.data(), 0, mem_.size());
   ports_.assign(ports_.size(), Port{});
-  rr_next_.assign(rr_next_.size(), 0);
-  bank_count_.assign(bank_count_.size(), 0);
+  rr_next_.fill(0);
+  bank_count_.fill(0);
   num_active_ = 0;
   total_accesses_ = 0;
   total_conflicts_ = 0;

@@ -8,6 +8,7 @@
 // that loses arbitration stays pending and retries automatically.
 #pragma once
 
+#include <array>
 #include <string>
 #include <vector>
 
@@ -21,7 +22,7 @@ inline constexpr u32 kTcdmBanks = 32;
 
 class Tcdm {
  public:
-  Tcdm(u32 size_bytes = kTcdmSizeBytes, u32 num_banks = kTcdmBanks);
+  explicit Tcdm(u32 size_bytes = kTcdmSizeBytes);
 
   /// Register a requester; returns its port id. `name` is for diagnostics.
   u32 make_port(std::string name);
@@ -82,12 +83,9 @@ class Tcdm {
   void host_write_f64(Addr addr, double v);
 
   u32 size_bytes() const { return static_cast<u32>(mem_.size()); }
-  u32 num_banks() const { return num_banks_; }
-  u32 bank_of(Addr addr) const {
-    // Banks are a power of two in every real configuration; keep a modulo
-    // fallback so odd test geometries still work.
-    u32 word = addr / kWordBytes;
-    return bank_mask_ != 0 ? (word & bank_mask_) : word % num_banks_;
+  static constexpr u32 num_banks() { return kTcdmBanks; }
+  static constexpr u32 bank_of(Addr addr) {
+    return (addr / kWordBytes) % kTcdmBanks;
   }
 
   // ---- statistics ----
@@ -128,19 +126,18 @@ class Tcdm {
   void arbitrate_ideal();
 
   std::vector<u8> mem_;
-  u32 num_banks_;
-  u32 bank_mask_ = 0;  ///< num_banks - 1 when a power of two, else 0
   std::vector<Port> ports_;
   std::vector<std::string> port_names_;  ///< diagnostics, by port id
-  std::vector<u32> rr_next_;  ///< per-bank round-robin pointer, < num_ports
+  /// Per-bank round-robin pointer, < num_ports.
+  std::array<u32, kTcdmBanks> rr_next_{};
 
   // Pending-work tracking, populated at post() time so arbitration only
   // ever touches banks with work. A port has at most one request pending,
   // so bank b's list is the num_ports() slots from b * num_ports() in
   // pending_, of which the first bank_count_[b] are in use.
   std::vector<u32> pending_;
-  std::vector<u32> bank_count_;
-  std::vector<u32> active_banks_;  ///< the first num_active_ have requests
+  std::array<u32, kTcdmBanks> bank_count_{};
+  std::array<u32, kTcdmBanks> active_banks_{};  ///< first num_active_ used
   u32 num_active_ = 0;
   bool ideal_ = false;
 
