@@ -6,6 +6,12 @@
 // conflict behaviour. Requesters obtain a port, post at most one request per
 // cycle, and receive the response at the start of the next cycle. A request
 // that loses arbitration stays pending and retries automatically.
+//
+// A port is busy from post() until its response is taken. A requester's own
+// in-flight state is its port-busy state (SsrLane::inflight_data_,
+// SsrUnit::idx_inflight_lane_, FpSubsystem::lsu_busy_, Core's LSU waits,
+// Dma::busy_mask_), so requesters never poll port_idle(). post() checks the
+// port and aborts on a busy one, which catches any drift in that state.
 #pragma once
 
 #include <array>
@@ -29,6 +35,7 @@ class Tcdm {
   u32 num_ports() const { return static_cast<u32>(ports_.size()); }
 
   /// True iff the port has neither a pending request nor an unread response.
+  /// For tests; requesters track this themselves (see the file comment).
   bool port_idle(u32 port) const {
     SARIS_CHECK(port < ports_.size(), "bad port " << port);
     const Port& p = ports_[port];
@@ -44,8 +51,8 @@ class Tcdm {
   /// Cost is O(pending requests): banks with no request posted are never
   /// visited. Each bank grants the pending port nearest at or after its
   /// round-robin pointer, circularly in port order, and counts every other
-  /// pending port on that bank as a conflict. tests/test_tcdm.cpp pins the
-  /// outcome of adversarial random traffic to a recorded digest.
+  /// pending port on that bank as a conflict. tests/test_arbiter_equiv.cpp
+  /// pins the outcome of adversarial random traffic to a recorded digest.
   void arbitrate(Cycle now);
 
   /// Validation hook: grant *every* pending request each cycle instead of
