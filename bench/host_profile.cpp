@@ -334,7 +334,9 @@ int main(int argc, char** argv) {
   std::array<void*, kMaxDepth> warm{};
   backtrace(warm.data(), kMaxDepth);
 
-  std::vector<Sample> samples(static_cast<std::size_t>(seconds * 1000) + 1000);
+  // At most one sample per millisecond of CPU time, with room to spare.
+  std::vector<Sample> samples(static_cast<std::size_t>(seconds * 1000) +
+                              1000);
   g_samples = samples.data();
   g_capacity = samples.size();
   struct sigaction sa{};
@@ -426,12 +428,9 @@ int main(int argc, char** argv) {
   TextTable t({"component", "% of loop", "% of all", "us/cycle"});
   auto row = [&](const std::string& name, u64 count, bool in_loop) {
     const double all = static_cast<double>(count) / total;
-    t.add_row({name,
-               in_loop && loop > 0
-                   ? TextTable::pct(static_cast<double>(count) /
-                                        static_cast<double>(loop),
-                                    1)
-                   : "-",
+    const double of_loop = static_cast<double>(count) /
+                           static_cast<double>(std::max<u64>(loop, 1));
+    t.add_row({name, in_loop ? TextTable::pct(of_loop, 1) : "-",
                TextTable::pct(all, 1), TextTable::fmt(all * us_per_cycle, 3)});
   };
   for (std::size_t c = 0; c < components().size(); ++c) {
@@ -440,10 +439,10 @@ int main(int argc, char** argv) {
   row("other, in the loop", loop_other, true);
   row("outside Cluster::step", n - loop, false);
   std::printf("%s", t.str().c_str());
-  // A share's binomial standard error is its sampling noise.
-  std::printf("\nsampling noise: a share p of %zu samples has standard error "
-              "sqrt(p(1-p)/%zu), at most %.1f points\n",
-              n, n, 50.0 / std::sqrt(total));
+  // A share p of n samples has binomial standard error sqrt(p(1-p)/n).
+  std::printf("\nsampling noise: a share's standard error is at most %.1f "
+              "points\n",
+              50.0 / std::sqrt(total));
 
   if (static_cast<double>(loop) < kMinLoopShare * total) {
     std::fprintf(stderr,
