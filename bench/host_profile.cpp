@@ -132,9 +132,9 @@ double cpu_seconds() {
 // ------------------------------------------------------------ workloads
 
 struct Workload {
-  std::vector<RunConfig> cells;          ///< saris / base
   std::vector<const StencilCode*> codes;  ///< one per job
-  std::vector<SystemRunConfig> systems;   ///< scaleout
+  RunConfig cell;                         ///< saris / base: every job's
+  std::vector<SystemRunConfig> systems;   ///< scaleout: one per job
 };
 
 RunConfig bench_config(KernelVariant v) {
@@ -149,12 +149,9 @@ RunConfig bench_config(KernelVariant v) {
 
 bool make_workload(const std::string& name, Workload* w) {
   if (name == "saris" || name == "base") {
-    const KernelVariant v =
-        name == "saris" ? KernelVariant::kSaris : KernelVariant::kBase;
-    for (const StencilCode& sc : all_codes()) {
-      w->codes.push_back(&sc);
-      w->cells.push_back(bench_config(v));
-    }
+    w->cell = bench_config(name == "saris" ? KernelVariant::kSaris
+                                           : KernelVariant::kBase);
+    for (const StencilCode& sc : all_codes()) w->codes.push_back(&sc);
     return true;
   }
   if (name == "scaleout") {
@@ -179,7 +176,7 @@ u64 run_pass(const Workload& w) {
   u64 cycles = 0;
   for (std::size_t i = 0; i < w.codes.size(); ++i) {
     if (w.systems.empty()) {
-      cycles += run_kernel(*w.codes[i], w.cells[i]).cycles;
+      cycles += run_kernel(*w.codes[i], w.cell).cycles;
       continue;
     }
     const SystemRunMetrics sm = run_system_kernel(*w.codes[i], w.systems[i]);
