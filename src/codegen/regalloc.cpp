@@ -10,7 +10,8 @@ u32 strided_count(u32 extent, u32 phase, u32 stride) {
 }  // namespace
 
 CoreWork core_work(const StencilCode& sc, u32 core) {
-  SARIS_CHECK(core < 8, "core id " << core << " outside the cluster");
+  SARIS_CHECK(core < kPartitionCores,
+              "core id " << core << " outside the cluster");
   CoreWork w;
   if (sc.dims == 2) {
     w.step_x = kInterleaveX;

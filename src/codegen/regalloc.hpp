@@ -42,6 +42,8 @@ inline XRegPool make_xreg_pool() { return XRegPool(5, 31); }
 /// a built-in 14% runtime imbalance the paper's utilizations exclude).
 inline constexpr u32 kInterleaveX = 4;
 inline constexpr u32 kInterleaveY = 2;
+/// Cores the partition splits a tile over (4x2 in 2-D, 2x2x2 in 3-D).
+inline constexpr u32 kPartitionCores = 8;
 
 struct CoreWork {
   u32 phase_x = 0;

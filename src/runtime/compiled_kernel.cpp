@@ -2,7 +2,9 @@
 
 #include "analysis/verifier.hpp"
 #include "codegen/base_codegen.hpp"
+#include "codegen/regalloc.hpp"
 #include "codegen/saris_codegen.hpp"
+#include "common/sim_error.hpp"
 
 namespace saris {
 
@@ -48,6 +50,14 @@ std::vector<DmaJob> make_overlap_jobs(const StencilCode& sc,
 CompiledKernel compile_kernel(const StencilCode& sc, KernelVariant variant,
                               const CodegenOptions& cg, u32 n_cores,
                               u32 tcdm_bytes) {
+  // A core beyond the work partition has no work (core_work aborts on it);
+  // fewer cores compile, for analysis, but execute_kernel refuses them.
+  if (n_cores == 0 || n_cores > kPartitionCores) {
+    SARIS_RAISE(SimErrc::kBadConfig, 0,
+                sc.name << ": cannot compile for " << n_cores
+                        << " cores; the work partition serves 1 to "
+                        << kPartitionCores);
+  }
   CompiledKernel ck;
   ck.code = sc;
   ck.variant = variant;

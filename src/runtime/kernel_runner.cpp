@@ -41,12 +41,14 @@ void check_artifact(const CompiledKernel& ck, Cluster& cluster,
                     const RunConfig& cfg, const KernelIO& io) {
   const StencilCode& sc = ck.code;
   check_io(sc, io);
-  u32 n = cluster.num_cores();
-  if (n != ck.n_cores) {
+  // The work partition (codegen/regalloc.hpp) splits a tile over exactly
+  // kPartitionCores cores; with fewer, points go uncomputed.
+  const u32 n = cluster.num_cores();
+  if (n != ck.n_cores || n != kPartitionCores) {
     SARIS_RAISE(SimErrc::kBadConfig, 0,
-                sc.name << ": cluster has " << n
-                        << " cores but the artifact was compiled for "
-                        << ck.n_cores);
+                sc.name << ": cluster has " << n << " cores and the artifact "
+                        << ck.n_cores << ", but the work partition needs "
+                        << kPartitionCores);
   }
   if (cluster.tcdm().size_bytes() != ck.tcdm_bytes) {
     SARIS_RAISE(SimErrc::kBadConfig, 0,

@@ -86,7 +86,7 @@ RunMetrics execute_kernel(const CompiledKernel& ck, Cluster& cluster,
 // ---- interleaved cycle loop, and then finishes each cluster separately.
 
 /// Raise SimError(kBadConfig) unless `cluster` and `cfg` match the artifact
-/// (core count, TCDM size, variant, codegen options) and `io` has the
+/// (8 cores, TCDM size, variant, codegen options) and `io` has the
 /// code's input/coeff counts. A mismatch is a recoverable per-job error —
 /// a sweep cell with a bad user config fails typed, not the whole process.
 void check_artifact(const CompiledKernel& ck, Cluster& cluster,

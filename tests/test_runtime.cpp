@@ -200,6 +200,25 @@ TEST(RuntimeErrors, ExecuteKernelChecksInputCount) {
                    SimErrc::kBadConfig, "expected 2 input arrays, got 1");
 }
 
+TEST(RuntimeErrors, CoreCountThePartitionCannotServeIsTypedBadConfig) {
+  // The work partition splits a tile over exactly 8 cores: 0 and 9 cores
+  // cannot compile, and 1 or 4 compile (the analysis tests stage such
+  // cells by hand) but cannot run a whole tile. None may abort.
+  const StencilCode& sc = code_by_name("jacobi_2d");
+  for (KernelVariant v : {KernelVariant::kBase, KernelVariant::kSaris}) {
+    for (u32 cores : {0u, 1u, 4u, 9u}) {
+      RunConfig cfg;
+      cfg.variant = v;
+      cfg.cluster.num_cores = cores;
+      SCOPED_TRACE(std::string(variant_name(v)) + ", " +
+                   std::to_string(cores) + " cores");
+      SimError e = expect_sim_error([&] { run_kernel(sc, cfg); },
+                                    SimErrc::kBadConfig, "work partition");
+      EXPECT_FALSE(e.retryable());
+    }
+  }
+}
+
 TEST(RuntimeErrors, WrongCoeffCountIsTypedBadConfig) {
   const StencilCode& sc = code_by_name("jacobi_2d");
   KernelIO io;
