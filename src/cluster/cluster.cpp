@@ -68,14 +68,4 @@ Cycle Cluster::run_until_halted(Cycle max_cycles) {
   return now_ - start;
 }
 
-Cycle Cluster::run_until_dma_idle(Cycle max_cycles) {
-  Cycle start = now_;
-  while (!dma_->idle()) {
-    SARIS_CHECK(now_ - start < max_cycles,
-                "DMA did not drain within " << max_cycles << " cycles");
-    step();
-  }
-  return now_ - start;
-}
-
 }  // namespace saris

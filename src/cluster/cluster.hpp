@@ -71,8 +71,8 @@ class Cluster {
   /// chunks behind it — overlap-DMA writes may linger there; nothing in the
   /// pipeline reads them back). Contract:
   /// a re-armed cluster is bit-identical to a freshly constructed one —
-  /// stage the next kernel with stage_kernel and every simulated result and
-  /// performance counter matches a fresh cluster's (tests/test_cluster.cpp,
+  /// run the next kernel (KernelRun, runtime/kernel_runner.hpp) and every
+  /// simulated result and performance counter matches a fresh cluster's (tests/test_cluster.cpp,
   /// tests/test_system.cpp enforce this). Must be called between kernels
   /// (not with cores mid-flight); any cycle state is simply discarded.
   void rearm();
@@ -89,9 +89,6 @@ class Cluster {
   /// a CHECK diagnostic) if `max_cycles` elapse first — a deadlocked stream
   /// or missing halt is a programming error.
   Cycle run_until_halted(Cycle max_cycles = 100'000'000);
-
-  /// Step until the DMA engine is idle (used for prologue/epilogue copies).
-  Cycle run_until_dma_idle(Cycle max_cycles = 100'000'000);
 
  private:
   void init(MemoryPort& mem_port);

@@ -4,7 +4,10 @@
 // a (cluster, cycle) coordinate; the run pipeline consults it at fixed
 // points of the cycle loop, so the same plan produces bit-identical fault
 // behavior across serial, parallel, and batched System ticking (the trace
-// is test-enforced). Four fault kinds cover the failure modes the paper's
+// is test-enforced). The stall and bit-flip hooks run in KernelRun
+// (runtime/kernel_runner.hpp) at every cycle boundary of a tile, from its
+// staging until its DMA drains, in the single-cluster and System loops
+// alike; the DMA consults its word-error windows on every tick. Four fault kinds cover the failure modes the paper's
 // machine would see in production:
 //
 //  - kHbmThrottle: for `duration` system cycles the HBM frontend deals only

@@ -93,7 +93,8 @@ class Dma {
   /// `cycle_offset` maps the engine's local clock into the plan's timeline:
   /// the System runner re-arms clusters between tiles (resetting their
   /// clocks) and rebinds with the cluster's accumulated tick count so plan
-  /// cycles stay monotonic. The binding survives reset().
+  /// cycles stay monotonic. The binding survives reset(), so every
+  /// KernelRun rebinds at staging, with null for a run without a plan.
   void set_faults(FaultPlan* plan, u32 cluster, Cycle cycle_offset = 0) {
     faults_ = plan;
     fault_cluster_ = cluster;

@@ -32,8 +32,6 @@ void check_io(const StencilCode& sc, const KernelIO& io) {
   }
 }
 
-}  // namespace
-
 // Artifact/config mismatches are recoverable per-job errors (kBadConfig),
 // not invariant violations: a sweep cell handed a bad user config must fail
 // typed so the rest of the sweep survives it.
@@ -72,6 +70,8 @@ void check_artifact(const CompiledKernel& ck, Cluster& cluster,
   }
 }
 
+// Flip one bit of a staged input word in the cluster's TCDM, addressed by a
+// FaultPlan kTcdmBitFlip payload.
 void apply_tcdm_bitflip(const CompiledKernel& ck, Cluster& cluster,
                         u64 payload) {
   // Payload decode (fault/fault_plan.hpp): low 6 bits pick the bit, the
@@ -90,6 +90,8 @@ void apply_tcdm_bitflip(const CompiledKernel& ck, Cluster& cluster,
                                 cluster.tcdm().host_read_u64(addr) ^
                                     (u64{1} << bit));
 }
+
+}  // namespace
 
 void stage_kernel(const CompiledKernel& ck, Cluster& cluster,
                   const KernelIO& io) {
@@ -123,81 +125,156 @@ void stage_kernel(const CompiledKernel& ck, Cluster& cluster,
   }
 }
 
-u32 count_active_fpu(Cluster& cluster, std::vector<u64>& last_useful) {
-  u32 active = 0;
-  for (u32 c = 0; c < cluster.num_cores(); ++c) {
-    const u64 now_useful = cluster.core(c).perf().fpu_useful_ops;
-    if (now_useful > last_useful[c]) ++active;
-    last_useful[c] = now_useful;
+KernelRun::KernelRun(const CompiledKernel& ck, Cluster& cluster,
+                     const RunConfig& cfg, KernelIO& io, u64 arena_base,
+                     Cycle tick_offset)
+    : ck_(ck),
+      cluster_(cluster),
+      cfg_(cfg),
+      io_(io),
+      tick_offset_(tick_offset),
+      watched_(cfg.faults != nullptr || cfg.max_wall_seconds > 0) {
+  check_artifact(ck, cluster, cfg, io);
+  // Prologue transfers are not part of the measured compute window; the
+  // steady-state overlap DMA is. Double buffering moves exactly one round
+  // of tile traffic (next input tile in, previous result out) per compute
+  // window, so that is what is overlapped — its bank interference and
+  // measured bandwidth utilization feed the scale-out model.
+  stage_kernel(ck, cluster, io);
+  if (cfg.overlap_dma) {
+    for (DmaJob job : ck.overlap_jobs) {
+      job.mem_addr += arena_base;
+      cluster.dma().push(job);
+    }
   }
-  return active;
+  cluster.dma().set_faults(cfg.faults, cluster.cluster_id(), tick_offset);
+  if (cfg.record_timeline) last_useful_.assign(cluster.num_cores(), 0);
+  // A core halts only in a tick, so this first boundary is never the last.
+  if (cfg.faults) apply_fault_hooks();
+  wall0_ = std::chrono::steady_clock::now();
 }
 
-RunMetrics finish_kernel(const CompiledKernel& ck, Cluster& cluster,
-                         const RunConfig& cfg, KernelIO& io,
-                         const Grid<>* golden_ext, Cycle t0, Cycle window) {
-  const StencilCode& sc = ck.code;
-  const u32 n = cluster.num_cores();
+void KernelRun::sample_timeline() {
+  // The number of cores that issued a useful FPU op during the last step.
+  u32 active = 0;
+  for (u32 c = 0; c < cluster_.num_cores(); ++c) {
+    const u64 now_useful = cluster_.core(c).perf().fpu_useful_ops;
+    if (now_useful > last_useful_[c]) ++active;
+    last_useful_[c] = now_useful;
+  }
+  timeline_.push_back(active);
+}
 
-  // The reference is pure host-side data (io.inputs is untouched by the
+void KernelRun::close_window() {
+  halted_ = true;
+  window_ = cluster_.now();
+  // The loop's wall clock stops with the compute window: `window_` is the
+  // matching numerator for cycles-per-second, and the DMA drain tail is not
+  // part of the measured loop.
+  step_wall_ = std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - wall0_)
+                   .count();
+}
+
+void KernelRun::boundary() {
+  // The wall clock is read every 4096 cycles, so the steady-state loop does
+  // not pay a clock read per cycle.
+  if (cfg_.max_wall_seconds > 0 && (cluster_.now() & 0xFFF) == 0) {
+    const double elapsed = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - wall0_)
+                               .count();
+    if (elapsed > cfg_.max_wall_seconds) {
+      SARIS_RAISE(SimErrc::kWallClockTimeout, cluster_.now(),
+                  ck_.code.name << "/" << variant_name(ck_.variant)
+                                << ": cycle loop exceeded the per-tile "
+                                   "wall-clock budget of "
+                                << cfg_.max_wall_seconds << " s (" << elapsed
+                                << " s elapsed, " << cluster_.now()
+                                << " cycles simulated)");
+    }
+  }
+  if (cfg_.faults) apply_fault_hooks();
+}
+
+void KernelRun::apply_fault_hooks() {
+  // Addressed in plan time, the tick offset plus the cluster's own clock,
+  // so the hooks are deterministic whatever the host-side schedule.
+  const u32 g = cluster_.cluster_id();
+  const Cycle at = tick_offset_ + cluster_.now();
+  if (cfg_.faults->stall_due(g, at)) {
+    SARIS_RAISE(SimErrc::kClusterStall, at,
+                ck_.code.name << "/" << variant_name(ck_.variant)
+                              << ": injected stall wedged cluster " << g);
+  }
+  u64 payload = 0;
+  while (cfg_.faults->take_bitflip(g, at, &payload)) {
+    apply_tcdm_bitflip(ck_, cluster_, payload);
+  }
+}
+
+RunMetrics KernelRun::finish(const Grid<>* golden) {
+  const StencilCode& sc = ck_.code;
+  // The reference is pure host-side data (io_.inputs is untouched by the
   // run): compute it only when this run verifies and the caller did not
   // hand one in (memoized or stepped).
   std::unique_ptr<Grid<>> golden_own;
-  const Grid<>* golden = golden_ext;
-  if (cfg.verify && golden == nullptr) {
+  if (cfg_.verify && golden == nullptr) {
     golden_own = std::make_unique<Grid<>>(sc.tile_nx, sc.tile_ny, sc.tile_nz);
     golden_own->fill(0.0);
-    reference_step(sc, io.inputs, io.coeffs, *golden_own);
+    reference_step(sc, io_.inputs, io_.coeffs, *golden_own);
     golden = golden_own.get();
   }
 
   RunMetrics m;
   Grid<> out_sim(sc.tile_nx, sc.tile_ny, sc.tile_nz);
-  cluster.tcdm().host_read(ck.layout.output, out_sim.data(),
-                           static_cast<u32>(out_sim.bytes()));
-  if (cfg.verify) {
+  cluster_.tcdm().host_read(ck_.layout.output, out_sim.data(),
+                            static_cast<u32>(out_sim.bytes()));
+  if (cfg_.verify) {
     m.max_rel_err = max_rel_error(sc, out_sim, *golden);
-    if (!(m.max_rel_err <= cfg.tolerance)) {
+    if (!(m.max_rel_err <= cfg_.tolerance)) {
       // Typed run failure, attributed: an injected TCDM bit flip on record
       // for this cluster makes this kInjectedFault (the harness planted the
       // corruption); otherwise it is a genuine kVerifyFailed. The seed and
       // tolerance are part of the diagnostic so a failure line alone is
       // enough to reproduce the cell.
       SimErrc errc =
-          (cfg.faults && cfg.faults->fired(FaultKind::kTcdmBitFlip,
-                                           cluster.cluster_id()))
+          (cfg_.faults && cfg_.faults->fired(FaultKind::kTcdmBitFlip,
+                                             cluster_.cluster_id()))
               ? SimErrc::kInjectedFault
               : SimErrc::kVerifyFailed;
       // Pin the miss to an element, the core that computed it, and that
       // core's final pc, and show the disassembly around it — enough to read
       // the failing inner loop straight off the error message.
       std::ostringstream ctx;
-      const VerifyMiss miss = first_miss(sc, out_sim, *golden, cfg.tolerance);
+      const VerifyMiss miss = first_miss(sc, out_sim, *golden, cfg_.tolerance);
       if (miss.found) {
         const u32 core_id = owning_core(sc, miss.x, miss.y, miss.z);
-        const Core& core = cluster.core(core_id);
+        const Core& core = cluster_.core(core_id);
         ctx << "; first miss at (" << miss.x << ", " << miss.y << ", "
             << miss.z << "): got " << miss.got << ", want " << miss.want
             << " (rel err " << miss.rel_err << "), computed by core "
             << core_id << ", final pc " << core.pc() << "\n"
             << disasm_window(core.program(), core.pc(), 3);
       }
-      SARIS_RAISE(errc, window,
-                  sc.name << "/" << variant_name(ck.variant)
+      SARIS_RAISE(errc, window_,
+                  sc.name << "/" << variant_name(ck_.variant)
                           << ": verification failed, max rel err "
-                          << m.max_rel_err << " > tolerance " << cfg.tolerance
-                          << " (seed " << cfg.seed << ")" << ctx.str());
+                          << m.max_rel_err << " > tolerance "
+                          << cfg_.tolerance << " (seed " << cfg_.seed << ")"
+                          << ctx.str());
     }
   }
-  io.outputs.clear();
-  io.outputs.push_back(std::move(out_sim));
+  io_.outputs.clear();
+  io_.outputs.push_back(std::move(out_sim));
 
-  m.cycles = window;
-  for (u32 c = 0; c < n; ++c) {
-    Core& core = cluster.core(c);
+  m.cycles = window_;
+  m.step_wall_seconds = step_wall_;
+  m.fpu_timeline = std::move(timeline_);
+  for (u32 c = 0; c < cluster_.num_cores(); ++c) {
+    Core& core = cluster_.core(c);
     const CorePerf& p = core.perf();
     m.per_core.push_back(p);
-    m.core_busy.push_back(p.halted_at - t0 + 1);
+    m.core_busy.push_back(p.halted_at + 1);
     m.flops += p.flops;
     m.fpu_useful_ops += p.fpu_useful_ops;
     m.fp_instrs += p.fp_instrs;
@@ -209,112 +286,46 @@ RunMetrics finish_kernel(const CompiledKernel& ck, Cluster& cluster,
     m.icache_misses += core.icache().misses();
     m.icache_hits += core.icache().hits();
   }
-  Tcdm& tcdm = cluster.tcdm();
+  Tcdm& tcdm = cluster_.tcdm();
   m.tcdm_accesses = tcdm.total_accesses();
   m.tcdm_conflicts = tcdm.total_conflicts();
   for (u32 p = 0; p < tcdm.num_ports(); ++p) {
     m.tcdm_port_accesses.push_back(tcdm.port_accesses(p));
     m.tcdm_port_conflicts.push_back(tcdm.port_conflicts(p));
   }
-  m.dma_util = cluster.dma().bandwidth_utilization();
-  m.dma_bytes = cluster.dma().bytes_moved();
+  m.dma_util = cluster_.dma().bandwidth_utilization();
+  m.dma_bytes = cluster_.dma().bytes_moved();
 
   // Paper Table 1 invariant: the kernel performs exactly flops-per-point
   // FLOPs on every interior point.
   SARIS_CHECK(m.flops == static_cast<u64>(sc.flops_per_point()) *
                              sc.interior_points(),
-              sc.name << "/" << variant_name(ck.variant)
+              sc.name << "/" << variant_name(ck_.variant)
                       << ": FLOP count mismatch: " << m.flops);
   return m;
 }
 
 RunMetrics execute_kernel(const CompiledKernel& ck, Cluster& cluster,
                           const RunConfig& cfg, KernelIO& io,
-                          const Grid<>* golden_ext) {
-  const StencilCode& sc = ck.code;
+                          const Grid<>* golden) {
   // Tag this thread with the job's identity: every SARIS_LOG line, CHECK
   // failure, and context-filling SimError below carries it.
-  RunContextScope run_scope(sc.name, variant_name(ck.variant), cfg.seed);
-  check_artifact(ck, cluster, cfg, io);
-  const u32 n = cluster.num_cores();
-
-  // ---- stage tile data and programs (prologue transfers are not part of
-  // the measured compute window; the steady-state overlapped DMA below is)
-  stage_kernel(ck, cluster, io);
-
-  // ---- run with overlapped steady-state DMA ----
-  // Double buffering moves exactly one round of tile traffic (next input
-  // tile in, previous result out) per compute window, so that is what we
-  // overlap — its bank interference and measured bandwidth utilization
-  // feed the scale-out model.
-  Cycle t0 = cluster.now();
-  if (cfg.overlap_dma) {
-    for (const DmaJob& job : ck.overlap_jobs) cluster.dma().push(job);
-  }
-  FaultPlan* faults = cfg.faults;
-  const u32 gid = cluster.cluster_id();
-  if (faults) cluster.dma().set_faults(faults, gid);
-  std::vector<u32> timeline;
-  std::vector<u64> last_useful(n, 0);
-  auto wall0 = std::chrono::steady_clock::now();
-  u64 iters = 0;
-  while (!cluster.all_halted()) {
-    if (faults) {
-      // Fault hooks run at the cycle boundary, addressed by the cluster's
-      // own clock — deterministic whatever the host-side schedule.
-      const Cycle local = cluster.now();
-      if (faults->stall_due(gid, local)) {
-        SARIS_RAISE(SimErrc::kClusterStall, local,
-                    sc.name << "/" << variant_name(ck.variant)
-                            << ": injected stall wedged the cluster");
-      }
-      u64 payload = 0;
-      while (faults->take_bitflip(gid, local, &payload)) {
-        apply_tcdm_bitflip(ck, cluster, payload);
-      }
+  RunContextScope run_scope(ck.code.name, variant_name(ck.variant),
+                            cfg.seed);
+  KernelRun run(ck, cluster, cfg, io);
+  while (!run.done()) {
+    if (cluster.now() >= cfg.max_cycles) {
+      SARIS_RAISE(SimErrc::kMaxCyclesExceeded, cluster.now(),
+                  ck.code.name << "/" << variant_name(ck.variant)
+                               << ": kernel did not "
+                               << (run.halted() ? "drain its DMA" : "halt")
+                               << " within " << cfg.max_cycles << " cycles ("
+                               << cluster.now() << " elapsed)");
     }
     cluster.step();
-    if (cfg.record_timeline) {
-      timeline.push_back(count_active_fpu(cluster, last_useful));
-    }
-    if (cluster.now() - t0 >= cfg.max_cycles) {
-      SARIS_RAISE(SimErrc::kMaxCyclesExceeded, cluster.now() - t0,
-                  sc.name << "/" << variant_name(ck.variant)
-                          << ": kernel did not halt within " << cfg.max_cycles
-                          << " cycles (" << (cluster.now() - t0)
-                          << " elapsed)");
-    }
-    // Wall-clock watchdog, checked coarsely so the steady-state loop does
-    // not pay a clock read per cycle.
-    if (cfg.max_wall_seconds > 0 && (++iters & 0xFFF) == 0) {
-      double elapsed = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - wall0)
-                           .count();
-      if (elapsed > cfg.max_wall_seconds) {
-        SARIS_RAISE(SimErrc::kWallClockTimeout, cluster.now() - t0,
-                    sc.name << "/" << variant_name(ck.variant)
-                            << ": cycle loop exceeded the per-job wall-clock "
-                               "budget of "
-                            << cfg.max_wall_seconds << " s (" << elapsed
-                            << " s elapsed, " << (cluster.now() - t0)
-                            << " cycles simulated)");
-      }
-    }
+    run.after_step();
   }
-  Cycle window = cluster.now() - t0;
-  // Stop the wall clock with the compute window: `window` is the matching
-  // numerator for cycles-per-second, and the DMA drain tail below is not
-  // part of the measured loop.
-  double step_wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
-          .count();
-  cluster.run_until_dma_idle();
-
-  // ---- read back the result, verify, extract metrics ----
-  RunMetrics m = finish_kernel(ck, cluster, cfg, io, golden_ext, t0, window);
-  m.fpu_timeline = std::move(timeline);
-  m.step_wall_seconds = step_wall;
-  return m;
+  return run.finish(golden);
 }
 
 RunMetrics run_kernel_io(const StencilCode& sc, const RunConfig& cfg,

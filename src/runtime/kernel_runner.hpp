@@ -7,6 +7,11 @@
 //     cycle loop with steady-state DMA overlapped, verify against the
 //     golden reference, extract metrics.
 //
+// Both this single-cluster loop and the multi-cluster System loop
+// (system/system_runner.hpp) drive each cluster through one KernelRun,
+// which owns the per-cycle run semantics: fault hooks, the FPU-activity
+// timeline, the compute-window close and the wall-clock watchdog.
+//
 // run_kernel / run_kernel_io compose the two, fetching the compile artifact
 // through the process-wide PlanCache (runtime/plan_cache.hpp), so repeated
 // runs of one (code, variant, options, shape) cell — a sweep matrix, a
@@ -14,6 +19,9 @@
 // bit-identical to cold ones: the artifact is immutable and compilation is
 // deterministic.
 #pragma once
+
+#include <chrono>
+#include <vector>
 
 #include "cluster/cluster.hpp"
 #include "codegen/options.hpp"
@@ -36,17 +44,20 @@ struct RunConfig {
   u64 seed = 1;
   /// Hang guard: raise SimError(kMaxCyclesExceeded) — with the code,
   /// variant, and elapsed cycle count in the message — if the kernel has
-  /// not halted after this many cycles. Raise it for experiments that
-  /// legitimately run longer than the default.
+  /// not halted and drained its DMA after this many cycles. Raise it for
+  /// experiments that legitimately run longer than the default. A system
+  /// run budgets max_cycles × tiles for the whole run instead.
   Cycle max_cycles = 100'000'000;
-  /// Per-job wall-clock watchdog: when > 0, the cycle loop raises
-  /// SimError(kWallClockTimeout) once it has run for this many host
-  /// seconds. Checked every few thousand cycles, so granularity is coarse;
-  /// 0 (the default) disables it. This is the sweep harness's defense
-  /// against one pathological cell eating the whole sweep's budget.
+  /// Per-tile wall-clock watchdog: when > 0, the run raises
+  /// SimError(kWallClockTimeout) once it has spent this many host seconds
+  /// between staging and the DMA drain. Checked every 4096 cycles, so
+  /// granularity is coarse; 0 (the default) disables it. This is the sweep
+  /// harness's defense against one pathological cell eating the whole
+  /// sweep's budget. In a system run every tile has this budget, and a
+  /// timeout is a run-level error like any other.
   double max_wall_seconds = 0.0;
   /// Fault-injection plan (fault/fault_plan.hpp), not owned; the run's DMA
-  /// word traffic, cycle loop (stalls, TCDM bit flips), and verification
+  /// word traffic, fault hooks (stalls, TCDM bit flips), and verification
   /// consult it. Null — the default — is provably inert (bit-identity
   /// test-enforced).
   FaultPlan* faults = nullptr;
@@ -67,55 +78,87 @@ struct KernelIO {
   std::vector<Grid<double>> outputs;  ///< filled by the run (one grid)
 };
 
-/// Execute stage: stage `io` into `cluster`, load the artifact's programs,
-/// run the cycle loop with overlapped steady-state DMA, verify, and extract
-/// metrics. `cluster` must be at power-on state — freshly constructed or
-/// re-armed (Cluster::rearm), which are bit-identical — and shaped like the
-/// artifact (same core count and TCDM size); multi-step callers re-arm (or
-/// construct) a cluster per step and reuse one CompiledKernel. Staging is
-/// re-entrant: rearm + execute_kernel streams any number of kernels through
-/// one cluster. When `golden` is non-null it is used as the reference
-/// for verification instead of recomputing it from `io` (see
-/// reference_for_seed for the memoized seeded-random path).
+/// One kernel on one power-on cluster: the per-cluster run driver of both
+/// cycle loops (execute_kernel below and the System runner's after_tick).
+/// The constructor checks the artifact against `cluster`, `cfg` and `io`
+/// (kBadConfig), stages `io`, queues the overlap DMA at `arena_base` in
+/// main memory, binds cfg.faults (null detaches) with `tick_offset` as the
+/// plan cycle of the cluster's cycle 0, and applies the first cycle
+/// boundary's fault hooks. The caller, which owns the cycle budget, then
+/// alternates cluster.step() and after_step() until done() and calls
+/// finish() once. after_step() samples the FPU-activity timeline (when
+/// cfg.record_timeline), closes the compute window once every core has
+/// halted, and until the DMA has drained checks cfg.max_wall_seconds every
+/// 4096 cycles and applies the next boundary's fault hooks.
+class KernelRun {
+ public:
+  KernelRun(const CompiledKernel& ck, Cluster& cluster, const RunConfig& cfg,
+            KernelIO& io, u64 arena_base = 0, Cycle tick_offset = 0);
+
+  /// Book the step the cluster just took and run the next cycle boundary.
+  void after_step() {
+    if (!halted_) {
+      if (cfg_.record_timeline) sample_timeline();
+      if (cluster_.all_halted()) close_window();
+    }
+    if (halted_ && cluster_.dma().idle()) {
+      done_ = true;
+    } else if (watched_) {
+      boundary();
+    }
+  }
+
+  /// Every core has halted: the compute window is closed.
+  bool halted() const { return halted_; }
+  /// Halted and the DMA drained: the tile is complete; call finish().
+  bool done() const { return done_; }
+
+  /// Read back the output tile into io.outputs, verify it against `golden`
+  /// (computed from io when null and cfg.verify is set), and extract
+  /// RunMetrics. Raises kVerifyFailed, or kInjectedFault when a TCDM bit
+  /// flip of cfg.faults hit this cluster, on a miss beyond cfg.tolerance.
+  RunMetrics finish(const Grid<>* golden = nullptr);
+
+ private:
+  void sample_timeline();
+  void close_window();
+  void boundary();
+  void apply_fault_hooks();
+
+  const CompiledKernel& ck_;
+  Cluster& cluster_;
+  const RunConfig cfg_;
+  KernelIO& io_;
+  const Cycle tick_offset_;
+  /// Fault plan or watchdog armed: after_step runs boundary().
+  const bool watched_;
+  bool halted_ = false;
+  bool done_ = false;
+  Cycle window_ = 0;
+  std::vector<u32> timeline_;
+  std::vector<u64> last_useful_;  ///< per-core fpu_useful_ops at last sample
+  std::chrono::steady_clock::time_point wall0_;
+  double step_wall_ = 0.0;
+};
+
+/// Execute stage: run one KernelRun to completion, raising
+/// SimError(kMaxCyclesExceeded) if it is not done (halted and DMA drained)
+/// within cfg.max_cycles cycles. `cluster` must be at power-on state —
+/// freshly constructed or re-armed (Cluster::rearm), which are
+/// bit-identical; multi-step callers re-arm (or construct) a cluster per
+/// step and reuse one CompiledKernel. When `golden` is non-null it is used
+/// as the reference for verification instead of recomputing it from `io`
+/// (see reference_for_seed for the memoized seeded-random path).
 RunMetrics execute_kernel(const CompiledKernel& ck, Cluster& cluster,
                           const RunConfig& cfg, KernelIO& io,
                           const Grid<>* golden = nullptr);
 
-// ---- pieces of the execute stage, shared with the multi-cluster System
-// ---- path (system/system_runner.hpp), which stages G clusters, drives one
-// ---- interleaved cycle loop, and then finishes each cluster separately.
-
-/// Raise SimError(kBadConfig) unless `cluster` and `cfg` match the artifact
-/// (8 cores, TCDM size, variant, codegen options) and `io` has the
-/// code's input/coeff counts. A mismatch is a recoverable per-job error —
-/// a sweep cell with a bad user config fails typed, not the whole process.
-void check_artifact(const CompiledKernel& ck, Cluster& cluster,
-                    const RunConfig& cfg, const KernelIO& io);
-
 /// Stage `io` into the cluster's TCDM (inputs, zeroed output, per-core
-/// coefficients and SSR index vectors) and load the per-core programs.
+/// coefficients and SSR index vectors) and load the per-core programs,
+/// with no checks: KernelRun's constructor checks first. Exported for
+/// tests that stage a hand-compiled cell on a cluster of their own shape.
 void stage_kernel(const CompiledKernel& ck, Cluster& cluster,
                   const KernelIO& io);
-
-/// Flip one bit of a staged input word in the cluster's TCDM, addressed by
-/// a FaultPlan kTcdmBitFlip payload (fault/fault_plan.hpp). Used by both
-/// cycle loops (single-cluster below, System in system/system_runner.cpp).
-void apply_tcdm_bitflip(const CompiledKernel& ck, Cluster& cluster,
-                        u64 payload);
-
-/// One sample of the per-cycle FPU-activity timeline: the number of cores
-/// that issued a useful FPU op during the cluster's most recent step.
-/// `last_useful` carries per-core state across calls (size num_cores,
-/// zero-initialized).
-u32 count_active_fpu(Cluster& cluster, std::vector<u64>& last_useful);
-
-/// Finish a run on a halted, DMA-drained cluster: read back the output
-/// tile into io.outputs, verify against `golden` (computed from `io` when
-/// null and cfg.verify is set), and extract RunMetrics with `window` as the
-/// compute window.
-RunMetrics finish_kernel(const CompiledKernel& ck, Cluster& cluster,
-                         const RunConfig& cfg, KernelIO& io,
-                         const Grid<>* golden, Cycle t0, Cycle window);
 
 /// Run one time iteration of `sc` over caller-provided data (examples use
 /// this to step simulations); verification is against the golden reference

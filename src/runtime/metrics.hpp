@@ -38,8 +38,8 @@ struct RunMetrics {
   double max_rel_err = 0.0;
 
   // Host-side wall-clock time spent inside the compute-window cycle loop
-  // (codegen, staging, verification excluded) — the simulator-throughput
-  // numerator is `cycles / step_wall_seconds`.
+  // (codegen, staging, the DMA drain, verification excluded) — the
+  // simulator-throughput numerator is `cycles / step_wall_seconds`.
   double step_wall_seconds = 0.0;
 
   /// Optional per-cycle count of cores issuing useful FPU ops (filled when

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
+#include <optional>
 
 #include "common/log.hpp"
 #include "common/run_context.hpp"
@@ -90,14 +91,6 @@ namespace {
 /// no finite run can reach.
 constexpr Cycle kNotYet = ~Cycle{0};
 
-/// The artifact's overlap-DMA templates carry main-memory addresses
-/// relative to base 0; shift them into cluster g's arena.
-DmaJob offset_overlap_job(const DmaJob& tmpl, u64 arena_base) {
-  DmaJob j = tmpl;
-  j.mem_addr += arena_base;
-  return j;
-}
-
 }  // namespace
 
 SystemRunMetrics execute_system_kernel(const CompiledKernel& ck, System& sys,
@@ -133,12 +126,10 @@ SystemRunMetrics execute_system_kernel(const CompiledKernel& ck, System& sys,
     /// cycle — computed without reading the (batch-granular) system clock,
     /// which keeps every stamp bit-identical across batch sizes.
     Cycle ticks_base = 0;
-    Cycle window = kNotYet;  ///< current tile's halt, cluster-local
     bool finished = false;   ///< all tiles done; later ticks are no-ops
     u64 granted_base = 0;    ///< port granted_bytes at current tile start
     u64 denied_base = 0;     ///< port denied_grants at current tile start
-    std::vector<u64> last_useful;
-    std::vector<u32> timeline;
+    std::optional<KernelRun> run;  ///< the current tile
     /// Quarantine record: set (with finished) when a run-level SimError
     /// took this cluster out of the run.
     std::shared_ptr<const SimError> error;
@@ -160,55 +151,41 @@ SystemRunMetrics execute_system_kernel(const CompiledKernel& ck, System& sys,
 
   FaultPlan* const faults = cfg.run.faults;
 
+  // Stage tile t on cluster g: its KernelRun stages the data at the
+  // cluster's arena, binds the fault plan with the cluster's accumulated
+  // tick count (a re-armed cluster's clock restarts at 0, the plan's
+  // timeline must not) and applies the tile's first fault hooks.
   auto stage_tile = [&](u32 g, u32 t) {
-    Cluster& cl = sys.cluster(g);
+    TileState& ts = st[g];
+    RunConfig tile_cfg = cfg.run;
+    tile_cfg.seed = system_tile_seed(cfg.run.seed, g, t);
     // Tag the owning thread with the (cluster, tile)'s identity for the
-    // duration of staging — check_artifact raises carry it, and any CHECK
-    // or log line names the shard that produced it.
-    RunContextScope scope(sc.name, variant_name(ck.variant),
-                          system_tile_seed(cfg.run.seed, g, t), g);
-    const KernelIO& io = ios[static_cast<std::size_t>(g) * tiles + t];
-    check_artifact(ck, cl, cfg.run, io);
-    stage_kernel(ck, cl, io);
-    if (cfg.run.overlap_dma) {
-      for (const DmaJob& tmpl : ck.overlap_jobs) {
-        cl.dma().push(offset_overlap_job(tmpl, sys.arena_base(g)));
-      }
-    }
-    // Rebind the fault plan with the cluster's accumulated tick count: the
-    // re-armed cluster's clock restarts at 0, the plan's timeline must not.
-    if (faults) cl.dma().set_faults(faults, g, st[g].ticks_base);
-    sm.tiles_start[g][t] = st[g].ticks_base;
+    // duration of staging, so a raise or log line names the shard.
+    RunContextScope scope(sc.name, variant_name(ck.variant), tile_cfg.seed,
+                          g);
+    ts.run.emplace(ck, sys.cluster(g), tile_cfg,
+                   ios[static_cast<std::size_t>(g) * tiles + t],
+                   sys.arena_base(g), ts.ticks_base);
+    sm.tiles_start[g][t] = ts.ticks_base;
   };
 
-  // Completion step for cluster g's current tile: when the cluster has
-  // both halted and drained, finish the tile (verify + extract metrics,
-  // including the flop-count invariant — a degenerate artifact fails here
-  // loudly instead of producing silently zeroed, unverified metrics), then
-  // re-arm + restage the next tile or retire the cluster. Runs on the
-  // worker that owns g; touches only cluster-g state (and this cluster's
-  // slots of the metrics matrices). Returns true when a tile was finished
-  // (callers loop: the restaged tile could itself be trivially done).
-  auto try_complete = [&](u32 g) -> bool {
+  // Completion step for cluster g's current tile, once it has halted and
+  // drained: finish the tile (verify + extract metrics, including the
+  // flop-count invariant), then re-arm + restage the next tile or retire
+  // the cluster. Runs on the worker that owns g; touches only cluster-g
+  // state (and this cluster's slots of the metrics matrices).
+  auto complete = [&](u32 g) {
     TileState& ts = st[g];
     Cluster& cl = sys.cluster(g);
-    if (ts.window == kNotYet && cl.all_halted()) ts.window = cl.now();
-    if (ts.window == kNotYet || !cl.dma().idle()) return false;
-
     const u32 t = ts.cur_tile;
     const std::size_t idx = static_cast<std::size_t>(g) * tiles + t;
-    const Grid<>* golden = goldens.empty() ? nullptr : goldens[idx];
     // Finish under this tile's own seed so a verification failure's
     // diagnostic (and typed error context) names the seed that reproduces
     // the shard, not cluster 0's base seed.
-    RunConfig tile_cfg = cfg.run;
-    tile_cfg.seed = system_tile_seed(cfg.run.seed, g, t);
-    RunContextScope scope(sc.name, variant_name(ck.variant), tile_cfg.seed, g);
-    RunMetrics m = finish_kernel(ck, cl, tile_cfg, ios[idx], golden,
-                                 /*t0=*/0, ts.window);
-    m.fpu_timeline = std::move(ts.timeline);
-    ts.timeline.clear();
-    sm.tiles_window[g][t] = ts.window;
+    RunContextScope scope(sc.name, variant_name(ck.variant),
+                          system_tile_seed(cfg.run.seed, g, t), g);
+    RunMetrics m = ts.run->finish(goldens.empty() ? nullptr : goldens[idx]);
+    sm.tiles_window[g][t] = m.cycles;
     sm.tiles_latency[g][t] = cl.now();
     sm.tiles_done_sys[g][t] = ts.ticks_base + cl.now();
     const u64 granted = sys.hbm().port(g).granted_bytes();
@@ -219,16 +196,13 @@ SystemRunMetrics execute_system_kernel(const CompiledKernel& ck, System& sys,
     if (t + 1 < tiles) {
       ts.ticks_base += cl.now();
       ts.cur_tile = t + 1;
-      ts.window = kNotYet;
       ts.granted_base = granted;
       ts.denied_base = denied;
-      std::fill(ts.last_useful.begin(), ts.last_useful.end(), 0);
       cl.rearm();
       stage_tile(g, t + 1);
     } else {
       ts.finished = true;
     }
-    return true;
   };
 
   // Quarantine: a run-level SimError on cluster g retires it mid-run — it
@@ -257,78 +231,46 @@ SystemRunMetrics execute_system_kernel(const CompiledKernel& ck, System& sys,
   // ---- stage tile 0 everywhere ----
   // rearm() first: staging is re-entrant on a power-on cluster, whether it
   // was freshly constructed (rearm is then the identity) or carries a
-  // previous run's state — the old "must be freshly constructed" check is
-  // gone with it. The frontend resets too, so a reused System's grant
-  // schedule and statistics are bit-identical to a fresh one's. A cluster
-  // that is already done before its first tick (degenerate artifact) would
-  // never reach after_tick; drain it through the same completion step so
-  // its tiles get real (zero-cycle) stamps, full metric extraction, and
-  // verification instead of leaking the not-yet sentinel.
+  // previous run's state. The frontend resets too, so a reused System's
+  // grant schedule and statistics are bit-identical to a fresh one's.
   sys.hbm().reset();
   sys.hbm().set_fault_plan(faults);
   if (faults) faults->rewind();
   for (u32 g = 0; g < g_count; ++g) {
-    Cluster& cl = sys.cluster(g);
-    cl.rearm();
-    // Unconditional rebind: null detaches any plan a previous run on this
-    // reused System left behind (preserving the faults-off bit-identity
-    // contract); non-null arms this run's plan from cycle 0.
-    cl.dma().set_faults(faults, g);
-    st[g].last_useful.assign(ck.n_cores, 0);
+    sys.cluster(g).rearm();
     st[g].granted_base = sys.hbm().port(g).granted_bytes();
     st[g].denied_base = sys.hbm().port(g).denied_grants();
     try {
       stage_tile(g, 0);
-      while (!st[g].finished && try_complete(g)) {
-      }
     } catch (const SimError& e) {
       quarantine(g, e);
     }
   }
 
   // ---- interleaved cycle loop ----
-  // Per-cluster, per-tile completion has two stages, mirroring
-  // execute_kernel's "run until halted, then drain the DMA": the compute
-  // window closes at the cluster's own last halt, and the cluster keeps
-  // ticking (DMA drain only) until its engine idles — that drain still
-  // contends for HBM bandwidth, which is exactly why it is part of the
-  // simulated tile latency. The moment a tile drains, the same after_tick
-  // invocation finishes it (verify + metrics), re-arms the cluster, and
-  // stages the next tile, so the next system cycle already ticks the new
-  // tile — reloads overlap with every other cluster's progress.
+  // Each cluster's KernelRun closes the tile's compute window at its own
+  // last halt and keeps it ticking (DMA drain only) until its engine idles
+  // — that drain still contends for HBM bandwidth, which is exactly why it
+  // is part of the simulated tile latency. The moment a tile drains, the
+  // same after_tick invocation finishes it (verify + metrics), re-arms the
+  // cluster, and stages the next tile, so the next system cycle already
+  // ticks the new tile — reloads overlap with every other cluster's
+  // progress.
   auto done = [&](u32 g) { return st[g].finished; };
   auto may_spawn_dma = [&](u32 g) {
     return !st[g].finished && st[g].cur_tile + 1 < tiles;
   };
   // after_tick runs on worker threads under run_until's no-escaping-
-  // exceptions contract: every run-level SimError of this cluster — the
-  // fault hooks' raises, a verify miss or flop-invariant breach inside
-  // try_complete, a bad restage — is caught here and resolved as a
+  // exceptions contract: every run-level SimError of this cluster — a fault
+  // hook's raise, the wall-clock watchdog, a verify miss or flop-invariant
+  // breach in complete, a bad restage — is caught here and resolved as a
   // quarantine; only the policy decides later whether it surfaces.
   auto after_tick = [&](u32 g) {
     TileState& ts = st[g];
     if (ts.finished) return;  // trailing ticks of a batched boundary
     try {
-      if (faults) {
-        // Fault hooks, addressed by the cluster's own accumulated tick
-        // count — batch- and thread-schedule-independent.
-        const Cycle sys_now = ts.ticks_base + sys.cluster(g).now();
-        if (faults->stall_due(g, sys_now)) {
-          SARIS_RAISE(SimErrc::kClusterStall, sys_now,
-                      sc.name << "/" << variant_name(ck.variant)
-                              << ": injected stall wedged cluster " << g);
-        }
-        u64 payload = 0;
-        while (faults->take_bitflip(g, sys_now, &payload)) {
-          apply_tcdm_bitflip(ck, sys.cluster(g), payload);
-        }
-      }
-      if (ts.window == kNotYet && cfg.run.record_timeline) {
-        ts.timeline.push_back(
-            count_active_fpu(sys.cluster(g), ts.last_useful));
-      }
-      while (!ts.finished && try_complete(g)) {
-      }
+      ts.run->after_step();
+      if (ts.run->done()) complete(g);
     } catch (const SimError& e) {
       quarantine(g, e);
     }

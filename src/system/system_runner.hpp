@@ -18,6 +18,13 @@
 // the paper's sustained steady-state contention instead of one tile's
 // transient.
 //
+// Every cluster runs each tile through its own KernelRun
+// (runtime/kernel_runner.hpp), the driver execute_kernel loops too, so the
+// fault hooks, FPU timeline, compute-window close and wall-clock watchdog
+// behave as in a single-cluster run. Two budgets guard a system run: the
+// hang guard, run.max_cycles × tiles system cycles for the whole run, and
+// the wall-clock watchdog, run.max_wall_seconds for each tile.
+//
 // Contracts (tests/test_system.cpp):
 //  - clusters = 1 is bit-identical to the single-cluster run_kernel path
 //    (same seed, same artifact, same cycle-for-cycle schedule), and every
@@ -27,7 +34,8 @@
 //    to serial ticking for any G and T;
 //  - batch > 1 (batched-barrier ticking) is bit-identical to batch = 1.
 // Fault handling: a run-level SimError on one cluster (injected stall,
-// verify miss, bad staging) does not tear the system run down. Under the
+// verify miss, wall-clock timeout, bad staging) does not tear the system
+// run down. Under the
 // default kQuarantine policy the faulted cluster is quarantined mid-run —
 // it stops ticking, its HBM demand is forced off so its bandwidth share
 // flows to the survivors, and its remaining tiles are abandoned — while
@@ -57,10 +65,13 @@ enum class SystemFaultPolicy {
 struct SystemRunConfig {
   u32 clusters = 1;  ///< G: tile-grid shards running concurrently
   /// Per-cluster run configuration (variant, codegen options, cluster
-  /// shape, seed, verification, hang guard). seed seeds cluster 0's first
+  /// shape, seed, verification, budgets). seed seeds cluster 0's first
   /// tile; tile t of cluster g uses system_tile_seed(seed, g, t). The hang
   /// guard (run.max_cycles) budgets each tile round: the whole run must
-  /// finish within run.max_cycles * tiles.
+  /// finish within run.max_cycles * tiles system cycles, or it raises
+  /// kMaxCyclesExceeded. The wall-clock watchdog (run.max_wall_seconds)
+  /// budgets each tile; a tile that exceeds it raises kWallClockTimeout,
+  /// handled per on_error like any run-level error.
   RunConfig run{};
   HbmConfig hbm{};
   /// Arbitrate shared-memory bandwidth (see SystemConfig::hbm_limit; forced
@@ -107,7 +118,8 @@ struct SystemRunMetrics {
   // ---- per-(cluster, tile) matrix, [g][t] ----
   u32 tiles = 1;
   /// Full RunMetrics per tile (tile t of cluster g verified against its
-  /// own seed's golden reference).
+  /// own seed's golden reference). A tile's step_wall_seconds spans its
+  /// staging to its halt, other clusters' ticks included.
   std::vector<std::vector<RunMetrics>> tiles_metrics;
   /// Cluster-local compute window of each tile (staging -> own halt).
   std::vector<std::vector<Cycle>> tiles_window;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/run_context.hpp"
@@ -40,6 +41,17 @@ SimError expect_sim_error(Fn&& fn, SimErrc errc, const std::string& needle) {
 /// A bit-flip payload for a single-input code: word index into the staged
 /// input tile in the high bits, flipped bit index in the low 6.
 u64 bitflip_payload(u64 word, u32 bit) { return (word << 6) | bit; }
+
+/// The seeded-random inputs run_kernel stages for (sc, seed).
+KernelIO seeded_io(const StencilCode& sc, u64 seed) {
+  KernelIO io;
+  for (u32 i = 0; i < sc.n_inputs; ++i) {
+    io.inputs.emplace_back(sc.tile_nx, sc.tile_ny, sc.tile_nz);
+    io.inputs.back().fill_random(seed + i);
+  }
+  io.coeffs = sc.default_coeffs();
+  return io;
+}
 
 // ---- FaultPlan determinism ---------------------------------------------
 
@@ -171,6 +183,38 @@ TEST(FaultBitIdentity, NullAndEmptyPlansMatchSystemRun) {
     }
   }
   EXPECT_TRUE(empty.trace().empty());
+}
+
+TEST(FaultBitIdentity, PlanlessRunAfterAFaultedOneMatchesAFreshCluster) {
+  // Cluster::rearm's contract: a re-armed cluster is bit-identical to a
+  // fresh one. Every run binds its own plan, so a run without one must not
+  // keep consulting the plan of the run before it.
+  const StencilCode& sc = code_by_name("jacobi_2d");
+  RunConfig cfg;
+  cfg.variant = KernelVariant::kSaris;
+  const CompiledKernel ck =
+      compile_kernel(sc, cfg.variant, cfg.cg, cfg.cluster.num_cores);
+
+  FaultPlan plan;
+  plan.add({FaultKind::kDmaWordError, 0, 1, 4000, 0, 1});
+  RunConfig faulty = cfg;
+  faulty.faults = &plan;
+  Cluster reused(cfg.cluster);
+  KernelIO io = seeded_io(sc, cfg.seed);
+  execute_kernel(ck, reused, faulty, io);
+  EXPECT_GT(plan.denied_words(0), 0u);
+
+  reused.rearm();
+  plan.rewind();
+  io = seeded_io(sc, cfg.seed);
+  RunMetrics again = execute_kernel(ck, reused, cfg, io);
+  EXPECT_EQ(plan.denied_words(0), 0u);
+
+  Cluster fresh(cfg.cluster);
+  io = seeded_io(sc, cfg.seed);
+  RunMetrics ref = execute_kernel(ck, fresh, cfg, io);
+  std::string why;
+  EXPECT_TRUE(metrics_bit_identical(again, ref, &why)) << why;
 }
 
 // ---- single-cluster fault effects --------------------------------------
@@ -449,6 +493,79 @@ TEST(FaultSystem, HbmThrottleStarvesBandwidthButCompletesTheRun) {
   EXPECT_EQ(m.tiles_ok, cfg.clusters * cfg.tiles);
   EXPECT_GT(m.cycles, base.cycles);
   EXPECT_GT(m.hbm_denied_grants, base.hbm_denied_grants);
+}
+
+TEST(FaultSystem, WallClockBudgetIsPerTileAndRunLevel) {
+  // Every tile of a system run has the run's wall-clock budget, and a
+  // timeout is a run-level error: quarantined, or rethrown under kRaise.
+  SystemRunConfig cfg;
+  cfg.clusters = 2;
+  cfg.tiles = 2;
+  cfg.run.variant = KernelVariant::kBase;  // long enough to hit the check
+  cfg.run.max_wall_seconds = 1e-9;
+  const StencilCode& sc = code_by_name("ac_iso_cd");
+  SystemRunMetrics sm = run_system_kernel(sc, cfg);
+  EXPECT_EQ(sm.healthy_clusters(), 0u);
+  EXPECT_EQ(sm.tiles_ok, 0u);
+  ASSERT_EQ(sm.error_codes.size(), 2u);
+  for (u32 g = 0; g < 2; ++g) {
+    EXPECT_EQ(sm.quarantined[g], 1) << "g=" << g;
+    EXPECT_EQ(sm.error_codes[g], SimErrc::kWallClockTimeout) << "g=" << g;
+  }
+
+  cfg.on_error = SystemFaultPolicy::kRaise;
+  SimError e = expect_sim_error([&] { run_system_kernel(sc, cfg); },
+                                SimErrc::kWallClockTimeout, "wall");
+  EXPECT_EQ(e.cluster(), 0);
+  EXPECT_TRUE(e.retryable());
+}
+
+TEST(FaultSystem, OneClusterRunFollowsRunKernelHookSchedule) {
+  // The fault hooks run at every cycle boundary from staging until the DMA
+  // drains, in run_kernel and in a system run alike.
+  const StencilCode& sc = code_by_name("jacobi_2d");
+  RunConfig rcfg;
+  rcfg.variant = KernelVariant::kSaris;
+  SystemRunConfig scfg;
+  scfg.run = rcfg;
+  scfg.on_error = SystemFaultPolicy::kRaise;
+  const FaultEvent word_errors{FaultKind::kDmaWordError, 0, 1, 2600, 0, 1};
+
+  // Premise: under these word errors the DMA drains long after the halt.
+  {
+    FaultPlan plan;
+    plan.add(word_errors);
+    SystemRunConfig s = scfg;
+    s.run.faults = &plan;
+    SystemRunMetrics sm = run_system_kernel(sc, s);
+    EXPECT_EQ(sm.tiles_window[0][0], 2682u);
+    EXPECT_EQ(sm.tiles_latency[0][0], 3746u);
+  }
+
+  // The cycle each path raises a stall at `stall` from, after `events`.
+  auto raise_cycles = [&](Cycle stall, std::vector<FaultEvent> events) {
+    events.push_back({FaultKind::kClusterStall, 0, stall, 1, 0, 1});
+    FaultPlan solo_plan;
+    FaultPlan sys_plan;
+    for (const FaultEvent& ev : events) {
+      solo_plan.add(ev);
+      sys_plan.add(ev);
+    }
+    RunConfig r = rcfg;
+    r.faults = &solo_plan;
+    SystemRunConfig s = scfg;
+    s.run.faults = &sys_plan;
+    const SimError solo = expect_sim_error([&] { run_kernel(sc, r); },
+                                           SimErrc::kClusterStall, "stall");
+    const SimError sys = expect_sim_error(
+        [&] { run_system_kernel(sc, s); }, SimErrc::kClusterStall, "stall");
+    return std::pair<Cycle, Cycle>(solo.cycle(), sys.cycle());
+  };
+  // At staging, before the first step.
+  EXPECT_EQ(raise_cycles(0, {}), (std::pair<Cycle, Cycle>(0, 0)));
+  // In the DMA drain, between the halt at 2682 and the drain at 3746.
+  EXPECT_EQ(raise_cycles(3214, {word_errors}),
+            (std::pair<Cycle, Cycle>(3214, 3214)));
 }
 
 TEST(FaultSystem, StormTraceAndMetricsMatchSerialVsParallel) {
