@@ -35,12 +35,6 @@ Cluster& System::cluster(u32 g) {
   return *clusters_[g];
 }
 
-void System::step() {
-  hbm_->begin_cycle();
-  for (auto& c : clusters_) c->step();
-  ++now_;
-}
-
 Cycle System::run_until(const std::function<bool(u32)>& done, u32 threads,
                         Cycle max_cycles, const std::string& label,
                         const std::function<void(u32)>& after_tick,

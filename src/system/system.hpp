@@ -9,11 +9,11 @@
 //
 // Cycle protocol: every system cycle starts at a serial point
 // (HbmFrontend::begin_cycle — HBM word credits dealt round-robin across
-// demanding clusters in cluster-id order), then all clusters tick. step()
-// does this serially; run_until() optionally fans the cluster ticks across
-// worker threads with a per-cycle barrier whose completion step is the
-// serial point — grant order is fixed by cluster id either way, so parallel
-// results are bit-identical to serial (tests/test_system.cpp enforces it).
+// demanding clusters in cluster-id order), then all clusters tick.
+// run_until() ticks them serially or fans the ticks across worker threads
+// with a per-cycle barrier whose completion step is the serial point —
+// grant order is fixed by cluster id either way, so parallel results are
+// bit-identical to serial (tests/test_system.cpp enforces it).
 //
 // A 1-cluster System forces the frontend into pass-through mode, preserving
 // the contract that a simulated 1-cluster run is bit-identical to the
@@ -57,11 +57,6 @@ class System {
   u64 arena_base(u32 g) const { return static_cast<u64>(g) * cfg_.arena_bytes; }
   u64 arena_bytes() const { return cfg_.arena_bytes; }
   Cycle now() const { return now_; }
-
-  /// Advance one cycle serially: HBM credit refresh, then every cluster in
-  /// id order (hand-stepping/test convenience; the run path below skips
-  /// clusters that are already done).
-  void step();
 
   /// Advance cycles until done(g) holds for every cluster; a cluster is
   /// ticked only while its own done(g) is false (and done is re-evaluated
