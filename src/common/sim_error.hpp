@@ -29,10 +29,10 @@ enum class SimErrc : u8 {
   /// Verification miss beyond RunConfig::tolerance. Retryable: on real
   /// hardware (and under fault injection) data corruption is transient.
   kVerifyFailed,
-  /// The kernel did not halt within RunConfig::max_cycles. Deterministic —
-  /// a retry replays the same schedule — so not retryable.
+  /// The kernel did not halt and drain its DMA within RunConfig::max_cycles.
+  /// Deterministic — a retry replays the same schedule — so not retryable.
   kMaxCyclesExceeded,
-  /// The per-job wall-clock watchdog fired (RunConfig::max_wall_seconds).
+  /// The per-tile wall-clock watchdog fired (RunConfig::max_wall_seconds).
   /// Retryable: host load, not simulated behavior, sets the wall clock.
   kWallClockTimeout,
   /// Bad user configuration or geometry (wrong input/coeff counts, artifact
