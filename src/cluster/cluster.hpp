@@ -71,8 +71,8 @@ class Cluster {
   /// chunks behind it — overlap-DMA writes may linger there; nothing in the
   /// pipeline reads them back). Contract:
   /// a re-armed cluster is bit-identical to a freshly constructed one —
-  /// run the next kernel (KernelRun, runtime/kernel_runner.hpp) and every
-  /// simulated result and performance counter matches a fresh cluster's (tests/test_cluster.cpp,
+  /// run the next kernel through KernelRun and every simulated result and
+  /// performance counter matches a fresh cluster's (tests/test_cluster.cpp,
   /// tests/test_system.cpp enforce this). Must be called between kernels
   /// (not with cores mid-flight); any cycle state is simply discarded.
   void rearm();

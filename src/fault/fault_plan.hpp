@@ -5,10 +5,10 @@
 // points of the cycle loop, so the same plan produces bit-identical fault
 // behavior across serial, parallel, and batched System ticking (the trace
 // is test-enforced). The stall and bit-flip hooks run in KernelRun
-// (runtime/kernel_runner.hpp) at every cycle boundary of a tile, from its
-// staging until its DMA drains, in the single-cluster and System loops
-// alike; the DMA consults its word-error windows on every tick. Four fault kinds cover the failure modes the paper's
-// machine would see in production:
+// (runtime/kernel_runner.hpp) at every cycle boundary from staging until
+// the DMA drains, in the single-cluster and System loops alike. Four fault
+// kinds cover the failure modes the paper's machine would see in
+// production:
 //
 //  - kHbmThrottle: for `duration` system cycles the HBM frontend deals only
 //    `payload`% of its word-grant budget (0 = blackout: a denied-grant

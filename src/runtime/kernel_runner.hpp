@@ -78,8 +78,8 @@ struct KernelIO {
   std::vector<Grid<double>> outputs;  ///< filled by the run (one grid)
 };
 
-/// One kernel on one power-on cluster: the per-cluster run driver of both
-/// cycle loops (execute_kernel below and the System runner's after_tick).
+/// One kernel on one power-on cluster: the per-cluster run that both cycle
+/// loops step (execute_kernel below and the System runner's after_tick).
 /// The constructor checks the artifact against `cluster`, `cfg` and `io`
 /// (kBadConfig), stages `io`, queues the overlap DMA at `arena_base` in
 /// main memory, binds cfg.faults (null detaches) with `tick_offset` as the

@@ -19,7 +19,7 @@
 // transient.
 //
 // Every cluster runs each tile through its own KernelRun
-// (runtime/kernel_runner.hpp), the driver execute_kernel loops too, so the
+// (runtime/kernel_runner.hpp), the class execute_kernel loops too, so the
 // fault hooks, FPU timeline, compute-window close and wall-clock watchdog
 // behave as in a single-cluster run. Two budgets guard a system run: the
 // hang guard, run.max_cycles × tiles system cycles for the whole run, and
@@ -35,14 +35,14 @@
 //  - batch > 1 (batched-barrier ticking) is bit-identical to batch = 1.
 // Fault handling: a run-level SimError on one cluster (injected stall,
 // verify miss, wall-clock timeout, bad staging) does not tear the system
-// run down. Under the
-// default kQuarantine policy the faulted cluster is quarantined mid-run —
-// it stops ticking, its HBM demand is forced off so its bandwidth share
-// flows to the survivors, and its remaining tiles are abandoned — while
-// every other cluster finishes its tile queue; SystemRunMetrics then
-// reports the degraded shard set (quarantined flags, per-cluster errors,
-// tiles_ok). kRaise instead rethrows the first faulted cluster's error
-// (in cluster-id order, deterministically) after the survivors finish.
+// run down. Under the default kQuarantine policy the faulted cluster is
+// quarantined mid-run — it stops ticking, its HBM demand is forced off so
+// its bandwidth share flows to the survivors, and its remaining tiles are
+// abandoned — while every other cluster finishes its tile queue;
+// SystemRunMetrics then reports the degraded shard set (quarantined flags,
+// per-cluster errors, tiles_ok). kRaise instead rethrows the first faulted
+// cluster's error (in cluster-id order, deterministically) after the
+// survivors finish.
 #pragma once
 
 #include <memory>
