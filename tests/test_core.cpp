@@ -260,6 +260,61 @@ TEST(Core, FpuQueueBackpressuresFetch) {
   EXPECT_GT(cl.core(0).perf().stall_fpu_queue_full, 0u);
 }
 
+// The FPU-side conservation sum: one counter per FPU tick.
+u64 fpu_side_sum(const CorePerf& p) {
+  return p.fp_instrs + p.fpu_stall_operand + p.fpu_stall_sr_empty +
+         p.fpu_stall_sr_full + p.fpu_stall_mem + p.fpu_idle_empty;
+}
+
+TEST(Core, WriteStreamBackpressureStallsIssueOnFullFifo) {
+  // No generated kernel fills a write lane's FIFO. Here core 0 streams 32
+  // results through lane 2 to addresses 256 bytes apart, all in TCDM bank
+  // 0, while core 1 hammers the same bank with 48 flds, so the lane drains
+  // slower than FREP feeds it and the FPU stalls on the full FIFO.
+  Cluster cl;
+  ProgramBuilder w;
+  w.li(x(5), 32);
+  w.scfgwi(x(5), 2, kSsrBound0);
+  w.li(x(5), 256);
+  w.scfgwi(x(5), 2, kSsrStride0);
+  w.li(x(5), 4096);
+  w.scfgwi(x(5), 2, kSsrLaunchWrite);
+  w.ssr_enable();
+  w.li(x(6), 32);
+  w.frep(x(6), 1);
+  w.fmv_d(kFt2, f(4));
+  w.ssr_disable();
+  w.halt();
+  ProgramBuilder l;
+  l.li(x(5), 8192);
+  for (i32 i = 0; i < 48; ++i) l.fld(f(4 + i % 8), x(5), 256 * (i % 8));
+  l.halt();
+  for (u32 c = 2; c < cl.num_cores(); ++c) {
+    ProgramBuilder b;
+    b.halt();
+    cl.core(c).load_program(b.build());
+  }
+  cl.core(0).load_program(w.build());
+  cl.core(0).set_freg(4, 1.5);
+  cl.core(1).load_program(l.build());
+  const Cycle cycles = cl.run_until_halted(100000);
+
+  const CorePerf& p0 = cl.core(0).perf();
+  const CorePerf& p1 = cl.core(1).perf();
+  EXPECT_EQ(cycles, 128u);
+  EXPECT_EQ(p0.fp_instrs, 32u);
+  EXPECT_EQ(p0.fpu_stall_sr_full, 17u);
+  EXPECT_EQ(p0.fpu_idle_empty, 79u);
+  EXPECT_EQ(p1.fp_instrs, 48u);
+  EXPECT_EQ(p1.fpu_stall_mem, 17u);
+  EXPECT_EQ(cl.tcdm().total_conflicts(), 42u);
+  EXPECT_EQ(fpu_side_sum(p0), cycles);
+  EXPECT_EQ(fpu_side_sum(p1), cycles);
+  for (u32 i = 0; i < 32; ++i) {
+    EXPECT_DOUBLE_EQ(cl.tcdm().host_read_f64(4096 + 256 * i), 1.5) << i;
+  }
+}
+
 TEST(Core, ResetClearsState) {
   Cluster cl;
   ProgramBuilder b;
