@@ -70,9 +70,12 @@ struct QueuedOp {
   u32 pc = 0;
 };
 
+/// An issued op. As in FpSubsystem, whether its result goes to a write
+/// stream is decided at issue, with the FIFO reservation.
 struct InflightOp {
-  QueuedOp op;
   Cycle done_at = 0;
+  FReg freg{};
+  bool to_sr = false;
 };
 
 /// FrepSequencer mirror that carries pcs through capture/replay. The
@@ -373,10 +376,8 @@ class CoreModel {
 
     for (std::size_t i = 0; i < pipe_.size();) {
       if (pipe_[i].done_at <= now) {
-        const QueuedOp& fin = pipe_[i].op;
-        if (ssr_enabled_ && is_ssr_reg(fin.in.frd) &&
-            lanes_[ssr_lane_of(fin.in.frd)].is_write()) {
-          LaneModel& l = lanes_[ssr_lane_of(fin.in.frd)];
+        if (pipe_[i].to_sr) {
+          LaneModel& l = lanes_[ssr_lane_of(pipe_[i].freg)];
           --l.reserved;
           ++l.wfifo;
         }
@@ -468,7 +469,7 @@ class CoreModel {
     } else {
       freg_ready_[in.frd.idx] = now + lat;
     }
-    pipe_.push_back(InflightOp{head, now + lat});
+    pipe_.push_back(InflightOp{now + lat, in.frd, dst_is_sr});
     queue_.pop_front();
     ++perf.fp_instrs;
     perf.fpu_useful_ops += is_useful_fpu_op(in.op) ? 1 : 0;

@@ -24,10 +24,17 @@ class FixedQueue {
   std::size_t capacity() const { return buf_.size(); }
   std::size_t space() const { return buf_.size() - size_; }
 
-  void push(const T& v) {
+  void push(const T& v) { push_slot() = v; }
+
+  /// Append an element and return it, for the caller to fill in place. The
+  /// slot still holds what it last held, so the caller sets every field.
+  /// Building a record elsewhere and copying it in can stall the host on
+  /// store forwarding at every push.
+  T& push_slot() {
     SARIS_CHECK(!full(), "push to full queue (cap=" << buf_.size() << ")");
-    buf_[wrap(head_ + size_)] = v;
+    T& slot = buf_[wrap(head_ + size_)];
     ++size_;
+    return slot;
   }
 
   const T& front() const {

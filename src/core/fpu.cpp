@@ -71,7 +71,13 @@ void FpSubsystem::tick(Cycle now) {
 
   // ---- retire finished arithmetic ----
   while (!pipe_.empty() && pipe_.front().done_at <= now) {
-    writeback(pipe_.pop(), now);
+    const Inflight& fin = pipe_.front();
+    if (fin.to_sr) {
+      ssr_.lane(ssr_lane_of(fin.freg)).push(fin.result);
+    } else {
+      fregs_[fin.freg.idx] = fin.result;
+    }
+    pipe_.pop();
   }
 
   // ---- issue at most one instruction, in order ----
@@ -157,21 +163,15 @@ void FpSubsystem::tick(Cycle now) {
   }
   SARIS_CHECK(pipe_.empty() || pipe_.back().done_at <= now + lat,
               "FPU op would complete before an earlier-issued one");
-  pipe_.push(Inflight{in, now + lat, r});
+  Inflight& fin = pipe_.push_slot();
+  fin.done_at = now + lat;
+  fin.result = r;
+  fin.freg = in.frd;
+  fin.to_sr = dst_is_sr;
   queue_.pop();
   ++perf_.fp_instrs;
   perf_.fpu_useful_ops += is_useful_fpu_op(in.op) ? 1 : 0;
   perf_.flops += flops_of(in.op);
-}
-
-void FpSubsystem::writeback(const Inflight& fin, Cycle /*now*/) {
-  const Instr& in = fin.in;
-  if (ssr_.enabled() && is_ssr_reg(in.frd) &&
-      ssr_.lane(ssr_lane_of(in.frd)).is_write_stream()) {
-    ssr_.lane(ssr_lane_of(in.frd)).push(fin.result);
-  } else {
-    fregs_[in.frd.idx] = fin.result;
-  }
 }
 
 bool FpSubsystem::drained() const {

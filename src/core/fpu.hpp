@@ -62,10 +62,14 @@ class FpSubsystem {
   }
 
  private:
+  /// An issued op: its result and where it goes. The destination is
+  /// decided at issue, where a stream destination reserves its FIFO slot,
+  /// so toggling SSR while the op is in flight does not re-route it.
   struct Inflight {
-    Instr in;
     Cycle done_at = 0;
     double result = 0.0;
+    FReg freg{};
+    bool to_sr = false;  ///< push to freg's write lane, not the register file
   };
 
   bool operands_ready(const Instr& in, Cycle now) const;
@@ -74,7 +78,6 @@ class FpSubsystem {
   /// order.
   std::array<double, 3> read_sources(const Instr& in);
   bool src_ready(FReg r, Cycle now) const;
-  void writeback(const Inflight& fin, Cycle now);
 
   Tcdm& tcdm_;
   SsrUnit& ssr_;

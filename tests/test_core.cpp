@@ -2,6 +2,8 @@
 // offload behaviour, FP load/store, SSR register mapping, halt draining.
 #include <gtest/gtest.h>
 
+#include "analysis/cost.hpp"
+#include "analysis/verifier.hpp"
 #include "cluster/cluster.hpp"
 #include "isa/builder.hpp"
 #include "ssr/ssr_config.hpp"
@@ -313,6 +315,52 @@ TEST(Core, WriteStreamBackpressureStallsIssueOnFullFifo) {
   for (u32 i = 0; i < 32; ++i) {
     EXPECT_DOUBLE_EQ(cl.tcdm().host_read_f64(4096 + 256 * i), 1.5) << i;
   }
+}
+
+/// Lane 2 armed as a 1-element write stream to TCDM[64] while SSR is off,
+/// then `fmul.d f2` issued with SSR off and `fmv.d f2` with it on: the
+/// first result belongs to the register file, the second to the stream.
+Program write_back_route_program() {
+  ProgramBuilder b;
+  b.li(x(5), 1);
+  b.scfgwi(x(5), 2, kSsrBound0);
+  b.li(x(5), 64);
+  b.scfgwi(x(5), 2, kSsrLaunchWrite);
+  b.fmul_d(kFt2, f(4), f(4));
+  b.ssr_enable();
+  b.fmv_d(kFt2, f(5));
+  b.ssr_disable();
+  b.halt();
+  return b.build();
+}
+
+TEST(Core, WriteBackRouteIsFixedAtIssue) {
+  // ssr_en does not wait for the FPU, so the fmul is still in flight when
+  // streaming turns on. Its destination was decided at issue, where the
+  // fmv's (and only the fmv's) FIFO slot was reserved.
+  ClusterConfig cfg;
+  cfg.num_cores = 1;
+  Cluster cl(cfg);
+  cl.core(0).load_program(write_back_route_program());
+  cl.core(0).set_freg(4, 3.0);
+  cl.core(0).set_freg(5, 7.0);
+  const Cycle cycles = cl.run_until_halted(1000);
+  EXPECT_DOUBLE_EQ(cl.core(0).freg(2), 9.0);
+  EXPECT_DOUBLE_EQ(cl.tcdm().host_read_f64(64), 7.0);
+  EXPECT_EQ(cycles, 33u);
+
+  // The cost walk's FPU mirror follows the same rule.
+  CompiledKernel ck;
+  ck.programs.push_back(write_back_route_program());
+  const CostReport cost = analyze_cost(ck, VerifyReport{});
+  ASSERT_TRUE(cost.complete);
+  EXPECT_EQ(cost.predicted_cycles, cycles);
+  const CorePerf& pred = cost.cores[0].perf;
+  const CorePerf& meas = cl.core(0).perf();
+  EXPECT_EQ(pred.fp_instrs, meas.fp_instrs);
+  EXPECT_EQ(pred.fpu_stall_operand, meas.fpu_stall_operand);
+  EXPECT_EQ(pred.fpu_idle_empty, meas.fpu_idle_empty);
+  EXPECT_EQ(pred.stall_halt_drain, meas.stall_halt_drain);
 }
 
 TEST(Core, ResetClearsState) {
