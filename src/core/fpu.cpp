@@ -85,7 +85,7 @@ void FpSubsystem::tick(Cycle now) {
     ++perf_.fpu_idle_empty;
     return;
   }
-  const Instr in = queue_.front();
+  const Instr& in = queue_.front();  // popped last, once it issues
   const OpDesc& d = op_desc(in.op);
 
   // Memory ops need the LSU port; the Core pre-resolved the address into
@@ -116,8 +116,8 @@ void FpSubsystem::tick(Cycle now) {
       lsu_is_load_ = false;
       ++perf_.fp_stores;
     }
-    queue_.pop();
     ++perf_.fp_instrs;
+    queue_.pop();
     return;
   }
 
@@ -168,10 +168,10 @@ void FpSubsystem::tick(Cycle now) {
   fin.result = r;
   fin.freg = in.frd;
   fin.to_sr = dst_is_sr;
-  queue_.pop();
   ++perf_.fp_instrs;
   perf_.fpu_useful_ops += is_useful_fpu_op(in.op) ? 1 : 0;
   perf_.flops += flops_of(in.op);
+  queue_.pop();
 }
 
 bool FpSubsystem::drained() const {
