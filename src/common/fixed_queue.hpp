@@ -1,28 +1,27 @@
 // Fixed-capacity FIFO used to model hardware queues (SSR data FIFOs, the FPU
-// offload queue and pipeline, DMA request queues). Capacity is a runtime
-// constant so unit tests can sweep depths. Storage is a ring over a
-// capacity-sized vector, so push and pop never move elements.
+// offload queue and pipeline, DMA request queues). Every hardware depth is a
+// compile-time constant, so the capacity is a template argument and a zero
+// capacity does not compile. Storage is a ring over an inline array: a queue
+// allocates nothing, and push and pop never move elements.
 #pragma once
 
+#include <array>
 #include <cstddef>
-#include <vector>
 
 #include "common/log.hpp"
 
 namespace saris {
 
-template <typename T>
+template <typename T, std::size_t N>
 class FixedQueue {
- public:
-  explicit FixedQueue(std::size_t capacity) : buf_(capacity) {
-    SARIS_CHECK(capacity > 0, "queue capacity must be positive");
-  }
+  static_assert(N > 0, "queue capacity must be positive");
 
+ public:
   bool empty() const { return size_ == 0; }
-  bool full() const { return size_ == buf_.size(); }
+  bool full() const { return size_ == N; }
   std::size_t size() const { return size_; }
-  std::size_t capacity() const { return buf_.size(); }
-  std::size_t space() const { return buf_.size() - size_; }
+  static constexpr std::size_t capacity() { return N; }
+  std::size_t space() const { return N - size_; }
 
   void push(const T& v) { push_slot() = v; }
 
@@ -31,7 +30,7 @@ class FixedQueue {
   /// Building a record elsewhere and copying it in can stall the host on
   /// store forwarding at every push.
   T& push_slot() {
-    SARIS_CHECK(!full(), "push to full queue (cap=" << buf_.size() << ")");
+    SARIS_CHECK(!full(), "push to full queue (cap=" << N << ")");
     T& slot = buf_[wrap(head_ + size_)];
     ++size_;
     return slot;
@@ -61,12 +60,10 @@ class FixedQueue {
   }
 
  private:
-  /// Ring index of logical position `i` < 2 * capacity.
-  std::size_t wrap(std::size_t i) const {
-    return i >= buf_.size() ? i - buf_.size() : i;
-  }
+  /// Ring index of logical position `i` < 2 * N.
+  static std::size_t wrap(std::size_t i) { return i >= N ? i - N : i; }
 
-  std::vector<T> buf_;
+  std::array<T, N> buf_{};
   std::size_t head_ = 0;
   std::size_t size_ = 0;
 };

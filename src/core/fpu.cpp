@@ -12,8 +12,6 @@ FpSubsystem::FpSubsystem(Tcdm& tcdm, SsrUnit& ssr, CorePerf& perf,
       ssr_(ssr),
       perf_(perf),
       fregs_(fregs),
-      queue_(kFpuQueueDepth),
-      pipe_(kFpuLatencyCycles),
       lsu_port_(tcdm.make_port("flsu" + std::to_string(core_id))) {
   freg_ready_.fill(0);
 }

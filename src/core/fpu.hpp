@@ -84,12 +84,12 @@ class FpSubsystem {
   CorePerf& perf_;
   std::array<double, kNumFRegs>& fregs_;
 
-  FixedQueue<Instr> queue_;
+  FixedQueue<Instr, kFpuQueueDepth> queue_;
   /// Issued ops in issue order. At most one op issues per cycle and each
   /// retires within kFpuLatencyCycles, so that many slots suffice; and
   /// completion cycles never decrease in issue order, so the finished ops
   /// are always a prefix.
-  FixedQueue<Inflight> pipe_;
+  FixedQueue<Inflight, kFpuLatencyCycles> pipe_;
   std::array<Cycle, kNumFRegs> freg_ready_{};
 
   u32 lsu_port_;

@@ -53,15 +53,14 @@ DmaJob make_tile_dma_job(bool to_tcdm, Addr tcdm_base, u64 mem_addr,
 }
 
 Dma::Dma(Tcdm& tcdm, MemoryPort& mem)
-    : tcdm_(tcdm), mem_(mem), jobs_(kDmaJobQueueDepth) {
+    : tcdm_(tcdm), mem_(mem) {
   make_tcdm_ports();
 }
 
 Dma::Dma(Tcdm& tcdm, MainMemory& mem)
     : tcdm_(tcdm),
       owned_port_(std::make_unique<DirectMemoryPort>(mem)),
-      mem_(*owned_port_),
-      jobs_(kDmaJobQueueDepth) {
+      mem_(*owned_port_) {
   make_tcdm_ports();
 }
 

@@ -145,7 +145,7 @@ class Dma {
   u32 fault_cluster_ = 0;
   Cycle fault_offset_ = 0;
   Cycle fault_now_ = 0;  ///< plan-timeline `now`, for mid-phase fault queries
-  FixedQueue<DmaJob> jobs_;
+  FixedQueue<DmaJob, kDmaJobQueueDepth> jobs_;
   std::vector<u32> ports_;
   std::vector<Outstanding> out_;
 

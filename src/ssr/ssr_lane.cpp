@@ -9,10 +9,7 @@ namespace saris {
 SsrLane::SsrLane(Tcdm& tcdm, u32 lane_id)
     : tcdm_(tcdm),
       lane_id_(lane_id),
-      data_port_(tcdm.make_port("ssr" + std::to_string(lane_id))),
-      rfifo_(kSsrFifoDepth),
-      pending_gather_(kSsrIdxQueueDepth),
-      wfifo_(kSsrFifoDepth) {}
+      data_port_(tcdm.make_port("ssr" + std::to_string(lane_id))) {}
 
 bool SsrLane::busy() const {
   return kind_ != SsrStreamKind::kNone && to_consume_ > 0;

@@ -151,7 +151,7 @@ class SsrLane {
 
   // Read-stream state.
   AffineAddrGen affine_{};
-  FixedQueue<double> rfifo_;
+  FixedQueue<double, kSsrFifoDepth> rfifo_;
   u64 to_fetch_ = 0;    ///< data elements not yet requested
   u64 to_consume_ = 0;  ///< elements not yet popped (reads) / drained (writes)
   u32 inflight_data_ = 0;
@@ -162,10 +162,11 @@ class SsrLane {
   u64 idx_to_fetch_ = 0;  ///< indices not yet covered by a fetched word
   u32 idx_per_word_ = 0;  ///< indices packed in one TCDM word, set at launch
   bool idx_req_inflight_ = false;
-  FixedQueue<Addr> pending_gather_;  ///< decoded gather addresses
+  /// Decoded gather addresses.
+  FixedQueue<Addr, kSsrIdxQueueDepth> pending_gather_;
 
   // Write-stream state.
-  FixedQueue<double> wfifo_;
+  FixedQueue<double, kSsrFifoDepth> wfifo_;
   u32 reserved_ = 0;
 
   u64 elems_streamed_ = 0;

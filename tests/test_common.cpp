@@ -11,7 +11,7 @@ namespace saris {
 namespace {
 
 TEST(FixedQueue, StartsEmpty) {
-  FixedQueue<int> q(4);
+  FixedQueue<int, 4> q;
   EXPECT_TRUE(q.empty());
   EXPECT_FALSE(q.full());
   EXPECT_EQ(q.size(), 0u);
@@ -20,7 +20,7 @@ TEST(FixedQueue, StartsEmpty) {
 }
 
 TEST(FixedQueue, FifoOrder) {
-  FixedQueue<int> q(3);
+  FixedQueue<int, 3> q;
   q.push(1);
   q.push(2);
   q.push(3);
@@ -34,7 +34,7 @@ TEST(FixedQueue, FifoOrder) {
 }
 
 TEST(FixedQueue, FrontDoesNotPop) {
-  FixedQueue<int> q(2);
+  FixedQueue<int, 2> q;
   q.push(7);
   EXPECT_EQ(q.front(), 7);
   EXPECT_EQ(q.size(), 1u);
@@ -45,7 +45,7 @@ TEST(FixedQueue, FrontDoesNotPop) {
 // observable must match a std::deque driven the same way, including after a
 // clear() taken while the head sits mid-buffer.
 TEST(FixedQueue, RingMatchesDequeReference) {
-  FixedQueue<int> q(3);
+  FixedQueue<int, 3> q;
   std::deque<int> ref;
   std::mt19937 rng(7);
   int next = 0;
@@ -83,7 +83,7 @@ TEST(FixedQueue, RingMatchesDequeReference) {
 }
 
 TEST(FixedQueue, ClearEmpties) {
-  FixedQueue<int> q(2);
+  FixedQueue<int, 2> q;
   q.push(1);
   q.push(2);
   q.clear();
@@ -93,18 +93,14 @@ TEST(FixedQueue, ClearEmpties) {
 }
 
 TEST(FixedQueueDeath, PushToFullAborts) {
-  FixedQueue<int> q(1);
+  FixedQueue<int, 1> q;
   q.push(1);
   EXPECT_DEATH(q.push(2), "full");
 }
 
 TEST(FixedQueueDeath, PopFromEmptyAborts) {
-  FixedQueue<int> q(1);
+  FixedQueue<int, 1> q;
   EXPECT_DEATH(q.pop(), "empty");
-}
-
-TEST(FixedQueueDeath, ZeroCapacityAborts) {
-  EXPECT_DEATH(FixedQueue<int>(0), "positive");
 }
 
 TEST(Stats, GeomeanOfEqualValues) {
