@@ -18,7 +18,19 @@ FpSubsystem::FpSubsystem(Tcdm& tcdm, SsrUnit& ssr, CorePerf& perf,
 
 void FpSubsystem::enqueue(const Instr& in) {
   SARIS_CHECK(is_fp_op(in.op), "non-FP op offloaded: " << op_name(in.op));
-  queue_.push(in);
+  const OpDesc& d = op_desc(in.op);
+  QueuedOp& q = queue_.push_slot();  // every field set below
+  q.target = in.target;
+  q.op = in.op;
+  q.dst = in.frd;
+  q.src = {};
+  u8 n = 0;
+  for_each_fp_read(in, [&](FReg r) { q.src[n++] = r; });
+  q.nsrc = n;
+  q.mem = d.mem;
+  q.mem_bytes = d.mem_bytes;
+  q.lat = static_cast<u8>(fpu_latency(in.op));
+  q.flops = d.flops;
 }
 
 void FpSubsystem::collect(Cycle now) {
@@ -46,16 +58,16 @@ double FpSubsystem::read_src(FReg r) {
   return fregs_[r.idx];
 }
 
-bool FpSubsystem::operands_ready(const Instr& in, Cycle now) const {
-  bool ready = true;
-  for_each_fp_read(in, [&](FReg r) { ready = ready && src_ready(r, now); });
-  return ready;
+bool FpSubsystem::operands_ready(const QueuedOp& q, Cycle now) const {
+  for (u32 k = 0; k < q.nsrc; ++k) {
+    if (!src_ready(q.src[k], now)) return false;
+  }
+  return true;
 }
 
-std::array<double, 3> FpSubsystem::read_sources(const Instr& in) {
+std::array<double, 3> FpSubsystem::read_sources(const QueuedOp& q) {
   std::array<double, 3> v{};
-  u32 k = 0;
-  for_each_fp_read(in, [&](FReg r) { v[k++] = read_src(r); });
+  for (u32 k = 0; k < q.nsrc; ++k) v[k] = read_src(q.src[k]);
   return v;
 }
 
@@ -83,32 +95,30 @@ void FpSubsystem::tick(Cycle now) {
     ++perf_.fpu_idle_empty;
     return;
   }
-  const Instr& in = queue_.front();  // popped last, once it issues
-  const OpDesc& d = op_desc(in.op);
+  const QueuedOp& q = queue_.front();  // popped last, once it issues
 
-  // Memory ops need the LSU port; the Core pre-resolved the address into
-  // Instr::target.
-  if (d.mem != MemDir::kNone) {
+  // Memory ops need the LSU port.
+  if (q.mem != MemDir::kNone) {
     if (lsu_busy_) {
       ++perf_.fpu_stall_mem;
       return;
     }
-    if (d.mem == MemDir::kLoad) {
-      SARIS_CHECK(!(ssr_.enabled() && is_ssr_reg(in.frd)),
+    if (q.mem == MemDir::kLoad) {
+      SARIS_CHECK(!(ssr_.enabled() && is_ssr_reg(q.dst)),
                   "fld into an enabled stream register");
-      tcdm_.post(lsu_port_, in.target, d.mem_bytes, /*is_write=*/false, 0);
+      tcdm_.post(lsu_port_, q.target, q.mem_bytes, /*is_write=*/false, 0);
       lsu_busy_ = true;
       lsu_is_load_ = true;
-      lsu_dest_ = in.frd;
-      freg_ready_[in.frd.idx] = ~static_cast<Cycle>(0);  // until data returns
+      lsu_dest_ = q.dst;
+      freg_ready_[q.dst.idx] = ~static_cast<Cycle>(0);  // until data returns
       ++perf_.fp_loads;
     } else {
-      if (!operands_ready(in, now)) {
+      if (!operands_ready(q, now)) {
         ++perf_.fpu_stall_operand;
         return;
       }
-      const double data = read_sources(in)[0];  // a store's one FP source
-      tcdm_.post(lsu_port_, in.target, d.mem_bytes, /*is_write=*/true,
+      const double data = read_sources(q)[0];  // a store's one FP source
+      tcdm_.post(lsu_port_, q.target, q.mem_bytes, /*is_write=*/true,
                  std::bit_cast<u64>(data));
       lsu_busy_ = true;
       lsu_is_load_ = false;
@@ -120,13 +130,14 @@ void FpSubsystem::tick(Cycle now) {
   }
 
   // Arithmetic / moves.
-  if (!operands_ready(in, now)) {
+  if (!operands_ready(q, now)) {
     // Attribute the stall: SR FIFO empty vs scoreboard.
     bool sr_block = false;
-    for_each_fp_read(in, [&](FReg r) {
+    for (u32 k = 0; k < q.nsrc; ++k) {
+      const FReg r = q.src[k];
       sr_block = sr_block || (ssr_.enabled() && is_ssr_reg(r) &&
                               !ssr_.lane(ssr_lane_of(r)).can_pop());
-    });
+    }
     if (sr_block) {
       ++perf_.fpu_stall_sr_empty;
     } else {
@@ -135,40 +146,39 @@ void FpSubsystem::tick(Cycle now) {
     return;
   }
 
-  const bool dst_is_sr = ssr_.enabled() && is_ssr_reg(in.frd) &&
-                         ssr_.lane(ssr_lane_of(in.frd)).is_write_stream();
+  const bool dst_is_sr = ssr_.enabled() && is_ssr_reg(q.dst) &&
+                         ssr_.lane(ssr_lane_of(q.dst)).is_write_stream();
   if (dst_is_sr) {
-    if (!ssr_.lane(ssr_lane_of(in.frd)).can_reserve_push()) {
+    if (!ssr_.lane(ssr_lane_of(q.dst)).can_reserve_push()) {
       ++perf_.fpu_stall_sr_full;
       return;
     }
   } else {
     // In-order WAW guard on the architectural destination.
-    if (freg_ready_[in.frd.idx] > now) {
+    if (freg_ready_[q.dst.idx] > now) {
       ++perf_.fpu_stall_operand;
       return;
     }
   }
 
   // All clear: pop sources (consuming SR elements) and start execution.
-  const std::array<double, 3> src = read_sources(in);
-  const double r = fp_alu(in.op, src[0], src[1], src[2]);
-  const u32 lat = fpu_latency(in.op);
+  const std::array<double, 3> src = read_sources(q);
+  const double r = fp_alu(q.op, src[0], src[1], src[2]);
   if (dst_is_sr) {
-    ssr_.lane(ssr_lane_of(in.frd)).reserve_push();
+    ssr_.lane(ssr_lane_of(q.dst)).reserve_push();
   } else {
-    freg_ready_[in.frd.idx] = now + lat;
+    freg_ready_[q.dst.idx] = now + q.lat;
   }
-  SARIS_CHECK(pipe_.empty() || pipe_.back().done_at <= now + lat,
+  SARIS_CHECK(pipe_.empty() || pipe_.back().done_at <= now + q.lat,
               "FPU op would complete before an earlier-issued one");
   Inflight& fin = pipe_.push_slot();
-  fin.done_at = now + lat;
+  fin.done_at = now + q.lat;
   fin.result = r;
-  fin.freg = in.frd;
+  fin.freg = q.dst;
   fin.to_sr = dst_is_sr;
   ++perf_.fp_instrs;
-  perf_.fpu_useful_ops += is_useful_fpu_op(in.op) ? 1 : 0;
-  perf_.flops += flops_of(in.op);
+  perf_.fpu_useful_ops += q.flops > 0 ? 1 : 0;
+  perf_.flops += q.flops;
   queue_.pop();
 }
 

@@ -62,6 +62,22 @@ class FpSubsystem {
   }
 
  private:
+  /// An offloaded op as issue reads it, decoded from its kOpTable row once
+  /// at enqueue, so a head that waits on operands does not re-read the
+  /// table or the slot mask every cycle.
+  struct QueuedOp {
+    Addr target = 0;  ///< fld/fsd address, resolved by the Core at offload
+    Op op = Op::kNop;
+    FReg dst{};
+    std::array<FReg, 3> src{};  ///< FP sources in operand order
+    u8 nsrc = 0;
+    MemDir mem = MemDir::kNone;
+    u8 mem_bytes = 0;
+    u8 lat = 0;  ///< fpu_latency(op)
+    u8 flops = 0;  ///< flops_of(op); nonzero marks useful FPU work
+  };
+  static_assert(sizeof(QueuedOp) == 16);
+
   /// An issued op: its result and where it goes. The destination is
   /// decided at issue, where a stream destination reserves its FIFO slot,
   /// so toggling SSR while the op is in flight does not re-route it.
@@ -72,11 +88,11 @@ class FpSubsystem {
     bool to_sr = false;  ///< push to freg's write lane, not the register file
   };
 
-  bool operands_ready(const Instr& in, Cycle now) const;
+  bool operands_ready(const QueuedOp& q, Cycle now) const;
   double read_src(FReg r);
-  /// Read (popping stream registers) every FP source of `in`, in operand
+  /// Read (popping stream registers) every FP source of `q`, in operand
   /// order.
-  std::array<double, 3> read_sources(const Instr& in);
+  std::array<double, 3> read_sources(const QueuedOp& q);
   bool src_ready(FReg r, Cycle now) const;
 
   Tcdm& tcdm_;
@@ -84,7 +100,7 @@ class FpSubsystem {
   CorePerf& perf_;
   std::array<double, kNumFRegs>& fregs_;
 
-  FixedQueue<Instr, kFpuQueueDepth> queue_;
+  FixedQueue<QueuedOp, kFpuQueueDepth> queue_;
   /// Issued ops in issue order. At most one op issues per cycle and each
   /// retires within kFpuLatencyCycles, so that many slots suffice; and
   /// completion cycles never decrease in issue order, so the finished ops
