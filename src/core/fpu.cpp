@@ -33,17 +33,6 @@ void FpSubsystem::enqueue(const Instr& in) {
   q.flops = d.flops;
 }
 
-void FpSubsystem::collect(Cycle now) {
-  if (lsu_busy_ && tcdm_.response_ready(lsu_port_)) {
-    u64 data = tcdm_.take_response(lsu_port_);
-    if (lsu_is_load_) {
-      fregs_[lsu_dest_.idx] = std::bit_cast<double>(data);
-      freg_ready_[lsu_dest_.idx] = now + 1;
-    }
-    lsu_busy_ = false;
-  }
-}
-
 bool FpSubsystem::src_ready(FReg r, Cycle now) const {
   if (ssr_.enabled() && is_ssr_reg(r)) {
     return ssr_.lane(ssr_lane_of(r)).can_pop();

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 
 #include "common/fixed_queue.hpp"
 #include "core/perf_counters.hpp"
@@ -43,7 +44,15 @@ class FpSubsystem {
   void enqueue(const Instr& in);
 
   /// Phase 1: absorb FP-LSU responses granted last cycle.
-  void collect(Cycle now);
+  void collect(Cycle now) {
+    if (!lsu_busy_ || !tcdm_.response_ready(lsu_port_)) return;
+    const u64 data = tcdm_.take_response(lsu_port_);
+    if (lsu_is_load_) {
+      fregs_[lsu_dest_.idx] = std::bit_cast<double>(data);
+      freg_ready_[lsu_dest_.idx] = now + 1;
+    }
+    lsu_busy_ = false;
+  }
   /// Phase 2: retire finished ops, then try to issue the queue head.
   void tick(Cycle now);
 
