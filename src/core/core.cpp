@@ -40,7 +40,7 @@ void Core::reset() {
 }
 
 bool Core::compute_quiescent() const {
-  return fpu_.quiescent() && ssr_.quiescent() && !seq_.busy() &&
+  return fpu_.drained() && ssr_.quiescent() && !seq_.busy() &&
          !int_store_wait_ && !int_load_wait_;
 }
 

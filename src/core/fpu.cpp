@@ -171,10 +171,6 @@ void FpSubsystem::tick(Cycle now) {
   queue_.pop();
 }
 
-bool FpSubsystem::drained() const {
-  return queue_.empty() && pipe_.empty() && !lsu_busy_;
-}
-
 void FpSubsystem::reset() {
   queue_.clear();
   pipe_.clear();

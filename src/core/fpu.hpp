@@ -39,7 +39,6 @@ class FpSubsystem {
               std::array<double, kNumFRegs>& fregs, u32 core_id);
 
   bool queue_full() const { return queue_.full(); }
-  bool queue_empty() const { return queue_.empty(); }
   /// Enqueue an offloaded FP instruction (fetch path or FREP sequencer).
   void enqueue(const Instr& in);
 
@@ -57,18 +56,16 @@ class FpSubsystem {
   void tick(Cycle now);
 
   /// True when no instruction is queued, in flight, or waiting on memory.
-  bool drained() const;
+  /// Then collect() is a no-op and tick() only bumps the idle counter, so
+  /// the Core may take an equivalent fast path.
+  bool drained() const {
+    return queue_.empty() && pipe_.empty() && !lsu_busy_;
+  }
 
   /// Back to power-on: queue, pipeline, scoreboard, and LSU state cleared.
   /// Part of the cluster re-arm contract (the owning Core resets the shared
   /// CorePerf counters and FP register file itself).
   void reset();
-
-  /// Cheap activity flag: when true, collect() is a no-op and tick() only
-  /// bumps the idle counter — callers may take an equivalent fast path.
-  bool quiescent() const {
-    return queue_.empty() && pipe_.empty() && !lsu_busy_;
-  }
 
  private:
   /// An offloaded op as issue reads it, decoded from its kOpTable row once
