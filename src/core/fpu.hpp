@@ -6,6 +6,11 @@
 // Register reads of ft0..ft2 pop SSR FIFOs when streaming is enabled;
 // writes to a write-configured stream register push into the lane's store
 // FIFO. An FP LSU with a single pipelined TCDM port serves fld/fsd.
+//
+// Each op is decoded from its kOpTable row once, at enqueue, into the
+// queue entry that issue reads. Issue also fixes where the result goes:
+// the register file, or a write stream whose FIFO slot it reserves. Retire
+// follows that choice even if SSR is toggled while the op is in flight.
 #pragma once
 
 #include <array>

@@ -18,10 +18,11 @@
 //               schedule FLOP totals, Program::mix.
 //  - x_reads    rs1/rs2 slots read: dataflow use sets, the known-bits
 //    x_write    stepper (analysis/known_regs.hpp), disasm; x_write marks rd.
-//  - f_reads    frs1..frs3 slots read, in operand order: FpSubsystem operand
-//    f_write    readiness, SR-stall attribution and stream pops, the cost
-//               walk's FPU mirror, dataflow use/def sets, disasm; f_write
-//               marks frd.
+//  - f_reads    frs1..frs3 slots read, in operand order: FpSubsystem::enqueue
+//    f_write    (decoded once into the FPU queue entry that operand
+//               readiness, SR-stall attribution and stream pops read), the
+//               cost walk's FPU mirror, dataflow use/def sets, disasm;
+//               f_write marks frd.
 //  - imm        how the immediate is used: disasm operand formatting.
 //  - mem,       memory direction and width of loads/stores (integer and
 //    mem_bytes  FP): Core (integer LSU, FP address resolution),
