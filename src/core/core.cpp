@@ -223,7 +223,7 @@ bool Core::sys_step(const Instr& in, Cycle now) {
         ++perf_.stall_scfg_busy;
         return false;
       }
-      ssr_.lane(sel.lane).write_cfg(sel.word, xregs_[in.rs1.idx]);
+      ssr_.write_cfg(sel.lane, sel.word, xregs_[in.rs1.idx]);
       quiescent_ = false;  // the write may have launched a stream
       return true;
     }

@@ -15,14 +15,16 @@ bool SsrLane::busy() const {
   return kind_ != SsrStreamKind::kNone && to_consume_ > 0;
 }
 
-void SsrLane::write_cfg(u32 word, u32 value) {
+bool SsrLane::write_cfg(u32 word, u32 value) {
   SARIS_CHECK(!busy(), "scfgwi to busy SSR lane " << lane_id_
                                                   << " (core must stall)");
   const ScfgEffect e = apply_scfg_word(cfg_, ScfgSel{lane_id_, word}, value);
   SARIS_CHECK(e.status == ScfgStatus::kOk,
               "lane " << lane_id_ << ": " << scfg_status_text(e.status)
                       << " (word " << word << ", value " << value << ")");
-  if (e.launch != SsrStreamKind::kNone) launch(e.launch, value);
+  if (e.launch == SsrStreamKind::kNone) return false;
+  launch(e.launch, value);
+  return true;
 }
 
 void SsrLane::launch(SsrStreamKind kind, Addr base) {

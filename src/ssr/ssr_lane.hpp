@@ -23,13 +23,10 @@ class SsrLane {
   /// SSSR); the rest are affine-only.
   SsrLane(Tcdm& tcdm, u32 lane_id);
 
-  // ---- configuration (integer core, via scfgwi) ----
+  // ---- configuration (integer core, via scfgwi and SsrUnit::write_cfg) ----
   /// True while a stream is armed and not fully consumed/drained; config
   /// writes to a busy lane stall the integer core.
   bool busy() const;
-  /// Apply one config word (decoded by apply_scfg_word); a launch word
-  /// starts the stream. Aborts on a busy lane or a bad write.
-  void write_cfg(u32 word, u32 value);
 
   // ---- FPU-side interface ----
   bool is_read_stream() const {
@@ -140,6 +137,12 @@ class SsrLane {
   SsrStreamKind kind() const { return kind_; }
 
  private:
+  friend class SsrUnit;  // the one launch path (SsrUnit::write_cfg)
+
+  /// Apply one config word (decoded by apply_scfg_word); a launch word
+  /// starts the stream, and then this returns true. Aborts on a busy lane
+  /// or a bad write.
+  bool write_cfg(u32 word, u32 value);
   void launch(SsrStreamKind kind, Addr base);
 
   Tcdm& tcdm_;

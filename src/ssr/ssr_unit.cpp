@@ -9,6 +9,10 @@ SsrUnit::SsrUnit(Tcdm& tcdm, u32 core_id)
       idx_port_(tcdm.make_port("idx" + std::to_string(core_id))),
       lanes_{SsrLane(tcdm, 0), SsrLane(tcdm, 1), SsrLane(tcdm, 2)} {}
 
+void SsrUnit::write_cfg(u32 lane_id, u32 word, u32 value) {
+  launched_ = lane(lane_id).write_cfg(word, value) || launched_;
+}
+
 void SsrUnit::set_enabled(bool on) {
   if (!on) {
     SARIS_CHECK(!any_busy(), "SSR disable while a stream is busy");
@@ -21,14 +25,6 @@ bool SsrUnit::any_busy() const {
     if (l.busy()) return true;
   }
   return false;
-}
-
-bool SsrUnit::quiescent() const {
-  if (idx_inflight_lane_ < kNumSsrLanes) return false;
-  for (const SsrLane& l : lanes_) {
-    if (!l.quiescent()) return false;
-  }
-  return true;
 }
 
 void SsrUnit::issue_index_fetch() {
@@ -66,6 +62,7 @@ u64 SsrUnit::total_idx_words_fetched() const {
 void SsrUnit::reset() {
   for (SsrLane& l : lanes_) l.reset();
   enabled_ = false;
+  launched_ = false;
   idx_inflight_lane_ = kNumSsrLanes;
   idx_rr_ = 0;
 }

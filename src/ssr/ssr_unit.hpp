@@ -29,6 +29,12 @@ class SsrUnit {
     return lanes_[i];
   }
 
+  /// Apply one config word to lane `lane` (scfgwi); a launch word starts
+  /// its stream. This is the only launch path, so the unit knows when its
+  /// lanes first leave SsrStreamKind::kNone. Aborts on a busy lane or a bad
+  /// write.
+  void write_cfg(u32 lane, u32 word, u32 value);
+
   bool enabled() const { return enabled_; }
   void set_enabled(bool on);
 
@@ -37,11 +43,18 @@ class SsrUnit {
   /// Cheap activity flag: when true, collect() and tick() are no-ops until
   /// the integer core launches a stream (or the FPU pushes into a write
   /// lane) — callers may skip them.
-  bool quiescent() const;
+  bool quiescent() const {
+    if (!launched_) return true;
+    if (idx_inflight_lane_ < kNumSsrLanes) return false;
+    for (const SsrLane& l : lanes_) {
+      if (!l.quiescent()) return false;
+    }
+    return true;
+  }
 
   /// Phase 1 each cycle: absorb data + index responses.
   void collect(Cycle now) {
-    if (never_launched()) return;
+    if (!launched_) return;
     for (SsrLane& l : lanes_) l.collect(now);
     if (idx_inflight_lane_ < kNumSsrLanes && tcdm_.response_ready(idx_port_)) {
       lanes_[idx_inflight_lane_].deliver_index_word(
@@ -52,7 +65,7 @@ class SsrUnit {
   /// Phase 2 each cycle: issue new requests (data per lane, one shared
   /// index fetch).
   void tick(Cycle now) {
-    if (never_launched()) return;
+    if (!launched_) return;
     issue_index_fetch();
     for (SsrLane& l : lanes_) l.tick(now);
   }
@@ -65,15 +78,6 @@ class SsrUnit {
   void reset();
 
  private:
-  /// No lane has launched a stream since power-on and no index word is in
-  /// flight: collect() and tick() have nothing to do. Base kernels never
-  /// leave this state.
-  bool never_launched() const {
-    for (const SsrLane& l : lanes_) {
-      if (l.kind() != SsrStreamKind::kNone) return false;
-    }
-    return idx_inflight_lane_ == kNumSsrLanes;
-  }
   void issue_index_fetch();
 
   Tcdm& tcdm_;
@@ -82,6 +86,11 @@ class SsrUnit {
   u32 idx_port_;
   std::array<SsrLane, kNumSsrLanes> lanes_;
   bool enabled_ = false;
+  /// A lane has launched a stream since power-on. Until then every lane is
+  /// SsrStreamKind::kNone (a lane leaves it only at launch and returns only
+  /// at reset) and no index word is in flight, so collect() and tick() have
+  /// nothing to do. Base kernels never set it.
+  bool launched_ = false;
   // Which lane the in-flight index word belongs to; kNumSsrLanes = none.
   u32 idx_inflight_lane_ = kNumSsrLanes;
   u32 idx_rr_ = 0;

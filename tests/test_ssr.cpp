@@ -86,6 +86,11 @@ struct LaneRig {
   Tcdm tcdm;
   SsrUnit unit{tcdm, 0};
 
+  /// Write one config word through the unit, the only launch path.
+  void cfg(const SsrLane& lane, u32 word, u32 value) {
+    unit.write_cfg(lane.lane_id(), word, value);
+  }
+
   void step(u32 n = 1) {
     for (u32 i = 0; i < n; ++i) {
       unit.collect(i);
@@ -99,9 +104,9 @@ TEST(SsrLane, AffineReadStreamsInOrder) {
   LaneRig r;
   for (u32 i = 0; i < 16; ++i) r.tcdm.host_write_f64(8 * i, 100.0 + i);
   SsrLane& lane = r.unit.lane(2);  // affine-only lane
-  lane.write_cfg(kSsrBound0, 16);
-  lane.write_cfg(kSsrStride0, 8);
-  lane.write_cfg(kSsrLaunchRead, 0);
+  r.cfg(lane, kSsrBound0, 16);
+  r.cfg(lane, kSsrStride0, 8);
+  r.cfg(lane, kSsrLaunchRead, 0);
   EXPECT_TRUE(lane.busy());
 
   std::vector<double> got;
@@ -118,9 +123,9 @@ TEST(SsrLane, AffineReadStreamsInOrder) {
 TEST(SsrLane, SustainsOneElementPerCycleAfterFill) {
   LaneRig r;
   SsrLane& lane = r.unit.lane(2);
-  lane.write_cfg(kSsrBound0, 64);
-  lane.write_cfg(kSsrStride0, 8);
-  lane.write_cfg(kSsrLaunchRead, 0);
+  r.cfg(lane, kSsrBound0, 64);
+  r.cfg(lane, kSsrStride0, 8);
+  r.cfg(lane, kSsrLaunchRead, 0);
   // Fill phase.
   r.step(4);
   // Steady state: one pop per cycle must always be possible.
@@ -143,10 +148,10 @@ TEST(SsrLane, IndirectGatherMatchesScalarGather) {
   r.tcdm.host_write(idx_base, idx.data(), idx.size() * sizeof(u16));
 
   SsrLane& lane = r.unit.lane(0);
-  lane.write_cfg(kSsrIdxBase, idx_base);
-  lane.write_cfg(kSsrIdxCount, static_cast<u32>(idx.size()));
-  lane.write_cfg(kSsrIdxSize, 2);
-  lane.write_cfg(kSsrLaunchIndirect, 0);
+  r.cfg(lane, kSsrIdxBase, idx_base);
+  r.cfg(lane, kSsrIdxCount, static_cast<u32>(idx.size()));
+  r.cfg(lane, kSsrIdxSize, 2);
+  r.cfg(lane, kSsrLaunchIndirect, 0);
 
   std::vector<double> got;
   for (u32 guard = 0; got.size() < idx.size() && guard < 400; ++guard) {
@@ -165,10 +170,10 @@ TEST(SsrLane, IndirectWithNonZeroBase) {
   std::vector<u16> idx = {5, 1, 9};
   r.tcdm.host_write(0, idx.data(), idx.size() * sizeof(u16));
   SsrLane& lane = r.unit.lane(1);
-  lane.write_cfg(kSsrIdxBase, 0);
-  lane.write_cfg(kSsrIdxCount, 3);
-  lane.write_cfg(kSsrIdxSize, 2);
-  lane.write_cfg(kSsrLaunchIndirect, 1024);
+  r.cfg(lane, kSsrIdxBase, 0);
+  r.cfg(lane, kSsrIdxCount, 3);
+  r.cfg(lane, kSsrIdxSize, 2);
+  r.cfg(lane, kSsrLaunchIndirect, 1024);
   std::vector<double> got;
   for (u32 guard = 0; got.size() < 3 && guard < 100; ++guard) {
     r.step();
@@ -196,10 +201,10 @@ TEST_P(IdxSizeSweep, PackedIndexDecoding) {
   r.tcdm.host_write(idx_base, raw.data(), static_cast<u32>(raw.size()));
 
   SsrLane& lane = r.unit.lane(0);
-  lane.write_cfg(kSsrIdxBase, idx_base);
-  lane.write_cfg(kSsrIdxCount, static_cast<u32>(idx.size()));
-  lane.write_cfg(kSsrIdxSize, idx_size);
-  lane.write_cfg(kSsrLaunchIndirect, 0);
+  r.cfg(lane, kSsrIdxBase, idx_base);
+  r.cfg(lane, kSsrIdxCount, static_cast<u32>(idx.size()));
+  r.cfg(lane, kSsrIdxSize, idx_size);
+  r.cfg(lane, kSsrLaunchIndirect, 0);
   std::vector<double> got;
   for (u32 guard = 0; got.size() < idx.size() && guard < 300; ++guard) {
     r.step();
@@ -216,9 +221,9 @@ INSTANTIATE_TEST_SUITE_P(Widths, IdxSizeSweep, ::testing::Values(1u, 2u, 4u));
 TEST(SsrLane, WriteStreamDrainsToMemory) {
   LaneRig r;
   SsrLane& lane = r.unit.lane(2);
-  lane.write_cfg(kSsrBound0, 4);
-  lane.write_cfg(kSsrStride0, 16);  // every other word
-  lane.write_cfg(kSsrLaunchWrite, 512);
+  r.cfg(lane, kSsrBound0, 4);
+  r.cfg(lane, kSsrStride0, 16);  // every other word
+  r.cfg(lane, kSsrLaunchWrite, 512);
   for (u32 i = 0; i < 4; ++i) {
     ASSERT_TRUE(lane.can_reserve_push());
     lane.reserve_push();
@@ -239,11 +244,11 @@ TEST(SsrLane, RelaunchReusesConfiguration) {
   std::vector<u16> idx = {2, 4};
   r.tcdm.host_write(2048, idx.data(), idx.size() * sizeof(u16));
   SsrLane& lane = r.unit.lane(0);
-  lane.write_cfg(kSsrIdxBase, 2048);
-  lane.write_cfg(kSsrIdxCount, 2);
-  lane.write_cfg(kSsrIdxSize, 2);
+  r.cfg(lane, kSsrIdxBase, 2048);
+  r.cfg(lane, kSsrIdxCount, 2);
+  r.cfg(lane, kSsrIdxSize, 2);
   for (u32 row = 0; row < 3; ++row) {
-    lane.write_cfg(kSsrLaunchIndirect, row * 80);  // base advances by 10 elems
+    r.cfg(lane, kSsrLaunchIndirect, row * 80);  // base advances by 10 elems
     std::vector<double> got;
     for (u32 guard = 0; got.size() < 2 && guard < 100; ++guard) {
       r.step();
@@ -271,10 +276,10 @@ TEST(SsrUnit, TwoIndirectLanesShareTheIndexPort) {
   r.tcdm.host_write(1032, ib.data(), 8);
   for (u32 l = 0; l < 2; ++l) {
     SsrLane& lane = r.unit.lane(l);
-    lane.write_cfg(kSsrIdxBase, l == 0 ? 1024 : 1032);
-    lane.write_cfg(kSsrIdxCount, 4);
-    lane.write_cfg(kSsrIdxSize, 2);
-    lane.write_cfg(kSsrLaunchIndirect, 0);
+    r.cfg(lane, kSsrIdxBase, l == 0 ? 1024 : 1032);
+    r.cfg(lane, kSsrIdxCount, 4);
+    r.cfg(lane, kSsrIdxSize, 2);
+    r.cfg(lane, kSsrLaunchIndirect, 0);
   }
   std::vector<double> a, bvals;
   for (u32 guard = 0; (a.size() < 4 || bvals.size() < 4) && guard < 200;
@@ -329,18 +334,18 @@ TEST(ScfgDecoder, ReportsBadWritesAsStatus) {
 TEST(SsrLaneDeath, ConfigWhileBusyAborts) {
   LaneRig r;
   SsrLane& lane = r.unit.lane(2);
-  lane.write_cfg(kSsrBound0, 8);
-  lane.write_cfg(kSsrStride0, 8);
-  lane.write_cfg(kSsrLaunchRead, 0);
-  EXPECT_DEATH(lane.write_cfg(kSsrBound0, 4), "busy");
+  r.cfg(lane, kSsrBound0, 8);
+  r.cfg(lane, kSsrStride0, 8);
+  r.cfg(lane, kSsrLaunchRead, 0);
+  EXPECT_DEATH(r.cfg(lane, kSsrBound0, 4), "busy");
 }
 
 TEST(SsrLaneDeath, AffineLaneRejectsIndirect) {
   LaneRig r;
   SsrLane& lane = r.unit.lane(2);
-  lane.write_cfg(kSsrIdxBase, 0);
-  lane.write_cfg(kSsrIdxCount, 1);
-  EXPECT_DEATH(lane.write_cfg(kSsrLaunchIndirect, 0),
+  r.cfg(lane, kSsrIdxBase, 0);
+  r.cfg(lane, kSsrIdxCount, 1);
+  EXPECT_DEATH(r.cfg(lane, kSsrLaunchIndirect, 0),
                "not indirection-capable");
 }
 
@@ -354,9 +359,9 @@ TEST(SsrUnitDeath, DisableWhileBusyAborts) {
   LaneRig r;
   r.unit.set_enabled(true);
   SsrLane& lane = r.unit.lane(2);
-  lane.write_cfg(kSsrBound0, 4);
-  lane.write_cfg(kSsrStride0, 8);
-  lane.write_cfg(kSsrLaunchRead, 0);
+  r.cfg(lane, kSsrBound0, 4);
+  r.cfg(lane, kSsrStride0, 8);
+  r.cfg(lane, kSsrLaunchRead, 0);
   EXPECT_DEATH(r.unit.set_enabled(false), "busy");
 }
 
