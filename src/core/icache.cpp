@@ -20,9 +20,9 @@ ICache::ICache(u32 num_sets, u32 assoc, u32 line_bytes, u32 miss_latency)
               "line size must be a power of 2");
 }
 
-u32 ICache::access(u32 byte_addr) {
+u32 ICache::lookup(u32 line) {
   ++tick_;
-  const u32 line = byte_addr >> line_shift_;
+  last_line_ = line;
   const u32 set = line & (num_sets_ - 1);
   const u32 tag = line >> set_shift_;
   Way* base = &ways_[set * assoc_];
@@ -50,6 +50,7 @@ u32 ICache::access(u32 byte_addr) {
 void ICache::reset() {
   ways_.assign(ways_.size(), Way{});
   tick_ = 0;
+  last_line_ = kNoLine;
   hits_ = 0;
   misses_ = 0;
 }

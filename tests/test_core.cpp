@@ -395,5 +395,31 @@ TEST(ICache, LruEviction) {
   EXPECT_EQ(ic.access(32), 10u);
 }
 
+TEST(ICache, SameLineHitsKeepLruExact) {
+  // 1 set, 2 ways, 32-B lines. Fetches at 8 and 12 repeat the line looked
+  // up last (0); they must hit without reordering the set, so 64 still
+  // evicts 32 and the second 32 evicts 0.
+  ICache ic(1, 2, 32, 10);
+  EXPECT_EQ(ic.access(0), 10u);
+  EXPECT_EQ(ic.access(32), 10u);
+  EXPECT_EQ(ic.access(4), 0u);
+  EXPECT_EQ(ic.access(8), 0u);
+  EXPECT_EQ(ic.access(12), 0u);
+  EXPECT_EQ(ic.access(64), 10u);  // evicts 32
+  EXPECT_EQ(ic.access(32), 10u);  // evicts 0
+  EXPECT_EQ(ic.access(0), 10u);
+  EXPECT_EQ(ic.misses(), 5u);
+  EXPECT_EQ(ic.hits(), 3u);
+}
+
+TEST(ICache, ResetForgetsTheLastLine) {
+  ICache ic(16, 2, 32, 10);
+  EXPECT_EQ(ic.access(0), 10u);
+  ic.reset();
+  EXPECT_EQ(ic.access(0), 10u);
+  EXPECT_EQ(ic.misses(), 1u);
+  EXPECT_EQ(ic.hits(), 0u);
+}
+
 }  // namespace
 }  // namespace saris
