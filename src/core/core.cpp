@@ -14,6 +14,11 @@ Core::Core(u32 id, Tcdm& tcdm, Barrier& barrier)
 
 void Core::load_program(Program p) {
   prog_ = std::move(p);
+  fp_ops_.assign(prog_.size(), FpOp{});
+  for (u32 pc = 0; pc < prog_.size(); ++pc) {
+    const Instr& in = prog_.instrs()[pc];
+    if (is_fp_op(in.op)) fp_ops_[pc] = decode_fp_op(in);
+  }
   reset();
 }
 
@@ -23,6 +28,7 @@ void Core::rearm() {
   ssr_.reset();
   icache_.reset();
   prog_ = Program{};
+  fp_ops_.clear();
   reset();
 }
 
@@ -69,9 +75,7 @@ void Core::tick(Cycle now) {
   }
   fpu_.tick(now);
   // FREP replay: inject one instruction per cycle while there is room.
-  if (seq_.replaying() && !fpu_.queue_full()) {
-    fpu_.enqueue(seq_.next());
-  }
+  if (seq_.replaying() && !fpu_.queue_full()) seq_.next(fpu_.enqueue());
   int_step(now);
   ssr_.tick(now);
   quiescent_ = compute_quiescent();
@@ -147,17 +151,19 @@ void Core::int_step(Cycle now) {
         ++perf_.stall_fpu_queue_full;
         return;
       }
-      Instr off = in;
+      // Copy the decoded entry into its queue slot; never build it on the
+      // stack (fpu.hpp says why).
+      FpOp& q = fpu_.enqueue();
+      q = fp_ops_[pc_];
       if (d.mem != MemDir::kNone) {
         // The integer core computes the effective address at offload time.
-        off.target = xregs_[in.rs1.idx] + static_cast<u32>(in.imm);
+        q.target = xregs_[in.rs1.idx] + static_cast<u32>(in.imm);
       }
-      fpu_.enqueue(off);
       ++perf_.fp_offloads;
       quiescent_ = false;
       if (seq_.capturing()) {
         SARIS_CHECK(d.frep_body, "frep bodies must contain FP compute only");
-        seq_.capture(off);
+        seq_.capture(q);
       }
       ++pc_;
       return;

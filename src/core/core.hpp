@@ -5,11 +5,14 @@
 //  - FREP hardware loop (FrepSequencer feeding the FPU queue while the
 //    integer core runs ahead).
 //
-// Addresses of offloaded fld/fsd are computed by the integer core at offload
-// time (as on Snitch) and carried in Instr::target.
+// load_program decodes every FP instruction once into a per-pc table of
+// FPU queue entries (core/fp_op.hpp); an offload copies its pc's entry into
+// the queue. Addresses of offloaded fld/fsd are computed by the integer
+// core at offload time (as on Snitch) and written into the entry's target.
 #pragma once
 
 #include <array>
+#include <vector>
 
 #include "cluster/barrier.hpp"
 #include "core/fpu.hpp"
@@ -80,6 +83,9 @@ class Core {
   Barrier& barrier_;
 
   Program prog_;
+  /// decode_fp_op of each FP instruction of prog_, by pc (other pcs hold
+  /// an unused default entry). Filled by load_program, cleared by rearm.
+  std::vector<FpOp> fp_ops_;
   u32 pc_ = 0;
 
   std::array<u32, kNumXRegs> xregs_{};

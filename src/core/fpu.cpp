@@ -16,23 +16,6 @@ FpSubsystem::FpSubsystem(Tcdm& tcdm, SsrUnit& ssr, CorePerf& perf,
   freg_ready_.fill(0);
 }
 
-void FpSubsystem::enqueue(const Instr& in) {
-  SARIS_CHECK(is_fp_op(in.op), "non-FP op offloaded: " << op_name(in.op));
-  const OpDesc& d = op_desc(in.op);
-  QueuedOp& q = queue_.push_slot();  // every field set below
-  q.target = in.target;
-  q.op = in.op;
-  q.dst = in.frd;
-  q.src = {};
-  u8 n = 0;
-  for_each_fp_read(in, [&](FReg r) { q.src[n++] = r; });
-  q.nsrc = n;
-  q.mem = d.mem;
-  q.mem_bytes = d.mem_bytes;
-  q.lat = static_cast<u8>(fpu_latency(in.op));
-  q.flops = d.flops;
-}
-
 bool FpSubsystem::src_ready(FReg r, Cycle now) const {
   if (ssr_.enabled() && is_ssr_reg(r)) {
     return ssr_.lane(ssr_lane_of(r)).can_pop();
@@ -47,14 +30,14 @@ double FpSubsystem::read_src(FReg r) {
   return fregs_[r.idx];
 }
 
-bool FpSubsystem::operands_ready(const QueuedOp& q, Cycle now) const {
+bool FpSubsystem::operands_ready(const FpOp& q, Cycle now) const {
   for (u32 k = 0; k < q.nsrc; ++k) {
     if (!src_ready(q.src[k], now)) return false;
   }
   return true;
 }
 
-std::array<double, 3> FpSubsystem::read_sources(const QueuedOp& q) {
+std::array<double, 3> FpSubsystem::read_sources(const FpOp& q) {
   std::array<double, 3> v{};
   for (u32 k = 0; k < q.nsrc; ++k) v[k] = read_src(q.src[k]);
   return v;
@@ -84,7 +67,7 @@ void FpSubsystem::tick(Cycle now) {
     ++perf_.fpu_idle_empty;
     return;
   }
-  const QueuedOp& q = queue_.front();  // popped last, once it issues
+  const FpOp& q = queue_.front();  // popped last, once it issues
 
   // Memory ops need the LSU port.
   if (q.mem != MemDir::kNone) {

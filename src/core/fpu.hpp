@@ -7,36 +7,25 @@
 // writes to a write-configured stream register push into the lane's store
 // FIFO. An FP LSU with a single pipelined TCDM port serves fld/fsd.
 //
-// Each op is decoded from its kOpTable row once, at enqueue, into the
-// queue entry that issue reads. Issue also fixes where the result goes:
-// the register file, or a write stream whose FIFO slot it reserves. Retire
-// follows that choice even if SSR is toggled while the op is in flight.
+// Each op is decoded once per program load (decode_fp_op, core/fp_op.hpp)
+// into the 16-byte queue entry that issue reads. Issue also fixes where the
+// result goes: the register file, or a write stream whose FIFO slot it
+// reserves. Retire follows that choice even if SSR is toggled while the op
+// is in flight.
 #pragma once
 
 #include <array>
 #include <bit>
 
 #include "common/fixed_queue.hpp"
+#include "core/fp_op.hpp"
 #include "core/perf_counters.hpp"
-#include "isa/instr.hpp"
 #include "mem/tcdm.hpp"
 #include "ssr/ssr_unit.hpp"
 
 namespace saris {
 
 inline constexpr u32 kFpuQueueDepth = 8;
-/// Issue-to-dependent-issue gap: a 3-stage FP64 pipeline with full result
-/// forwarding to the issue stage (FPnew as configured in Snitch).
-inline constexpr u32 kFpuLatencyCycles = 2;
-inline constexpr u32 kFpuMoveLatency = 1;
-static_assert(kFpuMoveLatency <= kFpuLatencyCycles,
-              "the FPU pipeline holds at most kFpuLatencyCycles ops");
-
-/// Issue-to-writeback latency of an FP compute op, by its latency class.
-constexpr u32 fpu_latency(Op op) {
-  return op_desc(op).lat == FpLat::kMove ? kFpuMoveLatency
-                                         : kFpuLatencyCycles;
-}
 
 class FpSubsystem {
  public:
@@ -44,8 +33,11 @@ class FpSubsystem {
               std::array<double, kNumFRegs>& fregs, u32 core_id);
 
   bool queue_full() const { return queue_.full(); }
-  /// Enqueue an offloaded FP instruction (fetch path or FREP sequencer).
-  void enqueue(const Instr& in);
+  /// Append an entry to the queue (fetch path or FREP sequencer) and return
+  /// it. The slot holds a stale entry: the caller copies a whole decoded
+  /// FpOp into it, then edits it in place. Building the entry elsewhere
+  /// and copying it in would stall the host on store forwarding.
+  FpOp& enqueue() { return queue_.push_slot(); }
 
   /// Phase 1: absorb FP-LSU responses granted last cycle.
   void collect(Cycle now) {
@@ -73,22 +65,6 @@ class FpSubsystem {
   void reset();
 
  private:
-  /// An offloaded op as issue reads it, decoded from its kOpTable row once
-  /// at enqueue, so a head that waits on operands does not re-read the
-  /// table or the slot mask every cycle.
-  struct QueuedOp {
-    Addr target = 0;  ///< fld/fsd address, resolved by the Core at offload
-    Op op = Op::kNop;
-    FReg dst{};
-    std::array<FReg, 3> src{};  ///< FP sources in operand order
-    u8 nsrc = 0;
-    MemDir mem = MemDir::kNone;
-    u8 mem_bytes = 0;
-    u8 lat = 0;  ///< fpu_latency(op)
-    u8 flops = 0;  ///< flops_of(op); nonzero marks useful FPU work
-  };
-  static_assert(sizeof(QueuedOp) == 16);
-
   /// An issued op: its result and where it goes. The destination is
   /// decided at issue, where a stream destination reserves its FIFO slot,
   /// so toggling SSR while the op is in flight does not re-route it.
@@ -99,11 +75,11 @@ class FpSubsystem {
     bool to_sr = false;  ///< push to freg's write lane, not the register file
   };
 
-  bool operands_ready(const QueuedOp& q, Cycle now) const;
+  bool operands_ready(const FpOp& q, Cycle now) const;
   double read_src(FReg r);
   /// Read (popping stream registers) every FP source of `q`, in operand
   /// order.
-  std::array<double, 3> read_sources(const QueuedOp& q);
+  std::array<double, 3> read_sources(const FpOp& q);
   bool src_ready(FReg r, Cycle now) const;
 
   Tcdm& tcdm_;
@@ -111,7 +87,7 @@ class FpSubsystem {
   CorePerf& perf_;
   std::array<double, kNumFRegs>& fregs_;
 
-  FixedQueue<QueuedOp, kFpuQueueDepth> queue_;
+  FixedQueue<FpOp, kFpuQueueDepth> queue_;
   /// Issued ops in issue order. At most one op issues per cycle and each
   /// retires within kFpuLatencyCycles, so that many slots suffice; and
   /// completion cycles never decrease in issue order, so the finished ops

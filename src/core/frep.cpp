@@ -21,20 +21,19 @@ void FrepSequencer::start(u64 reps, u32 body_len, u32 stagger,
   stagger_off_ = 1 % stagger;  // the fetch pass was iteration 0
 }
 
-void FrepSequencer::capture(const Instr& in) {
+void FrepSequencer::capture(const FpOp& q) {
   SARIS_CHECK(capturing(), "capture while not capturing");
-  SARIS_CHECK(op_desc(in.op).frep_body,
+  SARIS_CHECK(op_desc(q.op).frep_body,
               "frep body must be FP compute instructions");
-  buf_.push_back(in);
+  buf_.push_back(q);
   --to_capture_;
 }
 
-Instr FrepSequencer::next() {
+void FrepSequencer::next(FpOp& slot) {
   SARIS_CHECK(replaying(), "next() while not replaying");
-  Instr in = buf_[pos_];
+  slot = buf_[pos_];
   if (stagger_ > 1) {
-    const bool in_range =
-        stagger_rotate(in, stagger_base_, stagger_off_);
+    const bool in_range = stagger_rotate(slot, stagger_base_, stagger_off_);
     SARIS_CHECK(in_range, "stagger past f31");
   }
   ++pos_;
@@ -43,7 +42,6 @@ Instr FrepSequencer::next() {
     --reps_left_;
     if (++stagger_off_ == stagger_) stagger_off_ = 0;
   }
-  return in;
 }
 
 void FrepSequencer::reset() {

@@ -2,28 +2,52 @@
 //
 // `frep reps, body_len` makes the next `body_len` offloaded FP instructions
 // replay `reps` times in total. The first pass flows through the normal
-// fetch path (and is captured into the sequence buffer); the remaining
-// `reps-1` iterations are injected straight into the FPU queue while the
-// integer core runs ahead — Snitch's pseudo-dual-issue.
+// fetch path, and the sequencer captures the decoded FPU queue entries
+// (core/fp_op.hpp) it enqueued; the remaining `reps-1` iterations are
+// injected straight into the FPU queue while the integer core runs ahead —
+// Snitch's pseudo-dual-issue. A replay copies the captured entry into the
+// queue slot and staggers its registers there, so nothing is re-decoded.
 #pragma once
 
 #include <vector>
 
 #include "common/types.hpp"
+#include "core/fp_op.hpp"
 #include "isa/instr.hpp"
 
 namespace saris {
 
-/// Register staggering of one replayed body instruction: every FP register
-/// field at or above `base` moves up by `off` (unused fields sit at f0, below
-/// any base the code generators emit). False when a field passes f31.
-inline bool stagger_rotate(Instr& in, u32 base, u32 off) {
+/// Register staggering of one FP register an op reads or writes: at or
+/// above `base` it moves up by `off`. False when it passes f31. Both
+/// stagger_rotate forms apply this rule and nothing else.
+inline bool stagger_reg(FReg& r, u32 base, u32 off) {
+  if (r.idx < base) return true;
+  const u32 idx = r.idx + off;
+  r.idx = static_cast<u8>(idx);
+  return idx < kNumFRegs;
+}
+
+/// Staggering of one replayed body op, as its decoded queue entry: the
+/// destination it writes and each source it reads. False when one passes
+/// f31.
+inline bool stagger_rotate(FpOp& q, u32 base, u32 off) {
   bool in_range = true;
-  for (FReg* r : {&in.frd, &in.frs1, &in.frs2, &in.frs3}) {
-    if (r->idx < base) continue;
-    in_range = in_range && r->idx + off < kNumFRegs;
-    r->idx = static_cast<u8>(r->idx + off);
+  if (q.writes_dst()) in_range &= stagger_reg(q.dst, base, off);
+  for (u32 k = 0; k < q.nsrc; ++k) {
+    in_range &= stagger_reg(q.src[k], base, off);
   }
+  return in_range;
+}
+
+/// The same staggering on an instruction (the cost walk and the CFG's FREP
+/// expansion): frd if the op writes it and each frs slot it reads.
+inline bool stagger_rotate(Instr& in, u32 base, u32 off) {
+  const OpDesc& d = op_desc(in.op);
+  bool in_range = true;
+  if (d.f_write) in_range &= stagger_reg(in.frd, base, off);
+  if (d.f_reads & kSlot1) in_range &= stagger_reg(in.frs1, base, off);
+  if (d.f_reads & kSlot2) in_range &= stagger_reg(in.frs2, base, off);
+  if (d.f_reads & kSlot3) in_range &= stagger_reg(in.frs3, base, off);
   return in_range;
 }
 
@@ -41,19 +65,22 @@ class FrepSequencer {
   bool replaying() const { return !capturing() && reps_left_ > 0; }
   bool busy() const { return capturing() || replaying(); }
 
-  /// Capture one fetched FP body instruction (first iteration).
-  void capture(const Instr& in);
+  /// Capture the decoded entry of one fetched FP body instruction (first
+  /// iteration).
+  void capture(const FpOp& q);
 
-  /// During replay: next instruction to inject, if any.
+  /// During replay: is there a next op to inject?
   bool has_next() const { return replaying(); }
-  Instr next();
+  /// Copy the next op into `slot`, a fresh FPU queue entry, and stagger its
+  /// registers there.
+  void next(FpOp& slot);
 
   /// Back to power-on (no capture, no replay, empty buffer) — the cluster
   /// re-arm path; a drained sequencer resets to exactly this state anyway.
   void reset();
 
  private:
-  std::vector<Instr> buf_;
+  std::vector<FpOp> buf_;
   u32 to_capture_ = 0;
   u64 reps_left_ = 0;  ///< full iterations still to inject
   u32 pos_ = 0;

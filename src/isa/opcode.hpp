@@ -109,7 +109,7 @@ enum class ImmUse : u8 {
 
 enum class MemDir : u8 { kNone, kLoad, kStore };
 
-/// FPU latency class; fpu_latency (core/fpu.hpp) maps it to cycles.
+/// FPU latency class; fpu_latency (core/fp_op.hpp) maps it to cycles.
 enum class FpLat : u8 { kNone, kArith, kMove };
 
 /// Everything static about one opcode (see the column list at the top).

@@ -2,9 +2,13 @@
 // offload behaviour, FP load/store, SSR register mapping, halt draining.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "analysis/cost.hpp"
 #include "analysis/verifier.hpp"
 #include "cluster/cluster.hpp"
+#include "core/fp_op.hpp"
 #include "isa/builder.hpp"
 #include "ssr/ssr_config.hpp"
 
@@ -373,6 +377,44 @@ TEST(Core, ResetClearsState) {
   cl.core(0).reset();
   EXPECT_EQ(cl.core(0).xreg(5), 0u);
   EXPECT_FALSE(cl.core(0).halted());
+}
+
+TEST(FpOp, DecodeMatchesTheOpTableRow) {
+  u32 ops = 0;
+  for (const OpDesc& d : kOpTable) {
+    if (!d.is_fp()) continue;
+    ++ops;
+    SCOPED_TRACE(std::string(d.name));
+    Instr in;
+    in.op = d.op;
+    in.frd = f(4);
+    in.frs1 = f(5);
+    in.frs2 = f(6);
+    in.frs3 = f(7);
+    in.target = 99;  // a branch field: the decoded target stays 0
+    const FpOp q = decode_fp_op(in);
+    EXPECT_EQ(q.op, d.op);
+    EXPECT_EQ(q.mem, d.mem);
+    EXPECT_EQ(q.mem_bytes, d.mem_bytes);
+    EXPECT_EQ(q.flops, d.flops);
+    EXPECT_EQ(q.lat, fpu_latency(d.op));
+    EXPECT_EQ(q.dst.idx, 4);
+    EXPECT_EQ(q.writes_dst(), d.f_write);
+    EXPECT_EQ(q.target, 0u);
+    std::vector<u8> srcs;  // f_reads slots in operand order
+    if (d.f_reads & kSlot1) srcs.push_back(5);
+    if (d.f_reads & kSlot2) srcs.push_back(6);
+    if (d.f_reads & kSlot3) srcs.push_back(7);
+    ASSERT_EQ(q.nsrc, srcs.size());
+    for (u32 k = 0; k < q.nsrc; ++k) EXPECT_EQ(q.src[k].idx, srcs[k]);
+  }
+  EXPECT_EQ(ops, 9u);
+}
+
+TEST(FpOpDeath, DecodeRejectsNonFpOps) {
+  Instr in;
+  in.op = Op::kAddi;
+  EXPECT_DEATH(decode_fp_op(in), "non-FP op offloaded: addi");
 }
 
 TEST(ICache, HitsAfterColdMiss) {

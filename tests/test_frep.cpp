@@ -1,21 +1,27 @@
-// Unit tests: FREP sequencer — capture/replay counts, register staggering,
-// and end-to-end FREP program behaviour.
+// Unit tests: FREP sequencer — capture/replay counts of decoded queue
+// entries, register staggering in both forms, and end-to-end FREP program
+// behaviour.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "cluster/cluster.hpp"
+#include "core/fp_op.hpp"
 #include "core/frep.hpp"
 #include "isa/builder.hpp"
 
 namespace saris {
 namespace {
 
-Instr fadd(u8 rd, u8 a, u8 b) {
+/// The decoded queue entry of fadd.d f<rd>, f<a>, f<b>, as the fetch pass
+/// enqueues and the sequencer captures it.
+FpOp fadd(u8 rd, u8 a, u8 b) {
   Instr in;
   in.op = Op::kFaddD;
   in.frd = f(rd);
   in.frs1 = f(a);
   in.frs2 = f(b);
-  return in;
+  return decode_fp_op(in);
 }
 
 TEST(FrepSequencer, CaptureThenReplayCount) {
@@ -28,8 +34,10 @@ TEST(FrepSequencer, CaptureThenReplayCount) {
   EXPECT_TRUE(s.replaying());
   // Two remaining iterations -> four injected instructions.
   u32 n = 0;
+  FpOp q;
   while (s.has_next()) {
-    s.next();
+    s.next(q);
+    EXPECT_EQ(q.dst.idx, n % 2 == 0 ? 4 : 7);
     ++n;
   }
   EXPECT_EQ(n, 4u);
@@ -48,14 +56,39 @@ TEST(FrepSequencer, StaggerRotatesRegistersAboveBase) {
   s.start(/*reps=*/4, /*body_len=*/1, /*stagger=*/2, /*stagger_base=*/10);
   s.capture(fadd(10, 9, 11));  // rd and rs2 above base, rs1 below
   // Iterations 1, 2, 3 -> offsets 1, 0, 1.
-  Instr i1 = s.next();
-  EXPECT_EQ(i1.frd.idx, 11);
-  EXPECT_EQ(i1.frs1.idx, 9);   // below base: untouched
-  EXPECT_EQ(i1.frs2.idx, 12);
-  Instr i2 = s.next();
-  EXPECT_EQ(i2.frd.idx, 10);
-  Instr i3 = s.next();
-  EXPECT_EQ(i3.frd.idx, 11);
+  FpOp i1, i2, i3;
+  s.next(i1);
+  EXPECT_EQ(i1.dst.idx, 11);
+  EXPECT_EQ(i1.src[0].idx, 9);   // below base: untouched
+  EXPECT_EQ(i1.src[1].idx, 12);
+  s.next(i2);
+  EXPECT_EQ(i2.dst.idx, 10);
+  s.next(i3);
+  EXPECT_EQ(i3.dst.idx, 11);
+  EXPECT_FALSE(s.busy());
+}
+
+TEST(FrepSequencer, StaggerRotatesEveryFmaOperandAboveBase) {
+  // fmadd.d f12, f10, f3, f14 with base f10: frd, frs1 and frs3 rotate,
+  // frs2 sits below the base and stays.
+  Instr in;
+  in.op = Op::kFmaddD;
+  in.frd = f(12);
+  in.frs1 = f(10);
+  in.frs2 = f(3);
+  in.frs3 = f(14);
+  FrepSequencer s;
+  s.start(/*reps=*/4, /*body_len=*/1, /*stagger=*/2, /*stagger_base=*/10);
+  s.capture(decode_fp_op(in));
+  for (u8 off : {1, 0, 1}) {  // replay iterations 1, 2, 3
+    FpOp q;
+    s.next(q);
+    ASSERT_EQ(q.nsrc, 3u);
+    EXPECT_EQ(q.dst.idx, 12 + off);
+    EXPECT_EQ(q.src[0].idx, 10 + off);
+    EXPECT_EQ(q.src[1].idx, 3);
+    EXPECT_EQ(q.src[2].idx, 14 + off);
+  }
   EXPECT_FALSE(s.busy());
 }
 
@@ -63,9 +96,47 @@ TEST(FrepSequencer, NoStaggerKeepsRegisters) {
   FrepSequencer s;
   s.start(2, 1);
   s.capture(fadd(20, 21, 22));
-  Instr i1 = s.next();
-  EXPECT_EQ(i1.frd.idx, 20);
-  EXPECT_EQ(i1.frs1.idx, 21);
+  FpOp i1;
+  s.next(i1);
+  EXPECT_EQ(i1.dst.idx, 20);
+  EXPECT_EQ(i1.src[0].idx, 21);
+}
+
+TEST(FrepStagger, BothFormsRotateExactlyTheRegistersTheOpUses) {
+  // Every FP op, with every register field at or above the base: the
+  // instruction form and the decoded-entry form must rotate the same
+  // registers, and the instruction form must leave unused fields alone.
+  u32 ops = 0;
+  for (const OpDesc& d : kOpTable) {
+    if (!d.is_fp()) continue;
+    ++ops;
+    SCOPED_TRACE(std::string(d.name));
+    Instr in;
+    in.op = d.op;
+    in.frd = f(12);
+    in.frs1 = f(13);
+    in.frs2 = f(14);
+    in.frs3 = f(15);
+    FpOp q = decode_fp_op(in);
+    ASSERT_TRUE(stagger_rotate(in, /*base=*/10, /*off=*/2));
+    ASSERT_TRUE(stagger_rotate(q, 10, 2));
+    EXPECT_EQ(in.frd.idx, d.f_write ? 14 : 12);
+    EXPECT_EQ(in.frs1.idx, d.f_reads & kSlot1 ? 15 : 13);
+    EXPECT_EQ(in.frs2.idx, d.f_reads & kSlot2 ? 16 : 14);
+    EXPECT_EQ(in.frs3.idx, d.f_reads & kSlot3 ? 17 : 15);
+    const FpOp want = decode_fp_op(in);
+    EXPECT_EQ(q.dst.idx, want.dst.idx);
+    ASSERT_EQ(q.nsrc, want.nsrc);
+    for (u32 k = 0; k < q.nsrc; ++k) EXPECT_EQ(q.src[k].idx, want.src[k].idx);
+    // Past f31 both forms report it.
+    Instr top;
+    top.op = d.op;
+    top.frd = top.frs1 = top.frs2 = top.frs3 = f(31);
+    FpOp qtop = decode_fp_op(top);
+    EXPECT_FALSE(stagger_rotate(top, 10, 1));
+    EXPECT_FALSE(stagger_rotate(qtop, 10, 1));
+  }
+  EXPECT_EQ(ops, 9u);
 }
 
 TEST(FrepSequencerDeath, OversizeBodyAborts) {
@@ -83,7 +154,7 @@ TEST(FrepSequencerDeath, NonComputeBodyAborts) {
   s.start(2, 1);
   Instr ld;
   ld.op = Op::kFld;
-  EXPECT_DEATH(s.capture(ld), "FP compute");
+  EXPECT_DEATH(s.capture(decode_fp_op(ld)), "FP compute");
 }
 
 // ---- end-to-end on a core ----
