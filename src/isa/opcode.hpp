@@ -11,24 +11,26 @@
 // every value it computes lives in the evaluators below the table. Columns
 // and their readers:
 //  - name       mnemonic: disasm, diagnostics.
-//  - cls        dispatch class: Core::int_step, FpSubsystem::enqueue, the
-//               CFG (branch edges), Program::mix, both static walks.
-//  - flops      FLOP count, >0 marks useful FPU work: FpSubsystem and the
-//               cost walk (CorePerf flops / fpu_useful_ops), codegen
-//               schedule FLOP totals, Program::mix.
+//  - cls        dispatch class: Core::int_step, decode_fp_op (its is-FP
+//               check), the CFG (branch edges), Program::mix, both static
+//               walks.
+//  - flops      FLOP count, >0 marks useful FPU work: decode_fp_op (for
+//               FpSubsystem) and the cost walk (CorePerf flops /
+//               fpu_useful_ops), codegen schedule FLOP totals, Program::mix.
 //  - x_reads    rs1/rs2 slots read: dataflow use sets, the known-bits
 //    x_write    stepper (analysis/known_regs.hpp), disasm; x_write marks rd.
-//  - f_reads    frs1..frs3 slots read, in operand order: FpSubsystem::enqueue
-//    f_write    (decoded once into the FPU queue entry that operand
-//               readiness, SR-stall attribution and stream pops read), the
-//               cost walk's FPU mirror, dataflow use/def sets, disasm;
-//               f_write marks frd.
+//  - f_reads    frs1..frs3 slots read, in operand order: decode_fp_op
+//    f_write    (core/fp_op.hpp; decoded once per program load into the FPU
+//               queue entry that operand readiness, SR-stall attribution,
+//               stream pops and FREP staggering read), stagger_rotate on an
+//               Instr, the cost walk's FPU mirror, dataflow use/def sets,
+//               disasm; f_write marks frd.
 //  - imm        how the immediate is used: disasm operand formatting.
 //  - mem,       memory direction and width of loads/stores (integer and
 //    mem_bytes  FP): Core (integer LSU, FP address resolution),
-//               FpSubsystem, absint access enumeration, the cost walk's
+//               decode_fp_op, absint access enumeration, the cost walk's
 //               LSU mirrors, dataflow (a load never pushes to a stream).
-//  - lat        FPU latency class (fpu_latency): FpSubsystem, cost walk.
+//  - lat        FPU latency class (fpu_latency): decode_fp_op, cost walk.
 //  - frep_body  may sit in an FREP body: ProgramBuilder::build, the CFG's
 //               structural check, Core, FrepSequencer, the cost walk, codegen.
 // Evaluators: int_alu (Core, known-bits stepper), branch_taken (same), and
