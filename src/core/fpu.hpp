@@ -35,8 +35,9 @@ class FpSubsystem {
   bool queue_full() const { return queue_.full(); }
   /// Append an entry to the queue (fetch path or FREP sequencer) and return
   /// it. The slot holds a stale entry: the caller copies a whole decoded
-  /// FpOp into it, then edits it in place. Building the entry elsewhere
-  /// and copying it in would stall the host on store forwarding.
+  /// FpOp into it, then edits it in place. Building an entry field by field
+  /// on the stack and copying it in would stall the host on store
+  /// forwarding.
   FpOp& enqueue() { return queue_.push_slot(); }
 
   /// Phase 1: absorb FP-LSU responses granted last cycle.
