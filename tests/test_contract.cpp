@@ -9,8 +9,10 @@
 //     timeline as a digest) and a digest of the output grid;
 //   * from a compile with verify and cost on: the diagnostic count, absint
 //     per-port counts, the liveness export, register pressure, the cost
-//     walk's predicted cycles and per-core counters, the lint count, and a
-//     digest of each core's disassembly.
+//     walk's predicted cycles and per-core counters, the lint count,
+//     digests of every lint finding (kind, core, pc, message) and of the
+//     stream launch log (core, pc, lane), and a digest of each core's
+//     disassembly.
 //
 // On a mismatch the test prints the actual record. After an intended
 // behaviour change, regenerate the fixture from the repository root with
@@ -173,6 +175,21 @@ void record_compile(const StencilCode& sc, KernelVariant variant,
        << perf_line(cost.cores[c].perf) << " pc_stalls " << stalls.hex()
        << "\n";
   }
+  Digest findings;
+  for (const Diagnostic& d : cost.lint) {
+    findings.pod(d.kind);
+    findings.pod(d.core);
+    findings.pod(d.pc);
+    findings.str(d.message);
+  }
+  Digest launches;
+  for (const StreamLaunch& sl : cost.launches) {
+    launches.pod(sl.core);
+    launches.pod(sl.pc);
+    launches.pod(sl.lane);
+  }
+  os << "cost lint " << findings.hex() << " launches " << launches.hex()
+     << "\n";
   for (std::size_t c = 0; c < ck.programs.size(); ++c) {
     Digest text;
     text.str(disasm(ck.programs[c]));
