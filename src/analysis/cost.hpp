@@ -1,95 +1,72 @@
-// Static per-core pipeline cost model over a CompiledKernel.
+// Static per-core cost of a CompiledKernel: the cell priced by running it.
 //
-// analyze_cost performs a scoreboard walk of the compiled programs: every
-// core is stepped cycle-by-cycle in lockstep — integer fetch/issue, FP
-// offload queue, FPU latency pipe, FREP sequencer replay (with stagger
-// rotation), SSR lane FIFOs and the shared index port, icache, and the
-// cluster barrier — against an *ideal* TCDM that grants every request
-// immediately. Because kernels take no runtime arguments, the walk resolves
-// every branch, trip count, and scfgwi value concretely (the same property
-// the abstract interpreter exploits), and because FP data never influences
-// timing, the walk needs no data values at all: stream state is tracked as
-// FIFO occupancy counts only.
+// analyze_cost builds a cluster of one core per program, switches its TCDM
+// to ideal arbitration (Tcdm::set_ideal_arbitration: every pending request
+// granted each cycle), stages only the SSR index vectors and the programs
+// (stage_programs), and steps the simulator until every core halts or
+// kCostCycleBudget cycles pass. Kernels take no runtime arguments and FP
+// data never influences timing, so the grids and coefficients stay zero.
+// Every report field is read off the cores: CorePerf counters, busy
+// windows, the FPU's per-pc stall table and the stream launch log. There is
+// one executor of the pipeline; this pass prices on it.
 //
-// Accuracy contract (validated in tests/test_cost.cpp and gated in CI via
-// bench/static_cost):
-//   * exact  — when the walk completes AND the verifier proves the cell's
-//     core traffic conflict-free (VerifyReport::conflict), a lone requester
-//     per bank is always granted, the ideal TCDM is the real TCDM, and the
-//     predicted cycles and every per-cause stall counter equal the measured
-//     CorePerf bit-for-bit (overlap-DMA off).
-//   * banded — under TCDM bank conflicts the model is an optimistic bound:
-//     predicted <= measured, with the conflict-envelope band documented in
-//     bench/README.md (<= 10% cycle error on compute-bound cells).
-// The exact claim is validated non-vacuously on every cell: a simulator run
-// with ClusterConfig::ideal_tcdm realizes the conflict-free memory the walk
-// assumes, and the prediction must match such a run bit-for-bit — cycles,
-// busy windows, and all per-cause counters (tests/test_cost.cpp).
+// Contract (tests/test_cost.cpp, tests/test_contract.cpp):
+//   * complete — every core halted within the budget. A hand-built program
+//     whose timing reads loaded data or rdcycle is priced on zero data.
+//   * exact — complete AND the verifier proves the cell's core traffic
+//     conflict-free (VerifyReport::conflict). A lone requester per bank is
+//     always granted, so the ideal TCDM is the real TCDM, and the predicted
+//     cycles and every per-cause counter equal a measured overlap-DMA-off
+//     run bit-for-bit.
+//   * banded — under TCDM bank conflicts the prediction is an optimistic
+//     bound: predicted <= measured, within 10% on every cell.
+// A program that trips a simulator SARIS_CHECK aborts when priced, as it
+// does when run.
 //
-// The walk also records per-pc FPU stall attribution and every SSR stream
-// launch, which feed the performance linter (analysis/lint.hpp); its
-// advisory findings land in CostReport::lint and never fail a compile.
+// The per-pc stalls and launches feed the performance linter
+// (analysis/lint.hpp); its advisory findings land in CostReport::lint and
+// never fail a compile.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "analysis/diagnostic.hpp"
 #include "core/perf_counters.hpp"
 #include "runtime/compiled_kernel.hpp"
-#include "ssr/ssr_config.hpp"
 
 namespace saris {
 
 struct VerifyReport;
 struct CodegenOptions;
 
-/// FPU-side stall cycles charged to one original-program pc (the op at the
-/// head of the offload queue when the FPU could not issue).
-struct PcStalls {
-  u64 operand = 0;   ///< scoreboard RAW/WAW waits
-  u64 sr_empty = 0;  ///< SSR read FIFO empty
-  u64 sr_full = 0;   ///< SSR write FIFO full
-  u64 mem = 0;       ///< FP LSU busy
-  u64 total() const { return operand + sr_empty + sr_full + mem; }
-};
-
-/// One SSR stream launch observed during the walk (lint input: unconfigured
-/// lanes, bank-hotspot attribution).
-struct StreamLaunch {
-  u32 core = 0;
-  u32 pc = 0;  ///< the launching scfgwi
-  u32 lane = 0;
-  SsrStreamKind kind = SsrStreamKind::kNone;
-  SsrLaneConfig cfg{};
-  Addr base = 0;
-};
+/// Cycle budget of the priced run: far above any real cell (tens of
+/// thousands of cycles), far below anything that would make compile-time
+/// analysis noticeable.
+inline constexpr Cycle kCostCycleBudget = Cycle{1} << 26;
 
 struct CoreCost {
-  CorePerf perf;        ///< predicted counters, same vocabulary as measured
-  Cycle busy = 0;       ///< predicted halted_at + 1 (t0 = 0)
-  bool complete = false;  ///< walk reached halt with all timing inputs known
-  std::vector<PcStalls> pc_stalls;  ///< indexed by original pc
+  CorePerf perf;          ///< the priced run's counters
+  Cycle busy = 0;         ///< halted_at + 1 (t0 = 0); 0 when not halted
+  bool complete = false;  ///< the core halted within the budget
+  std::vector<PcStalls> pc_stalls;  ///< indexed by program pc
 };
 
 struct CostReport {
   std::vector<CoreCost> cores;
   Cycle predicted_cycles = 0;  ///< cluster compute window, max(busy)
-  bool complete = false;       ///< every core's walk completed
+  bool complete = false;       ///< every core halted within the budget
   /// complete && core traffic provably conflict-free: prediction is claimed
   /// bit-exact against a measured overlap-DMA-off run.
   bool exact = false;
-  std::vector<StreamLaunch> launches;
-  std::vector<Diagnostic> lint;  ///< advisory findings; never fatal
+  std::vector<StreamLaunch> launches;  ///< by core, in launch order
+  std::vector<Diagnostic> lint;        ///< advisory findings; never fatal
 };
 
-/// Run the scoreboard walk + performance linter. `rep` supplies the conflict
-/// verdict (exactness gate), liveness (register-pressure lint), and absint
-/// access histograms (bank-hotspot lint).
+/// Price `ck` on an ideal-TCDM cluster and run the performance linter.
+/// `rep` supplies the conflict verdict (exactness gate), liveness
+/// (register-pressure lint), and absint access histograms (bank-hotspot
+/// lint).
 CostReport analyze_cost(const CompiledKernel& ck, const VerifyReport& rep);
-
-/// Predicted-vs-nothing summary table: per-core cycles and top stall causes.
-std::string render_cost(const CostReport& cost);
 
 /// Effective on/off for the compile-time cost pass: CodegenOptions::
 /// analyze_cost when set (0/1), else the SARIS_ANALYZE environment variable

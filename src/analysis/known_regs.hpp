@@ -1,8 +1,7 @@
-// The known-bits integer stepper shared by both static walks (absint and the
-// cost model).
+// The known-bits integer stepper of the abstract interpreter (absint).
 //
 // Generated kernels compute every address, trip count and scfgwi operand
-// from compile-time constants, so the walks execute the integer stream on
+// from compile-time constants, so the walk executes the integer stream on
 // concrete values and track, per register, whether the value is static.
 // Results come from the opcode table's evaluators (isa/opcode.hpp); a value
 // is known when every source it reads is. Loaded data and rdcycle are

@@ -1,9 +1,11 @@
-// Performance linter over the cost model's walk artifacts.
+// Performance linter over the priced run's records.
 //
-// Turns cost-model + dataflow facts into actionable, pc-anchored advisory
-// diagnostics (DiagSeverity::kWarning, kPerf* kinds). Findings live in
-// CostReport::lint only — they are never merged into VerifyReport::diags,
-// so they cannot fail a compile. Four rules:
+// Turns the cost pass's per-pc FPU stalls and stream launches
+// (analysis/cost.hpp, read off an ideal-TCDM run) and dataflow facts into
+// actionable, pc-anchored advisory diagnostics (DiagSeverity::kWarning,
+// kPerf* kinds). Findings live in CostReport::lint only — they are never
+// merged into VerifyReport::diags, so they cannot fail a compile. Four
+// rules:
 //   * FPU issue gap — a single instruction accumulating scoreboard-operand
 //     stall cycles (dependency chain deeper than the accumulator set);
 //   * register-pressure ceiling — liveness max-live close to the 32-entry

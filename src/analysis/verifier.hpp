@@ -72,7 +72,7 @@ struct VerifyReport {
   AbsintResult absint;
   BankConflictPrediction conflict;           ///< core-port traffic only
   BankConflictPrediction conflict_with_dma;  ///< plus overlap-DMA aggregate
-  /// Static cost model + lint results, present when the compile ran with
+  /// Static cost pass + lint results, present when the compile ran with
   /// analyze_cost on (CodegenOptions::analyze_cost / SARIS_ANALYZE).
   std::optional<CostReport> cost;
 

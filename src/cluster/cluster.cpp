@@ -27,7 +27,6 @@ void Cluster::init(MemoryPort& mem_port) {
     cores_.push_back(std::make_unique<Core>(i, tcdm_, barrier_));
   }
   dma_ = std::make_unique<Dma>(tcdm_, mem_port);
-  tcdm_.set_ideal_arbitration(cfg_.ideal_tcdm);
 }
 
 void Cluster::rearm() {

@@ -25,12 +25,6 @@ struct ClusterConfig {
   u32 num_cores = 8;
   u32 tcdm_bytes = kTcdmSizeBytes;
   u64 main_mem_bytes = 512ull * 1024 * 1024;
-  /// Conflict-free TCDM (Tcdm::set_ideal_arbitration): every pending
-  /// request granted each cycle. Validation mode for the static cost model
-  /// — its walk assumes exactly this memory, so a run here must match the
-  /// prediction bit-for-bit (tests/test_cost.cpp). Not a paper
-  /// configuration.
-  bool ideal_tcdm = false;
 };
 
 class Cluster {

@@ -18,7 +18,7 @@ struct CodegenOptions {
   /// key so a cached artifact always carries the verdict it was compiled
   /// with.
   i8 verify = -1;
-  /// Static cost model + performance linter at compile time: -1 = env
+  /// Static cost pass + performance linter at compile time: -1 = env
   /// default (SARIS_ANALYZE, off unless set to 1/on/true), 0 = off,
   /// 1 = on. Results land in VerifyReport::cost; lint findings are advisory
   /// and never fail a compile.

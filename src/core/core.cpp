@@ -13,11 +13,16 @@ Core::Core(u32 id, Tcdm& tcdm, Barrier& barrier)
       int_port_(tcdm.make_port("ilsu" + std::to_string(id))) {}
 
 void Core::load_program(Program p) {
+  SARIS_CHECK(p.size() <= kMaxProgramInstrs,
+              "program of " << p.size() << " instructions on core " << id_
+                            << " exceeds " << kMaxProgramInstrs);
   prog_ = std::move(p);
   fp_ops_.assign(prog_.size(), FpOp{});
   for (u32 pc = 0; pc < prog_.size(); ++pc) {
     const Instr& in = prog_.instrs()[pc];
-    if (is_fp_op(in.op)) fp_ops_[pc] = decode_fp_op(in);
+    if (!is_fp_op(in.op)) continue;
+    fp_ops_[pc] = decode_fp_op(in);
+    fp_ops_[pc].pc = static_cast<u16>(pc);
   }
   reset();
 }
@@ -37,6 +42,8 @@ void Core::reset() {
   xregs_.fill(0);
   fregs_.fill(0.0);
   perf_ = CorePerf{};
+  fpu_.clear_pc_stalls(prog_.size());
+  launches_.clear();
   stall_cycles_ = 0;
   barrier_wait_ = false;
   int_load_wait_ = false;
@@ -229,7 +236,9 @@ bool Core::sys_step(const Instr& in, Cycle now) {
         ++perf_.stall_scfg_busy;
         return false;
       }
-      ssr_.write_cfg(sel.lane, sel.word, xregs_[in.rs1.idx]);
+      if (ssr_.write_cfg(sel.lane, sel.word, xregs_[in.rs1.idx])) {
+        launches_.push_back(StreamLaunch{id_, pc_, sel.lane});
+      }
       quiescent_ = false;  // the write may have launched a stream
       return true;
     }

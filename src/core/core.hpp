@@ -9,6 +9,10 @@
 // FPU queue entries (core/fp_op.hpp); an offload copies its pc's entry into
 // the queue. Addresses of offloaded fld/fsd are computed by the integer
 // core at offload time (as on Snitch) and written into the entry's target.
+//
+// Besides its CorePerf counters, every run records the FPU's stall cycles
+// by pc (pc_stalls) and each stream launch with its scfgwi pc and lane
+// (launches). reset() clears all three.
 #pragma once
 
 #include <array>
@@ -31,7 +35,11 @@ class Core {
  public:
   Core(u32 id, Tcdm& tcdm, Barrier& barrier);
 
+  /// Load `p` (at most kMaxProgramInstrs instructions; aborts on more) and
+  /// reset().
   void load_program(Program p);
+  /// Architectural state, pc, counters and run records back to zero; the
+  /// program and the subsystems' in-flight state are kept.
   void reset();
 
   /// Full power-on reset: reset() plus the subsystems it leaves alone —
@@ -59,6 +67,10 @@ class Core {
   u32 pc() const { return pc_; }
   CorePerf& perf() { return perf_; }
   const CorePerf& perf() const { return perf_; }
+  /// FPU stall cycles by program pc, one entry per instruction.
+  const std::vector<PcStalls>& pc_stalls() const { return fpu_.pc_stalls(); }
+  /// Every stream launch of this run, in launch order.
+  const std::vector<StreamLaunch>& launches() const { return launches_; }
   SsrUnit& ssr() { return ssr_; }
   ICache& icache() { return icache_; }
   const Program& program() const { return prog_; }
@@ -86,6 +98,7 @@ class Core {
   /// decode_fp_op of each FP instruction of prog_, by pc (other pcs hold
   /// an unused default entry). Filled by load_program, cleared by rearm.
   std::vector<FpOp> fp_ops_;
+  std::vector<StreamLaunch> launches_;
   u32 pc_ = 0;
 
   std::array<u32, kNumXRegs> xregs_{};

@@ -12,7 +12,6 @@ FpOp decode_fp_op(const Instr& in) {
   q.dst = in.frd;
   for_each_fp_read(in, [&](FReg r) { q.src[q.nsrc++] = r; });
   q.mem = d.mem;
-  q.mem_bytes = d.mem_bytes;
   q.lat = static_cast<u8>(fpu_latency(in.op));
   q.flops = d.flops;
   return q;

@@ -2,18 +2,24 @@
 // it from an instruction.
 //
 // Core::load_program decodes every FP instruction of the program once into
-// a per-pc table of these entries. The fetch path copies a pc's entry into
-// the FPU queue slot and writes only the fld/fsd address; the FREP
-// sequencer captures the entries the fetch pass enqueued and replays each by
-// copying it into a queue slot and staggering its registers there. So no
-// offloaded or replayed op reads a kOpTable row or a slot mask again.
+// a per-pc table of these entries and writes each entry's pc. The fetch
+// path copies a pc's entry into the FPU queue slot and writes only the
+// fld/fsd address; the FREP sequencer captures the entries the fetch pass
+// enqueued and replays each by copying it into a queue slot and staggering
+// its registers there. So no offloaded or replayed op reads a kOpTable row
+// or a slot mask again, and a replayed op still carries its body pc, to
+// which the FPU charges its stalls.
 #pragma once
 
 #include <array>
+#include <limits>
 
 #include "isa/instr.hpp"
 
 namespace saris {
+
+/// FpOp::pc is 16 bits wide, so Core::load_program rejects longer programs.
+inline constexpr u32 kMaxProgramInstrs = 1u << 16;
 
 /// Issue-to-dependent-issue gap: a 3-stage FP64 pipeline with full result
 /// forwarding to the issue stage (FPnew as configured in Snitch).
@@ -35,8 +41,8 @@ struct FpOp {
   FReg dst{};
   std::array<FReg, 3> src{};  ///< FP sources in operand order (f_reads)
   u8 nsrc = 0;
-  MemDir mem = MemDir::kNone;
-  u8 mem_bytes = 0;
+  MemDir mem = MemDir::kNone;  ///< a load or store moves one kWordBytes word
+  u16 pc = 0;    ///< program index, written by Core::load_program
   u8 lat = 0;    ///< fpu_latency(op)
   u8 flops = 0;  ///< flops_of(op); nonzero marks useful FPU work
 
@@ -44,6 +50,18 @@ struct FpOp {
   bool writes_dst() const { return mem != MemDir::kStore; }
 };
 static_assert(sizeof(FpOp) == 16);
+static_assert(kMaxProgramInstrs - 1 <= std::numeric_limits<u16>::max());
+
+static_assert(
+    [] {
+      for (const OpDesc& d : kOpTable) {
+        if (d.is_fp() && d.mem != MemDir::kNone && d.mem_bytes != kWordBytes) {
+          return false;
+        }
+      }
+      return true;
+    }(),
+    "FpOp drops mem_bytes: every FP load and store moves one 64-bit word");
 
 static_assert(
     [] {
@@ -56,8 +74,9 @@ static_assert(
     }(),
     "FpOp::writes_dst assumes every FP op but a store writes frd");
 
-/// Decode FP instruction `in` (aborts on any other op). The target is left
-/// 0; the Core writes a load's or store's address at offload.
+/// Decode FP instruction `in` (aborts on any other op). The target and pc
+/// are left 0; the Core writes the pc at load and a load's or store's
+/// address at offload.
 FpOp decode_fp_op(const Instr& in);
 
 }  // namespace saris

@@ -68,17 +68,19 @@ void FpSubsystem::tick(Cycle now) {
     return;
   }
   const FpOp& q = queue_.front();  // popped last, once it issues
+  PcStalls& at_pc = pc_stalls_[q.pc];
 
   // Memory ops need the LSU port.
   if (q.mem != MemDir::kNone) {
     if (lsu_busy_) {
       ++perf_.fpu_stall_mem;
+      ++at_pc.mem;
       return;
     }
     if (q.mem == MemDir::kLoad) {
       SARIS_CHECK(!(ssr_.enabled() && is_ssr_reg(q.dst)),
                   "fld into an enabled stream register");
-      tcdm_.post(lsu_port_, q.target, q.mem_bytes, /*is_write=*/false, 0);
+      tcdm_.post(lsu_port_, q.target, kWordBytes, /*is_write=*/false, 0);
       lsu_busy_ = true;
       lsu_is_load_ = true;
       lsu_dest_ = q.dst;
@@ -87,10 +89,11 @@ void FpSubsystem::tick(Cycle now) {
     } else {
       if (!operands_ready(q, now)) {
         ++perf_.fpu_stall_operand;
+        ++at_pc.operand;
         return;
       }
       const double data = read_sources(q)[0];  // a store's one FP source
-      tcdm_.post(lsu_port_, q.target, q.mem_bytes, /*is_write=*/true,
+      tcdm_.post(lsu_port_, q.target, kWordBytes, /*is_write=*/true,
                  std::bit_cast<u64>(data));
       lsu_busy_ = true;
       lsu_is_load_ = false;
@@ -112,8 +115,10 @@ void FpSubsystem::tick(Cycle now) {
     }
     if (sr_block) {
       ++perf_.fpu_stall_sr_empty;
+      ++at_pc.sr_empty;
     } else {
       ++perf_.fpu_stall_operand;
+      ++at_pc.operand;
     }
     return;
   }
@@ -123,12 +128,14 @@ void FpSubsystem::tick(Cycle now) {
   if (dst_is_sr) {
     if (!ssr_.lane(ssr_lane_of(q.dst)).can_reserve_push()) {
       ++perf_.fpu_stall_sr_full;
+      ++at_pc.sr_full;
       return;
     }
   } else {
     // In-order WAW guard on the architectural destination.
     if (freg_ready_[q.dst.idx] > now) {
       ++perf_.fpu_stall_operand;
+      ++at_pc.operand;
       return;
     }
   }

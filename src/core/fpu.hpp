@@ -11,11 +11,13 @@
 // into the 16-byte queue entry that issue reads. Issue also fixes where the
 // result goes: the register file, or a write stream whose FIFO slot it
 // reserves. Retire follows that choice even if SSR is toggled while the op
-// is in flight.
+// is in flight. Each cycle the head cannot issue is charged to one stall
+// counter and to the head's pc in a per-pc table.
 #pragma once
 
 #include <array>
 #include <bit>
+#include <vector>
 
 #include "common/fixed_queue.hpp"
 #include "core/fp_op.hpp"
@@ -60,9 +62,16 @@ class FpSubsystem {
     return queue_.empty() && pipe_.empty() && !lsu_busy_;
   }
 
+  /// Stall cycles by the pc of the queue head that stalled; each field sums
+  /// to its CorePerf fpu_stall_* counter.
+  const std::vector<PcStalls>& pc_stalls() const { return pc_stalls_; }
+  /// Zero the per-pc table, sized for a program of `n` instructions (the
+  /// Core's reset, with the CorePerf counters it splits).
+  void clear_pc_stalls(u32 n) { pc_stalls_.assign(n, PcStalls{}); }
+
   /// Back to power-on: queue, pipeline, scoreboard, and LSU state cleared.
   /// Part of the cluster re-arm contract (the owning Core resets the shared
-  /// CorePerf counters and FP register file itself).
+  /// CorePerf counters, the per-pc table and the FP register file itself).
   void reset();
 
  private:
@@ -95,6 +104,7 @@ class FpSubsystem {
   /// are always a prefix.
   FixedQueue<Inflight, kFpuLatencyCycles> pipe_;
   std::array<Cycle, kNumFRegs> freg_ready_{};
+  std::vector<PcStalls> pc_stalls_;
 
   u32 lsu_port_;
   bool lsu_busy_ = false;

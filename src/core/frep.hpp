@@ -39,8 +39,8 @@ inline bool stagger_rotate(FpOp& q, u32 base, u32 off) {
   return in_range;
 }
 
-/// The same staggering on an instruction (the cost walk and the CFG's FREP
-/// expansion): frd if the op writes it and each frs slot it reads.
+/// The same staggering on an instruction (the CFG's FREP expansion): frd
+/// if the op writes it and each frs slot it reads.
 inline bool stagger_rotate(Instr& in, u32 base, u32 off) {
   const OpDesc& d = op_desc(in.op);
   bool in_range = true;

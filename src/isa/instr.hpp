@@ -54,8 +54,8 @@ inline u32 frep_stagger_base(i32 imm) {
   return (static_cast<u32>(imm) >> 16) & 0xFF;
 }
 
-/// FREP limits, the one definition the builder, the sequencer, the
-/// verifier and the cost walk test against: a body is 1..kFrepBufferDepth
+/// FREP limits, the one definition the builder, the sequencer and the
+/// verifier test against: a body is 1..kFrepBufferDepth
 /// instructions (the sequence buffer), a stagger count 1..kFrepMaxStagger.
 inline constexpr u32 kFrepBufferDepth = 16;
 inline constexpr u32 kFrepMaxStagger = 8;

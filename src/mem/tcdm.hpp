@@ -55,16 +55,15 @@ class Tcdm {
   /// pins the outcome of adversarial random traffic to a recorded digest.
   void arbitrate(Cycle now);
 
-  /// Validation hook: grant *every* pending request each cycle instead of
-  /// one per bank — a conflict-free TCDM with unchanged single-cycle
-  /// response timing. This is exactly the memory the static cost model
-  /// (analysis/cost.hpp) walks against, so a run in this mode must match
-  /// its prediction bit-for-bit on every cell; tests/test_cost.cpp enforces
-  /// that. Requests to one bank in one cycle are granted in post order, so
-  /// a read posted after a write to the same word sees the written value
-  /// and one posted before it does not. The arbitrated run grants such a
-  /// pair in round-robin order instead, so values may differ from it when
-  /// two ports touch the same word in the same cycle.
+  /// Grant *every* pending request each cycle instead of one per bank — a
+  /// conflict-free TCDM with unchanged single-cycle response timing. The
+  /// static cost pass (analysis/cost.hpp) prices a cell by running it on
+  /// this memory; it is not a paper configuration. Requests to one bank in
+  /// one cycle are granted in post order, so a read posted after a write to
+  /// the same word sees the written value and one posted before it does
+  /// not. The arbitrated run grants such a pair in round-robin order
+  /// instead, so values may differ from it when two ports touch the same
+  /// word in the same cycle.
   void set_ideal_arbitration(bool on) { ideal_ = on; }
   bool ideal_arbitration() const { return ideal_; }
 

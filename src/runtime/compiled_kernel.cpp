@@ -87,10 +87,10 @@ CompiledKernel compile_kernel(const StencilCode& sc, KernelVariant variant,
 
   // Post-lowering verify pass: reject illegal programs before any cluster
   // ever executes them. The report rides with the artifact (and thus the
-  // plan cache) so warm-cache executions keep the verdict. The cost model
-  // runs over the verified IR and needs the report's conflict verdict and
-  // liveness, so asking for analysis alone still runs verification — it
-  // just doesn't reject on errors.
+  // plan cache) so warm-cache executions keep the verdict. The cost pass
+  // runs the lowered programs on an ideal-TCDM cluster and needs the
+  // report's conflict verdict and liveness, so asking for analysis alone
+  // still runs verification — it just doesn't reject on errors.
   const bool do_verify = resolve_verify(cg);
   const bool do_cost = resolve_analyze_cost(cg);
   if (do_verify || do_cost) {

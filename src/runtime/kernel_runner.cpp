@@ -112,15 +112,20 @@ void stage_kernel(const CompiledKernel& ck, Cluster& cluster,
     tcdm.host_write(lay.coeffs_for(c), io.coeffs.data(),
                     static_cast<u32>(io.coeffs.size() * sizeof(double)));
   }
+  stage_programs(ck, cluster);
+}
+
+void stage_programs(const CompiledKernel& ck, Cluster& cluster) {
+  Tcdm& tcdm = cluster.tcdm();
   for (u32 c = 0; c < static_cast<u32>(ck.idx_values.size()); ++c) {
     for (u32 l = 0; l < 2; ++l) {
       const std::vector<u16>& vals = ck.idx_values[c][l];
       if (vals.empty()) continue;
-      tcdm.host_write(lay.core_idx[c][l].addr, vals.data(),
+      tcdm.host_write(ck.layout.core_idx[c][l].addr, vals.data(),
                       static_cast<u32>(vals.size() * sizeof(u16)));
     }
   }
-  for (u32 c = 0; c < n; ++c) {
+  for (u32 c = 0; c < cluster.num_cores(); ++c) {
     cluster.core(c).load_program(ck.programs[c]);
   }
 }

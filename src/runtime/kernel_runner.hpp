@@ -37,7 +37,7 @@ class FaultPlan;
 struct RunConfig {
   KernelVariant variant = KernelVariant::kSaris;
   CodegenOptions cg{};
-  ClusterConfig cluster{};  ///< e.g. ideal_tcdm for the cost-model check
+  ClusterConfig cluster{};  ///< cores, TCDM and main-memory sizes
   bool overlap_dma = true;  ///< model steady-state double-buffered DMA
   bool verify = true;
   bool record_timeline = false;  ///< fill RunMetrics::fpu_timeline
@@ -154,11 +154,17 @@ RunMetrics execute_kernel(const CompiledKernel& ck, Cluster& cluster,
                           const Grid<>* golden = nullptr);
 
 /// Stage `io` into the cluster's TCDM (inputs, zeroed output, per-core
-/// coefficients and SSR index vectors) and load the per-core programs,
-/// with no checks: KernelRun's constructor checks first. Exported for
-/// tests that stage a hand-compiled cell on a cluster of their own shape.
+/// coefficients) and then stage_programs, with no checks: KernelRun's
+/// constructor checks first. Exported for tests that stage a hand-compiled
+/// cell on a cluster of their own shape.
 void stage_kernel(const CompiledKernel& ck, Cluster& cluster,
                   const KernelIO& io);
+
+/// Write the per-core SSR index vectors into the cluster's TCDM and load
+/// the per-core programs: all of staging that a run's timing reads, since
+/// timing never depends on grid or coefficient values. analyze_cost prices
+/// a cell with this alone.
+void stage_programs(const CompiledKernel& ck, Cluster& cluster);
 
 /// Run one time iteration of `sc` over caller-provided data (examples use
 /// this to step simulations); verification is against the golden reference

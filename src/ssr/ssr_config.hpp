@@ -6,10 +6,9 @@
 // the lane and starts streaming. Lanes 0 and 1 are indirection-capable,
 // lane 2 is affine-only (paper §2.3).
 //
-// The simulator (SsrLane), the abstract interpreter, the cost walk, the
-// SSR-state dataflow and disasm all decode through scfg_select and
-// apply_scfg_word; each turns a bad status into its own check, diagnostic
-// or walk failure.
+// The simulator (SsrLane), the abstract interpreter, the SSR-state
+// dataflow and disasm all decode through scfg_select and apply_scfg_word;
+// each turns a bad status into its own check or diagnostic.
 #pragma once
 
 #include "common/types.hpp"

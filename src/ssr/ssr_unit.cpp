@@ -9,8 +9,10 @@ SsrUnit::SsrUnit(Tcdm& tcdm, u32 core_id)
       idx_port_(tcdm.make_port("idx" + std::to_string(core_id))),
       lanes_{SsrLane(tcdm, 0), SsrLane(tcdm, 1), SsrLane(tcdm, 2)} {}
 
-void SsrUnit::write_cfg(u32 lane_id, u32 word, u32 value) {
-  launched_ = lane(lane_id).write_cfg(word, value) || launched_;
+bool SsrUnit::write_cfg(u32 lane_id, u32 word, u32 value) {
+  const bool launch = lane(lane_id).write_cfg(word, value);
+  launched_ = launch || launched_;
+  return launch;
 }
 
 void SsrUnit::set_enabled(bool on) {

@@ -30,10 +30,10 @@ class SsrUnit {
   }
 
   /// Apply one config word to lane `lane` (scfgwi); a launch word starts
-  /// its stream. This is the only launch path, so the unit knows when its
-  /// lanes first leave SsrStreamKind::kNone. Aborts on a busy lane or a bad
-  /// write.
-  void write_cfg(u32 lane, u32 word, u32 value);
+  /// its stream, and then this returns true. This is the only launch path,
+  /// so the unit knows when its lanes first leave SsrStreamKind::kNone.
+  /// Aborts on a busy lane or a bad write.
+  bool write_cfg(u32 lane, u32 word, u32 value);
 
   bool enabled() const { return enabled_; }
   void set_enabled(bool on);

@@ -3,13 +3,13 @@
 //
 // This is the oracle for the simulator's one cycle loop. It compares
 // against recorded numbers, not a second implementation, so drift fails
-// even where two paths share code (as the cost walk and an ideal-TCDM run
-// do). Per cell it records:
+// even where two paths share code (as the arbitrated run and the cost
+// pass's ideal-TCDM run do). Per cell it records:
 //   * every field metrics_bit_identical compares (record_timeline on, the
 //     timeline as a digest) and a digest of the output grid;
 //   * from a compile with verify and cost on: the diagnostic count, absint
 //     per-port counts, the liveness export, register pressure, the cost
-//     walk's predicted cycles and per-core counters, the lint count,
+//     pass's predicted cycles and per-core counters, the lint count,
 //     digests of every lint finding (kind, core, pc, message) and of the
 //     stream launch log (core, pc, lane), and a digest of each core's
 //     disassembly.

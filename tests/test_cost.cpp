@@ -1,16 +1,16 @@
-// Static cost model validation + stall-accounting conservation, over every
+// Static cost pass validation + stall-accounting conservation, over every
 // (code, variant) cell of the matrix.
 //
-// Measured runs use overlap_dma=false: the cost model contains no DMA (DMA
-// influences cores only through bank conflicts, which the ideal-TCDM walk
+// Measured runs use overlap_dma=false: the priced run has no DMA (DMA
+// influences cores only through bank conflicts, which the ideal TCDM
 // excludes by construction), and the conservation laws need the compute
 // window itself — with overlap enabled the cluster runs extra drain cycles
 // after the last halt that keep crediting FPU idle time.
 //
 // Accuracy contract under test (see analysis/cost.hpp):
-//   * exact cells (complete walk + provably conflict-free core traffic):
-//     predicted cycles, busy, and every per-cause stall counter equal the
-//     measured CorePerf bit-for-bit;
+//   * exact cells (every core halted + provably conflict-free core
+//     traffic): predicted cycles, busy, and every per-cause stall counter
+//     equal the measured CorePerf bit-for-bit;
 //   * banded cells (bank conflicts apply): predicted cycles are an
 //     optimistic bound within 10% of measured.
 #include <gtest/gtest.h>
@@ -94,7 +94,7 @@ TEST_P(CostModelTest, PredictionMeetsAccuracyContract) {
   ASSERT_TRUE(cell.ck->verify_report->cost.has_value());
   const CostReport& cost = *cell.ck->verify_report->cost;
 
-  ASSERT_TRUE(cost.complete) << "cost walk did not complete";
+  ASSERT_TRUE(cost.complete) << "priced run did not halt";
   ASSERT_EQ(cost.cores.size(), kCores);
 
   if (cost.exact) {
@@ -140,62 +140,8 @@ TEST_P(CostModelTest, PredictionMeetsAccuracyContract) {
   }
 }
 
-// The cost model's walk is a transliteration of the pipeline against a
-// conflict-free TCDM. Running the *real* simulator with
-// ClusterConfig::ideal_tcdm (every pending request granted) realizes that
-// hypothetical machine, so on every cell — conflicts or not — the model
-// must match such a run bit-for-bit: cycles, busy windows, and all 20
-// per-cause counters. This is the non-vacuous form of the "cycle-exact on
-// conflict-free paths" claim; any divergence is a model bug, not a band.
-TEST_P(CostModelTest, BitExactAgainstIdealTcdmRun) {
-  const auto& [name, variant] = GetParam();
-  const StencilCode& sc = code_by_name(name);
-  RunConfig cfg;
-  cfg.variant = variant;
-  cfg.cg.analyze_cost = 1;
-  cfg.overlap_dma = false;
-  cfg.cluster.ideal_tcdm = true;
-  RunMetrics m = run_kernel(sc, cfg);
-  auto ck = PlanCache::global().get_or_compile(sc, variant, cfg.cg, kCores);
-  ASSERT_TRUE(ck->verify_report && ck->verify_report->cost.has_value());
-  const CostReport& cost = *ck->verify_report->cost;
-  ASSERT_TRUE(cost.complete);
-
-  EXPECT_EQ(m.tcdm_conflicts, 0u);
-  EXPECT_EQ(cost.predicted_cycles, m.cycles);
-  for (u32 c = 0; c < kCores; ++c) {
-    const CorePerf& pred = cost.cores[c].perf;
-    const CorePerf& meas = m.per_core[c];
-    EXPECT_EQ(cost.cores[c].busy, m.core_busy[c]) << "core " << c;
-#define SARIS_EXPECT_CAUSE(field) \
-  EXPECT_EQ(pred.field, meas.field) << "core " << c << " " #field
-    SARIS_EXPECT_CAUSE(int_instrs);
-    SARIS_EXPECT_CAUSE(fp_instrs);
-    SARIS_EXPECT_CAUSE(fp_offloads);
-    SARIS_EXPECT_CAUSE(fpu_useful_ops);
-    SARIS_EXPECT_CAUSE(flops);
-    SARIS_EXPECT_CAUSE(fp_loads);
-    SARIS_EXPECT_CAUSE(fp_stores);
-    SARIS_EXPECT_CAUSE(stall_icache);
-    SARIS_EXPECT_CAUSE(stall_fpu_queue_full);
-    SARIS_EXPECT_CAUSE(stall_seq_busy);
-    SARIS_EXPECT_CAUSE(stall_scfg_busy);
-    SARIS_EXPECT_CAUSE(stall_branch);
-    SARIS_EXPECT_CAUSE(stall_barrier);
-    SARIS_EXPECT_CAUSE(stall_int_lsu);
-    SARIS_EXPECT_CAUSE(stall_halt_drain);
-    SARIS_EXPECT_CAUSE(fpu_stall_operand);
-    SARIS_EXPECT_CAUSE(fpu_stall_sr_empty);
-    SARIS_EXPECT_CAUSE(fpu_stall_sr_full);
-    SARIS_EXPECT_CAUSE(fpu_stall_mem);
-    SARIS_EXPECT_CAUSE(fpu_idle_empty);
-#undef SARIS_EXPECT_CAUSE
-  }
-}
-
-// The predicted conservation laws hold for the model's own counters too —
-// the model can't validate against measurement if its own books don't
-// balance.
+// The conservation laws hold for the priced run's books too, and its per-pc
+// stall table splits the four FPU stall counters exactly.
 TEST_P(CostModelTest, PredictedCountersConserve) {
   const auto& [name, variant] = GetParam();
   Cell cell = run_cell(name, variant);
@@ -205,6 +151,17 @@ TEST_P(CostModelTest, PredictedCountersConserve) {
     const CorePerf& p = cost.cores[c].perf;
     EXPECT_EQ(int_side_sum(p) + 1, cost.cores[c].busy) << "core " << c;
     EXPECT_EQ(fpu_side_sum(p), cost.predicted_cycles) << "core " << c;
+    PcStalls sum;
+    for (const PcStalls& s : cost.cores[c].pc_stalls) {
+      sum.operand += s.operand;
+      sum.sr_empty += s.sr_empty;
+      sum.sr_full += s.sr_full;
+      sum.mem += s.mem;
+    }
+    EXPECT_EQ(sum.operand, p.fpu_stall_operand) << "core " << c;
+    EXPECT_EQ(sum.sr_empty, p.fpu_stall_sr_empty) << "core " << c;
+    EXPECT_EQ(sum.sr_full, p.fpu_stall_sr_full) << "core " << c;
+    EXPECT_EQ(sum.mem, p.fpu_stall_mem) << "core " << c;
   }
 }
 
