@@ -6,6 +6,7 @@
 
 #include "cluster/cluster.hpp"
 #include "isa/builder.hpp"
+#include "ssr/ssr_config.hpp"
 
 namespace saris {
 namespace {
@@ -333,11 +334,22 @@ TEST(Cluster, RearmWithADifferentProgramRunsTheNewOne) {
   // Two programs with FP ops at the same pcs that differ in opcode and
   // registers: each core loads, squares or doubles, and stores 12 words of
   // its own slice. After a re-arm, the second program must run exactly as
-  // on a fresh cluster, so nothing decoded from the first may survive.
+  // on a fresh cluster, so nothing decoded from the first may survive. The
+  // first program also streams its slice's first word through lane 0, so a
+  // launch log kept across the re-arm would show.
   constexpr u32 kWords = 12;
   auto slice = [](u32 c) { return static_cast<Addr>(8192 + 256 * c); };
   auto program = [&](u32 c, bool second) {
     ProgramBuilder b;
+    if (!second) {
+      b.li(x(5), 1);
+      b.scfgwi(x(5), 0, kSsrBound0);
+      b.li(x(5), static_cast<i32>(slice(c)));
+      b.scfgwi(x(5), 0, kSsrLaunchRead);
+      b.ssr_enable();
+      b.fmv_d(f(10), kFt0);
+      b.ssr_disable();
+    }
     b.li(x(5), static_cast<i32>(slice(c)));
     b.li(x(6), static_cast<i32>(slice(c) + 8 * kWords));
     b.bind("loop");
@@ -368,6 +380,8 @@ TEST(Cluster, RearmWithADifferentProgramRunsTheNewOne) {
   struct Snapshot {
     Cycle cycles = 0;
     std::vector<std::vector<u64>> perf;
+    std::vector<std::vector<u64>> pc_stalls;  ///< per core, 4 per pc
+    std::vector<std::vector<u32>> launches;   ///< per core, 3 per launch
     std::vector<u64> icache_hits, icache_misses;
     std::vector<u64> port_accesses, port_conflicts;
     u64 tcdm_accesses = 0, tcdm_conflicts = 0;
@@ -378,6 +392,14 @@ TEST(Cluster, RearmWithADifferentProgramRunsTheNewOne) {
     s.cycles = cycles;
     for (u32 c = 0; c < cl.num_cores(); ++c) {
       s.perf.push_back(perf_fields(cl.core(c).perf()));
+      std::vector<u64>& stalls = s.pc_stalls.emplace_back();
+      for (const PcStalls& p : cl.core(c).pc_stalls()) {
+        stalls.insert(stalls.end(), {p.operand, p.sr_empty, p.sr_full, p.mem});
+      }
+      std::vector<u32>& launches = s.launches.emplace_back();
+      for (const StreamLaunch& l : cl.core(c).launches()) {
+        launches.insert(launches.end(), {l.core, l.pc, l.lane});
+      }
       s.icache_hits.push_back(cl.core(c).icache().hits());
       s.icache_misses.push_back(cl.core(c).icache().misses());
       for (u32 w = 0; w < kWords; ++w) {
@@ -396,6 +418,8 @@ TEST(Cluster, RearmWithADifferentProgramRunsTheNewOne) {
   Cluster reused;
   run(reused, /*second=*/false);
   EXPECT_DOUBLE_EQ(reused.tcdm().host_read_f64(slice(0)), 3.0);  // 1.5 + 1.5
+  EXPECT_DOUBLE_EQ(reused.core(0).freg(10), 1.5);  // the streamed word
+  ASSERT_EQ(reused.core(0).launches().size(), 1u);
   reused.rearm();
   const Snapshot rearmed = snap(reused, run(reused, /*second=*/true));
 
@@ -405,6 +429,8 @@ TEST(Cluster, RearmWithADifferentProgramRunsTheNewOne) {
   EXPECT_DOUBLE_EQ(ref.stored[0], 2.25);  // 1.5 squared
   EXPECT_EQ(rearmed.cycles, ref.cycles);
   EXPECT_EQ(rearmed.perf, ref.perf);
+  EXPECT_EQ(rearmed.pc_stalls, ref.pc_stalls);
+  EXPECT_EQ(rearmed.launches, ref.launches);
   EXPECT_EQ(rearmed.icache_hits, ref.icache_hits);
   EXPECT_EQ(rearmed.icache_misses, ref.icache_misses);
   EXPECT_EQ(rearmed.port_accesses, ref.port_accesses);

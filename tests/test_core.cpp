@@ -352,6 +352,110 @@ TEST(Core, WriteBackRouteIsFixedAtIssue) {
   EXPECT_EQ(cycles, 33u);
 }
 
+/// One-core rig for the per-pc run records: run `p` on a 1-core cluster
+/// until it halts.
+Core& run_alone(Cluster& cl, Program p) {
+  cl.core(0).load_program(std::move(p));
+  cl.run_until_halted(1000);
+  return cl.core(0);
+}
+
+ClusterConfig one_core() {
+  ClusterConfig cfg;
+  cfg.num_cores = 1;
+  return cfg;
+}
+
+TEST(CorePcStalls, OperandWaitIsChargedToTheReader) {
+  ProgramBuilder b;
+  b.fmul_d(f(4), f(5), f(6));  // pc 0
+  b.fadd_d(f(7), f(4), f(4));  // pc 1: reads the fmul's result
+  b.halt();
+  Cluster cl(one_core());
+  const Core& core = run_alone(cl, b.build());
+  const std::vector<PcStalls>& at = core.pc_stalls();
+  ASSERT_EQ(at.size(), 3u);
+  EXPECT_GT(core.perf().fpu_stall_operand, 0u);
+  EXPECT_EQ(at[1].operand, core.perf().fpu_stall_operand);
+  EXPECT_EQ(at[0].total() + at[2].total(), 0u);
+}
+
+TEST(CorePcStalls, FrepReplayCarriesItsBodyPc) {
+  // Only replays stall: the fetched first iteration finds f4 ready, and
+  // each replay reads the previous one's result.
+  ProgramBuilder b;
+  b.li(x(5), 4);                       // pc 0
+  b.frep(x(5), 1);                     // pc 1
+  b.fmadd_d(f(4), f(4), f(4), f(4));  // pc 2
+  b.halt();
+  Cluster cl(one_core());
+  const Core& core = run_alone(cl, b.build());
+  const std::vector<PcStalls>& at = core.pc_stalls();
+  EXPECT_EQ(core.perf().fp_instrs, 4u);
+  EXPECT_GT(core.perf().fpu_stall_operand, 0u);
+  EXPECT_EQ(at[2].operand, core.perf().fpu_stall_operand);
+  EXPECT_EQ(at[0].total() + at[1].total() + at[3].total(), 0u);
+}
+
+TEST(CorePcStalls, LoadBehindABusyLsuIsChargedMem) {
+  // The fmul pair puts FPU issue two cycles behind fetch, so the sw posts
+  // to bank 0 in the cycle the second fld does. The first fld's grant left
+  // bank 0's round-robin pointer at the integer LSU, which wins; the FP LSU
+  // stays busy one more cycle, and the third fld, queued behind it, stalls.
+  ProgramBuilder b;
+  b.li(x(5), 0);               // pc 0
+  b.fmul_d(f(8), f(9), f(9));  // pc 1
+  b.fmul_d(f(8), f(8), f(8));  // pc 2
+  b.fld(f(4), x(5), 0);        // pc 3: bank 0
+  b.fld(f(5), x(5), 256);      // pc 4: bank 0
+  b.fld(f(6), x(5), 8);        // pc 5: bank 1
+  b.sw(x(0), x(5), 512);       // pc 6: bank 0
+  b.halt();
+  Cluster cl(one_core());
+  const Core& core = run_alone(cl, b.build());
+  const std::vector<PcStalls>& at = core.pc_stalls();
+  EXPECT_EQ(cl.tcdm().total_conflicts(), 1u);
+  EXPECT_EQ(core.perf().fpu_stall_mem, 1u);
+  EXPECT_EQ(at[5].mem, 1u);
+  EXPECT_EQ(at[2].operand, 1u);  // the second fmul waits for the first
+  u64 total = 0;
+  for (const PcStalls& s : at) total += s.total();
+  EXPECT_EQ(total, 2u);
+}
+
+TEST(CoreLaunches, OnlyTheLaunchWordIsLogged) {
+  ProgramBuilder b;
+  b.li(x(5), 4);
+  b.scfgwi(x(5), 1, kSsrBound0);      // pc 1
+  b.li(x(5), 8);
+  b.scfgwi(x(5), 1, kSsrStride0);     // pc 3
+  b.li(x(5), 1);
+  b.scfgwi(x(5), 1, kSsrBound1);      // pc 5
+  b.scfgwi(x(5), 1, kSsrBound2);      // pc 6
+  b.scfgwi(x(5), 1, kSsrBound3);      // pc 7
+  b.li(x(5), 0);
+  b.scfgwi(x(5), 1, kSsrLaunchRead);  // pc 9
+  b.ssr_enable();
+  for (u32 i = 0; i < 4; ++i) b.fadd_d(f(4), f(4), kFt1);
+  b.ssr_disable();
+  b.halt();
+  Cluster cl(one_core());
+  const Core& core = run_alone(cl, b.build());
+  ASSERT_EQ(core.launches().size(), 1u);
+  EXPECT_EQ(core.launches()[0].core, 0u);
+  EXPECT_EQ(core.launches()[0].pc, 9u);
+  EXPECT_EQ(core.launches()[0].lane, 1u);
+}
+
+TEST(CoreDeath, LoadRejectsAProgramPastTheFpOpPcWidth) {
+  Tcdm tcdm;
+  Barrier bar(1);
+  Core core(0, tcdm, bar);
+  std::vector<Instr> instrs(kMaxProgramInstrs + 1);
+  EXPECT_DEATH(core.load_program(Program::from_instrs(std::move(instrs))),
+               "exceeds 65536");
+}
+
 TEST(Core, ResetClearsState) {
   Cluster cl;
   ProgramBuilder b;
