@@ -23,9 +23,10 @@
 // HbmFrontend/System. Generic frames (FixedQueue, std::, libc) go to their
 // caller. A sample with no Cluster::step frame is "outside Cluster::step".
 // The table gives each component's share of the cycle-loop samples and of
-// all samples, and its host time per simulated cycle: share of all samples
-// x process CPU time / simulated cycles (compute windows, or system
-// windows on scaleout).
+// all samples. It gives no host time per simulated cycle: process CPU time
+// has no control for host speed, which drifts up to 2x between runs, so
+// only shares compare two builds. To turn a share into time, multiply it by
+// the repository benchmark's 1/sim_mcps, which is in reference seconds.
 //
 // Inlined frames need debug info. Configure a separate build with -g:
 //
@@ -413,22 +414,19 @@ int main(int argc, char** argv) {
   }
 
   const double total = static_cast<double>(n);
-  const double us_per_cycle = 1e6 * cpu / static_cast<double>(cycles);
   std::printf("host_profile: workload %s, %u passes, %.1f s CPU, "
               "%llu simulated cycles\n",
               workload.c_str(), passes, cpu,
               static_cast<unsigned long long>(cycles));
-  std::printf("samples: %zu (%zu dropped), %.1f%% under Cluster::step; "
-              "host time per simulated cycle %.3f us\n\n",
-              n, g_dropped.load(), 100.0 * static_cast<double>(loop) / total,
-              us_per_cycle);
-  TextTable t({"component", "% of loop", "% of all", "us/cycle"});
+  std::printf("samples: %zu (%zu dropped), %.1f%% under Cluster::step\n\n",
+              n, g_dropped.load(), 100.0 * static_cast<double>(loop) / total);
+  TextTable t({"component", "% of loop", "% of all"});
   auto row = [&](const std::string& name, u64 count, bool in_loop) {
     const double all = static_cast<double>(count) / total;
     const double of_loop = static_cast<double>(count) /
                            static_cast<double>(std::max<u64>(loop, 1));
     t.add_row({name, in_loop ? TextTable::pct(of_loop, 1) : "-",
-               TextTable::pct(all, 1), TextTable::fmt(all * us_per_cycle, 3)});
+               TextTable::pct(all, 1)});
   };
   for (std::size_t c = 0; c < components().size(); ++c) {
     row(components()[c].name, counts[c], true);
