@@ -11,6 +11,15 @@
 
 namespace saris {
 
+namespace {
+
+/// Cycle budget of the priced run: far above any real cell (tens of
+/// thousands of cycles), far below anything that would make compile-time
+/// analysis noticeable.
+constexpr Cycle kCostCycleBudget = Cycle{1} << 26;
+
+}  // namespace
+
 CostReport analyze_cost(const CompiledKernel& ck, const VerifyReport& rep) {
   ClusterConfig cfg;
   cfg.num_cores = static_cast<u32>(ck.programs.size());

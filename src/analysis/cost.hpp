@@ -3,9 +3,9 @@
 // analyze_cost builds a cluster of one core per program, switches its TCDM
 // to ideal arbitration (Tcdm::set_ideal_arbitration: every pending request
 // granted each cycle), stages only the SSR index vectors and the programs
-// (stage_programs), and steps the simulator until every core halts or
-// kCostCycleBudget cycles pass. Kernels take no runtime arguments and FP
-// data never influences timing, so the grids and coefficients stay zero.
+// (stage_programs), and steps the simulator until every core halts or 2^26
+// cycles pass. Kernels take no runtime arguments and FP data never
+// influences timing, so the grids and coefficients stay zero.
 // Every report field is read off the cores: CorePerf counters, busy
 // windows, the FPU's per-pc stall table and the stream launch log. There is
 // one executor of the pipeline; this pass prices on it.
@@ -38,11 +38,6 @@ namespace saris {
 
 struct VerifyReport;
 struct CodegenOptions;
-
-/// Cycle budget of the priced run: far above any real cell (tens of
-/// thousands of cycles), far below anything that would make compile-time
-/// analysis noticeable.
-inline constexpr Cycle kCostCycleBudget = Cycle{1} << 26;
 
 struct CoreCost {
   CorePerf perf;          ///< the priced run's counters
