@@ -6,12 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <cstring>
+#include <sstream>
 
 #include "analysis/verifier.hpp"
 #include "common/sim_error.hpp"
 #include "cluster/cluster.hpp"
 #include "isa/program.hpp"
 #include "runtime/kernel_runner.hpp"
+#include "ssr/ssr_config.hpp"
 #include "stencil/codes.hpp"
 
 namespace saris {
@@ -360,6 +364,312 @@ INSTANTIATE_TEST_SUITE_P(
       return std::get<0>(info.param) + std::string("_") +
              variant_name(std::get<1>(info.param));
     });
+
+
+// ---- stream edges: the per-element results each shape must keep ---------
+
+/// One core over a hand-built layout: input0 [0x1000, 0x2000) and input1
+/// [0x2000, 0x3000) read-only, output [0x3000, 0x4000) writable, a gap at
+/// [0x4000, 0x5000), and lane 0's index array at 0x5000.
+CompiledKernel stream_kernel(std::vector<Instr> prog,
+                             std::vector<u16> lane0_indices = {}) {
+  CompiledKernel ck;
+  ck.n_cores = 1;
+  ck.tcdm_bytes = kTcdmSizeBytes;
+  ck.programs.push_back(Program::from_instrs(std::move(prog)));
+  ck.layout.inputs = {0x1000, 0x2000};
+  ck.layout.output = 0x3000;
+  ck.layout.tile_bytes = 0x1000;
+  ck.layout.core_idx.resize(1);
+  ck.layout.core_idx[0][0] = IdxArraySpec{
+      0x5000, static_cast<u32>(lane0_indices.size())};
+  ck.idx_values.resize(1);
+  ck.idx_values[0][0] = std::move(lane0_indices);
+  return ck;
+}
+
+Instr scfgwi(u8 rs1, u32 lane, u32 word) {
+  Instr i;
+  i.op = Op::kScfgwi;
+  i.rs1 = XReg{rs1};
+  i.imm = scfg_imm(lane, word);
+  return i;
+}
+
+/// `addi x5, x0, value; scfgwi x5, lane, word`.
+void cfg_word(std::vector<Instr>& p, u32 lane, u32 word, i32 value) {
+  p.push_back(addi(5, 0, value));
+  p.push_back(scfgwi(5, lane, word));
+}
+
+std::vector<std::string> diag_lines(const VerifyReport& rep) {
+  std::vector<std::string> out;
+  for (const Diagnostic& d : rep.diags) out.push_back(diag_to_string(d));
+  return out;
+}
+
+std::vector<u64> port_counts(const CorePrediction& c) {
+  std::vector<u64> out;
+  for (const PortPrediction& p : c.ports) out.push_back(p.accesses);
+  return out;
+}
+
+TEST(AnalysisStreams, NegativeStrideAffineRead) {
+  // Lane 0 walks 4 x 3 elements down from 0x1018 and ends exactly on
+  // input0's first word; lane 1 walks 4 elements down from 0x1010 and its
+  // last one falls below the arena.
+  std::vector<Instr> p;
+  cfg_word(p, 0, kSsrBound0, 4);
+  cfg_word(p, 0, kSsrStride0, -8);
+  cfg_word(p, 0, kSsrBound1, 3);
+  cfg_word(p, 0, kSsrStride1, 64);
+  cfg_word(p, 0, kSsrLaunchRead, 0x1018);
+  cfg_word(p, 1, kSsrBound0, 4);
+  cfg_word(p, 1, kSsrStride0, -8);
+  cfg_word(p, 1, kSsrLaunchRead, 0x1010);
+  p.push_back(halt());
+  const VerifyReport rep = verify_kernel(stream_kernel(p));
+  EXPECT_EQ(diag_lines(rep),
+            std::vector<std::string>{
+                "core 0 pc 15: error [out-of-arena-access] read of 8 B at "
+                "0xff8 inside TCDM but outside every layout arena: SSR lane "
+                "1 read stream"});
+  const CorePrediction& c = rep.absint.cores.at(0);
+  EXPECT_EQ(port_counts(c), (std::vector<u64>{0, 12, 3, 0, 0, 0}));
+  EXPECT_FALSE(c.complete);
+  EXPECT_EQ(c.int_steps, 17u);
+}
+
+TEST(AnalysisStreams, ZeroStrideOuterDimension) {
+  // Four words at the top of the output arena, read five times over.
+  std::vector<Instr> p;
+  cfg_word(p, 2, kSsrBound0, 4);
+  cfg_word(p, 2, kSsrStride0, 8);
+  cfg_word(p, 2, kSsrBound1, 5);
+  cfg_word(p, 2, kSsrStride1, 0);
+  cfg_word(p, 2, kSsrLaunchRead, 0x3FE0);
+  p.push_back(halt());
+  const VerifyReport rep = verify_kernel(stream_kernel(p));
+  EXPECT_TRUE(rep.diags.empty()) << diag_lines(rep).front();
+  const CorePrediction& c = rep.absint.cores.at(0);
+  EXPECT_EQ(port_counts(c), (std::vector<u64>{0, 0, 0, 20, 0, 0}));
+  std::vector<u64> banks(kTcdmBanks, 0);
+  for (u32 b = 28; b < 32; ++b) banks[b] = 5;  // words 0x7FC..0x7FF
+  EXPECT_EQ(c.ports[kPortSsr2].per_bank, banks);
+  EXPECT_TRUE(c.complete);
+}
+
+TEST(AnalysisStreams, AffineReadStraddlingTwoArenas) {
+  // 64 words from 0x1F00 run from input0 into input1: every element lies
+  // in some arena, so nothing is reported.
+  std::vector<Instr> p;
+  cfg_word(p, 0, kSsrBound0, 64);
+  cfg_word(p, 0, kSsrStride0, 8);
+  cfg_word(p, 0, kSsrLaunchRead, 0x1F00);
+  p.push_back(halt());
+  const VerifyReport rep = verify_kernel(stream_kernel(p));
+  EXPECT_TRUE(rep.diags.empty()) << diag_lines(rep).front();
+  const CorePrediction& c = rep.absint.cores.at(0);
+  EXPECT_EQ(port_counts(c), (std::vector<u64>{0, 64, 0, 0, 0, 0}));
+  EXPECT_EQ(c.ports[kPortSsr0].per_bank, std::vector<u64>(kTcdmBanks, 2));
+  EXPECT_TRUE(c.complete);
+}
+
+TEST(AnalysisStreams, AffineWriteIntoReadOnlyArena) {
+  // Sixteen words written into input0: the first eight are reported and
+  // the eighth stops the walk.
+  std::vector<Instr> p;
+  cfg_word(p, 2, kSsrBound0, 16);
+  cfg_word(p, 2, kSsrStride0, 8);
+  cfg_word(p, 2, kSsrLaunchWrite, 0x1000);
+  p.push_back(halt());
+  const VerifyReport rep = verify_kernel(stream_kernel(p));
+  std::vector<std::string> want;
+  for (u32 k = 0; k < 8; ++k) {
+    std::ostringstream os;
+    os << "core 0 pc 5: error [out-of-arena-access] write of 8 B at 0x"
+       << std::hex << 0x1000 + 8 * k
+       << " write into read-only arena 'input0': SSR lane 2 write stream";
+    want.push_back(os.str());
+  }
+  EXPECT_EQ(diag_lines(rep), want);
+  const CorePrediction& c = rep.absint.cores.at(0);
+  EXPECT_EQ(port_counts(c), (std::vector<u64>{0, 0, 0, 0, 0, 0}));
+  EXPECT_FALSE(c.complete);
+  EXPECT_EQ(c.int_steps, 6u);
+}
+
+TEST(AnalysisStreams, GatherWhoseLargestIndexLeavesItsArena) {
+  // Five indices from the output arena's base; the last lands on 0x4000,
+  // in the gap past the arena.
+  std::vector<Instr> p;
+  cfg_word(p, 0, kSsrIdxBase, 0x5000);
+  cfg_word(p, 0, kSsrIdxCount, 5);
+  cfg_word(p, 0, kSsrLaunchIndirect, 0x3000);
+  p.push_back(halt());
+  const VerifyReport rep =
+      verify_kernel(stream_kernel(p, {0, 3, 1, 2, 0x200}));
+  EXPECT_EQ(diag_lines(rep),
+            std::vector<std::string>{
+                "core 0 pc 5: error [out-of-arena-access] read of 8 B at "
+                "0x4000 inside TCDM but outside every layout arena: SSR "
+                "lane 0 gather"});
+  const CorePrediction& c = rep.absint.cores.at(0);
+  EXPECT_EQ(port_counts(c), (std::vector<u64>{2, 4, 0, 0, 0, 0}));
+  EXPECT_FALSE(c.complete);
+}
+
+// ---- mutant corpus: every report field pinned over one-instruction mutants
+
+u64 splitmix(u64& s) {
+  s += 0x9E3779B97F4A7C15ull;
+  u64 z = s;
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
+}
+
+/// FNV-1a, fed field by field so no struct padding enters it.
+class Fnv {
+ public:
+  template <typename T>
+  void pod(const T& v) {
+    unsigned char b[sizeof v];
+    std::memcpy(b, &v, sizeof v);
+    for (unsigned char c : b) h_ = (h_ ^ c) * 0x100000001b3ull;
+  }
+  void str(const std::string& s) {
+    for (char c : s) pod(c);
+  }
+  std::string hex() const {
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(h_));
+    return buf;
+  }
+
+ private:
+  u64 h_ = 0xcbf29ce484222325ull;
+};
+
+void digest_port(Fnv& d, const PortPrediction& p) {
+  d.pod(p.accesses);
+  for (u64 b : p.per_bank) d.pod(b);
+}
+
+void digest_conflict(Fnv& d, const BankConflictPrediction& c) {
+  d.pod(c.accesses);
+  d.pod(c.t_est);
+  d.pod(c.predicted_conflicts);
+  d.pod(c.predicted_fraction);
+  d.pod(c.provably_conflict_free);
+  d.pod(c.exact);
+}
+
+void digest_report(Fnv& d, const VerifyReport& rep) {
+  d.pod(rep.diags.size());
+  for (const Diagnostic& g : rep.diags) {
+    d.pod(g.kind);
+    d.pod(g.severity);
+    d.pod(g.core);
+    d.pod(g.pc);
+    d.str(g.message);
+  }
+  d.pod(rep.absint.all_complete);
+  for (const CorePrediction& c : rep.absint.cores) {
+    d.pod(c.complete);
+    d.pod(c.int_steps);
+    for (const PortPrediction& p : c.ports) digest_port(d, p);
+  }
+  digest_port(d, rep.absint.dma);
+  for (const LivenessExport& lv : rep.liveness) {
+    d.pod(lv.live_in.size());
+    for (const RegSet& s : lv.live_in) {
+      d.pod(s.x);
+      d.pod(s.f);
+    }
+    for (const RegSet& s : lv.live_out) {
+      d.pod(s.x);
+      d.pod(s.f);
+    }
+  }
+  for (const RegPressure& p : rep.pressure) {
+    d.pod(p.max_live_x);
+    d.pod(p.max_live_f);
+    d.pod(p.at_pc_x);
+    d.pod(p.at_pc_f);
+  }
+  digest_conflict(d, rep.conflict);
+  digest_conflict(d, rep.conflict_with_dma);
+}
+
+/// `prog` with one instruction changed in one of five ways: a nop, its
+/// immediate moved by 1..64, swapped with its successor, overwritten by
+/// another instruction of the program, or (for a random branch) its
+/// target moved by 1..3.
+std::vector<Instr> mutate(const Program& prog, u64& s) {
+  std::vector<Instr> in = prog.instrs();
+  const u32 n = prog.size();
+  const u32 pc = static_cast<u32>(splitmix(s) % n);
+  switch (splitmix(s) % 5) {
+    case 0:
+      in[pc] = Instr{};
+      break;
+    case 1: {
+      const i32 delta = 1 + static_cast<i32>(splitmix(s) % 64);
+      in[pc].imm += (splitmix(s) & 1) ? delta : -delta;
+      break;
+    }
+    case 2:
+      if (pc + 1 < n) std::swap(in[pc], in[pc + 1]);
+      break;
+    case 3:
+      in[pc] = in[splitmix(s) % n];
+      break;
+    default: {
+      std::vector<u32> branches;
+      for (u32 q = 0; q < n; ++q) {
+        if (op_class(in[q].op) == OpClass::kBranch) branches.push_back(q);
+      }
+      if (branches.empty()) break;
+      Instr& b = in[branches[splitmix(s) % branches.size()]];
+      const u32 delta = 1 + static_cast<u32>(splitmix(s) % 3);
+      b.target = (splitmix(s) & 1) ? b.target + delta : b.target - delta;
+      break;
+    }
+  }
+  return in;
+}
+
+TEST(AnalysisMutants, ReportDigestIsPinned) {
+  // Every field of verify_kernel's report over 1,000 one-instruction
+  // mutants of the 20 cells' programs, as one digest. A change to the
+  // verifier's speed must leave it as it is.
+  CodegenOptions cg;
+  cg.verify = 0;
+  cg.analyze_cost = 0;
+  std::vector<CompiledKernel> cells;
+  for (const StencilCode& sc : all_codes()) {
+    for (KernelVariant v : {KernelVariant::kBase, KernelVariant::kSaris}) {
+      cells.push_back(compile_kernel(sc, v, cg, 8));
+    }
+  }
+  u64 s = 21;
+  Fnv d;
+  u32 rejected = 0;
+  for (u32 m = 0; m < 1000; ++m) {
+    CompiledKernel& ck = cells[m % cells.size()];
+    const u32 core = static_cast<u32>(splitmix(s) % ck.programs.size());
+    const Program original = ck.programs[core];
+    ck.programs[core] = Program::from_instrs(mutate(original, s));
+    const VerifyReport rep = verify_kernel(ck);
+    ck.programs[core] = original;
+    rejected += rep.ok() ? 0 : 1;
+    digest_report(d, rep);
+  }
+  EXPECT_EQ(rejected, 438u);
+  EXPECT_EQ(d.hex(), "1e86f74a98103e45");
+}
 
 }  // namespace
 }  // namespace saris
