@@ -1,14 +1,16 @@
-// Host profiler for the cycle loop: which simulator component the host's
-// time goes to.
+// Host profiler for the cycle loop and the static verifier: which simulator
+// component, or which verify stage, the host's time goes to.
 //
-//   host_profile [--workload saris|base|scaleout] [--seconds N]
+//   host_profile [--workload saris|base|scaleout|verify] [--seconds N]
 //
 // `saris` and `base` run the ten warm cells of one variant through
 // run_kernel. `scaleout` runs the six scaleout_steady system jobs (G=4
 // clusters x T=4 tiles, jacobi_2d, star3d2r and j3d27pt in both variants)
 // through run_system_kernel, ticked serially. Both use the repository
 // benchmark's settings: verify on, tolerance 1e-6. The seed is fixed at 4,
-// since timing does not depend on it. After one warm-up pass, passes
+// since timing does not depend on it. `verify` compiles the 20 cells once
+// with verify off and then calls verify_kernel on them; it profiles no
+// cycle loop. After one warm-up pass, passes
 // repeat for --seconds (default 12) of wall time while an
 // ITIMER_PROF handler samples the process. It asks for one sample per
 // millisecond of CPU time; the kernel may deliver fewer (about 250 per
@@ -22,11 +24,15 @@
 // Core; ICache; FrepSequencer/stagger_rotate; Dma; Cluster/Barrier;
 // HbmFrontend/System. Generic frames (FixedQueue, std::, libc) go to their
 // caller. A sample with no Cluster::step frame is "outside Cluster::step".
-// The table gives each component's share of the cycle-loop samples and of
-// all samples. It gives no host time per simulated cycle: process CPU time
-// has no control for host speed, which drifts up to 2x between runs, so
-// only shares compare two builds. To turn a share into time, multiply it by
-// the repository benchmark's 1/sim_mcps, which is in reference seconds.
+// The `verify` workload charges samples under verify_kernel to its stages
+// instead: CFG build (Cfg, check_structure), dataflow (analyze_dataflow),
+// abstract walk (abstract_interpret) and conflict prediction
+// (predict_bank_conflicts). The table gives each component's share of the
+// samples under the profiled frame and of all samples. It gives no host time
+// per simulated cycle: process CPU time has no control for host speed, which
+// drifts up to 2x between runs, so only shares compare two builds. To turn a
+// share into time, multiply it by the repository benchmark's 1/sim_mcps,
+// which is in reference seconds.
 //
 // Inlined frames need debug info. Configure a separate build with -g:
 //
@@ -43,9 +49,9 @@
 // rest.
 //
 // Exit status 1 when no sample was recorded, or when fewer than 90% of the
-// samples fall under Cluster::step. Every workload here spends at least 96%
-// of its time in the cycle loop, so a lower share means unwinding or
-// symbolizing failed.
+// samples fall under the profiled frame (Cluster::step, or verify_kernel).
+// Every workload here spends at least 96% of its time there, so a lower
+// share means unwinding or symbolizing failed.
 #include <execinfo.h>
 #include <link.h>
 #include <signal.h>
@@ -66,6 +72,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/verifier.hpp"
 #include "report/table.hpp"
 #include "runtime/kernel_runner.hpp"
 #include "stencil/codes.hpp"
@@ -136,6 +143,7 @@ struct Workload {
   std::vector<const StencilCode*> codes;  ///< one per job
   RunConfig cell;                         ///< saris / base: every job's
   std::vector<SystemRunConfig> systems;   ///< scaleout: one per job
+  std::vector<CompiledKernel> verify;     ///< verify: the cells to verify
 };
 
 RunConfig bench_config(KernelVariant v) {
@@ -153,6 +161,17 @@ bool make_workload(const std::string& name, Workload* w) {
     w->cell = bench_config(name == "saris" ? KernelVariant::kSaris
                                            : KernelVariant::kBase);
     for (const StencilCode& sc : all_codes()) w->codes.push_back(&sc);
+    return true;
+  }
+  if (name == "verify") {
+    CodegenOptions cg;
+    cg.verify = 0;
+    cg.analyze_cost = 0;
+    for (const StencilCode& sc : all_codes()) {
+      for (KernelVariant v : {KernelVariant::kBase, KernelVariant::kSaris}) {
+        w->verify.push_back(compile_kernel(sc, v, cg, 8));
+      }
+    }
     return true;
   }
   if (name == "scaleout") {
@@ -174,6 +193,12 @@ bool make_workload(const std::string& name, Workload* w) {
 
 /// One pass over the jobs; returns the simulated cycles it ran.
 u64 run_pass(const Workload& w) {
+  for (const CompiledKernel& ck : w.verify) {
+    if (!verify_kernel(ck).ok()) {
+      std::fprintf(stderr, "host_profile: a cell failed verification\n");
+      std::exit(1);
+    }
+  }
   u64 cycles = 0;
   for (std::size_t i = 0; i < w.codes.size(); ++i) {
     if (w.systems.empty()) {
@@ -270,7 +295,7 @@ struct Component {
   std::vector<const char*> prefixes;
 };
 
-const std::vector<Component>& components() {
+const std::vector<Component>& loop_components() {
   static const std::vector<Component> kComponents = {
       {"TCDM", {"saris::Tcdm::"}},
       {"SSR", {"saris::SsrLane::", "saris::SsrUnit::",
@@ -286,15 +311,26 @@ const std::vector<Component>& components() {
   return kComponents;
 }
 
+const std::vector<Component>& verify_components() {
+  static const std::vector<Component> kComponents = {
+      {"CFG build", {"saris::Cfg::", "saris::check_structure"}},
+      {"dataflow", {"saris::analyze_dataflow"}},
+      {"abstract walk", {"saris::abstract_interpret"}},
+      {"conflict prediction", {"saris::predict_bank_conflicts"}},
+  };
+  return kComponents;
+}
+
 bool starts_with(const std::string& s, const char* prefix) {
   return s.compare(0, std::strlen(prefix), prefix) == 0;
 }
 
-/// Index into components() of the innermost component frame, or -1.
-int classify(const std::vector<const std::string*>& chain) {
+/// Index into `components` of the innermost component frame, or -1.
+int classify(const std::vector<Component>& components,
+             const std::vector<const std::string*>& chain) {
   for (const std::string* f : chain) {
-    for (std::size_t c = 0; c < components().size(); ++c) {
-      for (const char* prefix : components()[c].prefixes) {
+    for (std::size_t c = 0; c < components.size(); ++c) {
+      for (const char* prefix : components[c].prefixes) {
         if (starts_with(*f, prefix)) return static_cast<int>(c);
       }
     }
@@ -315,8 +351,8 @@ int main(int argc, char** argv) {
       seconds = std::atof(argv[++i]);
     } else {
       std::fprintf(stderr,
-                   "usage: host_profile [--workload saris|base|scaleout] "
-                   "[--seconds N]\n");
+                   "usage: host_profile "
+                   "[--workload saris|base|scaleout|verify] [--seconds N]\n");
       return 2;
     }
   }
@@ -390,7 +426,13 @@ int main(int argc, char** argv) {
   unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
   const auto symbols = symbolize(unique);
 
-  std::vector<u64> counts(components().size(), 0);
+  const bool verify = !w.verify.empty();
+  const std::vector<Component>& components =
+      verify ? verify_components() : loop_components();
+  const char* const frame =
+      verify ? "saris::verify_kernel" : "saris::Cluster::step";
+  const char* const frame_name = verify ? "verify_kernel" : "Cluster::step";
+  std::vector<u64> counts(components.size(), 0);
   u64 loop = 0, loop_other = 0;
   for (const std::vector<uintptr_t>& stack : stacks) {
     std::vector<const std::string*> chain;
@@ -401,11 +443,11 @@ int main(int argc, char** argv) {
     }
     bool in_loop = false;
     for (const std::string* f : chain) {
-      in_loop = in_loop || starts_with(*f, "saris::Cluster::step");
+      in_loop = in_loop || starts_with(*f, frame);
     }
     if (!in_loop) continue;
     ++loop;
-    const int c = classify(chain);
+    const int c = classify(components, chain);
     if (c < 0) {
       ++loop_other;
     } else {
@@ -414,13 +456,18 @@ int main(int argc, char** argv) {
   }
 
   const double total = static_cast<double>(n);
-  std::printf("host_profile: workload %s, %u passes, %.1f s CPU, "
-              "%llu simulated cycles\n",
-              workload.c_str(), passes, cpu,
-              static_cast<unsigned long long>(cycles));
-  std::printf("samples: %zu (%zu dropped), %.1f%% under Cluster::step\n\n",
-              n, g_dropped.load(), 100.0 * static_cast<double>(loop) / total);
-  TextTable t({"component", "% of loop", "% of all"});
+  std::printf("host_profile: workload %s, %u passes, %.1f s CPU",
+              workload.c_str(), passes, cpu);
+  if (!verify) {
+    std::printf(", %llu simulated cycles",
+                static_cast<unsigned long long>(cycles));
+  }
+  std::printf("\n");
+  std::printf("samples: %zu (%zu dropped), %.1f%% under %s\n\n", n,
+              g_dropped.load(), 100.0 * static_cast<double>(loop) / total,
+              frame_name);
+  TextTable t({verify ? "stage" : "component",
+               verify ? "% of verify" : "% of loop", "% of all"});
   auto row = [&](const std::string& name, u64 count, bool in_loop) {
     const double all = static_cast<double>(count) / total;
     const double of_loop = static_cast<double>(count) /
@@ -428,11 +475,12 @@ int main(int argc, char** argv) {
     t.add_row({name, in_loop ? TextTable::pct(of_loop, 1) : "-",
                TextTable::pct(all, 1)});
   };
-  for (std::size_t c = 0; c < components().size(); ++c) {
-    row(components()[c].name, counts[c], true);
+  for (std::size_t c = 0; c < components.size(); ++c) {
+    row(components[c].name, counts[c], true);
   }
-  row("other, in the loop", loop_other, true);
-  row("outside Cluster::step", n - loop, false);
+  row(verify ? "other, in verify_kernel" : "other, in the loop", loop_other,
+      true);
+  row(std::string("outside ") + frame_name, n - loop, false);
   std::printf("%s", t.str().c_str());
   // A share p of n samples has binomial standard error sqrt(p(1-p)/n).
   std::printf("\nsampling noise: a share's standard error is at most %.1f "
@@ -440,9 +488,8 @@ int main(int argc, char** argv) {
               50.0 / std::sqrt(total));
 
   if (static_cast<double>(loop) < kMinLoopShare * total) {
-    std::fprintf(stderr,
-                 "host_profile: under %.0f%% of samples in Cluster::step\n",
-                 100.0 * kMinLoopShare);
+    std::fprintf(stderr, "host_profile: under %.0f%% of samples in %s\n",
+                 100.0 * kMinLoopShare, frame_name);
     return 1;
   }
   return 0;
