@@ -1,6 +1,6 @@
 #include "analysis/dataflow.hpp"
 
-#include <functional>
+#include <bit>
 #include <set>
 #include <sstream>
 #include <string>
@@ -83,51 +83,51 @@ UseDef use_def(const VirtInstr& v, const SsrState& before) {
 
 namespace {
 
-// ---- reaching definitions (definition-site bitvectors) ----
+// ---- reaching definitions, per register ----
 
-struct ReachingDefsProblem {
-  using Value = std::vector<u64>;
-  static constexpr bool kForward = true;
-
-  u32 words = 0;
-  std::vector<u64> entry;                ///< boundary: the 64 entry sites
-  std::vector<std::vector<u64>> gen;     ///< per vinstr
-  std::vector<std::vector<u64>> kill;    ///< per vinstr
-
-  Value boundary() const { return entry; }
-  Value init() const { return Value(words, 0); }
-  bool join(Value& into, const Value& from) const {
-    bool changed = false;
-    for (u32 w = 0; w < words; ++w) {
-      const u64 next = into[w] | from[w];
-      changed |= next != into[w];
-      into[w] = next;
-    }
-    return changed;
-  }
-  void transfer(u32 vi, const VirtInstr&, Value& v) const {
-    for (u32 w = 0; w < words; ++w) {
-      v[w] = (v[w] & ~kill[vi][w]) | gen[vi][w];
-    }
-  }
+/// Bit r of each mask is dense register id r: x regs 0..31, f regs 32..63.
+struct ReachingDefs {
+  u64 real = 0;   ///< some real definition of r reaches
+  u64 entry = 0;  ///< the pseudo entry definition of r reaches
+  bool operator==(const ReachingDefs&) const = default;
 };
 
-inline void set_bit(std::vector<u64>& v, u32 bit) {
-  v[bit / 64] |= u64{1} << (bit % 64);
-}
-inline bool get_bit(const std::vector<u64>& v, u32 bit) {
-  return (v[bit / 64] >> (bit % 64)) & 1u;
-}
+struct ReachingDefsProblem {
+  using Value = ReachingDefs;
+  static constexpr bool kForward = true;
+
+  /// Per vinstr: the register it defines as a one-bit mask (ops define at
+  /// most one), or 0. A definition of r reaches past the instruction and
+  /// kills r's entry definition.
+  const std::vector<u64>& def;
+
+  Value boundary() const { return ReachingDefs{0, ~u64{0}}; }
+  Value init() const { return ReachingDefs{}; }
+  bool join(Value& into, const Value& from) const {
+    const ReachingDefs before = into;
+    into.real |= from.real;
+    into.entry |= from.entry;
+    return !(into == before);
+  }
+  void transfer(u32 vi, const VirtInstr&, Value& v) const {
+    v.real |= def[vi];
+    v.entry &= ~def[vi];
+  }
+};
 
 /// Dense register id: x regs 0..31, f regs 32..63.
 inline u32 reg_id(bool is_f, u8 idx) { return (is_f ? 32u : 0u) + idx; }
 
-void each_reg(const RegSet& s, const std::function<void(bool, u8)>& fn) {
-  for (u8 i = 0; i < 32; ++i) {
-    if (s.has_x(i)) fn(false, i);
+inline u64 reg_mask(const RegSet& s) { return u64{s.f} << 32 | s.x; }
+
+/// Visit the registers of `s`: x regs, then f regs, each ascending.
+template <typename Fn>
+void each_reg(const RegSet& s, Fn&& fn) {
+  for (u32 m = s.x; m != 0; m &= m - 1) {
+    fn(false, static_cast<u8>(std::countr_zero(m)));
   }
-  for (u8 i = 0; i < 32; ++i) {
-    if (s.has_f(i)) fn(true, i);
+  for (u32 m = s.f; m != 0; m &= m - 1) {
+    fn(true, static_cast<u8>(std::countr_zero(m)));
   }
 }
 
@@ -246,60 +246,23 @@ LivenessExport analyze_dataflow(const Cfg& cfg, u32 prog_size,
 
   // ---- reaching definitions + use-before-def ----
   {
-    // Sites: one per defining virtual instruction (ops define at most one
-    // register) plus one pseudo entry site per register.
-    ReachingDefsProblem rd;
-    std::vector<i32> site_of(vn, -1);
-    std::vector<u32> site_reg;  // dense reg id per real site
-    for (u32 vi = 0; vi < vn; ++vi) {
-      if (ud[vi].def.empty()) continue;
-      site_of[vi] = static_cast<i32>(site_reg.size());
-      u32 id = 0;
-      each_reg(ud[vi].def, [&](bool is_f, u8 i) { id = reg_id(is_f, i); });
-      site_reg.push_back(id);
-    }
-    const u32 n_real = static_cast<u32>(site_reg.size());
-    const u32 n_sites = n_real + 64;  // entry sites at [n_real, n_real+64)
-    rd.words = (n_sites + 63) / 64;
-    rd.entry.assign(rd.words, 0);
-    for (u32 r = 0; r < 64; ++r) set_bit(rd.entry, n_real + r);
-
-    // Per-register masks of real definition sites.
-    std::vector<std::vector<u64>> real_defs_of(
-        64, std::vector<u64>(rd.words, 0));
-    for (u32 s = 0; s < n_real; ++s) set_bit(real_defs_of[site_reg[s]], s);
-
-    rd.gen.assign(vn, std::vector<u64>(rd.words, 0));
-    rd.kill.assign(vn, std::vector<u64>(rd.words, 0));
-    for (u32 vi = 0; vi < vn; ++vi) {
-      if (site_of[vi] < 0) continue;
-      const u32 s = static_cast<u32>(site_of[vi]);
-      const u32 r = site_reg[s];
-      set_bit(rd.gen[vi], s);
-      rd.kill[vi] = real_defs_of[r];
-      set_bit(rd.kill[vi], n_real + r);  // kills the entry site too
-      // gen wins over kill in the transfer; clearing our own bit from the
-      // kill set keeps the vectors disjoint anyway.
-      rd.kill[vi][s / 64] &= ~(u64{1} << (s % 64));
-    }
-
-    DataflowResult<ReachingDefsProblem> reach = solve(cfg, rd);
+    std::vector<u64> def(vn);
+    for (u32 vi = 0; vi < vn; ++vi) def[vi] = reg_mask(ud[vi].def);
+    DataflowResult<ReachingDefsProblem> reach =
+        solve(cfg, ReachingDefsProblem{def});
 
     std::set<std::pair<u32, u32>> reported;  // (pc, dense reg id)
     for (u32 vi = 0; vi < vn; ++vi) {
       if (ud[vi].use.empty()) continue;
       const VirtInstr& v = cfg.vinstrs()[vi];
+      const ReachingDefs& in = reach.in[vi];
       each_reg(ud[vi].use, [&](bool is_f, u8 i) {
         const u32 r = reg_id(is_f, i);
         // Definitely-undefined: only the entry pseudo-definition reaches.
         // (A register written on SOME path is allowed — the FREP loop's
         // exit-after-any-rotation edges would otherwise flag every
         // staggered accumulator.)
-        bool any_real = false;
-        for (u32 w = 0; w < rd.words && !any_real; ++w) {
-          any_real = (reach.in[vi][w] & real_defs_of[r][w]) != 0;
-        }
-        if (any_real || !get_bit(reach.in[vi], n_real + r)) return;
+        if ((in.real >> r) & 1u || !((in.entry >> r) & 1u)) return;
         if (!reported.emplace(v.pc, r).second) return;
         diags.push_back(Diagnostic{
             DiagKind::kUseBeforeDef, DiagSeverity::kError, core, v.pc,

@@ -9,9 +9,11 @@
 //    in/out bitsets are exported as LivenessExport — the input contract for
 //    the liveness-driven scheduler (ROADMAP item 2) — and drive dead-store
 //    detection.
-//  - Reaching definitions (forward) at definition-site granularity, with a
-//    pseudo entry definition per register; a use whose reaching set holds
-//    only the entry definition is a use-before-def.
+//  - Reaching definitions (forward), with a pseudo entry definition per
+//    register; a use reached only by the entry definition is a
+//    use-before-def. All real definitions of one register answer that
+//    question alike, so each instruction's row is two bits per register:
+//    some real definition reaches, and the entry definition reaches.
 //
 // The solver is deliberately instruction-granular: kernels are a few hundred
 // virtual instructions, so block-level transfer composition would buy
@@ -27,7 +29,6 @@
 #pragma once
 
 #include <array>
-#include <deque>
 #include <vector>
 
 #include "analysis/cfg.hpp"
@@ -71,28 +72,30 @@ DataflowResult<P> solve(const Cfg& cfg, const P& prob) {
   r.in.assign(n, prob.init());
   r.out.assign(n, prob.init());
 
-  std::deque<u32> worklist;
-  std::vector<bool> queued(n, false);
+  // Ring worklist: an instruction is queued at most once, so n slots hold
+  // it. Seed in meet-order so the first sweep already propagates far.
+  std::vector<u32> ring(n);
+  std::vector<u8> queued(n, 1);
+  for (u32 k = 0; k < n; ++k) ring[k] = P::kForward ? k : n - 1 - k;
+  u32 head = 0;
+  u32 count = n;
   auto enqueue = [&](u32 vi) {
-    if (!queued[vi]) {
-      queued[vi] = true;
-      worklist.push_back(vi);
-    }
+    if (queued[vi]) return;
+    queued[vi] = 1;
+    const u32 tail = head + count;
+    ring[tail < n ? tail : tail - n] = vi;
+    ++count;
   };
-  // Seed in meet-order so the first sweep already propagates far.
-  if constexpr (P::kForward) {
-    for (u32 vi = 0; vi < n; ++vi) enqueue(vi);
-  } else {
-    for (u32 vi = n; vi-- > 0;) enqueue(vi);
-  }
 
-  while (!worklist.empty()) {
-    const u32 vi = worklist.front();
-    worklist.pop_front();
-    queued[vi] = false;
+  typename P::Value v = prob.init();  // the one scratch value
+  while (count > 0) {
+    const u32 vi = ring[head];
+    head = head + 1 < n ? head + 1 : 0;
+    --count;
+    queued[vi] = 0;
 
+    v = prob.init();
     if constexpr (P::kForward) {
-      typename P::Value v = prob.init();
       if (cfg.preds(vi).empty() || vi == 0) prob.join(v, prob.boundary());
       for (u32 p : cfg.preds(vi)) prob.join(v, r.out[p]);
       r.in[vi] = v;
@@ -102,7 +105,6 @@ DataflowResult<P> solve(const Cfg& cfg, const P& prob) {
         for (u32 s : cfg.succs(vi)) enqueue(s);
       }
     } else {
-      typename P::Value v = prob.init();
       if (cfg.succs(vi).empty()) prob.join(v, prob.boundary());
       for (u32 s : cfg.succs(vi)) prob.join(v, r.in[s]);
       r.out[vi] = v;
