@@ -120,9 +120,18 @@ void check_structure(const Program& p, u32 core,
   }
 }
 
-void Cfg::add_edge(u32 from, u32 to) {
-  succs_[from].push_back(to);
-  preds_[to].push_back(from);
+Cfg::EdgeRows Cfg::rows_of(u32 n, const std::vector<Edge>& edges,
+                           bool reverse) {
+  EdgeRows r;
+  r.begin.assign(n + 1, 0);
+  for (const auto& [from, to] : edges) ++r.begin[(reverse ? to : from) + 1];
+  for (u32 v = 0; v < n; ++v) r.begin[v + 1] += r.begin[v];
+  r.to.resize(edges.size());
+  std::vector<u32> fill(r.begin.begin(), r.begin.end() - 1);
+  for (const auto& [from, to] : edges) {
+    r.to[fill[reverse ? to : from]++] = reverse ? from : to;
+  }
+  return r;
 }
 
 std::optional<Cfg> Cfg::build(const Program& p, u32 core,
@@ -165,23 +174,23 @@ std::optional<Cfg> Cfg::build(const Program& p, u32 core,
   }
 
   const u32 vn = cfg.size();
-  cfg.succs_.resize(vn);
-  cfg.preds_.resize(vn);
+  std::vector<Edge> edges;
+  edges.reserve(2 * vn);
 
   // Sequential / branch edges over the original range.
   for (u32 vi = 0; vi < n; ++vi) {
     const Instr& in = cfg.vinstrs_[vi].in;
     if (in.op == Op::kHalt) continue;
     if (in.op == Op::kJal) {
-      cfg.add_edge(vi, in.target);
+      edges.emplace_back(vi, in.target);
       continue;
     }
     if (op_class(in.op) == OpClass::kBranch) {
-      cfg.add_edge(vi, in.target);
-      cfg.add_edge(vi, vi + 1);  // fall-through exists (check_structure)
+      edges.emplace_back(vi, in.target);
+      edges.emplace_back(vi, vi + 1);  // fall-through (check_structure)
       continue;
     }
-    if (vi + 1 < n) cfg.add_edge(vi, vi + 1);
+    if (vi + 1 < n) edges.emplace_back(vi, vi + 1);
   }
 
   // FREP loop wiring: the fetch pass is the original body (offset 0); the
@@ -201,49 +210,17 @@ std::optional<Cfg> Cfg::build(const Program& p, u32 core,
       if (o > 0) {
         // Sequential edges inside the appended copy, plus its exit edge
         // (copy 0 already has both from the loop above).
-        for (u32 vi = begin; vi < last; ++vi) cfg.add_edge(vi, vi + 1);
-        cfg.add_edge(last, exit_vi);
+        for (u32 vi = begin; vi < last; ++vi) edges.emplace_back(vi, vi + 1);
+        edges.emplace_back(last, exit_vi);
       }
-      cfg.add_edge(last, copy_begin((o + 1) % s));  // next rotation / loop
+      // Next rotation, or back to the first.
+      edges.emplace_back(last, copy_begin((o + 1) % s));
     }
   }
 
-  cfg.build_blocks();
+  cfg.succs_ = rows_of(vn, edges, /*reverse=*/false);
+  cfg.preds_ = rows_of(vn, edges, /*reverse=*/true);
   return cfg;
-}
-
-void Cfg::build_blocks() {
-  const u32 vn = size();
-  std::vector<bool> leader(vn, false);
-  if (vn > 0) leader[0] = true;
-  for (u32 vi = 0; vi < vn; ++vi) {
-    const std::vector<u32>& ss = succs_[vi];
-    const bool plain_fallthrough = ss.size() == 1 && ss[0] == vi + 1;
-    for (u32 s : ss) {
-      if (s != vi + 1) leader[s] = true;
-    }
-    if (!plain_fallthrough && vi + 1 < vn) leader[vi + 1] = true;
-  }
-
-  block_of_.assign(vn, 0);
-  blocks_.clear();
-  for (u32 vi = 0; vi < vn; ++vi) {
-    if (leader[vi]) {
-      BasicBlock b;
-      b.begin = vi;
-      blocks_.push_back(b);
-    }
-    block_of_[vi] = static_cast<u32>(blocks_.size()) - 1;
-    blocks_.back().end = vi + 1;
-  }
-  for (BasicBlock& b : blocks_) {
-    const u32 tail = b.end - 1;
-    for (u32 s : succs_[tail]) {
-      b.succs.push_back(block_of_[s]);
-      blocks_[block_of_[s]].preds.push_back(
-          block_of_[b.begin]);
-    }
-  }
 }
 
 }  // namespace saris

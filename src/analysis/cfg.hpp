@@ -25,6 +25,8 @@
 #pragma once
 
 #include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "analysis/diagnostic.hpp"
@@ -40,16 +42,6 @@ struct VirtInstr {
   u8 stagger_off = 0;  ///< rotation offset this copy was expanded with
 };
 
-/// Half-open range [begin, end) of virtual-instruction indices plus graph
-/// edges. Blocks partition the virtual list: leaders are the entry, branch
-/// targets, branch/jump/halt successors, and FREP-body copy boundaries.
-struct BasicBlock {
-  u32 begin = 0;
-  u32 end = 0;
-  std::vector<u32> succs;  ///< successor block ids
-  std::vector<u32> preds;  ///< predecessor block ids
-};
-
 class Cfg {
  public:
   /// Build the CFG for one core's program, appending structural diagnostics
@@ -61,26 +53,33 @@ class Cfg {
   const std::vector<VirtInstr>& vinstrs() const { return vinstrs_; }
   u32 size() const { return static_cast<u32>(vinstrs_.size()); }
 
-  const std::vector<BasicBlock>& blocks() const { return blocks_; }
-  u32 block_of(u32 vi) const { return block_of_[vi]; }
-
-  /// Per-virtual-instruction successor lists (instruction-granular edges;
-  /// the block graph above is derived from these).
-  const std::vector<u32>& succs(u32 vi) const { return succs_[vi]; }
-  const std::vector<u32>& preds(u32 vi) const { return preds_[vi]; }
+  /// Per-virtual-instruction successors and predecessors, each in the
+  /// order its edges were added.
+  std::span<const u32> succs(u32 vi) const { return succs_.row(vi); }
+  std::span<const u32> preds(u32 vi) const { return preds_.row(vi); }
 
   u32 core() const { return core_; }
 
  private:
+  /// Adjacency as compressed rows: node v's neighbours are
+  /// `to[begin[v]]` .. `to[begin[v + 1] - 1]`.
+  struct EdgeRows {
+    std::vector<u32> begin;
+    std::vector<u32> to;
+    std::span<const u32> row(u32 v) const {
+      return {to.data() + begin[v], begin[v + 1] - begin[v]};
+    }
+  };
+  using Edge = std::pair<u32, u32>;  ///< (from, to)
+
   u32 core_ = 0;
   std::vector<VirtInstr> vinstrs_;
-  std::vector<std::vector<u32>> succs_;
-  std::vector<std::vector<u32>> preds_;
-  std::vector<BasicBlock> blocks_;
-  std::vector<u32> block_of_;
+  EdgeRows succs_;
+  EdgeRows preds_;
 
-  void add_edge(u32 from, u32 to);
-  void build_blocks();
+  /// Rows of `edges` keyed by their source (or, `reverse`, their target).
+  static EdgeRows rows_of(u32 n, const std::vector<Edge>& edges,
+                          bool reverse);
 };
 
 /// Structural checks alone (also run by Cfg::build): target validity, FREP

@@ -17,7 +17,7 @@
 //
 // The solver is deliberately instruction-granular: kernels are a few hundred
 // virtual instructions, so block-level transfer composition would buy
-// nothing; the basic blocks in the Cfg are used for reporting and ordering.
+// nothing.
 //
 // A solver problem P provides:
 //   using Value = ...;
