@@ -1,6 +1,9 @@
 #include "analysis/absint.hpp"
 
+#include <algorithm>
+#include <numeric>
 #include <sstream>
+#include <utility>
 
 #include "analysis/known_regs.hpp"
 #include "isa/disasm.hpp"
@@ -16,6 +19,83 @@ constexpr u64 kAccessBudget = 1u << 26;     ///< accounted accesses per core
 constexpr u32 kMaxAddrDiags = 8;            ///< address findings per core
 
 Addr align8(Addr a) { return (a + 7u) & ~7u; }
+
+/// The addresses base + sum_d i_d * strides[d], 0 <= i_d < bounds[d], in
+/// nested-loop order with dim 0 innermost: an SSR affine stream or an
+/// overlap-DMA job.
+struct AffinePattern {
+  i64 base = 0;
+  std::array<u64, kSsrMaxDims> bounds{1, 1, 1, 1};
+  std::array<i64, kSsrMaxDims> strides{};
+
+  i64 lo() const {
+    i64 a = base;
+    for (u32 d = 0; d < kSsrMaxDims; ++d) {
+      a += std::min<i64>(0, static_cast<i64>(bounds[d] - 1) * strides[d]);
+    }
+    return a;
+  }
+  i64 hi() const {
+    i64 a = base;
+    for (u32 d = 0; d < kSsrMaxDims; ++d) {
+      a += std::max<i64>(0, static_cast<i64>(bounds[d] - 1) * strides[d]);
+    }
+    return a;
+  }
+  /// Every address lies at the base's offset within its word.
+  bool word_strided() const {
+    for (u32 d = 0; d < kSsrMaxDims; ++d) {
+      if (bounds[d] > 1 && strides[d] % kWordBytes != 0) return false;
+    }
+    return true;
+  }
+};
+
+/// The element count of `pat`, or 0 when it exceeds `limit` (every bound
+/// is at least 1, so the partial products never overflow). A limit of at
+/// most kAccessBudget keeps lo() and hi() far from overflowing.
+u64 count_within(const AffinePattern& pat, u64 limit) {
+  u64 n = 1;
+  for (u64 b : pat.bounds) {
+    if (b == 0 || b > limit / n) return 0;
+    n *= b;
+  }
+  return n;
+}
+
+/// Add `n` accesses at a, a + stride, ... to the bank histogram. The bank
+/// index steps by stride / 8 (mod kTcdmBanks), so it repeats with a period
+/// that divides kTcdmBanks.
+void count_run(PortPrediction& p, i64 a, i64 stride, u64 n) {
+  const u32 step = static_cast<u32>(stride / kWordBytes) & (kTcdmBanks - 1);
+  const u32 period = kTcdmBanks / std::gcd(step == 0 ? kTcdmBanks : step,
+                                          kTcdmBanks);
+  const u64 full = n / period;
+  const u64 rest = n % period;
+  u32 bank = Tcdm::bank_of(static_cast<Addr>(a));
+  for (u32 k = 0; k < period && k < n; ++k) {
+    p.per_bank[bank] += full + (k < rest ? 1 : 0);
+    bank = (bank + step) & (kTcdmBanks - 1);
+  }
+}
+
+/// Account every address of `pat` on `p` (their words are inside TCDM, so
+/// no address wraps).
+void account_pattern(PortPrediction& p, const AffinePattern& pat, u64 n) {
+  p.accesses += n;
+  const auto& b = pat.bounds;
+  const auto& s = pat.strides;
+  for (u64 i3 = 0; i3 < b[3]; ++i3) {
+    for (u64 i2 = 0; i2 < b[2]; ++i2) {
+      for (u64 i1 = 0; i1 < b[1]; ++i1) {
+        const i64 row = pat.base + static_cast<i64>(i1) * s[1] +
+                        static_cast<i64>(i2) * s[2] +
+                        static_cast<i64>(i3) * s[3];
+        count_run(p, row, s[0], b[0]);
+      }
+    }
+  }
+}
 
 }  // namespace
 
@@ -72,14 +152,25 @@ ArenaMap ArenaMap::from_layout(const KernelLayout& lay, u32 tcdm_bytes) {
                 false});
     }
   }
+  std::vector<std::pair<Addr, Addr>> spans;
+  for (const Arena& a : am.arenas) {
+    if (a.begin < a.end) spans.emplace_back(a.begin, a.end);
+  }
+  std::sort(spans.begin(), spans.end());
+  am.disjoint = true;
+  for (std::size_t i = 1; i < spans.size(); ++i) {
+    am.disjoint = am.disjoint && spans[i].first >= spans[i - 1].second;
+  }
   return am;
 }
 
-i32 ArenaMap::find(Addr addr, u32 size) const {
+i32 ArenaMap::find(Addr addr, u32 size, i32 hint) const {
+  auto holds = [&](u32 i) {
+    return addr >= arenas[i].begin && addr + size <= arenas[i].end;
+  };
+  if (disjoint && hint >= 0 && holds(static_cast<u32>(hint))) return hint;
   for (u32 i = 0; i < arenas.size(); ++i) {
-    if (addr >= arenas[i].begin && addr + size <= arenas[i].end) {
-      return static_cast<i32>(i);
-    }
+    if (holds(i)) return static_cast<i32>(i);
   }
   return -1;
 }
@@ -196,7 +287,7 @@ class Walker {
       bad = "outside TCDM";
     } else if (a % kWordBytes + size > kWordBytes) {
       bad = "crosses a 64-bit word boundary";
-    } else if ((arena = am_.find(a, size)) < 0) {
+    } else if ((arena = am_.find(a, size, last_arena_)) < 0) {
       bad = "inside TCDM but outside every layout arena";
       kind = DiagKind::kOutOfArenaAccess;
     } else if (is_write && !am_.arenas[arena].writable) {
@@ -220,7 +311,36 @@ class Walker {
       }
       return true;  // keep walking; the access itself is not accounted
     }
+    last_arena_ = arena;
     pred_.ports[port].account(a);
+    return true;
+  }
+
+  /// True when `n` accesses of `size` bytes, each at `lo`'s offset within
+  /// its word and between `lo` and `hi`, would all pass access(): they fit
+  /// their word, lie in one arena they may use, and fit the access budget.
+  bool all_legal(i64 lo, i64 hi, u64 n, u32 size, bool is_write) {
+    if (!am_.disjoint || n > kAccessBudget - accounted_ || lo < 0 ||
+        hi + size > am_.tcdm_bytes || lo % kWordBytes + size > kWordBytes) {
+      return false;
+    }
+    const i32 arena = am_.find(static_cast<Addr>(lo),
+                               static_cast<u32>(hi + size - lo), last_arena_);
+    if (arena < 0 || (is_write && !am_.arenas[arena].writable)) return false;
+    last_arena_ = arena;
+    return true;
+  }
+
+  /// Account all of `pat`'s 8-byte accesses on `port` at once when none of
+  /// them can make a finding; false (nothing accounted) otherwise.
+  bool account_at_once(u32 port, const AffinePattern& pat, bool is_write) {
+    const u64 n = count_within(pat, kAccessBudget - accounted_);
+    if (n == 0 || !pat.word_strided() ||
+        !all_legal(pat.lo(), pat.hi(), n, kWordBytes, is_write)) {
+      return false;
+    }
+    accounted_ += n;
+    account_pattern(pred_.ports[port], pat, n);
     return true;
   }
 
@@ -267,6 +387,13 @@ class Walker {
            "SSR launch with zero elements: " + disasm(in));
       return true;
     }
+    AffinePattern pat;
+    pat.base = base;
+    for (u32 d = 0; d < kSsrMaxDims; ++d) {
+      pat.bounds[d] = cfg.bounds[d];
+      pat.strides[d] = cfg.strides[d];
+    }
+    if (account_at_once(kPortSsr0 + lane, pat, is_write)) return true;
     AffineAddrGen gen;
     gen.start(cfg, base);
     while (!gen.done()) {
@@ -285,7 +412,12 @@ class Walker {
     // Index-word fetches through the shared index port, 8 B at a time.
     const u32 per_word = kWordBytes / cfg.idx_size;
     const u64 n_words = (cfg.idx_count + per_word - 1) / per_word;
-    for (u64 k = 0; k < n_words; ++k) {
+    AffinePattern fetch;
+    fetch.base = cfg.idx_base;
+    fetch.bounds[0] = n_words;
+    fetch.strides[0] = kWordBytes;
+    for (u64 k = account_at_once(kPortSsrIdx, fetch, false) ? n_words : 0;
+         k < n_words; ++k) {
       if (!access(pc, kPortSsrIdx, cfg.idx_base + k * kWordBytes, 8,
                   /*is_write=*/false, [&] {
                     return "SSR lane " + std::to_string(lane) + " index fetch";
@@ -310,6 +442,19 @@ class Walker {
       inexact_ = true;
       return true;
     }
+    GatherSummary& g = gathers_[lane];
+    if (g.vals != vals || g.count != cfg.idx_count) g = summarize(vals, cfg);
+    if (all_legal(base + i64{g.lo} * kWordBytes, base + i64{g.hi} * kWordBytes,
+                  g.count, kWordBytes, /*is_write=*/false)) {
+      accounted_ += g.count;
+      PortPrediction& p = pred_.ports[kPortSsr0 + lane];
+      p.accesses += g.count;
+      const u32 bank0 = Tcdm::bank_of(base);
+      for (u32 r = 0; r < kTcdmBanks; ++r) {
+        p.per_bank[(bank0 + r) % kTcdmBanks] += g.residues[r];
+      }
+      return true;
+    }
     for (u32 k = 0; k < cfg.idx_count; ++k) {
       const Addr a =
           base + static_cast<Addr>((*vals)[k]) * kWordBytes;
@@ -322,6 +467,29 @@ class Walker {
     return true;
   }
 
+  /// One lane's gather indices, summarized for launches that reuse them:
+  /// the extremes and a histogram of index mod kTcdmBanks.
+  struct GatherSummary {
+    const std::vector<u16>* vals = nullptr;
+    u32 count = 0;
+    u16 lo = 0;
+    u16 hi = 0;
+    std::array<u64, kTcdmBanks> residues{};
+  };
+
+  static GatherSummary summarize(const std::vector<u16>* vals,
+                                 const SsrLaneConfig& cfg) {
+    GatherSummary g;
+    g.vals = vals;
+    g.count = cfg.idx_count;
+    const auto first = vals->begin();
+    const auto [lo, hi] = std::minmax_element(first, first + g.count);
+    g.lo = *lo;
+    g.hi = *hi;
+    for (u32 k = 0; k < g.count; ++k) ++g.residues[(*vals)[k] % kTcdmBanks];
+    return g;
+  }
+
   const CompiledKernel& ck_;
   const Program& prog_;
   u32 core_;
@@ -330,6 +498,9 @@ class Walker {
 
   KnownRegs regs_;
   std::array<SsrLaneConfig, kNumSsrLanes> ssr_cfg_{};
+
+  std::array<GatherSummary, kNumIndirectSsrLanes> gathers_{};
+  i32 last_arena_ = -1;
 
   CorePrediction pred_;
   u64 accounted_ = 0;
@@ -356,6 +527,19 @@ AbsintResult abstract_interpret(const CompiledKernel& ck,
   if (include_overlap_dma) {
     u32 dma_diags = 0;
     for (const DmaJob& j : ck.overlap_jobs) {
+      // The per-word walk below checks only the TCDM bound, so a job whose
+      // extremes lie inside the TCDM is accounted at once.
+      AffinePattern pat;
+      pat.base = j.tcdm_addr;
+      pat.bounds = {(j.row_bytes + kWordBytes - 1) / kWordBytes, j.rows,
+                    j.planes, 1};
+      pat.strides = {kWordBytes, j.tcdm_row_stride, j.tcdm_plane_stride, 0};
+      // (The cap keeps lo() and hi() in range; no job comes near it.)
+      const u64 n = count_within(pat, kAccessBudget);
+      if (n > 0 && pat.lo() >= 0 && pat.hi() + kWordBytes <= ck.tcdm_bytes) {
+        account_pattern(r.dma, pat, n);
+        continue;
+      }
       for (u32 p = 0; p < j.planes; ++p) {
         for (u32 row = 0; row < j.rows; ++row) {
           const Addr row_base = static_cast<Addr>(

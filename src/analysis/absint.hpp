@@ -58,10 +58,13 @@ struct Arena {
 struct ArenaMap {
   u32 tcdm_bytes = 0;
   std::vector<Arena> arenas;
+  bool disjoint = false;  ///< no two arenas overlap
 
   static ArenaMap from_layout(const KernelLayout& lay, u32 tcdm_bytes);
-  /// Index into `arenas` of the arena containing [addr, addr+size), or -1.
-  i32 find(Addr addr, u32 size) const;
+  /// Index into `arenas` of the first arena containing [addr, addr+size), or
+  /// -1. When the arenas are disjoint, at most one holds the range, so
+  /// `hint` (an earlier result) is tried before the scan.
+  i32 find(Addr addr, u32 size, i32 hint = -1) const;
 };
 
 /// Predicted access counts for one TCDM requester port.
