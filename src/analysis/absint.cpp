@@ -1,7 +1,8 @@
 #include "analysis/absint.hpp"
 
 #include <algorithm>
-#include <numeric>
+#include <bit>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -17,6 +18,9 @@ namespace {
 constexpr u64 kIntStepBudget = 32u << 20;   ///< integer steps per core
 constexpr u64 kAccessBudget = 1u << 26;     ///< accounted accesses per core
 constexpr u32 kMaxAddrDiags = 8;            ///< address findings per core
+constexpr u32 kMaxTrace = 4096;  ///< longest loop iteration accelerated
+constexpr u32 kHistory = 2 * kMaxTrace;  ///< pcs kept of the latest steps
+constexpr u64 kNever = ~u64{0};
 
 Addr align8(Addr a) { return (a + 7u) & ~7u; }
 
@@ -64,18 +68,19 @@ u64 count_within(const AffinePattern& pat, u64 limit) {
 }
 
 /// Add `n` accesses at a, a + stride, ... to the bank histogram. The bank
-/// index steps by stride / 8 (mod kTcdmBanks), so it repeats with a period
-/// that divides kTcdmBanks.
+/// index steps by stride / 8 (mod kTcdmBanks), so it repeats with period
+/// kTcdmBanks / gcd(step, kTcdmBanks).
 void count_run(PortPrediction& p, i64 a, i64 stride, u64 n) {
-  const u32 step = static_cast<u32>(stride / kWordBytes) & (kTcdmBanks - 1);
-  const u32 period = kTcdmBanks / std::gcd(step == 0 ? kTcdmBanks : step,
-                                          kTcdmBanks);
+  static_assert(std::has_single_bit(kTcdmBanks));
+  constexpr u32 kMask = kTcdmBanks - 1;
+  const u32 step = static_cast<u32>(stride / kWordBytes) & kMask;
+  const u32 period = step == 0 ? 1 : kTcdmBanks >> std::countr_zero(step);
   const u64 full = n / period;
   const u64 rest = n % period;
   u32 bank = Tcdm::bank_of(static_cast<Addr>(a));
   for (u32 k = 0; k < period && k < n; ++k) {
     p.per_bank[bank] += full + (k < rest ? 1 : 0);
-    bank = (bank + step) & (kTcdmBanks - 1);
+    bank = (bank + step) & kMask;
   }
 }
 
@@ -177,7 +182,94 @@ i32 ArenaMap::find(Addr addr, u32 size, i32 hint) const {
 
 namespace {
 
+/// An integer register over one iteration of a loop trace: the value it
+/// had at the iteration's start (`base` >= 0) or nothing (`base` < 0), plus
+/// `off`, modulo 2^32.
+struct Sym {
+  i32 base = -1;
+  u32 off = 0;
+};
+
+/// `in`'s integer result from operands `a` and `b`, when it stays in that
+/// form.
+std::optional<Sym> sym_alu(const Instr& in, Sym a, Sym b) {
+  switch (in.op) {
+    case Op::kAddi:
+      return Sym{a.base, a.off + static_cast<u32>(in.imm)};
+    case Op::kAdd:
+      if (a.base < 0) return Sym{b.base, a.off + b.off};
+      if (b.base < 0) return Sym{a.base, a.off + b.off};
+      return std::nullopt;
+    case Op::kSub:
+      if (b.base < 0) return Sym{a.base, a.off - b.off};
+      if (a.base == b.base) return Sym{-1, a.off - b.off};
+      return std::nullopt;
+    default:
+      if (a.base < 0 && b.base < 0) {
+        return Sym{-1, int_alu(in.op, a.off, b.off, in.imm)};
+      }
+      return std::nullopt;
+  }
+}
+
+/// The first iteration j >= 0 at which `d + j * e` (mod 2^32) is zero, or
+/// kNever.
+u64 first_zero(u32 d, u32 e) {
+  if (d == 0) return 0;
+  if (e == 0) return kNever;
+  // j * e == -d (mod 2^32): solvable when 2^t, the power of two in e,
+  // divides d; then j = (-d / 2^t) * inverse(e / 2^t) mod 2^(32 - t).
+  const int t = std::countr_zero(e);
+  if (std::countr_zero(d) < t) return kNever;
+  const u32 odd = e >> t;
+  u32 inv = odd;  // Newton's iteration doubles the correct low bits
+  for (int k = 0; k < 5; ++k) inv *= 2u - odd * inv;
+  const u64 modulus = u64{1} << (32 - t);
+  return (static_cast<u64>((0u - d) >> t) * inv) & (modulus - 1);
+}
+
+/// One access of a loop trace: an affine stream across iterations.
+struct TraceAccess {
+  Sym addr;
+  u32 port = 0;
+  u32 size = 0;
+  bool is_write = false;
+};
+
+/// One conditional branch of a loop trace, with the outcome it took.
+struct TraceBranch {
+  Sym a;
+  Sym b;
+  bool equal = false;  ///< the operands compared equal
+};
+
+/// What the ops of one loop trace prove whatever the register values: each
+/// register at the iteration's end, and every access and branch operand,
+/// in terms of the iteration's start values.
+struct TraceSummary {
+  std::vector<u32> pcs;  ///< the trace
+  bool ok = false;       ///< no op rules acceleration out
+  u32 read_first = 0;    ///< registers read before the trace writes them
+  u32 written = 0;       ///< registers the trace writes
+  std::array<Sym, kNumXRegs> end{};
+  std::vector<TraceAccess> accesses;
+  std::vector<TraceBranch> branches;
+};
+
 /// Concrete walk of one core's integer stream.
+///
+/// Loops are accelerated. At a loop header (a backward branch's target)
+/// reached along the same pc trace as on the previous visit, the trace's
+/// integer ops are evaluated symbolically. When they prove that every
+/// register the trace reads before writing moves by a constant per
+/// iteration, every branch operand and address is affine in the iteration
+/// number. The walk finds the first iteration at which a branch changes
+/// outcome and accounts all iterations before it at once: each access
+/// becomes a stream, int_steps grows by the trace length per iteration and
+/// the registers advance. It steps as before through traces with an scfgwi,
+/// an frep, an integer load, rdcycle, an ordered compare or an unknown
+/// value, through iterations that would cross the step or access budget,
+/// and when any stream would make a finding.
 class Walker {
  public:
   Walker(const CompiledKernel& ck, u32 core, const ArenaMap& am,
@@ -187,12 +279,27 @@ class Walker {
     for (PortPrediction& p : pred_.ports) {
       p.per_bank.assign(kTcdmBanks, 0);
     }
+    const u32 n = prog_.size();
+    loop_of_.assign(n, -1);
+    for (u32 pc = 0; pc < n; ++pc) {
+      const Instr& in = prog_.instrs()[pc];
+      if (op_class(in.op) == OpClass::kBranch && in.target <= pc &&
+          loop_of_[in.target] < 0) {
+        loop_of_[in.target] = static_cast<i32>(summaries_.size());
+        summaries_.emplace_back();
+      }
+    }
+    visit_.assign(n, kNever);
+    prev_visit_.assign(n, kNever);
+    history_.resize(kHistory);
   }
 
   CorePrediction run() {
     const u32 n = prog_.size();
     u32 pc = 0;
     while (pc < n) {
+      if (loop_of_[pc] >= 0) visit(pc);
+      history_[pred_.int_steps % kHistory] = pc;
       if (++pred_.int_steps > kIntStepBudget) {
         diag(DiagKind::kStepBudgetExceeded, DiagSeverity::kWarning, pc,
              "static execution exceeded the step budget");
@@ -233,6 +340,7 @@ class Walker {
           case Op::kHalt:
             return finish(true);
           case Op::kFrep:
+            blocked_until_ = pred_.int_steps;
             if (!regs_.known(in.rs1)) {
               diag(DiagKind::kUnboundedValue, DiagSeverity::kWarning, pc,
                    "frep repetition count depends on a runtime value: " +
@@ -244,6 +352,7 @@ class Walker {
             }
             break;
           case Op::kScfgwi:
+            blocked_until_ = pred_.int_steps;
             if (!scfgwi(pc, in)) return finish(false);
             break;
           default:  // ALU, FP compute, SSR enable, barrier, ...
@@ -259,6 +368,170 @@ class Walker {
   }
 
  private:
+  /// Arrival at loop header `h`: accelerate when the last two iterations
+  /// took one trace, and note the visit.
+  void visit(u32 h) {
+    const u64 now = pred_.int_steps;
+    const u64 len = now - visit_[h];
+    const u64 v0 = prev_visit_[h];
+    if (v0 != kNever && v0 >= blocked_until_ && visit_[h] - v0 == len &&
+        len <= kMaxTrace && same_trace(v0, len)) {
+      TraceSummary& sum = summaries_[loop_of_[h]];
+      if (!holds_trace(sum, visit_[h], len)) summarize(sum, h, len);
+      if (sum.ok) accelerate(sum);
+    }
+    // After an acceleration the last iteration took the trace too.
+    prev_visit_[h] = pred_.int_steps == now ? visit_[h] : pred_.int_steps - len;
+    visit_[h] = pred_.int_steps;
+  }
+
+  /// The `len` steps from `v0` repeat in the `len` after them.
+  bool same_trace(u64 v0, u64 len) const {
+    for (u64 t = 0; t < len; ++t) {
+      if (history_[(v0 + t) % kHistory] !=
+          history_[(v0 + len + t) % kHistory]) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  /// `sum` is the summary of the `len` steps from `from`.
+  bool holds_trace(const TraceSummary& sum, u64 from, u64 len) const {
+    if (sum.pcs.size() != len) return false;
+    for (u64 t = 0; t < len; ++t) {
+      if (sum.pcs[t] != history_[(from + t) % kHistory]) return false;
+    }
+    return true;
+  }
+
+  /// Evaluate the ops of the last iteration at `h` (`len` steps)
+  /// symbolically into `sum`.
+  void summarize(TraceSummary& sum, u32 h, u64 len) {
+    sum.pcs.resize(len);
+    for (u64 t = 0; t < len; ++t) {
+      sum.pcs[t] = history_[(visit_[h] + t) % kHistory];
+    }
+    sum.ok = false;
+    sum.read_first = 0;
+    sum.written = 0;
+    sum.accesses.clear();
+    sum.branches.clear();
+    std::array<Sym, kNumXRegs>& f = sum.end;
+    f = {};
+    for (u32 r = 1; r < kNumXRegs; ++r) f[r] = Sym{static_cast<i32>(r), 0};
+    auto read = [&](XReg r) {
+      if (((sum.written >> r.idx) & 1u) == 0) sum.read_first |= 1u << r.idx;
+      return f[r.idx];
+    };
+    for (u64 t = 0; t < len; ++t) {
+      const u32 pc = sum.pcs[t];
+      const Instr& in = prog_.instrs()[pc];
+      const OpDesc& d = op_desc(in.op);
+      const Sym a = (d.x_reads & kSlot1) ? read(in.rs1) : Sym{};
+      const Sym b = (d.x_reads & kSlot2) ? read(in.rs2) : Sym{};
+      if (d.mem != MemDir::kNone) {
+        if (d.x_write) return;  // an integer load: an unknown value
+        sum.accesses.push_back(TraceAccess{
+            Sym{a.base, a.off + static_cast<u32>(in.imm)},
+            d.is_fp() ? kPortFlsu : kPortIlsu, d.mem_bytes,
+            d.mem == MemDir::kStore});
+        continue;
+      }
+      if (d.cls == OpClass::kBranch) {
+        if (in.op == Op::kJal || in.target == pc + 1) continue;
+        if (in.op != Op::kBeq && in.op != Op::kBne) return;
+        const u32 next = t + 1 < len ? sum.pcs[t + 1] : h;
+        sum.branches.push_back(
+            TraceBranch{a, b, (next == in.target) == (in.op == Op::kBeq)});
+        continue;
+      }
+      if (in.op == Op::kFrep || in.op == Op::kScfgwi) return;
+      if (!d.x_write || in.rd.idx == 0) continue;
+      if (d.cls != OpClass::kInt) return;  // rdcycle
+      const std::optional<Sym> v = sym_alu(in, a, b);
+      if (!v) return;
+      f[in.rd.idx] = *v;
+      sum.written |= 1u << in.rd.idx;
+    }
+    // Every register read before written must move by a constant.
+    sum.read_first &= ~1u;  // x0
+    for (u32 m = sum.read_first; m != 0; m &= m - 1) {
+      const u32 r = static_cast<u32>(std::countr_zero(m));
+      if (f[r].base != static_cast<i32>(r)) return;
+    }
+    sum.ok = true;
+  }
+
+  /// Account at once the coming iterations that provably take `sum`'s
+  /// trace, if any: the first iteration at which a branch changes outcome,
+  /// an access would make a finding or a budget would be crossed is left
+  /// to the step loop.
+  void accelerate(const TraceSummary& sum) {
+    for (u32 m = sum.read_first; m != 0; m &= m - 1) {
+      if (!regs_.known(XReg{static_cast<u8>(std::countr_zero(m))})) return;
+    }
+    auto value = [&](Sym s) {
+      return s.base < 0 ? s.off
+                        : regs_.value(XReg{static_cast<u8>(s.base)}) + s.off;
+    };
+    auto slope = [&](Sym s) { return s.base < 0 ? 0u : sum.end[s.base].off; };
+
+    const u64 len = sum.pcs.size();
+    u64 iters = (kIntStepBudget - pred_.int_steps) / len;
+    if (!sum.accesses.empty()) {
+      iters = std::min<u64>(iters, (kAccessBudget - accounted_) /
+                                       sum.accesses.size());
+    }
+    for (const TraceBranch& br : sum.branches) {
+      const u32 d = value(br.a) - value(br.b);
+      const u32 e = slope(br.a) - slope(br.b);
+      const u64 change = br.equal ? (d != 0 ? 0 : e != 0 ? 1 : kNever)
+                                  : first_zero(d, e);
+      iters = std::min(iters, change);
+    }
+    if (iters == 0) return;
+
+    // Each access is a stream over the iterations; all must be legal
+    // before any is accounted.
+    for (const TraceAccess& acc : sum.accesses) {
+      const i64 base = value(acc.addr);
+      const i64 stride = static_cast<i32>(slope(acc.addr));
+      const i64 span = static_cast<i64>(iters - 1) * stride;
+      if ((iters > 1 && stride % kWordBytes != 0) ||
+          !all_legal(base + std::min<i64>(span, 0),
+                     base + std::max<i64>(span, 0), iters, acc.size,
+                     acc.is_write)) {
+        return;
+      }
+    }
+    for (const TraceAccess& acc : sum.accesses) {
+      PortPrediction& p = pred_.ports[acc.port];
+      p.accesses += iters;
+      count_run(p, value(acc.addr), static_cast<i32>(slope(acc.addr)), iters);
+    }
+    accounted_ += iters * sum.accesses.size();
+    std::array<u32, kNumXRegs> next{};
+    for (u32 m = sum.written; m != 0; m &= m - 1) {
+      const u32 r = static_cast<u32>(std::countr_zero(m));
+      next[r] = value(sum.end[r]) +
+                static_cast<u32>(iters - 1) * slope(sum.end[r]);
+    }
+    for (u32 m = sum.written; m != 0; m &= m - 1) {
+      const u32 r = static_cast<u32>(std::countr_zero(m));
+      regs_.set(XReg{static_cast<u8>(r)}, next[r]);
+    }
+    // The history holds the latest kHistory steps: the trace repeated.
+    const u64 begin = pred_.int_steps;
+    const u64 end = begin + iters * len;
+    u64 p = std::max(begin, end - std::min<u64>(end, kHistory));
+    for (u64 t = (p - begin) % len; p < end; ++p) {
+      history_[p % kHistory] = sum.pcs[t];
+      t = t + 1 == len ? 0 : t + 1;
+    }
+    pred_.int_steps = end;
+  }
+
   CorePrediction finish(bool halted) {
     pred_.complete = halted && !fatal_ && !inexact_ && addr_diags_ == 0;
     return std::move(pred_);
@@ -500,6 +773,17 @@ class Walker {
   std::array<SsrLaneConfig, kNumSsrLanes> ssr_cfg_{};
 
   std::array<GatherSummary, kNumIndirectSsrLanes> gathers_{};
+
+  // Loop acceleration: per pc, its loop's summary (-1 unless the pc is a
+  // loop header) and int_steps at its last two visits; the pcs of the
+  // latest kHistory steps; int_steps after the latest scfgwi or frep, which
+  // no accelerated trace may hold.
+  std::vector<i32> loop_of_;
+  std::vector<TraceSummary> summaries_;
+  std::vector<u64> visit_;
+  std::vector<u64> prev_visit_;
+  std::vector<u32> history_;
+  u64 blocked_until_ = 0;
   i32 last_arena_ = -1;
 
   CorePrediction pred_;

@@ -46,6 +46,12 @@ class KnownRegs {
     }
   }
 
+  /// Make `r` known with value `v`: the result of an accelerated loop.
+  void set(XReg r, u32 v) {
+    x_[r.idx] = v;
+    known_ |= 1u << r.idx;
+  }
+
   enum class Branch : u8 { kFallThrough, kTaken, kUnknown };
 
   /// Outcome of a kBranch op; kUnknown when its condition reads a runtime
