@@ -18,8 +18,8 @@ namespace {
 constexpr u64 kIntStepBudget = 32u << 20;   ///< integer steps per core
 constexpr u64 kAccessBudget = 1u << 26;     ///< accounted accesses per core
 constexpr u32 kMaxAddrDiags = 8;            ///< address findings per core
-constexpr u32 kMaxTrace = 4096;  ///< longest loop iteration accelerated
-constexpr u32 kHistory = 2 * kMaxTrace;  ///< pcs kept of the latest steps
+constexpr u32 kMaxTrace = 4096;             ///< longest trace accelerated
+constexpr u32 kHistory = 2 * kMaxTrace;     ///< latest steps' pcs kept
 constexpr u64 kNever = ~u64{0};
 
 Addr align8(Addr a) { return (a + 7u) & ~7u; }
@@ -67,10 +67,10 @@ u64 count_within(const AffinePattern& pat, u64 limit) {
   return n;
 }
 
-/// Add `n` accesses at a, a + stride, ... to the bank histogram. The bank
-/// index steps by stride / 8 (mod kTcdmBanks), so it repeats with period
-/// kTcdmBanks / gcd(step, kTcdmBanks).
-void count_run(PortPrediction& p, i64 a, i64 stride, u64 n) {
+/// Add `n` accesses at a, a + stride, ... to the bank histogram
+/// `per_bank`. The bank index steps by stride / 8 (mod kTcdmBanks), so it
+/// repeats with period kTcdmBanks / gcd(step, kTcdmBanks).
+void count_run(u64* per_bank, i64 a, i64 stride, u64 n) {
   static_assert(std::has_single_bit(kTcdmBanks));
   constexpr u32 kMask = kTcdmBanks - 1;
   const u32 step = static_cast<u32>(stride / kWordBytes) & kMask;
@@ -79,7 +79,7 @@ void count_run(PortPrediction& p, i64 a, i64 stride, u64 n) {
   const u64 rest = n % period;
   u32 bank = Tcdm::bank_of(static_cast<Addr>(a));
   for (u32 k = 0; k < period && k < n; ++k) {
-    p.per_bank[bank] += full + (k < rest ? 1 : 0);
+    per_bank[bank] += full + (k < rest ? 1 : 0);
     bank = (bank + step) & kMask;
   }
 }
@@ -96,7 +96,7 @@ void account_pattern(PortPrediction& p, const AffinePattern& pat, u64 n) {
         const i64 row = pat.base + static_cast<i64>(i1) * s[1] +
                         static_cast<i64>(i2) * s[2] +
                         static_cast<i64>(i3) * s[3];
-        count_run(p, row, s[0], b[0]);
+        count_run(p.per_bank.data(), row, s[0], b[0]);
       }
     }
   }
@@ -228,12 +228,20 @@ u64 first_zero(u32 d, u32 e) {
   return (static_cast<u64>((0u - d) >> t) * inv) & (modulus - 1);
 }
 
-/// One access of a loop trace: an affine stream across iterations.
-struct TraceAccess {
-  Sym addr;
+/// The accesses of a loop trace that share a base register, port, size
+/// and direction. Across iterations each is a stream with the base
+/// register's stride, and their addresses differ by constant offsets.
+struct TraceStreams {
+  i32 base = -1;  ///< register, or -1 for constant addresses
   u32 port = 0;
   u32 size = 0;
   bool is_write = false;
+  u64 count = 0;  ///< accesses per iteration
+  i64 lo = 0;     ///< lowest offset
+  i64 hi = 0;     ///< highest offset
+  /// Accesses per bank at lo's bank, when every offset is lo's plus a
+  /// multiple of the word size; the trace is not accelerated otherwise.
+  std::array<u64, kTcdmBanks> banks{};
 };
 
 /// One conditional branch of a loop trace, with the outcome it took.
@@ -252,7 +260,8 @@ struct TraceSummary {
   u32 read_first = 0;    ///< registers read before the trace writes them
   u32 written = 0;       ///< registers the trace writes
   std::array<Sym, kNumXRegs> end{};
-  std::vector<TraceAccess> accesses;
+  std::vector<TraceStreams> streams;
+  u64 accesses = 0;  ///< per iteration
   std::vector<TraceBranch> branches;
 };
 
@@ -375,33 +384,73 @@ class Walker {
     const u64 len = now - visit_[h];
     const u64 v0 = prev_visit_[h];
     if (v0 != kNever && v0 >= blocked_until_ && visit_[h] - v0 == len &&
-        len <= kMaxTrace && same_trace(v0, len)) {
+        len <= kMaxTrace) {
       TraceSummary& sum = summaries_[loop_of_[h]];
-      if (!holds_trace(sum, visit_[h], len)) summarize(sum, h, len);
-      if (sum.ok) accelerate(sum);
+      if (sum.pcs.size() != len || !holds_trace(sum, visit_[h])) {
+        summarize(sum, h, len);
+      }
+      if (sum.ok && holds_trace(sum, v0)) accelerate(sum);
     }
     // After an acceleration the last iteration took the trace too.
     prev_visit_[h] = pred_.int_steps == now ? visit_[h] : pred_.int_steps - len;
     visit_[h] = pred_.int_steps;
   }
 
-  /// The `len` steps from `v0` repeat in the `len` after them.
-  bool same_trace(u64 v0, u64 len) const {
-    for (u64 t = 0; t < len; ++t) {
-      if (history_[(v0 + t) % kHistory] !=
-          history_[(v0 + len + t) % kHistory]) {
-        return false;
-      }
-    }
-    return true;
+  /// Call fn(ring piece, offset, length) over the history's steps
+  /// [from, from + n), n <= kHistory, in at most two contiguous pieces.
+  template <typename Fn>
+  void ring_pieces(u64 from, u64 n, Fn&& fn) {
+    const u64 at = from % kHistory;
+    const u64 first = std::min(n, kHistory - at);
+    fn(history_.data() + at, u64{0}, first);
+    if (first < n) fn(history_.data(), first, n - first);
   }
 
-  /// `sum` is the summary of the `len` steps from `from`.
-  bool holds_trace(const TraceSummary& sum, u64 from, u64 len) const {
-    if (sum.pcs.size() != len) return false;
-    for (u64 t = 0; t < len; ++t) {
-      if (sum.pcs[t] != history_[(from + t) % kHistory]) return false;
+  /// The history's steps from `from` took `sum`'s trace (`from` is at
+  /// most kHistory - size steps back).
+  bool holds_trace(const TraceSummary& sum, u64 from) {
+    bool same = true;
+    ring_pieces(from, sum.pcs.size(), [&](const u32* r, u64 off, u64 n) {
+      same = same && std::equal(r, r + n, sum.pcs.data() + off);
+    });
+    return same;
+  }
+
+  /// Add one access at offset `off` from register `base` (-1: from 0) to
+  /// its group in `sum`; false when its offset is not a whole number of
+  /// words from the group's.
+  static bool add_access(TraceSummary& sum, i32 base, i64 off, u32 port,
+                         u32 size, bool is_write) {
+    ++sum.accesses;
+    for (TraceStreams& g : sum.streams) {
+      if (g.base != base || g.port != port || g.size != size ||
+          g.is_write != is_write) {
+        continue;
+      }
+      if ((off - g.lo) % kWordBytes != 0) return false;
+      if (off < g.lo) {  // re-anchor the histogram at the new lowest word
+        const u64 shift = static_cast<u64>((g.lo - off) / kWordBytes);
+        std::array<u64, kTcdmBanks> moved{};
+        for (u32 q = 0; q < kTcdmBanks; ++q) {
+          moved[(q + shift) % kTcdmBanks] = g.banks[q];
+        }
+        g.banks = moved;
+        g.lo = off;
+      }
+      g.hi = std::max(g.hi, off);
+      ++g.banks[static_cast<u64>((off - g.lo) / kWordBytes) % kTcdmBanks];
+      ++g.count;
+      return true;
     }
+    TraceStreams g;
+    g.base = base;
+    g.port = port;
+    g.size = size;
+    g.is_write = is_write;
+    g.count = 1;
+    g.lo = g.hi = off;
+    g.banks[0] = 1;
+    sum.streams.push_back(g);
     return true;
   }
 
@@ -409,13 +458,14 @@ class Walker {
   /// symbolically into `sum`.
   void summarize(TraceSummary& sum, u32 h, u64 len) {
     sum.pcs.resize(len);
-    for (u64 t = 0; t < len; ++t) {
-      sum.pcs[t] = history_[(visit_[h] + t) % kHistory];
-    }
+    ring_pieces(visit_[h], len, [&](const u32* r, u64 off, u64 n) {
+      std::copy(r, r + n, sum.pcs.data() + off);
+    });
     sum.ok = false;
     sum.read_first = 0;
     sum.written = 0;
-    sum.accesses.clear();
+    sum.streams.clear();
+    sum.accesses = 0;
     sum.branches.clear();
     std::array<Sym, kNumXRegs>& f = sum.end;
     f = {};
@@ -432,10 +482,12 @@ class Walker {
       const Sym b = (d.x_reads & kSlot2) ? read(in.rs2) : Sym{};
       if (d.mem != MemDir::kNone) {
         if (d.x_write) return;  // an integer load: an unknown value
-        sum.accesses.push_back(TraceAccess{
-            Sym{a.base, a.off + static_cast<u32>(in.imm)},
-            d.is_fp() ? kPortFlsu : kPortIlsu, d.mem_bytes,
-            d.mem == MemDir::kStore});
+        if (!add_access(sum, a.base,
+                        static_cast<i32>(a.off + static_cast<u32>(in.imm)),
+                        d.is_fp() ? kPortFlsu : kPortIlsu, d.mem_bytes,
+                        d.mem == MemDir::kStore)) {
+          return;
+        }
         continue;
       }
       if (d.cls == OpClass::kBranch) {
@@ -479,9 +531,9 @@ class Walker {
 
     const u64 len = sum.pcs.size();
     u64 iters = (kIntStepBudget - pred_.int_steps) / len;
-    if (!sum.accesses.empty()) {
+    if (sum.accesses > 0) {
       iters = std::min<u64>(iters, (kAccessBudget - accounted_) /
-                                       sum.accesses.size());
+                                       sum.accesses);
     }
     for (const TraceBranch& br : sum.branches) {
       const u32 d = value(br.a) - value(br.b);
@@ -493,24 +545,36 @@ class Walker {
     if (iters == 0) return;
 
     // Each access is a stream over the iterations; all must be legal
-    // before any is accounted.
-    for (const TraceAccess& acc : sum.accesses) {
-      const i64 base = value(acc.addr);
-      const i64 stride = static_cast<i32>(slope(acc.addr));
+    // before any is accounted. A group is legal when its extremes are.
+    for (const TraceStreams& g : sum.streams) {
+      const i64 x = value(Sym{g.base, 0});
+      const i64 stride = static_cast<i32>(slope(Sym{g.base, 0}));
       const i64 span = static_cast<i64>(iters - 1) * stride;
       if ((iters > 1 && stride % kWordBytes != 0) ||
-          !all_legal(base + std::min<i64>(span, 0),
-                     base + std::max<i64>(span, 0), iters, acc.size,
-                     acc.is_write)) {
+          !all_legal(x + g.lo + std::min<i64>(span, 0),
+                     x + g.hi + std::max<i64>(span, 0), iters * g.count,
+                     g.size, g.is_write)) {
         return;
       }
     }
-    for (const TraceAccess& acc : sum.accesses) {
-      PortPrediction& p = pred_.ports[acc.port];
-      p.accesses += iters;
-      count_run(p, value(acc.addr), static_cast<i32>(slope(acc.addr)), iters);
+    for (const TraceStreams& g : sum.streams) {
+      const i64 x = value(Sym{g.base, 0});
+      const i64 stride = static_cast<i32>(slope(Sym{g.base, 0}));
+      // Banks one access visits over the iterations, from bank 0, spread
+      // over the group's banks at iteration 0.
+      std::array<u64, kTcdmBanks> run{};
+      count_run(run.data(), 0, stride, iters);
+      PortPrediction& p = pred_.ports[g.port];
+      p.accesses += iters * g.count;
+      const u32 b0 = Tcdm::bank_of(static_cast<Addr>(x + g.lo));
+      for (u32 d = 0; d < kTcdmBanks; ++d) {
+        if (run[d] == 0) continue;
+        for (u32 q = 0; q < kTcdmBanks; ++q) {
+          p.per_bank[(b0 + q + d) % kTcdmBanks] += g.banks[q] * run[d];
+        }
+      }
     }
-    accounted_ += iters * sum.accesses.size();
+    accounted_ += iters * sum.accesses;
     std::array<u32, kNumXRegs> next{};
     for (u32 m = sum.written; m != 0; m &= m - 1) {
       const u32 r = static_cast<u32>(std::countr_zero(m));
@@ -525,9 +589,11 @@ class Walker {
     const u64 begin = pred_.int_steps;
     const u64 end = begin + iters * len;
     u64 p = std::max(begin, end - std::min<u64>(end, kHistory));
-    for (u64 t = (p - begin) % len; p < end; ++p) {
-      history_[p % kHistory] = sum.pcs[t];
-      t = t + 1 == len ? 0 : t + 1;
+    for (u64 t = (p - begin) % len; p < end;) {
+      const u64 n = std::min({end - p, len - t, kHistory - p % kHistory});
+      std::copy_n(sum.pcs.data() + t, n, history_.data() + p % kHistory);
+      p += n;
+      t = t + n == len ? 0 : t + n;
     }
     pred_.int_steps = end;
   }
