@@ -42,6 +42,7 @@
 #include <string>
 #include <vector>
 
+#include "common/sim_error.hpp"
 #include "common/stats.hpp"
 #include "fault/fault_plan.hpp"
 #include "report/csv.hpp"
@@ -207,9 +208,15 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Validate every requested name up front (code_by_name aborts on unknown
-  // codes — a typo must fail loudly, not silently shrink coverage).
-  for (const std::string& n : only_codes) code_by_name(n);
+  // Validate every requested name up front (code_by_name raises kBadConfig
+  // on unknown codes — a typo must fail loudly, not silently shrink
+  // coverage).
+  try {
+    for (const std::string& n : only_codes) code_by_name(n);
+  } catch (const SimError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
   auto selected = [&](const StencilCode& sc) {
     if (only_codes.empty()) return true;
     for (const std::string& n : only_codes) {

@@ -1,6 +1,6 @@
 #include "stencil/codes.hpp"
 
-#include "common/log.hpp"
+#include "common/sim_error.hpp"
 
 namespace saris {
 
@@ -164,10 +164,13 @@ const std::vector<StencilCode>& all_codes() {
 }
 
 const StencilCode& code_by_name(const std::string& name) {
+  std::string valid;
   for (const StencilCode& sc : all_codes()) {
     if (sc.name == name) return sc;
+    valid += (valid.empty() ? "" : ", ") + sc.name;
   }
-  SARIS_CHECK(false, "unknown stencil code " << name);
+  SARIS_RAISE(SimErrc::kBadConfig, 0,
+              "unknown stencil code '" << name << "'; valid codes: " << valid);
 }
 
 const StencilCode& example_star7p() {

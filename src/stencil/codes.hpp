@@ -11,7 +11,8 @@ namespace saris {
 /// All ten evaluation codes, in Table 1 order (sorted by FLOPs per point).
 const std::vector<StencilCode>& all_codes();
 
-/// Look up one of the ten codes by name (aborts if unknown).
+/// Look up one of the ten codes by name. An unknown name raises
+/// SimError(kBadConfig) naming it and listing the valid ones.
 const StencilCode& code_by_name(const std::string& name);
 
 /// The paper's symmetric 7-point star running example (not part of the

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdlib>
 
+#include "common/sim_error.hpp"
 #include "stencil/codes.hpp"
 #include "stencil/grid.hpp"
 #include "stencil/reference.hpp"
@@ -109,8 +110,19 @@ TEST(Codes, Star7pExample) {
   EXPECT_EQ(sc.flops_per_point(), 10u);
 }
 
-TEST(CodesDeath, UnknownNameAborts) {
-  EXPECT_DEATH(code_by_name("nope"), "unknown stencil code");
+TEST(Codes, UnknownNameRaisesBadConfig) {
+  try {
+    code_by_name("nope");
+    FAIL() << "code_by_name did not throw";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.errc(), SimErrc::kBadConfig);
+    const std::string what = e.what();
+    EXPECT_NE(what.find("unknown stencil code 'nope'"), std::string::npos)
+        << what;
+    for (const StencilCode& sc : all_codes()) {
+      EXPECT_NE(what.find(sc.name), std::string::npos) << sc.name;
+    }
+  }
 }
 
 // ---- tap generators ----
