@@ -14,6 +14,12 @@
 // is not statically boundable), an unknown branch condition aborts the walk
 // with a warning (the analysis is incomplete, not the program wrong).
 //
+// The walk is exact but not element by element where it need not be: a
+// stream, gather or overlap-DMA job none of whose accesses can make a
+// finding is accounted in one pass, and a loop whose trace repeats with
+// registers moving by constants is accounted for many iterations at once
+// (absint.cpp). Anything else is stepped, so every finding is the same.
+//
 // As a by-product the walk records, per TCDM requester port, the exact
 // number of accesses and the per-bank access histogram. Those counts are
 // schedule-independent in the simulator (arbitration delays requests, it

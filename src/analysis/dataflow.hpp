@@ -6,9 +6,9 @@
 //    lanes deadlock the FPU) and to overlay stream semantics on register
 //    use/def sets (a pop is not an architectural use; a push is not a def).
 //  - Register liveness (backward) over both register files. The per-pc
-//    in/out bitsets are exported as LivenessExport — the input contract for
-//    the liveness-driven scheduler (ROADMAP item 2) — and drive dead-store
-//    detection.
+//    in/out bitsets are exported as LivenessExport, from which the verifier
+//    derives register pressure (read by lint's pressure rule and the
+//    plan-cache cell summary), and drive dead-store detection.
 //  - Reaching definitions (forward), with a pseudo entry definition per
 //    register; a use reached only by the entry definition is a
 //    use-before-def. All real definitions of one register answer that
@@ -185,9 +185,9 @@ struct LivenessProblem {
 };
 
 /// Liveness in/out bitsets per ORIGINAL program index — the union over all
-/// virtual (stagger-rotated) copies of that instruction. This is the stable
-/// export contract for the future liveness-driven scheduler: live_out[pc]
-/// is the set of registers whose values instruction pc must preserve.
+/// virtual (stagger-rotated) copies of that instruction: live_out[pc] is the
+/// set of registers whose values instruction pc must preserve. The
+/// verifier's register pressure is computed from it.
 struct LivenessExport {
   std::vector<RegSet> live_in;
   std::vector<RegSet> live_out;

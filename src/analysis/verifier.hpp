@@ -4,7 +4,8 @@
 //   1. CFG construction (analysis/cfg.hpp) — structural legality: branch
 //      targets, fall-off-the-end, FREP body/stagger rules.
 //   2. Dataflow (analysis/dataflow.hpp) — SSR stream-state, use-before-def,
-//      dead stores, and the per-pc liveness export the scheduler consumes.
+//      dead stores, and the per-pc liveness export behind the register
+//      pressure figures.
 //   3. Abstract interpretation (analysis/absint.hpp) — every memory access
 //      and SSR stream bounded against the layout's TCDM arenas, plus exact
 //      per-port access counts that drive the bank-conflict predictor.
@@ -53,8 +54,8 @@ struct BankConflictPrediction {
 
 /// Per-core register pressure, derived from the liveness export: the peak
 /// number of simultaneously-live registers and the pc where it occurs.
-/// Allocator-sizing input for the planned liveness-driven scheduler
-/// (ROADMAP open item 2); printed in the plan-cache cell summaries.
+/// Lint's register-pressure rule reads it, and the plan-cache cell summary
+/// prints it.
 struct RegPressure {
   u32 max_live_x = 0;
   u32 max_live_f = 0;
@@ -65,7 +66,7 @@ struct RegPressure {
 struct VerifyReport {
   std::vector<Diagnostic> diags;
   /// Per-core liveness export (empty RegSets for cores whose CFG could not
-  /// be built). This is the scheduler input contract — see ROADMAP.
+  /// be built), from which `pressure` is derived.
   std::vector<LivenessExport> liveness;
   /// Per-core max-live, one entry per core (zeros without a CFG).
   std::vector<RegPressure> pressure;

@@ -341,8 +341,8 @@ TEST_P(AnalysisPredictionTest, PortCountsExactAndConflictFractionBounded) {
   // Conflict volume is a model, not a count: the expected-value formula
   // assumes independent arrivals, while the real cores run in near
   // lockstep (correlated on saris, anti-correlated on some base codes).
-  // The documented accuracy envelope (bench/README.md) is a factor-4
-  // band with additive slack on both sides.
+  // Its accuracy envelope is a factor-4 band with additive slack on both
+  // sides.
   const double meas =
       m.tcdm_accesses
           ? static_cast<double>(m.tcdm_conflicts) / m.tcdm_accesses
