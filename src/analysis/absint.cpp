@@ -755,13 +755,15 @@ class Walker {
     fetch.base = cfg.idx_base;
     fetch.bounds[0] = n_words;
     fetch.strides[0] = kWordBytes;
-    for (u64 k = account_at_once(kPortSsrIdx, fetch, false) ? n_words : 0;
-         k < n_words; ++k) {
-      if (!access(pc, kPortSsrIdx, cfg.idx_base + k * kWordBytes, 8,
-                  /*is_write=*/false, [&] {
-                    return "SSR lane " + std::to_string(lane) + " index fetch";
-                  })) {
-        return false;
+    if (!account_at_once(kPortSsrIdx, fetch, /*is_write=*/false)) {
+      for (u64 k = 0; k < n_words; ++k) {
+        if (!access(pc, kPortSsrIdx, cfg.idx_base + k * kWordBytes, 8,
+                    /*is_write=*/false, [&] {
+                      return "SSR lane " + std::to_string(lane) +
+                             " index fetch";
+                    })) {
+          return false;
+        }
       }
     }
     // Gather addresses need the index values. The compile artifact carries
@@ -782,7 +784,9 @@ class Walker {
       return true;
     }
     GatherSummary& g = gathers_[lane];
-    if (g.vals != vals || g.count != cfg.idx_count) g = summarize(vals, cfg);
+    if (g.vals != vals || g.count != cfg.idx_count) {
+      g = summarize_gather(vals, cfg);
+    }
     if (all_legal(base + i64{g.lo} * kWordBytes, base + i64{g.hi} * kWordBytes,
                   g.count, kWordBytes, /*is_write=*/false)) {
       accounted_ += g.count;
@@ -816,8 +820,8 @@ class Walker {
     std::array<u64, kTcdmBanks> residues{};
   };
 
-  static GatherSummary summarize(const std::vector<u16>* vals,
-                                 const SsrLaneConfig& cfg) {
+  static GatherSummary summarize_gather(const std::vector<u16>* vals,
+                                        const SsrLaneConfig& cfg) {
     GatherSummary g;
     g.vals = vals;
     g.count = cfg.idx_count;
