@@ -365,7 +365,6 @@ INSTANTIATE_TEST_SUITE_P(
              variant_name(std::get<1>(info.param));
     });
 
-
 // ---- stream edges: the per-element results each shape must keep ---------
 
 /// One core over a hand-built layout: input0 [0x1000, 0x2000) and input1
