@@ -72,8 +72,8 @@ DataflowResult<P> solve(const Cfg& cfg, const P& prob) {
   r.in.assign(n, prob.init());
   r.out.assign(n, prob.init());
 
-  // Ring worklist: an instruction is queued at most once, so n slots hold
-  // it. Seed in meet-order so the first sweep already propagates far.
+  // Ring worklist: an instruction is queued at most once, so n slots
+  // suffice. Seed in meet-order so the first sweep already propagates far.
   std::vector<u32> ring(n);
   std::vector<u8> queued(n, 1);
   for (u32 k = 0; k < n; ++k) ring[k] = P::kForward ? k : n - 1 - k;
