@@ -236,6 +236,20 @@ TEST(AnalysisNegative, ReadOnlyArenaStoreRejected) {
       has_diag(rep, DiagKind::kOutOfArenaAccess, DiagSeverity::kError));
 }
 
+TEST(AnalysisNegative, OverlapDmaOutsideTcdm) {
+  // The overlap DMA jobs are range-checked at compile time too: a job that
+  // starts at the end of the TCDM is an error before any cluster runs it.
+  const StencilCode& sc = code_by_name("jacobi_2d");
+  CompiledKernel ck = compile_kernel(sc, KernelVariant::kBase,
+                                     CodegenOptions{}, 8);
+  ASSERT_FALSE(ck.overlap_jobs.empty());
+  ck.overlap_jobs[0].tcdm_addr = kTcdmSizeBytes;
+  VerifyReport rep = verify_kernel(ck);
+  EXPECT_FALSE(rep.ok());
+  EXPECT_TRUE(
+      has_diag(rep, DiagKind::kOutOfTcdmAccess, DiagSeverity::kError));
+}
+
 TEST(AnalysisNegative, CompileRaisesOnIllegalProgram) {
   // The same defect raised through the pipeline entry: raise_if_bad turns
   // errors into SimError(kIllegalProgram) with a disassembly window.
