@@ -25,9 +25,9 @@
 // HbmFrontend/System. Generic frames (FixedQueue, std::, libc) go to their
 // caller. A sample with no Cluster::step frame is "outside Cluster::step".
 // The `verify` workload charges samples under verify_kernel to its stages
-// instead: CFG build (Cfg, check_structure), dataflow (analyze_dataflow),
-// abstract walk (abstract_interpret) and conflict prediction
-// (predict_bank_conflicts). The table gives each component's share of the
+// instead: CFG build (Cfg, check_structure), dataflow (analyze_dataflow)
+// and abstract walk (abstract_interpret, which also counts each bank's
+// requesters). The table gives each component's share of the
 // samples under the profiled frame and of all samples. It gives no host time
 // per simulated cycle: process CPU time has no control for host speed, which
 // drifts up to 2x between runs, so only shares compare two builds. To turn a
@@ -316,7 +316,6 @@ const std::vector<Component>& verify_components() {
       {"CFG build", {"saris::Cfg::", "saris::check_structure"}},
       {"dataflow", {"saris::analyze_dataflow"}},
       {"abstract walk", {"saris::abstract_interpret"}},
-      {"conflict prediction", {"saris::predict_bank_conflicts"}},
   };
   return kComponents;
 }

@@ -8,6 +8,7 @@
 
 #include "analysis/known_regs.hpp"
 #include "isa/disasm.hpp"
+#include "mem/dma.hpp"
 #include "ssr/addr_gen.hpp"
 #include "ssr/ssr_config.hpp"
 
@@ -25,8 +26,7 @@ constexpr u64 kNever = ~u64{0};
 Addr align8(Addr a) { return (a + 7u) & ~7u; }
 
 /// The addresses base + sum_d i_d * strides[d], 0 <= i_d < bounds[d], in
-/// nested-loop order with dim 0 innermost: an SSR affine stream or an
-/// overlap-DMA job.
+/// nested-loop order with dim 0 innermost: an SSR affine stream.
 struct AffinePattern {
   i64 base = 0;
   std::array<u64, kSsrMaxDims> bounds{1, 1, 1, 1};
@@ -866,57 +866,36 @@ class Walker {
 }  // namespace
 
 AbsintResult abstract_interpret(const CompiledKernel& ck,
-                                bool include_overlap_dma,
                                 std::vector<Diagnostic>& diags) {
   AbsintResult r;
   const ArenaMap am = ArenaMap::from_layout(ck.layout, ck.tcdm_bytes);
   r.all_complete = true;
   for (u32 c = 0; c < ck.programs.size(); ++c) {
     Walker w(ck, c, am, diags);
-    r.cores.push_back(w.run());
-    r.all_complete = r.all_complete && r.cores.back().complete;
-  }
-
-  r.dma.per_bank.assign(kTcdmBanks, 0);
-  if (include_overlap_dma) {
-    u32 dma_diags = 0;
-    for (const DmaJob& j : ck.overlap_jobs) {
-      // The per-word walk below checks only the TCDM bound, so a job whose
-      // extremes lie inside the TCDM is accounted at once.
-      AffinePattern pat;
-      pat.base = j.tcdm_addr;
-      pat.bounds = {(j.row_bytes + kWordBytes - 1) / kWordBytes, j.rows,
-                    j.planes, 1};
-      pat.strides = {kWordBytes, j.tcdm_row_stride, j.tcdm_plane_stride, 0};
-      // (The cap keeps lo() and hi() in range; no job comes near it.)
-      const u64 n = count_within(pat, kAccessBudget);
-      if (n > 0 && pat.lo() >= 0 && pat.hi() + kWordBytes <= ck.tcdm_bytes) {
-        account_pattern(r.dma, pat, n);
-        continue;
-      }
-      for (u32 p = 0; p < j.planes; ++p) {
-        for (u32 row = 0; row < j.rows; ++row) {
-          const Addr row_base = static_cast<Addr>(
-              j.tcdm_addr + static_cast<i64>(p) * j.tcdm_plane_stride +
-              static_cast<i64>(row) * j.tcdm_row_stride);
-          for (u32 b = 0; b < j.row_bytes; b += kWordBytes) {
-            const Addr a = row_base + b;
-            if (static_cast<u64>(a) + kWordBytes > ck.tcdm_bytes) {
-              if (dma_diags++ < kMaxAddrDiags) {
-                std::ostringstream os;
-                os << "overlap DMA word at 0x" << std::hex << a << std::dec
-                   << " outside TCDM";
-                diags.push_back(Diagnostic{DiagKind::kOutOfTcdmAccess,
-                                           DiagSeverity::kError, 0, 0,
-                                           os.str()});
-              }
-              continue;
-            }
-            r.dma.account(a);
-          }
-        }
+    const CorePrediction& cp = r.cores.emplace_back(w.run());
+    r.all_complete = r.all_complete && cp.complete;
+    for (const PortPrediction& p : cp.ports) {
+      for (u32 b = 0; b < kTcdmBanks; ++b) {
+        r.bank_requesters[b] += p.per_bank[b] > 0;
       }
     }
+  }
+
+  // Each overlap DMA job's whole TCDM extent must lie inside the TCDM, as
+  // Dma::push checks when the run queues it. A job with no words moves
+  // nothing.
+  for (const DmaJob& j : ck.overlap_jobs) {
+    if (j.row_bytes == 0 || j.rows == 0 || j.planes == 0) continue;
+    const DmaExtent e = job_extent(j.tcdm_addr, j.tcdm_row_stride,
+                                   j.tcdm_plane_stride, j.rows, j.planes,
+                                   j.row_bytes);
+    if (e.lo >= 0 && e.hi <= ck.tcdm_bytes) continue;
+    std::ostringstream os;
+    os << "overlap DMA job at 0x" << std::hex << j.tcdm_addr << std::dec
+       << " (" << j.rows << " rows x " << j.planes << " planes of "
+       << j.row_bytes << " B) reaches outside TCDM";
+    diags.push_back(Diagnostic{DiagKind::kOutOfTcdmAccess,
+                               DiagSeverity::kError, 0, 0, os.str()});
   }
   return r;
 }

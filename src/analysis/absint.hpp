@@ -15,19 +15,21 @@
 // with a warning (the analysis is incomplete, not the program wrong).
 //
 // The walk is exact but not element by element where it need not be: a
-// stream, gather or overlap-DMA job none of whose accesses can make a
-// finding is accounted in one pass, and a loop whose trace repeats with
-// registers moving by constants is accounted for many iterations at once
-// (absint.cpp). Anything else is stepped, so every finding is the same.
+// stream or gather none of whose accesses can make a finding is accounted
+// in one pass, and a loop whose trace repeats with registers moving by
+// constants is accounted for many iterations at once (absint.cpp). Anything
+// else is stepped, so every finding is the same. Each overlap DMA job gets
+// the TCDM extent check Dma::push applies at run time.
 //
 // As a by-product the walk records, per TCDM requester port, the exact
 // number of accesses and the per-bank access histogram. Those counts are
 // schedule-independent in the simulator (arbitration delays requests, it
 // never reroutes or drops them), so they double as a static cross-check of
-// the simulator's port statistics and feed the bank-conflict predictor in
-// verifier.cpp.
+// the simulator's port statistics, and they show whether any bank has two
+// core requesters (AbsintResult::conflict_free).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <string>
 #include <vector>
@@ -94,20 +96,23 @@ struct CorePrediction {
 
 struct AbsintResult {
   std::vector<CorePrediction> cores;
-  /// Aggregate over all DMA ports. The per-word TCDM addresses of the
-  /// overlap jobs are exact, but the engine round-robins words across its
-  /// ports depending on grant timing, so only the aggregate is
-  /// schedule-independent.
-  PortPrediction dma;
+  /// Per TCDM bank, the number of core ports whose walk touched it.
+  std::array<u32, kTcdmBanks> bank_requesters{};
   bool all_complete = false;
+
+  /// No bank has two core requesters. A port posts at most one request per
+  /// cycle and a bank's lone pending request is granted, so the cores'
+  /// traffic then never conflicts (the overlap DMA's may).
+  bool conflict_free() const {
+    return std::all_of(bank_requesters.begin(), bank_requesters.end(),
+                       [](u32 n) { return n <= 1; });
+  }
 };
 
-/// Walk every core's program. `include_overlap_dma` additionally enumerates
-/// the steady-state overlap DMA jobs into `dma`. Appends diagnostics for
-/// out-of-arena / out-of-TCDM accesses, bad scfgwi configuration, unbounded
-/// values and budget overruns.
+/// Walk every core's program and range-check the overlap DMA jobs. Appends
+/// diagnostics for out-of-arena / out-of-TCDM accesses, bad scfgwi
+/// configuration, unbounded values and budget overruns.
 AbsintResult abstract_interpret(const CompiledKernel& ck,
-                                bool include_overlap_dma,
                                 std::vector<Diagnostic>& diags);
 
 }  // namespace saris

@@ -46,8 +46,8 @@ CostReport analyze_cost(const CompiledKernel& ck, const VerifyReport& rep) {
     out.launches.insert(out.launches.end(), core.launches().begin(),
                         core.launches().end());
   }
-  out.exact = out.complete && rep.conflict.provably_conflict_free &&
-              rep.conflict.exact;
+  out.exact = out.complete && rep.absint.all_complete &&
+              rep.absint.conflict_free();
   out.lint = lint_kernel(ck, rep, out);
   return out;
 }

@@ -13,11 +13,11 @@
 // Contract (tests/test_cost.cpp, tests/test_contract.cpp):
 //   * complete — every core halted within the budget. A hand-built program
 //     whose timing reads loaded data or rdcycle is priced on zero data.
-//   * exact — complete AND the verifier proves the cell's core traffic
-//     conflict-free (VerifyReport::conflict). A lone requester per bank is
-//     always granted, so the ideal TCDM is the real TCDM, and the predicted
-//     cycles and every per-cause counter equal a measured overlap-DMA-off
-//     run bit-for-bit.
+//   * exact — complete AND the verifier's walk completed with no TCDM bank
+//     touched by two core ports (AbsintResult::conflict_free). A lone
+//     requester per bank is always granted, so the ideal TCDM is the real
+//     TCDM, and the predicted cycles and every per-cause counter equal a
+//     measured overlap-DMA-off run bit-for-bit.
 //   * banded — under TCDM bank conflicts the prediction is an optimistic
 //     bound: predicted <= measured, within 10% on every cell.
 // A program that trips a simulator SARIS_CHECK aborts when priced, as it
@@ -58,9 +58,9 @@ struct CostReport {
 };
 
 /// Price `ck` on an ideal-TCDM cluster and run the performance linter.
-/// `rep` supplies the conflict verdict (exactness gate), liveness
-/// (register-pressure lint), and absint access histograms (bank-hotspot
-/// lint).
+/// `rep` supplies absint's completeness and per-bank requester counts
+/// (exactness gate, bank-hotspot lint), its access histograms (bank-hotspot
+/// lint) and liveness (register-pressure lint).
 CostReport analyze_cost(const CompiledKernel& ck, const VerifyReport& rep);
 
 /// Effective on/off for the compile-time cost pass: CodegenOptions::

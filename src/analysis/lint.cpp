@@ -107,28 +107,13 @@ void lint_idle_lanes(const CompiledKernel& ck, const CostReport& cost,
 }
 
 /// Rule 4: a stream whose busiest bank carries far more than its uniform
-/// share while other requesters touch the same bank — the shape the
-/// conflict predictor punishes. Worst port per core, attributed to the
-/// launching scfgwi.
+/// share while other core ports touch the same bank — traffic that waits
+/// on arbitration. Worst port per core, attributed to the launching
+/// scfgwi.
 void lint_bank_hotspots(const VerifyReport& rep, const CostReport& cost,
                         std::vector<Diagnostic>& out) {
-  if (rep.conflict.provably_conflict_free) return;
-
-  // Requester count per bank across all core ports (DMA excluded, matching
-  // VerifyReport::conflict).
-  std::vector<u32> requesters;
-  for (const CorePrediction& cp : rep.absint.cores) {
-    for (const PortPrediction& p : cp.ports) {
-      if (p.accesses == 0) continue;
-      if (requesters.size() < p.per_bank.size()) {
-        requesters.resize(p.per_bank.size(), 0);
-      }
-      for (u32 b = 0; b < p.per_bank.size(); ++b) {
-        requesters[b] += p.per_bank[b] > 0;
-      }
-    }
-  }
-  if (requesters.empty()) return;
+  if (rep.absint.conflict_free()) return;
+  const auto& requesters = rep.absint.bank_requesters;
 
   for (u32 c = 0; c < rep.absint.cores.size(); ++c) {
     const CorePrediction& cp = rep.absint.cores[c];

@@ -13,8 +13,8 @@
 //   * idle SSR lane — streaming enabled but a lane never launched (a load
 //     stream the kernel could still offload);
 //   * bank hotspot — a stream concentrating its accesses on a TCDM bank
-//     that other requesters also touch (the conflict predictor's inputs,
-//     attributed back to the launching scfgwi).
+//     that other core ports also touch (absint's per-bank histograms and
+//     requester counts, attributed back to the launching scfgwi).
 #pragma once
 
 #include <vector>

@@ -1,6 +1,5 @@
 #include "analysis/verifier.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <cstdlib>
 #include <sstream>
@@ -59,73 +58,6 @@ u32 VerifyReport::num_warnings() const {
   return n;
 }
 
-// ---- conflict prediction ----
-
-BankConflictPrediction predict_bank_conflicts(const AbsintResult& r,
-                                              bool with_dma) {
-  std::vector<const PortPrediction*> ports;
-  for (const CorePrediction& c : r.cores) {
-    for (const PortPrediction& p : c.ports) {
-      if (p.accesses > 0) ports.push_back(&p);
-    }
-  }
-  if (with_dma && r.dma.accesses > 0) ports.push_back(&r.dma);
-
-  BankConflictPrediction out;
-  out.exact = r.all_complete;
-  if (ports.empty()) {
-    out.provably_conflict_free = true;
-    out.exact = out.exact || r.cores.empty();
-    return out;
-  }
-  const u32 n_banks = static_cast<u32>(ports.front()->per_bank.size());
-
-  u64 max_port = 0;
-  std::vector<u64> bank_total(n_banks, 0);
-  std::vector<u32> bank_requesters(n_banks, 0);
-  for (const PortPrediction* p : ports) {
-    out.accesses += p->accesses;
-    max_port = std::max(max_port, p->accesses);
-    for (u32 b = 0; b < n_banks; ++b) {
-      bank_total[b] += p->per_bank[b];
-      bank_requesters[b] += p->per_bank[b] > 0;
-    }
-  }
-  const u64 max_bank =
-      *std::max_element(bank_total.begin(), bank_total.end());
-
-  // A bank with a single requester never loses arbitration: the port posts
-  // at most one request per cycle and a lone pending request is granted.
-  out.provably_conflict_free =
-      *std::max_element(bank_requesters.begin(), bank_requesters.end()) <= 1;
-
-  // Occupancy floor: the busiest port needs one cycle per request, the
-  // busiest bank one grant per request.
-  out.t_est = static_cast<double>(std::max<u64>(std::max(max_port, max_bank),
-                                                1));
-  if (!out.provably_conflict_free) {
-    double conflicts = 0;
-    for (u32 b = 0; b < n_banks; ++b) {
-      if (bank_requesters[b] <= 1) continue;
-      double p_idle = 1.0;
-      for (const PortPrediction* p : ports) {
-        const double rate =
-            std::min(1.0, static_cast<double>(p->per_bank[b]) / out.t_est);
-        p_idle *= 1.0 - rate;
-      }
-      const double granted = out.t_est * (1.0 - p_idle);
-      conflicts +=
-          std::max(0.0, static_cast<double>(bank_total[b]) - granted);
-    }
-    out.predicted_conflicts = conflicts;
-  }
-  if (out.accesses > 0) {
-    out.predicted_fraction =
-        out.predicted_conflicts / static_cast<double>(out.accesses);
-  }
-  return out;
-}
-
 // ---- verification entries ----
 
 namespace {
@@ -171,11 +103,7 @@ void run_front_stages(const std::vector<Program>& progs, VerifyReport& rep) {
 VerifyReport verify_kernel(const CompiledKernel& ck) {
   VerifyReport rep;
   run_front_stages(ck.programs, rep);
-  rep.absint = abstract_interpret(ck, /*include_overlap_dma=*/true,
-                                  rep.diags);
-  rep.conflict = predict_bank_conflicts(rep.absint, /*with_dma=*/false);
-  rep.conflict_with_dma = predict_bank_conflicts(rep.absint,
-                                                 /*with_dma=*/true);
+  rep.absint = abstract_interpret(ck, rep.diags);
   return rep;
 }
 

@@ -7,8 +7,9 @@
 //      dead stores, and the per-pc liveness export behind the register
 //      pressure figures.
 //   3. Abstract interpretation (analysis/absint.hpp) — every memory access
-//      and SSR stream bounded against the layout's TCDM arenas, plus exact
-//      per-port access counts that drive the bank-conflict predictor.
+//      and SSR stream bounded against the layout's TCDM arenas, every
+//      overlap DMA job against the TCDM, plus exact per-port access counts
+//      and the per-bank requester counts behind the conflict-free verdict.
 //
 // verify_kernel runs all three; verify_programs runs stages 1-2 only (no
 // layout needed) and is the entry the negative tests use on hand-built
@@ -30,28 +31,6 @@
 
 namespace saris {
 
-/// Expected-value bank-conflict model over the statically predicted per-port
-/// per-bank access histograms. With T the estimated occupancy (cycles), port
-/// p's arrival rate at bank b is n_pb / T; the expected grant cycles at bank
-/// b are T * (1 - prod_p (1 - rate_pb)), and every request beyond a grant
-/// cycle retries, i.e. conflicts:
-///
-///   conflicts ~= sum_b [ sum_p n_pb - T * (1 - prod_p (1 - n_pb / T)) ]
-///
-/// The model is exact at the boundary the acceptance criteria care about:
-/// when no bank is touched by more than one requester, conflicts are
-/// provably zero (a lone port is always granted).
-struct BankConflictPrediction {
-  u64 accesses = 0;               ///< total requests considered
-  double t_est = 0;               ///< occupancy estimate (cycles)
-  double predicted_conflicts = 0;
-  double predicted_fraction = 0;  ///< predicted_conflicts / accesses
-  bool provably_conflict_free = false;
-  /// True when every core's static walk completed (the per-port access
-  /// counts are exact, not lower bounds).
-  bool exact = false;
-};
-
 /// Per-core register pressure, derived from the liveness export: the peak
 /// number of simultaneously-live registers and the pc where it occurs.
 /// Lint's register-pressure rule reads it, and the plan-cache cell summary
@@ -71,8 +50,6 @@ struct VerifyReport {
   /// Per-core max-live, one entry per core (zeros without a CFG).
   std::vector<RegPressure> pressure;
   AbsintResult absint;
-  BankConflictPrediction conflict;           ///< core-port traffic only
-  BankConflictPrediction conflict_with_dma;  ///< plus overlap-DMA aggregate
   /// Static cost pass + lint results, present when the compile ran with
   /// analyze_cost on (CodegenOptions::analyze_cost / SARIS_ANALYZE).
   std::optional<CostReport> cost;
@@ -88,10 +65,6 @@ VerifyReport verify_kernel(const CompiledKernel& ck);
 /// Structural + dataflow stages only, over bare per-core programs (no
 /// layout, no address bounding). Unit-test entry for hand-built programs.
 VerifyReport verify_programs(const std::vector<Program>& progs);
-
-/// Conflict prediction alone, from an existing absint result.
-BankConflictPrediction predict_bank_conflicts(const AbsintResult& r,
-                                              bool with_dma);
 
 /// Render up to `max_diags` findings, each with a disassembly window around
 /// its (core, pc) anchor.

@@ -8,31 +8,6 @@
 
 namespace saris {
 
-namespace {
-
-/// [lo, hi) byte extent of a strided 3-D transfer footprint relative to its
-/// base address. 128-bit intermediates: strides and counts are caller-
-/// controlled and the whole point is to reject jobs whose arithmetic would
-/// wrap in 64 bits.
-struct Extent {
-  __int128 lo;
-  __int128 hi;
-};
-
-Extent job_extent(__int128 base, i64 row_stride, i64 plane_stride, u32 rows,
-                  u32 planes, u32 row_bytes) {
-  __int128 row_span = static_cast<__int128>(row_stride) * (rows - 1);
-  __int128 plane_span = static_cast<__int128>(plane_stride) * (planes - 1);
-  Extent e;
-  e.lo = base + std::min<__int128>(row_span, 0) +
-         std::min<__int128>(plane_span, 0);
-  e.hi = base + std::max<__int128>(row_span, 0) +
-         std::max<__int128>(plane_span, 0) + row_bytes;
-  return e;
-}
-
-}  // namespace
-
 DmaJob make_tile_dma_job(bool to_tcdm, Addr tcdm_base, u64 mem_addr,
                          u32 grid_nx, u32 grid_ny, u32 x0, u32 y0, u32 z0,
                          u32 nx, u32 ny, u32 nz) {
@@ -89,15 +64,16 @@ void Dma::push(const DmaJob& job) {
                << ") mem_strides=(" << (job).mem_row_stride << ","        \
                << (job).mem_plane_stride << ")"
 
-  Extent t = job_extent(job.tcdm_addr, job.tcdm_row_stride,
-                        job.tcdm_plane_stride, job.rows, job.planes,
-                        job.row_bytes);
+  DmaExtent t = job_extent(job.tcdm_addr, job.tcdm_row_stride,
+                           job.tcdm_plane_stride, job.rows, job.planes,
+                           job.row_bytes);
   SARIS_CHECK(t.lo >= 0 && t.hi <= static_cast<__int128>(tcdm_.size_bytes()),
               "DMA job TCDM extent out of range: "
                   << SARIS_DMA_JOB_COORDS(job)
                   << " tcdm_size=" << tcdm_.size_bytes());
-  Extent m = job_extent(job.mem_addr, job.mem_row_stride, job.mem_plane_stride,
-                        job.rows, job.planes, job.row_bytes);
+  DmaExtent m = job_extent(job.mem_addr, job.mem_row_stride,
+                           job.mem_plane_stride, job.rows, job.planes,
+                           job.row_bytes);
   SARIS_CHECK(m.lo >= static_cast<__int128>(mem_.base_addr()) &&
                   m.hi <= static_cast<__int128>(mem_.end_addr()),
               "DMA job main-memory extent out of range: "

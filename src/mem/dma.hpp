@@ -8,6 +8,7 @@
 // utilizations that feed the scale-out model.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -43,6 +44,29 @@ struct DmaJob {
     return static_cast<u64>(row_bytes) * rows * planes;
   }
 };
+
+/// [lo, hi) byte extent of a strided 3-D transfer footprint: `base` plus
+/// every row and plane offset, plus one row. 128-bit intermediates: strides
+/// and counts are caller-controlled and the whole point is to reject jobs
+/// whose arithmetic would wrap in 64 bits. Meaningful for rows, planes >= 1.
+/// Dma::push checks both sides of a job with it; the static verifier checks
+/// the overlap jobs' TCDM side with it at compile time.
+struct DmaExtent {
+  __int128 lo;
+  __int128 hi;
+};
+
+inline DmaExtent job_extent(__int128 base, i64 row_stride, i64 plane_stride,
+                            u32 rows, u32 planes, u32 row_bytes) {
+  __int128 row_span = static_cast<__int128>(row_stride) * (rows - 1);
+  __int128 plane_span = static_cast<__int128>(plane_stride) * (planes - 1);
+  DmaExtent e;
+  e.lo = base + std::min<__int128>(row_span, 0) +
+         std::min<__int128>(plane_span, 0);
+  e.hi = base + std::max<__int128>(row_span, 0) +
+         std::max<__int128>(plane_span, 0) + row_bytes;
+  return e;
+}
 
 /// Build the strided job for a box-shaped region of a row-major grid tile:
 /// the TCDM side walks the tile at its natural pitch (grid_nx x grid_ny

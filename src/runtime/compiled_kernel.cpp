@@ -89,8 +89,9 @@ CompiledKernel compile_kernel(const StencilCode& sc, KernelVariant variant,
   // ever executes them. The report rides with the artifact (and thus the
   // plan cache) so warm-cache executions keep the verdict. The cost pass
   // runs the lowered programs on an ideal-TCDM cluster and needs the
-  // report's conflict verdict and liveness, so asking for analysis alone
-  // still runs verification — it just doesn't reject on errors.
+  // report's per-bank requester counts and liveness, so asking for
+  // analysis alone still runs verification — it just doesn't reject on
+  // errors.
   const bool do_verify = resolve_verify(cg);
   const bool do_cost = resolve_analyze_cost(cg);
   if (do_verify || do_cost) {

@@ -154,7 +154,6 @@ void record_compile(const StencilCode& sc, KernelVariant variant,
     }
     os << " banks " << banks.hex() << "\n";
   }
-  os << "absint dma " << rep.absint.dma.accesses << "\n";
   for (std::size_t c = 0; c < rep.liveness.size(); ++c) {
     Digest live;
     for (const RegSet& s : rep.liveness[c].live_in) live.pod(s);
