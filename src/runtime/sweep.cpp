@@ -220,6 +220,7 @@ bool metrics_bit_identical(const RunMetrics& a, const RunMetrics& b,
   } while (0)
     SARIS_SWEEP_EQ(int_instrs);
     SARIS_SWEEP_EQ(fp_instrs);
+    SARIS_SWEEP_EQ(fp_offloads);
     SARIS_SWEEP_EQ(fpu_useful_ops);
     SARIS_SWEEP_EQ(flops);
     SARIS_SWEEP_EQ(fp_loads);

@@ -100,6 +100,10 @@ TEST(Sweep, ComparatorCatchesDivergence) {
   std::string why;
   EXPECT_FALSE(metrics_bit_identical(m[0], tweaked, &why));
   EXPECT_EQ(why, "per_core[3].fpu_idle_empty");
+  tweaked = m[0];
+  tweaked.per_core[2].fp_offloads += 1;
+  EXPECT_FALSE(metrics_bit_identical(m[0], tweaked, &why));
+  EXPECT_EQ(why, "per_core[2].fp_offloads");
   // Host wall-clock is the one excluded field.
   tweaked = m[0];
   tweaked.step_wall_seconds *= 2;
