@@ -7,8 +7,8 @@
 //     attached-but-empty plan must produce bit-identical metrics (the
 //     harness is provably inert when disabled).
 //  2. Fault-isolated sweep — the paper's (code x variant) matrix with K
-//     cells carrying seeded fault storms, run under the isolate-and-
-//     continue policy with bounded retry: healthy cells are unaffected,
+//     cells carrying seeded fault storms, run through run_sweep_isolated
+//     with bounded retry: healthy cells are unaffected,
 //     transient faults (persistence 1) recover on retry, sticky ones fail
 //     typed. The survival table is the whole point: one storm never takes
 //     the matrix down.
@@ -146,7 +146,6 @@ int main(int argc, char** argv) {
   }
 
   SweepOptions opts;
-  opts.policy = SweepFaultPolicy::kIsolate;
   opts.max_attempts = retries;
   opts.threads = threads;
   std::vector<SweepResult> rs = run_sweep_isolated(jobs, opts);

@@ -91,59 +91,43 @@ std::vector<SweepResult> run_sweep_isolated(const std::vector<SweepJob>& jobs,
     SARIS_CHECK(j.code != nullptr, "sweep job without a stencil code");
   }
   u32 n = sweep_thread_count(opts.threads, jobs.size());
-  const bool fail_fast = opts.policy == SweepFaultPolicy::kFailFast;
 
   if (n == 1) {
     for (std::size_t i = 0; i < jobs.size(); ++i) {
       results[i] = run_one_isolated(jobs[i], opts);
-      if (fail_fast && !results[i].ok) break;
     }
   } else {
     // Work-stealing by shared counter: each worker claims the next
     // unstarted job. Results land at their job's index, so ordering (and
     // hence output determinism) is independent of which worker finishes
-    // when. Under fail-fast a recorded failure stops further claims; jobs
-    // never attempted keep attempts == 0 (skipped).
+    // when.
     std::atomic<std::size_t> next{0};
-    std::atomic<bool> stop{false};
     std::vector<std::thread> workers;
     workers.reserve(n);
     for (u32 w = 0; w < n; ++w) {
       workers.emplace_back([&] {
         for (;;) {
-          if (stop.load(std::memory_order_relaxed)) return;
           std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
           if (i >= jobs.size()) return;
           results[i] = run_one_isolated(jobs[i], opts);
-          if (fail_fast && !results[i].ok) {
-            stop.store(true, std::memory_order_relaxed);
-          }
         }
       });
     }
     for (std::thread& w : workers) w.join();
-  }
-
-  if (fail_fast) {
-    // Rethrow the first failure in job order (deterministic tie-break when
-    // several workers failed concurrently).
-    for (const SweepResult& r : results) {
-      if (r.attempts > 0 && !r.ok) throw SimError(*r.fault);
-    }
   }
   return results;
 }
 
 std::vector<RunMetrics> run_sweep(const std::vector<SweepJob>& jobs,
                                   u32 threads) {
-  // All-or-nothing contract on top of the isolated engine: fail-fast,
-  // single attempt — the first job failure propagates as its SimError.
+  // All-or-nothing on top of the isolated engine: one attempt per job, and
+  // the first failure in job order propagates as its SimError.
   SweepOptions opts;
   opts.threads = threads;
-  opts.policy = SweepFaultPolicy::kFailFast;
   std::vector<SweepResult> rs = run_sweep_isolated(jobs, opts);
   std::vector<RunMetrics> results(rs.size());
   for (std::size_t i = 0; i < rs.size(); ++i) {
+    if (!rs[i].ok) throw SimError(*rs[i].fault);
     results[i] = std::move(rs[i].metrics);
   }
   return results;

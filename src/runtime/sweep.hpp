@@ -13,13 +13,12 @@
 // lowers it exactly once, and the golden reference for each (code, seed)
 // pair is likewise memoized (stencil/reference.hpp). Cache hits are
 // bit-identical to cold compiles, so the determinism contract is unchanged.
-// Fault isolation: run_sweep_isolated is the error-aware engine — one
-// job's typed failure (common/sim_error.hpp) becomes a SweepResult instead
-// of taking the sweep down, with a configurable fail-fast/isolate policy
-// and bounded deterministic retry for retryable codes. A job's own
-// RunConfig::max_wall_seconds is the wall-clock watchdog against one
-// pathological cell starving the rest. The legacy run_sweep keeps its
-// all-or-nothing contract on top of it.
+// Fault isolation: run_sweep_isolated is the one engine — one job's typed
+// failure (common/sim_error.hpp) becomes a SweepResult instead of taking
+// the sweep down, with bounded deterministic retry for retryable codes. A
+// job's own RunConfig::max_wall_seconds is the wall-clock watchdog against
+// one pathological cell starving the rest. run_sweep is the all-or-nothing
+// form on top of it.
 #pragma once
 
 #include <memory>
@@ -48,15 +47,8 @@ struct SweepJob {
   u64 fault_seed = 0;
 };
 
-/// How a sweep reacts to a job's typed failure (after its retries).
-enum class SweepFaultPolicy {
-  kFailFast,  ///< stop claiming work and rethrow the first failed job's error
-  kIsolate,   ///< record the error in the job's SweepResult and continue
-};
-
 struct SweepOptions {
   u32 threads = 0;  ///< as in sweep_thread_count
-  SweepFaultPolicy policy = SweepFaultPolicy::kIsolate;
   /// Attempts per job (>= 1). Only SimError codes with
   /// sim_errc_retryable() true are retried; the rest fail immediately.
   u32 max_attempts = 1;
@@ -68,17 +60,15 @@ struct SweepResult {
   RunMetrics metrics{};  ///< valid iff ok
   SimErrc error_code = SimErrc::kNone;  ///< final attempt's code (if !ok)
   std::string error;     ///< final attempt's full what() (if !ok)
-  u32 attempts = 0;      ///< attempts made; 0 = skipped (fail-fast cutoff)
+  u32 attempts = 0;      ///< attempts made
   /// The final attempt's typed error with full job context, null when ok.
   std::shared_ptr<const SimError> fault;
 };
 
 /// Fault-isolated sweep: run all jobs, catching each job's SimError into
-/// its SweepResult (kIsolate) or rethrowing the first failure in job order
-/// after stopping the pool (kFailFast — later results may then be marked
-/// skipped). Results are in job order; determinism matches run_sweep: with
-/// identical jobs/options the outcomes, metrics, attempt counts, and error
-/// codes are identical whatever the worker count.
+/// its SweepResult. Results are in job order; with identical jobs/options
+/// the outcomes, metrics, attempt counts, and error codes are identical
+/// whatever the worker count.
 std::vector<SweepResult> run_sweep_isolated(const std::vector<SweepJob>& jobs,
                                             const SweepOptions& opts = {});
 
@@ -91,9 +81,10 @@ u32 sweep_thread_count(u32 requested, std::size_t num_jobs);
 
 /// Run all jobs and return their metrics in job order. `threads` as in
 /// sweep_thread_count; 1 degenerates to a plain sequential loop (the
-/// equivalence baseline for the determinism test). All-or-nothing: a job's
-/// SimError propagates to the caller (fail-fast, single attempt) — use
-/// run_sweep_isolated to survive per-job failures.
+/// equivalence baseline for the determinism test). All-or-nothing: every
+/// job runs once, then the first failed job's SimError in job order
+/// propagates to the caller — use run_sweep_isolated to survive per-job
+/// failures.
 std::vector<RunMetrics> run_sweep(const std::vector<SweepJob>& jobs,
                                   u32 threads = 0);
 

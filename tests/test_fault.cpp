@@ -307,7 +307,6 @@ TEST(FaultSweep, IsolatePolicyKeepsTheRestOfTheMatrixAlive) {
   ASSERT_EQ(jobs.size(), 20u);
 
   SweepOptions opts;
-  opts.policy = SweepFaultPolicy::kIsolate;
   opts.threads = 2;
   std::vector<SweepResult> rs = run_sweep_isolated(jobs, opts);
   ASSERT_EQ(rs.size(), jobs.size());
@@ -401,22 +400,14 @@ TEST(FaultSweep, NonRetryableErrorFailsWithoutRetry) {
   EXPECT_EQ(rs[0].error_code, SimErrc::kMaxCyclesExceeded);
 }
 
-TEST(FaultSweep, FailFastRethrowsTheFirstFailureInJobOrder) {
-  std::vector<SweepJob> jobs = matrix_with_faults({2});
+TEST(FaultSweep, RunSweepRethrowsTheFirstFailureInJobOrder) {
+  // run_sweep is all-or-nothing: two failed jobs, and the earlier one's
+  // error surfaces whichever worker finished first.
+  std::vector<SweepJob> jobs = matrix_with_faults({2, 4});
   jobs.resize(6);
-  SweepOptions opts;
-  opts.policy = SweepFaultPolicy::kFailFast;
-  opts.threads = 2;
-  SimError e = expect_sim_error([&] { run_sweep_isolated(jobs, opts); },
+  SimError e = expect_sim_error([&] { run_sweep(jobs, 2); },
                                 SimErrc::kClusterStall, "stall");
   EXPECT_EQ(e.code(), jobs[2].code->name);
-}
-
-TEST(FaultSweep, LegacyRunSweepStaysAllOrNothing) {
-  std::vector<SweepJob> jobs = matrix_with_faults({1});
-  jobs.resize(4);
-  expect_sim_error([&] { run_sweep(jobs, 2); }, SimErrc::kClusterStall,
-                   "stall");
 }
 
 // ---- System graceful degradation ---------------------------------------
