@@ -58,9 +58,8 @@ struct CostReport {
 };
 
 /// Price `ck` on an ideal-TCDM cluster and run the performance linter.
-/// `rep` supplies absint's completeness and per-bank requester counts
-/// (exactness gate, bank-hotspot lint), its access histograms (bank-hotspot
-/// lint) and liveness (register-pressure lint).
+/// `rep` supplies absint's walk results (exactness gate, bank-hotspot lint)
+/// and liveness (register-pressure lint).
 CostReport analyze_cost(const CompiledKernel& ck, const VerifyReport& rep);
 
 /// Effective on/off for the compile-time cost pass: CodegenOptions::
