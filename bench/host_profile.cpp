@@ -150,8 +150,8 @@ RunConfig bench_config(KernelVariant v) {
   RunConfig cfg;
   cfg.variant = v;
   cfg.seed = kSeed;
-  cfg.cg.verify = 1;
-  cfg.cg.analyze_cost = 0;
+  cfg.cg.verify = true;
+  cfg.cg.analyze_cost = false;
   cfg.tolerance = 1e-6;
   return cfg;
 }
@@ -165,8 +165,8 @@ bool make_workload(const std::string& name, Workload* w) {
   }
   if (name == "verify") {
     CodegenOptions cg;
-    cg.verify = 0;
-    cg.analyze_cost = 0;
+    cg.verify = false;
+    cg.analyze_cost = false;
     for (const StencilCode& sc : all_codes()) {
       for (KernelVariant v : {KernelVariant::kBase, KernelVariant::kSaris}) {
         w->verify.push_back(compile_kernel(sc, v, cg, 8));

@@ -1,12 +1,8 @@
 #include "analysis/cost.hpp"
 
-#include <cstdlib>
-#include <string>
-
 #include "analysis/lint.hpp"
 #include "analysis/verifier.hpp"
 #include "cluster/cluster.hpp"
-#include "codegen/options.hpp"
 #include "runtime/kernel_runner.hpp"
 
 namespace saris {
@@ -50,15 +46,6 @@ CostReport analyze_cost(const CompiledKernel& ck, const VerifyReport& rep) {
               rep.absint.conflict_free();
   out.lint = lint_kernel(ck, rep, out);
   return out;
-}
-
-bool resolve_analyze_cost(const CodegenOptions& cg) {
-  if (cg.analyze_cost >= 0) return cg.analyze_cost != 0;
-  if (const char* env = std::getenv("SARIS_ANALYZE")) {
-    const std::string s(env);
-    if (s == "1" || s == "on" || s == "true") return true;
-  }
-  return false;
 }
 
 }  // namespace saris

@@ -25,7 +25,8 @@
 //
 // The per-pc stalls and launches feed the performance linter
 // (analysis/lint.hpp); its advisory findings land in CostReport::lint and
-// never fail a compile.
+// never fail a compile. compile_kernel runs this pass when
+// CodegenOptions::analyze_cost is on (default off).
 #pragma once
 
 #include <vector>
@@ -37,7 +38,6 @@
 namespace saris {
 
 struct VerifyReport;
-struct CodegenOptions;
 
 struct CoreCost {
   CorePerf perf;          ///< the priced run's counters
@@ -59,12 +59,7 @@ struct CostReport {
 
 /// Price `ck` on an ideal-TCDM cluster and run the performance linter.
 /// `rep` supplies absint's walk results (exactness gate, bank-hotspot lint)
-/// and liveness (register-pressure lint).
+/// and register pressure (register-pressure lint).
 CostReport analyze_cost(const CompiledKernel& ck, const VerifyReport& rep);
-
-/// Effective on/off for the compile-time cost pass: CodegenOptions::
-/// analyze_cost when set (0/1), else the SARIS_ANALYZE environment variable
-/// ("1", "on", "true" enable), else off.
-bool resolve_analyze_cost(const CodegenOptions& cg);
 
 }  // namespace saris

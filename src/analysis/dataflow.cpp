@@ -133,8 +133,8 @@ void each_reg(const RegSet& s, Fn&& fn) {
 
 }  // namespace
 
-LivenessExport analyze_dataflow(const Cfg& cfg, u32 prog_size,
-                                std::vector<Diagnostic>& diags) {
+RegPressure analyze_dataflow(const Cfg& cfg, u32 prog_size,
+                             std::vector<Diagnostic>& diags) {
   const u32 vn = cfg.size();
   const u32 core = cfg.core();
 
@@ -197,13 +197,29 @@ LivenessExport analyze_dataflow(const Cfg& cfg, u32 prog_size,
   // ---- liveness (backward) ----
   DataflowResult<LivenessProblem> live = solve(cfg, LivenessProblem{ud});
 
-  LivenessExport exp;
-  exp.live_in.assign(prog_size, RegSet{});
-  exp.live_out.assign(prog_size, RegSet{});
-  for (u32 vi = 0; vi < vn; ++vi) {
-    const u32 pc = cfg.vinstrs()[vi].pc;
-    exp.live_in[pc] |= live.in[vi];
-    exp.live_out[pc] |= live.out[vi];
+  // ---- register pressure over each pc's stagger copies folded together ----
+  RegPressure pressure;
+  {
+    std::vector<RegSet> live_in(prog_size), live_out(prog_size);
+    for (u32 vi = 0; vi < vn; ++vi) {
+      const u32 pc = cfg.vinstrs()[vi].pc;
+      live_in[pc] |= live.in[vi];
+      live_out[pc] |= live.out[vi];
+    }
+    auto consider = [&pressure](const RegSet& s, u32 pc) {
+      const u32 nx = static_cast<u32>(std::popcount(s.x));
+      const u32 nf = static_cast<u32>(std::popcount(s.f));
+      if (nx > pressure.max_live_x) {
+        pressure.max_live_x = nx;
+        pressure.at_pc_x = pc;
+      }
+      if (nf > pressure.max_live_f) {
+        pressure.max_live_f = nf;
+        pressure.at_pc_f = pc;
+      }
+    };
+    for (u32 pc = 0; pc < prog_size; ++pc) consider(live_in[pc], pc);
+    for (u32 pc = 0; pc < prog_size; ++pc) consider(live_out[pc], pc);
   }
 
   // ---- dead stores: a def is dead when the register is not live out; a
@@ -272,7 +288,7 @@ LivenessExport analyze_dataflow(const Cfg& cfg, u32 prog_size,
     }
   }
 
-  return exp;
+  return pressure;
 }
 
 }  // namespace saris

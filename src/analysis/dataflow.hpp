@@ -5,10 +5,10 @@
 //    SSR enable flag, used both for diagnostics (reads of never-launched
 //    lanes deadlock the FPU) and to overlay stream semantics on register
 //    use/def sets (a pop is not an architectural use; a push is not a def).
-//  - Register liveness (backward) over both register files. The per-pc
-//    in/out bitsets are exported as LivenessExport, from which the verifier
-//    derives register pressure (read by lint's pressure rule and the
-//    plan-cache cell summary), and drive dead-store detection.
+//  - Register liveness (backward) over both register files. It drives
+//    dead-store detection and yields the core's register pressure (read by
+//    lint's pressure rule and the plan-cache cell summary); the per-pc sets
+//    themselves are not kept.
 //  - Reaching definitions (forward), with a pseudo entry definition per
 //    register; a use reached only by the entry definition is a
 //    use-before-def. All real definitions of one register answer that
@@ -184,20 +184,22 @@ struct LivenessProblem {
   }
 };
 
-/// Liveness in/out bitsets per ORIGINAL program index — the union over all
-/// virtual (stagger-rotated) copies of that instruction: live_out[pc] is the
-/// set of registers whose values instruction pc must preserve. The
-/// verifier's register pressure is computed from it.
-struct LivenessExport {
-  std::vector<RegSet> live_in;
-  std::vector<RegSet> live_out;
+/// Per-core register pressure: the peak number of simultaneously-live
+/// registers and the pc where it occurs. A pc's live sets are the union
+/// over its virtual (stagger-rotated) copies; live-in sets are scanned
+/// before live-out sets, and the first strict maximum wins.
+struct RegPressure {
+  u32 max_live_x = 0;
+  u32 max_live_f = 0;
+  u32 at_pc_x = 0;
+  u32 at_pc_f = 0;
 };
 
 /// Run the full dataflow stage on one core's CFG: SSR stream state, SSR
-/// misuse diagnostics, liveness (returned), dead stores, reaching
-/// definitions and use-before-def. `prog_size` is the original program
-/// size (for the export indexing).
-LivenessExport analyze_dataflow(const Cfg& cfg, u32 prog_size,
-                                std::vector<Diagnostic>& diags);
+/// misuse diagnostics, liveness, dead stores, reaching definitions and
+/// use-before-def. Returns the register pressure liveness yields.
+/// `prog_size` is the original program size.
+RegPressure analyze_dataflow(const Cfg& cfg, u32 prog_size,
+                             std::vector<Diagnostic>& diags);
 
 }  // namespace saris

@@ -1,7 +1,5 @@
 #include "analysis/verifier.hpp"
 
-#include <bit>
-#include <cstdlib>
 #include <sstream>
 
 #include "analysis/cfg.hpp"
@@ -62,39 +60,12 @@ u32 VerifyReport::num_warnings() const {
 
 namespace {
 
-RegPressure pressure_of(const LivenessExport& live) {
-  RegPressure p;
-  auto consider = [&p](const RegSet& s, u32 pc) {
-    const u32 nx = static_cast<u32>(std::popcount(s.x));
-    const u32 nf = static_cast<u32>(std::popcount(s.f));
-    if (nx > p.max_live_x) {
-      p.max_live_x = nx;
-      p.at_pc_x = pc;
-    }
-    if (nf > p.max_live_f) {
-      p.max_live_f = nf;
-      p.at_pc_f = pc;
-    }
-  };
-  for (u32 pc = 0; pc < live.live_in.size(); ++pc) {
-    consider(live.live_in[pc], pc);
-  }
-  for (u32 pc = 0; pc < live.live_out.size(); ++pc) {
-    consider(live.live_out[pc], pc);
-  }
-  return p;
-}
-
 void run_front_stages(const std::vector<Program>& progs, VerifyReport& rep) {
   for (u32 c = 0; c < progs.size(); ++c) {
     std::optional<Cfg> cfg = Cfg::build(progs[c], c, rep.diags);
-    if (cfg.has_value()) {
-      rep.liveness.push_back(
-          analyze_dataflow(*cfg, progs[c].size(), rep.diags));
-    } else {
-      rep.liveness.push_back(LivenessExport{});
-    }
-    rep.pressure.push_back(pressure_of(rep.liveness.back()));
+    rep.pressure.push_back(
+        cfg.has_value() ? analyze_dataflow(*cfg, progs[c].size(), rep.diags)
+                        : RegPressure{});
   }
 }
 
@@ -146,15 +117,6 @@ void raise_if_bad(const VerifyReport& rep,
   SARIS_RAISE(SimErrc::kIllegalProgram, 0,
               "kernel rejected by the static verifier\n"
                   << render_report(rep, progs));
-}
-
-bool resolve_verify(const CodegenOptions& cg) {
-  if (cg.verify >= 0) return cg.verify != 0;
-  if (const char* env = std::getenv("SARIS_VERIFY")) {
-    const std::string s(env);
-    if (s == "0" || s == "off" || s == "false") return false;
-  }
-  return true;
 }
 
 }  // namespace saris

@@ -1,7 +1,9 @@
-// Tunables of the code generators, exposed for ablation benches. Defaults
-// reproduce the paper's configuration ("unroll up to four-fold iff
-// beneficial", FREP where possible, reassociation, coefficient streaming
-// for register-bound codes).
+// Tunables of the code generators, exposed for ablation benches, and the
+// two compile-time analysis switches. Defaults reproduce the paper's
+// configuration ("unroll up to four-fold iff beneficial", FREP where
+// possible, reassociation, coefficient streaming for register-bound codes)
+// with the verifier on and the cost pass off. compile_kernel reads these
+// and nothing else, so equal options give equal artifacts.
 #pragma once
 
 #include "common/types.hpp"
@@ -13,16 +15,13 @@ struct CodegenOptions {
   u32 chains = 0;          ///< accumulator chains; 0 = auto
   bool use_frep = true;    ///< saris: allow FREP hardware loops
   i32 stream_coeffs = -1;  ///< saris: -1 auto, 0 never, 1 force
-  /// Static kernel verifier at compile time: -1 = env default (SARIS_VERIFY,
-  /// on unless set to 0/off/false), 0 = off, 1 = on. Part of the plan-cache
-  /// key so a cached artifact always carries the verdict it was compiled
-  /// with.
-  i8 verify = -1;
-  /// Static cost pass + performance linter at compile time: -1 = env
-  /// default (SARIS_ANALYZE, off unless set to 1/on/true), 0 = off,
-  /// 1 = on. Results land in VerifyReport::cost; lint findings are advisory
-  /// and never fail a compile.
-  i8 analyze_cost = -1;
+  /// Static kernel verifier at compile time. Part of the plan-cache key so
+  /// a cached artifact always carries the verdict it was compiled with.
+  bool verify = true;
+  /// Static cost pass + performance linter at compile time. Results land in
+  /// VerifyReport::cost; lint findings are advisory and never fail a
+  /// compile.
+  bool analyze_cost = false;
 
   /// Canonical equality/hash over every tunable. The plan cache keys
   /// compiled kernels on this, so any new field added above MUST take part
@@ -40,8 +39,8 @@ struct CodegenOptions {
     mix(chains);
     mix(use_frep ? 1 : 0);
     mix(static_cast<u64>(static_cast<i64>(stream_coeffs)));
-    mix(static_cast<u64>(static_cast<i64>(verify)));
-    mix(static_cast<u64>(static_cast<i64>(analyze_cost)));
+    mix(verify ? 1 : 0);
+    mix(analyze_cost ? 1 : 0);
     return h;
   }
 };

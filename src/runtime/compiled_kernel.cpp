@@ -89,15 +89,14 @@ CompiledKernel compile_kernel(const StencilCode& sc, KernelVariant variant,
   // ever executes them. The report rides with the artifact (and thus the
   // plan cache) so warm-cache executions keep the verdict. The cost pass
   // runs the lowered programs on an ideal-TCDM cluster and needs the
-  // report's per-bank requester counts and liveness, so asking for
+  // report's per-bank requester counts and register pressure, so asking for
   // analysis alone still runs verification — it just doesn't reject on
-  // errors.
-  const bool do_verify = resolve_verify(cg);
-  const bool do_cost = resolve_analyze_cost(cg);
-  if (do_verify || do_cost) {
+  // errors. Only `cg` decides either pass, so the plan-cache key, which
+  // holds `cg`, says what the artifact carries.
+  if (cg.verify || cg.analyze_cost) {
     auto report = std::make_shared<VerifyReport>(verify_kernel(ck));
-    if (do_verify) raise_if_bad(*report, ck.programs);
-    if (do_cost) report->cost = analyze_cost(ck, *report);
+    if (cg.verify) raise_if_bad(*report, ck.programs);
+    if (cg.analyze_cost) report->cost = analyze_cost(ck, *report);
     ck.verify_report = std::move(report);
   }
   return ck;

@@ -1,14 +1,17 @@
 // Static verifier tests: every generated kernel verifies clean, every
-// seeded defect class is caught, the liveness export is sane, the walk's
-// per-port access counts equal the simulator's, and a cell whose banks each
-// have one core requester measures zero conflicts.
+// seeded defect class is caught, the liveness solver and the register
+// pressure drawn from it are sane, the walk's per-port access counts equal
+// the simulator's, and a cell whose banks each have one core requester
+// measures zero conflicts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <sstream>
 
+#include "analysis/dataflow.hpp"
 #include "analysis/verifier.hpp"
 #include "common/sim_error.hpp"
 #include "cluster/cluster.hpp"
@@ -27,6 +30,37 @@ bool has_diag(const VerifyReport& rep, DiagKind kind, DiagSeverity sev) {
                      });
 }
 
+/// One core's live-in and live-out sets per program pc, from the public
+/// solver: each pc's sets are the union over its stagger copies.
+struct PcLiveness {
+  std::vector<RegSet> in;
+  std::vector<RegSet> out;
+};
+
+PcLiveness liveness_of(const Program& prog, u32 core) {
+  PcLiveness pl{std::vector<RegSet>(prog.size()),
+                std::vector<RegSet>(prog.size())};
+  std::vector<Diagnostic> diags;
+  const std::optional<Cfg> cfg = Cfg::build(prog, core, diags);
+  if (!cfg.has_value()) {
+    ADD_FAILURE() << "core " << core << " has no CFG";
+    return pl;
+  }
+  const DataflowResult<SsrStateProblem> ssr = solve(*cfg, SsrStateProblem{});
+  std::vector<UseDef> ud;
+  for (u32 vi = 0; vi < cfg->size(); ++vi) {
+    ud.push_back(use_def(cfg->vinstrs()[vi], ssr.in[vi]));
+  }
+  const DataflowResult<LivenessProblem> live =
+      solve(*cfg, LivenessProblem{ud});
+  for (u32 vi = 0; vi < cfg->size(); ++vi) {
+    const u32 pc = cfg->vinstrs()[vi].pc;
+    pl.in[pc] |= live.in[vi];
+    pl.out[pc] |= live.out[vi];
+  }
+  return pl;
+}
+
 // ---- every (code, variant) cell verifies clean ---------------------------
 
 class AnalysisCleanTest : public ::testing::TestWithParam<
@@ -43,13 +77,10 @@ TEST_P(AnalysisCleanTest, NoDiagnosticsAndCompleteWalk) {
   }
   EXPECT_TRUE(rep.ok());
   EXPECT_TRUE(rep.absint.all_complete);
-  // The liveness export covers every core and every pc, and nothing is
-  // live into a program's entry (registers are zeroed at reset; generated
-  // code never reads a register it has not written).
-  ASSERT_EQ(rep.liveness.size(), ck.programs.size());
+  // Nothing is live into a program's entry (registers are zeroed at reset;
+  // generated code never reads a register it has not written).
   for (u32 c = 0; c < ck.programs.size(); ++c) {
-    ASSERT_EQ(rep.liveness[c].live_in.size(), ck.programs[c].size());
-    EXPECT_TRUE(rep.liveness[c].live_in[0].empty())
+    EXPECT_TRUE(liveness_of(ck.programs[c], c).in.at(0).empty())
         << "core " << c << " entry liveness not empty";
   }
 }
@@ -264,9 +295,9 @@ TEST(AnalysisNegative, CompileRaisesOnIllegalProgram) {
   }
 }
 
-// ---- liveness export sanity ----------------------------------------------
+// ---- liveness and register pressure sanity -------------------------------
 
-TEST(AnalysisLiveness, ExportTracksDefsAndUses) {
+TEST(AnalysisLiveness, SolverTracksDefsAndUses) {
   std::vector<Program> progs;
   progs.push_back(Program::from_instrs({
       addi(5, 0, 7),    // 0: def x5
@@ -276,16 +307,19 @@ TEST(AnalysisLiveness, ExportTracksDefsAndUses) {
   }));
   VerifyReport rep = verify_programs(progs);
   EXPECT_TRUE(rep.ok());
-  ASSERT_EQ(rep.liveness.size(), 1u);
-  const LivenessExport& lv = rep.liveness[0];
-  ASSERT_EQ(lv.live_in.size(), 4u);
-  ASSERT_EQ(lv.live_out.size(), 4u);
-  EXPECT_TRUE(lv.live_out[0].has_x(5));
-  EXPECT_TRUE(lv.live_in[1].has_x(5));
-  EXPECT_FALSE(lv.live_in[1].has_x(6));
-  EXPECT_TRUE(lv.live_in[2].has_x(6));
-  EXPECT_FALSE(lv.live_out[2].has_x(6));  // dead past the branch
-  EXPECT_TRUE(lv.live_in[0].empty());     // nothing live into entry
+  const PcLiveness lv = liveness_of(progs[0], 0);
+  EXPECT_TRUE(lv.out[0].has_x(5));
+  EXPECT_TRUE(lv.in[1].has_x(5));
+  EXPECT_FALSE(lv.in[1].has_x(6));
+  EXPECT_TRUE(lv.in[2].has_x(6));
+  EXPECT_FALSE(lv.out[2].has_x(6));  // dead past the branch
+  EXPECT_TRUE(lv.in[0].empty());     // nothing live into entry
+  // One x register is live at a time; pc 1's live-in set is the first to
+  // hold one.
+  ASSERT_EQ(rep.pressure.size(), 1u);
+  EXPECT_EQ(rep.pressure[0].max_live_x, 1u);
+  EXPECT_EQ(rep.pressure[0].at_pc_x, 1u);
+  EXPECT_EQ(rep.pressure[0].max_live_f, 0u);
 }
 
 // ---- port counts and the conflict-free verdict ---------------------------
@@ -620,8 +654,8 @@ TEST(AnalysisMutants, ReportDigestIsPinned) {
   // mutants of the 20 cells' programs, as one digest. A change to the
   // verifier's speed must leave it as it is.
   CodegenOptions cg;
-  cg.verify = 0;
-  cg.analyze_cost = 0;
+  cg.verify = false;
+  cg.analyze_cost = false;
   std::vector<CompiledKernel> cells;
   for (const StencilCode& sc : all_codes()) {
     for (KernelVariant v : {KernelVariant::kBase, KernelVariant::kSaris}) {

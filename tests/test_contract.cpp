@@ -8,8 +8,9 @@
 //   * every field metrics_bit_identical compares (record_timeline on, the
 //     timeline as a digest) and a digest of the output grid;
 //   * from a compile with verify and cost on: the diagnostic count, absint
-//     per-port counts, the liveness export, register pressure, the cost
-//     pass's predicted cycles and per-core counters, the lint count,
+//     per-port counts, each core's register pressure (peak live x and f
+//     registers and their pcs), the cost pass's predicted cycles and
+//     per-core counters, the lint count,
 //     digests of every lint finding (kind, core, pc, message) and of the
 //     stream launch log (core, pc, lane), and a digest of each core's
 //     disassembly.
@@ -137,8 +138,8 @@ void record_run(const StencilCode& sc, KernelVariant variant,
 void record_compile(const StencilCode& sc, KernelVariant variant,
                     std::ostringstream& os) {
   CodegenOptions cg;
-  cg.verify = 1;
-  cg.analyze_cost = 1;
+  cg.verify = true;
+  cg.analyze_cost = true;
   const CompiledKernel ck = compile_kernel(sc, variant, cg, kCores);
   const VerifyReport& rep = *ck.verify_report;
 
@@ -154,14 +155,10 @@ void record_compile(const StencilCode& sc, KernelVariant variant,
     }
     os << " banks " << banks.hex() << "\n";
   }
-  for (std::size_t c = 0; c < rep.liveness.size(); ++c) {
-    Digest live;
-    for (const RegSet& s : rep.liveness[c].live_in) live.pod(s);
-    for (const RegSet& s : rep.liveness[c].live_out) live.pod(s);
+  for (std::size_t c = 0; c < rep.pressure.size(); ++c) {
     const RegPressure& rp = rep.pressure[c];
-    os << "liveness core " << c << ' ' << live.hex() << " pressure "
-       << rp.max_live_x << '@' << rp.at_pc_x << ' ' << rp.max_live_f << '@'
-       << rp.at_pc_f << "\n";
+    os << "pressure core " << c << ' ' << rp.max_live_x << '@' << rp.at_pc_x
+       << ' ' << rp.max_live_f << '@' << rp.at_pc_f << "\n";
   }
   const CostReport& cost = *rep.cost;
   os << "cost cycles " << cost.predicted_cycles << " complete "

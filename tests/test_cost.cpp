@@ -39,7 +39,7 @@ Cell run_cell(const std::string& name, KernelVariant variant) {
   const StencilCode& sc = code_by_name(name);
   RunConfig cfg;
   cfg.variant = variant;
-  cfg.cg.analyze_cost = 1;
+  cfg.cg.analyze_cost = true;
   cfg.overlap_dma = false;
   Cell cell;
   cell.measured = run_kernel(sc, cfg);
@@ -194,8 +194,8 @@ TEST(CostPlumbing, DefaultCompileCarriesNoCostReport) {
 TEST(CostPlumbing, AnalyzeWithoutVerifyStillAnalyzes) {
   const StencilCode& sc = code_by_name("j2d5pt");
   CodegenOptions cg;
-  cg.verify = 0;
-  cg.analyze_cost = 1;
+  cg.verify = false;
+  cg.analyze_cost = true;
   CompiledKernel ck = compile_kernel(sc, KernelVariant::kSaris, cg, kCores);
   ASSERT_NE(ck.verify_report, nullptr);
   ASSERT_TRUE(ck.verify_report->cost.has_value());
@@ -205,7 +205,7 @@ TEST(CostPlumbing, AnalyzeWithoutVerifyStillAnalyzes) {
 TEST(CostPlumbing, AnalyzeCostIsPartOfThePlanCacheKey) {
   CodegenOptions a;
   CodegenOptions b;
-  b.analyze_cost = 1;
+  b.analyze_cost = true;
   EXPECT_FALSE(a == b);
   EXPECT_NE(a.hash(), b.hash());
 }
