@@ -895,7 +895,8 @@ AbsintResult abstract_interpret(const CompiledKernel& ck,
        << " (" << j.rows << " rows x " << j.planes << " planes of "
        << j.row_bytes << " B) reaches outside TCDM";
     diags.push_back(Diagnostic{DiagKind::kOutOfTcdmAccess,
-                               DiagSeverity::kError, 0, 0, os.str()});
+                               DiagSeverity::kError, kOverlapDmaCore, 0,
+                               os.str()});
   }
   return r;
 }

@@ -1,8 +1,10 @@
 // Typed diagnostics produced by the static kernel verifier.
 //
-// Every finding is anchored to a (core, pc) pair in the original program so
-// it can be rendered with a disassembly window (isa/disasm) and attributed
-// back to the emitting codegen path. Severity splits what must reject a
+// Every finding about an instruction is anchored to a (core, pc) pair in the
+// original program so it can be rendered with a disassembly window
+// (isa/disasm) and attributed back to the emitting codegen path; a finding
+// about an overlap DMA job has no instruction and carries kOverlapDmaCore
+// instead of a core. Severity splits what must reject a
 // compile (kError -> SimErrc::kIllegalProgram) from what is advisory
 // (kWarning -> kept in the report, never fatal).
 #pragma once
@@ -49,15 +51,20 @@ const char* diag_kind_name(DiagKind k);
 
 enum class DiagSeverity : u8 { kError, kWarning };
 
+/// Diagnostic::core of a finding about an overlap DMA job: no core issues
+/// the job, so the finding has no (core, pc) anchor and no disasm window.
+inline constexpr u32 kOverlapDmaCore = ~u32{0};
+
 struct Diagnostic {
   DiagKind kind = DiagKind::kBadBranchTarget;
   DiagSeverity severity = DiagSeverity::kError;
-  u32 core = 0;
-  u32 pc = 0;  ///< original program index the finding anchors to
+  u32 core = 0;  ///< or kOverlapDmaCore
+  u32 pc = 0;    ///< original program index the finding anchors to
   std::string message;
 };
 
-/// "core 3 pc 17: error [use-before-def] ..." one-liner (no disasm window).
+/// "core 3 pc 17: error [use-before-def] ..." one-liner (no disasm window);
+/// an overlap DMA finding reads "overlap DMA: error [...] ...".
 std::string diag_to_string(const Diagnostic& d);
 
 inline bool has_errors(const std::vector<Diagnostic>& diags) {

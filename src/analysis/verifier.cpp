@@ -36,8 +36,12 @@ const char* diag_kind_name(DiagKind k) {
 
 std::string diag_to_string(const Diagnostic& d) {
   std::ostringstream os;
-  os << "core " << d.core << " pc " << d.pc << ": "
-     << (d.severity == DiagSeverity::kError ? "error" : "warning") << " ["
+  if (d.core == kOverlapDmaCore) {
+    os << "overlap DMA: ";
+  } else {
+    os << "core " << d.core << " pc " << d.pc << ": ";
+  }
+  os << (d.severity == DiagSeverity::kError ? "error" : "warning") << " ["
      << diag_kind_name(d.kind) << "] " << d.message;
   return os.str();
 }

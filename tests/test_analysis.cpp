@@ -277,6 +277,14 @@ TEST(AnalysisNegative, OverlapDmaOutsideTcdm) {
   EXPECT_FALSE(rep.ok());
   EXPECT_TRUE(
       has_diag(rep, DiagKind::kOutOfTcdmAccess, DiagSeverity::kError));
+  // A DMA job has no pc: the rendered finding names the overlap DMA and
+  // shows no instruction, so no "  -> pc:\tinstr" disassembly line.
+  const std::string text = render_report(rep, ck.programs);
+  EXPECT_NE(text.find("overlap DMA: error [out-of-tcdm-access]"),
+            std::string::npos)
+      << text;
+  EXPECT_EQ(text.find("core 0 pc 0"), std::string::npos) << text;
+  EXPECT_EQ(text.find(":\t"), std::string::npos) << text;
 }
 
 TEST(AnalysisNegative, CompileRaisesOnIllegalProgram) {
