@@ -58,10 +58,6 @@ namespace {
 
 using namespace saris;
 
-/// "No cycle recorded" sentinel a quarantined cluster leaves in the
-/// per-tile cycle matrices (see system/system_runner.cpp).
-constexpr Cycle kNotYet = ~Cycle{0};
-
 /// Analytic per-tile latency for the same G-cluster machine the simulator
 /// builds: compute window stretched by measured imbalance, memory time at
 /// the G-way-shared device bandwidth derated by measured DMA utilization —
@@ -348,7 +344,7 @@ int main(int argc, char** argv) {
           // analytic inputs above.
           std::string why;
           SARIS_CHECK(
-              metrics_bit_identical(*solo[v], sm.per_cluster[0], &why),
+              metrics_bit_identical(*solo[v], sm.tiles_metrics[0][0], &why),
               sc.name << "/" << variant_name(variants[v])
                       << ": simulated 1-cluster run diverged from "
                          "run_kernel ("
@@ -369,8 +365,8 @@ int main(int argc, char** argv) {
           // A cluster quarantined before finishing its first tile leaves
           // the kNotYet sentinel in these slots; it contributes nothing
           // to the first-round maxima.
-          if (sm.tile_done[g] != kNotYet) {
-            first_round = std::max(first_round, sm.tile_done[g]);
+          if (sm.tiles_latency[g][0] != kNotYet) {
+            first_round = std::max(first_round, sm.tiles_latency[g][0]);
           }
           if (sm.tiles_window[g][0] != kNotYet) {
             first_compute = std::max(first_compute, sm.tiles_window[g][0]);

@@ -82,17 +82,6 @@ double SystemRunMetrics::fpu_util() const {
          (static_cast<double>(cycles) * static_cast<double>(cores));
 }
 
-namespace {
-
-/// "No cycle recorded yet" sentinel for per-tile compute windows and
-/// completion stamps. 0 is a legitimate value (a cluster can be done before
-/// its first tick and must then be seeded with real zeros, not left on a
-/// magic 0 that reads as "pending"), so the sentinel is the one cycle count
-/// no finite run can reach.
-constexpr Cycle kNotYet = ~Cycle{0};
-
-}  // namespace
-
 SystemRunMetrics execute_system_kernel(const CompiledKernel& ck, System& sys,
                                        const SystemRunConfig& cfg,
                                        std::vector<KernelIO>& ios,
@@ -331,14 +320,9 @@ SystemRunMetrics execute_system_kernel(const CompiledKernel& ck, System& sys,
         break;
       }
     }
-    sm.per_cluster.push_back(sm.tiles_metrics[g][0]);
-    sm.per_cluster.back().step_wall_seconds = wall;
-    sm.compute_window.push_back(sm.tiles_window[g][0]);
-    sm.tile_done.push_back(sm.tiles_latency[g][0]);
   }
 
   const bool limited = sys.hbm().limited();
-  sm.hbm_bytes_per_cycle = limited ? sys.hbm().bytes_per_cycle() : 0.0;
   sm.hbm_granted_bytes = sys.hbm().granted_bytes();
   sm.hbm_denied_grants = sys.hbm().denied_grants();
   if (limited && sm.cycles > 0) {

@@ -100,21 +100,14 @@ struct SystemRunConfig {
   SystemFaultPolicy on_error = SystemFaultPolicy::kQuarantine;
 };
 
-struct SystemRunMetrics {
-  // ---- single-tile view (tile 0 of every cluster — exactly the fields a
-  // ---- tiles = 1 run always had, unchanged) ----
-  /// Full single-cluster metrics of each cluster's FIRST tile, in
-  /// cluster-id order (the whole per-tile matrix is in tiles_metrics).
-  /// step_wall_seconds is the whole system loop's wall clock (clusters
-  /// tick interleaved, so per-cluster host time is not separable).
-  std::vector<RunMetrics> per_cluster;
-  /// Per-cluster first-tile compute window (cycles to that cluster's own
-  /// halt; equals per_cluster[g].cycles).
-  std::vector<Cycle> compute_window;
-  /// Per-cluster first-tile latency: cycles until the cluster both halted
-  /// and drained its DMA — the simulated analogue of the analytic t_tile.
-  std::vector<Cycle> tile_done;
+/// "No cycle recorded yet" sentinel of the per-tile cycle matrices. 0 is a
+/// legitimate value (a cluster can be done before its first tick and must
+/// then be seeded with real zeros, not left on a magic 0 that reads as
+/// "pending"), so the sentinel is the one cycle count no finite run can
+/// reach.
+inline constexpr Cycle kNotYet = ~Cycle{0};
 
+struct SystemRunMetrics {
   // ---- per-(cluster, tile) matrix, [g][t] ----
   u32 tiles = 1;
   /// Full RunMetrics per tile (tile t of cluster g verified against its
@@ -123,7 +116,8 @@ struct SystemRunMetrics {
   std::vector<std::vector<RunMetrics>> tiles_metrics;
   /// Cluster-local compute window of each tile (staging -> own halt).
   std::vector<std::vector<Cycle>> tiles_window;
-  /// Cluster-local tile latency (staging -> halt + DMA drain).
+  /// Cluster-local tile latency (staging -> halt + DMA drain): the
+  /// simulated analogue of the analytic t_tile.
   std::vector<std::vector<Cycle>> tiles_latency;
   /// System cycle at which each tile was staged / completed. Restaging is a
   /// zero-time host operation, so tiles_start[g][t] ==
@@ -136,14 +130,13 @@ struct SystemRunMetrics {
   std::vector<std::vector<u64>> tiles_hbm_bytes;
   std::vector<std::vector<u64>> tiles_hbm_denied;
 
-  Cycle cycles = 0;          ///< system window: last tile_done of any cluster
+  Cycle cycles = 0;          ///< system window: last tiles_done_sys stamp
   Cycle compute_cycles = 0;  ///< max over every tile's compute window
   u64 flops = 0;             ///< summed over all clusters and tiles
   u64 dma_bytes = 0;         ///< summed over all clusters and tiles
   double step_wall_seconds = 0.0;
 
   // HBM frontend statistics (all zero when the frontend is pass-through).
-  double hbm_bytes_per_cycle = 0.0;  ///< offered bandwidth
   /// Granted fraction of the bandwidth offered over the system window
   /// (<= 1 by construction — measured against the frontend's fixed-point
   /// budget).

@@ -19,8 +19,6 @@
 namespace saris {
 namespace {
 
-constexpr Cycle kNotYet = ~Cycle{0};
-
 /// Expect `fn` to raise a SimError with the given code whose what()
 /// contains `needle`; returns the error for further field checks.
 template <typename Fn>

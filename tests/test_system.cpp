@@ -145,9 +145,9 @@ TEST(SystemRunner, OneClusterBitIdenticalToRunKernel) {
       scfg.run = rcfg;
       SystemRunMetrics sim = run_system_kernel(sc, scfg);
 
-      ASSERT_EQ(sim.per_cluster.size(), 1u);
+      ASSERT_EQ(sim.tiles_metrics.size(), 1u);
       std::string why;
-      EXPECT_TRUE(metrics_bit_identical(solo, sim.per_cluster[0], &why))
+      EXPECT_TRUE(metrics_bit_identical(solo, sim.tiles_metrics[0][0], &why))
           << sc.name << "/" << variant_name(v) << ": " << why;
       EXPECT_EQ(sim.compute_cycles, solo.cycles);
       // Unlimited frontend at G=1: no grants denied, no utilization books.
@@ -167,7 +167,7 @@ TEST(SystemRunner, OneClusterTimelineMatchesRunKernel) {
   scfg.run = rcfg;
   SystemRunMetrics sim = run_system_kernel(sc, scfg);
   ASSERT_FALSE(solo.fpu_timeline.empty());
-  EXPECT_EQ(sim.per_cluster[0].fpu_timeline, solo.fpu_timeline);
+  EXPECT_EQ(sim.tiles_metrics[0][0].fpu_timeline, solo.fpu_timeline);
 }
 
 // ---- multi-cluster determinism ------------------------------------------
@@ -183,15 +183,15 @@ TEST(SystemRunner, SerialVsParallelBitIdentical) {
     cfg.threads = 3;
     SystemRunMetrics par = run_system_kernel(sc, cfg);
 
-    ASSERT_EQ(serial.per_cluster.size(), par.per_cluster.size());
-    for (u32 g = 0; g < serial.per_cluster.size(); ++g) {
+    ASSERT_EQ(serial.tiles_metrics.size(), par.tiles_metrics.size());
+    for (u32 g = 0; g < serial.tiles_metrics.size(); ++g) {
       std::string why;
-      EXPECT_TRUE(metrics_bit_identical(serial.per_cluster[g],
-                                        par.per_cluster[g], &why))
+      EXPECT_TRUE(metrics_bit_identical(serial.tiles_metrics[g][0],
+                                        par.tiles_metrics[g][0], &why))
           << sc.name << " cluster " << g << ": " << why;
     }
-    EXPECT_EQ(serial.tile_done, par.tile_done);
-    EXPECT_EQ(serial.compute_window, par.compute_window);
+    EXPECT_EQ(serial.tiles_latency, par.tiles_latency);
+    EXPECT_EQ(serial.tiles_window, par.tiles_window);
     EXPECT_EQ(serial.hbm_granted_bytes, par.hbm_granted_bytes);
     EXPECT_EQ(serial.hbm_denied_grants, par.hbm_denied_grants);
   }
@@ -207,11 +207,11 @@ TEST(SystemRunner, FewerThreadsThanClustersStillBitIdentical) {
   SystemRunMetrics par = run_system_kernel(sc, cfg);
   for (u32 g = 0; g < 4; ++g) {
     std::string why;
-    EXPECT_TRUE(metrics_bit_identical(serial.per_cluster[g],
-                                      par.per_cluster[g], &why))
+    EXPECT_TRUE(metrics_bit_identical(serial.tiles_metrics[g][0],
+                                      par.tiles_metrics[g][0], &why))
         << "cluster " << g << ": " << why;
   }
-  EXPECT_EQ(serial.tile_done, par.tile_done);
+  EXPECT_EQ(serial.tiles_latency, par.tiles_latency);
 }
 
 TEST(SystemRunner, ContentionStretchesTileLatency) {
@@ -232,8 +232,8 @@ TEST(SystemRunner, ContentionStretchesTileLatency) {
   // Every cluster still verified against its own shard's golden reference
   // (run_system_kernel would have aborted otherwise) and moved the same
   // traffic.
-  for (const RunMetrics& m : four.per_cluster) {
-    EXPECT_EQ(m.dma_bytes, one.per_cluster[0].dma_bytes);
+  for (const std::vector<RunMetrics>& tiles : four.tiles_metrics) {
+    EXPECT_EQ(tiles[0].dma_bytes, one.tiles_metrics[0][0].dma_bytes);
   }
 }
 
@@ -295,13 +295,6 @@ TEST(SystemRunner, RearmedTilesBitIdenticalToFreshClusters) {
       EXPECT_TRUE(metrics_bit_identical(fresh, sm.tiles_metrics[0][t], &why))
           << variant_name(v) << " tile " << t << ": " << why;
     }
-    // Back-compat view: per_cluster/compute_window/tile_done are tile 0.
-    std::string why;
-    EXPECT_TRUE(
-        metrics_bit_identical(sm.per_cluster[0], sm.tiles_metrics[0][0], &why))
-        << why;
-    EXPECT_EQ(sm.compute_window[0], sm.tiles_window[0][0]);
-    EXPECT_EQ(sm.tile_done[0], sm.tiles_latency[0][0]);
   }
 }
 
@@ -379,11 +372,11 @@ TEST(SystemRunner, ReusedSystemBitIdenticalToFresh) {
   SystemRunMetrics second = execute_system_kernel(*ck, reused, cfg, ios2);
   for (u32 g = 0; g < cfg.clusters; ++g) {
     std::string why;
-    EXPECT_TRUE(metrics_bit_identical(first.per_cluster[g],
-                                      second.per_cluster[g], &why))
+    EXPECT_TRUE(metrics_bit_identical(first.tiles_metrics[g][0],
+                                      second.tiles_metrics[g][0], &why))
         << "cluster " << g << ": " << why;
   }
-  EXPECT_EQ(first.tile_done, second.tile_done);
+  EXPECT_EQ(first.tiles_latency, second.tiles_latency);
   EXPECT_EQ(first.hbm_granted_bytes, second.hbm_granted_bytes);
   EXPECT_EQ(first.hbm_denied_grants, second.hbm_denied_grants);
   EXPECT_EQ(first.hbm_utilization, second.hbm_utilization);
@@ -526,7 +519,8 @@ TEST(SystemRunner, ShardSeedsAreDistinctAndAnchored) {
   SystemRunConfig cfg;
   cfg.clusters = 2;
   SystemRunMetrics m = run_system_kernel(sc, cfg);
-  EXPECT_NE(m.per_cluster[0].max_rel_err, m.per_cluster[1].max_rel_err);
+  EXPECT_NE(m.tiles_metrics[0][0].max_rel_err,
+            m.tiles_metrics[1][0].max_rel_err);
 }
 
 }  // namespace
