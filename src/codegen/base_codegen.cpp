@@ -12,29 +12,6 @@ namespace {
 /// Load staging registers per unrolled point instance.
 constexpr u32 kStagingRegs = 4;
 
-void add_disp(ProgramBuilder& b, XReg r, i32 v) {
-  while (v != 0) {
-    i32 step = std::clamp(v, -2048, 2047);
-    b.addi(r, r, step);
-    v -= step;
-  }
-}
-
-Instr fp3(Op op, FReg rd, FReg a, FReg br) {
-  Instr in;
-  in.op = op;
-  in.frd = rd;
-  in.frs1 = a;
-  in.frs2 = br;
-  return in;
-}
-
-Instr fp4(Op op, FReg rd, FReg a, FReg bb, FReg c) {
-  Instr in = fp3(op, rd, a, bb);
-  in.frs3 = c;
-  return in;
-}
-
 Instr fld_i(FReg rd, XReg base, i32 offs) {
   Instr in;
   in.op = Op::kFld;

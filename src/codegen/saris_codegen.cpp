@@ -9,35 +9,6 @@
 
 namespace saris {
 
-namespace {
-
-/// addi with arbitrary 32-bit displacement (splits into imm12 chunks; our
-/// displacements are at most a plane pitch, i.e. <= 2 chunks).
-void add_disp(ProgramBuilder& b, XReg r, i32 v) {
-  while (v != 0) {
-    i32 step = std::clamp(v, -2048, 2047);
-    b.addi(r, r, step);
-    v -= step;
-  }
-}
-
-Instr fp3(Op op, FReg rd, FReg a, FReg br) {
-  Instr in;
-  in.op = op;
-  in.frd = rd;
-  in.frs1 = a;
-  in.frs2 = br;
-  return in;
-}
-
-Instr fp4(Op op, FReg rd, FReg a, FReg bb, FReg c) {
-  Instr in = fp3(op, rd, a, bb);
-  in.frs3 = c;
-  return in;
-}
-
-}  // namespace
-
 SarisCodegen::SarisCodegen(const StencilCode& sc, CodegenOptions opt)
     : sc_(sc), opt_(opt) {
   // Chain count: start from the default, and for register-hungry codes

@@ -4,6 +4,7 @@
 // references and verifies the program is well-formed.
 #pragma once
 
+#include <algorithm>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -99,5 +100,36 @@ class ProgramBuilder {
   };
   std::vector<Fixup> fixups_;
 };
+
+// ---- helpers shared by the code generators ----
+
+/// r += v for an arbitrary 32-bit displacement, as addi in imm12 chunks
+/// (the generators' displacements are at most a plane pitch, i.e. <= 2
+/// chunks).
+inline void add_disp(ProgramBuilder& b, XReg r, i32 v) {
+  while (v != 0) {
+    i32 step = std::clamp(v, -2048, 2047);
+    b.addi(r, r, step);
+    v -= step;
+  }
+}
+
+/// An FP instruction `op rd, a, br`, built outside the builder (emit it
+/// with ProgramBuilder::raw).
+inline Instr fp3(Op op, FReg rd, FReg a, FReg br) {
+  Instr in;
+  in.op = op;
+  in.frd = rd;
+  in.frs1 = a;
+  in.frs2 = br;
+  return in;
+}
+
+/// A fused FP instruction `op rd, a, bb, c`.
+inline Instr fp4(Op op, FReg rd, FReg a, FReg bb, FReg c) {
+  Instr in = fp3(op, rd, a, bb);
+  in.frs3 = c;
+  return in;
+}
 
 }  // namespace saris
