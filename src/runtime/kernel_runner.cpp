@@ -348,10 +348,7 @@ RunMetrics run_kernel_io(const StencilCode& sc, const RunConfig& cfg,
 
 RunMetrics run_kernel(const StencilCode& sc, const RunConfig& cfg) {
   KernelIO io;
-  for (u32 i = 0; i < sc.n_inputs; ++i) {
-    io.inputs.emplace_back(sc.tile_nx, sc.tile_ny, sc.tile_nz);
-    io.inputs.back().fill_random(cfg.seed + i);
-  }
+  io.inputs = seeded_inputs(sc, cfg.seed);
   io.coeffs = sc.default_coeffs();
   std::shared_ptr<const Grid<>> golden;
   if (cfg.verify) golden = reference_for_seed(sc, cfg.seed, &io.inputs);

@@ -142,6 +142,15 @@ ReferenceMemo& reference_memo() {
 
 }  // namespace
 
+std::vector<Grid<>> seeded_inputs(const StencilCode& sc, u64 seed) {
+  std::vector<Grid<>> inputs;
+  for (u32 i = 0; i < sc.n_inputs; ++i) {
+    inputs.emplace_back(sc.tile_nx, sc.tile_ny, sc.tile_nz);
+    inputs.back().fill_random(seed + i);
+  }
+  return inputs;
+}
+
 std::shared_ptr<const Grid<>> reference_for_seed(
     const StencilCode& sc, u64 seed, const std::vector<Grid<>>* inputs) {
   ReferenceMemo& memo = reference_memo();
@@ -156,10 +165,7 @@ std::shared_ptr<const Grid<>> reference_for_seed(
   // wins is safe and independent (code, seed) cells never serialize.
   std::vector<Grid<>> own;
   if (inputs == nullptr) {
-    for (u32 i = 0; i < sc.n_inputs; ++i) {
-      own.emplace_back(sc.tile_nx, sc.tile_ny, sc.tile_nz);
-      own.back().fill_random(seed + i);
-    }
+    own = seeded_inputs(sc, seed);
     inputs = &own;
   }
   std::vector<double> coeffs = sc.default_coeffs();

@@ -38,18 +38,23 @@ struct VerifyMiss {
 VerifyMiss first_miss(const StencilCode& sc, const Grid<>& got,
                       const Grid<>& want, double tolerance);
 
-/// Golden reference for the seeded-random `run_kernel` input path (input
-/// grid i filled with fill_random(seed + i), default coefficients),
-/// memoized process-wide per (code content, seed): a sweep that runs the
-/// same (code, seed) cell under many configurations computes the reference
-/// once. Bit-identical to calling reference_step on that data directly —
-/// both paths execute the same deterministic double-precision code.
-/// Thread-safe; the returned grid is shared and immutable.
+/// The inputs of a run seeded with `seed`: input grid i (of sc.n_inputs,
+/// each a full tile) filled with fill_random(seed + i). run_kernel and
+/// run_system_kernel stage them; reference_for_seed computes from them.
+std::vector<Grid<>> seeded_inputs(const StencilCode& sc, u64 seed);
+
+/// Golden reference for the seeded-random `run_kernel` input path
+/// (seeded_inputs(sc, seed), default coefficients), memoized process-wide
+/// per (code content, seed): a sweep that runs the same (code, seed) cell
+/// under many configurations computes the reference once. Bit-identical to
+/// calling reference_step on that data directly — both paths execute the
+/// same deterministic double-precision code. Thread-safe; the returned grid
+/// is shared and immutable.
 ///
-/// `inputs`, when non-null, MUST be exactly the fill_random(seed + i)
-/// grids — it lets a caller that already built them (run_kernel stages the
-/// same data into TCDM) avoid regenerating them on the miss path; it never
-/// changes the result.
+/// `inputs`, when non-null, MUST be exactly seeded_inputs(sc, seed) — it
+/// lets a caller that already built them (run_kernel stages the same data
+/// into TCDM) avoid regenerating them on the miss path; it never changes
+/// the result.
 std::shared_ptr<const Grid<>> reference_for_seed(
     const StencilCode& sc, u64 seed,
     const std::vector<Grid<>>* inputs = nullptr);

@@ -395,10 +395,7 @@ SystemRunMetrics run_system_kernel(const StencilCode& sc,
     for (u32 t = 0; t < cfg.tiles; ++t) {
       u64 seed = system_tile_seed(cfg.run.seed, g, t);
       KernelIO& io = ios[static_cast<std::size_t>(g) * cfg.tiles + t];
-      for (u32 i = 0; i < sc.n_inputs; ++i) {
-        io.inputs.emplace_back(sc.tile_nx, sc.tile_ny, sc.tile_nz);
-        io.inputs.back().fill_random(seed + i);
-      }
+      io.inputs = seeded_inputs(sc, seed);
       io.coeffs = sc.default_coeffs();
       if (cfg.run.verify) {
         // Precomputed host-side (and memoized per seed), so the cycle

@@ -19,6 +19,7 @@
 #include "runtime/kernel_runner.hpp"
 #include "ssr/ssr_config.hpp"
 #include "stencil/codes.hpp"
+#include "stencil/reference.hpp"
 
 namespace saris {
 namespace {
@@ -349,10 +350,7 @@ TEST(AnalysisConflicts, SingleCoreBaseIsProvablyFreeAndExact) {
   ccfg.num_cores = 1;
   Cluster cluster(ccfg);
   KernelIO io;
-  for (u32 i = 0; i < sc.n_inputs; ++i) {
-    io.inputs.emplace_back(sc.tile_nx, sc.tile_ny, sc.tile_nz);
-    io.inputs.back().fill_random(42 + i);
-  }
+  io.inputs = seeded_inputs(sc, 42);
   io.coeffs = sc.default_coeffs();
   stage_kernel(ck, cluster, io);
   cluster.run_until_halted();

@@ -34,6 +34,7 @@
 #include "isa/disasm.hpp"
 #include "runtime/kernel_runner.hpp"
 #include "stencil/codes.hpp"
+#include "stencil/reference.hpp"
 
 namespace saris {
 namespace {
@@ -102,10 +103,7 @@ void record_run(const StencilCode& sc, KernelVariant variant,
   cfg.seed = kSeed;
   cfg.record_timeline = true;
   KernelIO io;
-  for (u32 i = 0; i < sc.n_inputs; ++i) {
-    io.inputs.emplace_back(sc.tile_nx, sc.tile_ny, sc.tile_nz);
-    io.inputs.back().fill_random(cfg.seed + i);
-  }
+  io.inputs = seeded_inputs(sc, cfg.seed);
   io.coeffs = sc.default_coeffs();
   const RunMetrics m = run_kernel_io(sc, cfg, io);
 

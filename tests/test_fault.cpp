@@ -14,6 +14,7 @@
 #include "runtime/kernel_runner.hpp"
 #include "runtime/sweep.hpp"
 #include "stencil/codes.hpp"
+#include "stencil/reference.hpp"
 #include "system/system_runner.hpp"
 
 namespace saris {
@@ -43,10 +44,7 @@ u64 bitflip_payload(u64 word, u32 bit) { return (word << 6) | bit; }
 /// The seeded-random inputs run_kernel stages for (sc, seed).
 KernelIO seeded_io(const StencilCode& sc, u64 seed) {
   KernelIO io;
-  for (u32 i = 0; i < sc.n_inputs; ++i) {
-    io.inputs.emplace_back(sc.tile_nx, sc.tile_ny, sc.tile_nz);
-    io.inputs.back().fill_random(seed + i);
-  }
+  io.inputs = seeded_inputs(sc, seed);
   io.coeffs = sc.default_coeffs();
   return io;
 }

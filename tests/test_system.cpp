@@ -6,6 +6,7 @@
 #include "runtime/plan_cache.hpp"
 #include "runtime/sweep.hpp"
 #include "stencil/codes.hpp"
+#include "stencil/reference.hpp"
 #include "system/system_runner.hpp"
 
 namespace saris {
@@ -348,11 +349,7 @@ TEST(SystemRunner, ReusedSystemBitIdenticalToFresh) {
   auto make_ios = [&]() {
     std::vector<KernelIO> ios(cfg.clusters);
     for (u32 g = 0; g < cfg.clusters; ++g) {
-      u64 seed = system_tile_seed(cfg.run.seed, g, 0);
-      for (u32 i = 0; i < sc.n_inputs; ++i) {
-        ios[g].inputs.emplace_back(sc.tile_nx, sc.tile_ny, sc.tile_nz);
-        ios[g].inputs.back().fill_random(seed + i);
-      }
+      ios[g].inputs = seeded_inputs(sc, system_tile_seed(cfg.run.seed, g, 0));
       ios[g].coeffs = sc.default_coeffs();
     }
     return ios;
