@@ -39,7 +39,6 @@ const char* fault_kind_name(FaultKind k) {
 FaultPlan FaultPlan::storm(const FaultStormConfig& cfg, u64 seed,
                            u32 attempt) {
   FaultPlan plan;
-  plan.seed_ = seed;
   plan.attempt_ = attempt;
   // The generation sequence depends on `seed` ALONE: every attempt draws the
   // identical event list, and `attempt` only filters it (inside add()). A

@@ -112,8 +112,6 @@ class FaultPlan {
   void add(const FaultEvent& e);
 
   bool empty() const;
-  u64 seed() const { return seed_; }
-  u32 attempt() const { return attempt_; }
 
   // ---- hot-path queries ----
   /// True while a kDmaWordError window covers (cluster, now): the word the
@@ -165,8 +163,7 @@ class FaultPlan {
   std::vector<char> throttle_fired_;   ///< trace-once latch per throttle
   std::vector<PerCluster> per_cluster_;
   std::vector<FiredFault> hbm_fired_;
-  u64 seed_ = 0;
-  u32 attempt_ = 0;
+  u32 attempt_ = 0;  ///< add() drops events with persistence <= attempt_
 };
 
 }  // namespace saris

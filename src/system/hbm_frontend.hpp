@@ -41,9 +41,6 @@ class HbmFrontend {
     u64 base_addr() const override { return base_; }
     u64 end_addr() const override { return base_ + span_; }
 
-    u64 window_base() const { return base_; }
-    u64 window_span() const { return span_; }
-
     /// The DMA whose idleness signals this port's bandwidth demand; set by
     /// the System once the cluster exists. Ports with no client use the
     /// manual flag below (unit-test hook).
