@@ -7,8 +7,7 @@
 //    use/def sets (a pop is not an architectural use; a push is not a def).
 //  - Register liveness (backward) over both register files. It drives
 //    dead-store detection and yields the core's register pressure (read by
-//    lint's pressure rule and the plan-cache cell summary); the per-pc sets
-//    themselves are not kept.
+//    lint's pressure rule and the plan-cache cell summary).
 //  - Reaching definitions (forward), with a pseudo entry definition per
 //    register; a use reached only by the entry definition is a
 //    use-before-def. All real definitions of one register answer that

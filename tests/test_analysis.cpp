@@ -323,8 +323,8 @@ TEST(AnalysisLiveness, SolverTracksDefsAndUses) {
   EXPECT_TRUE(lv.in[2].has_x(6));
   EXPECT_FALSE(lv.out[2].has_x(6));  // dead past the branch
   EXPECT_TRUE(lv.in[0].empty());     // nothing live into entry
-  // One x register is live at a time; pc 1's live-in set is the first to
-  // hold one.
+  // One x register is live at a time. Live-in sets are scanned first, and
+  // pc 1's is the first to hold one.
   ASSERT_EQ(rep.pressure.size(), 1u);
   EXPECT_EQ(rep.pressure[0].max_live_x, 1u);
   EXPECT_EQ(rep.pressure[0].at_pc_x, 1u);
