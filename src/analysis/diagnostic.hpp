@@ -4,9 +4,9 @@
 // original program so it can be rendered with a disassembly window
 // (isa/disasm) and attributed back to the emitting codegen path; a finding
 // about an overlap DMA job has no instruction and carries kOverlapDmaCore
-// instead of a core. Severity splits what must reject a
-// compile (kError -> SimErrc::kIllegalProgram) from what is advisory
-// (kWarning -> kept in the report, never fatal).
+// instead of a core. Severity splits what must reject a compile (kError ->
+// SimErrc::kIllegalProgram) from what is advisory (kWarning -> kept in the
+// report, never fatal).
 #pragma once
 
 #include <string>
