@@ -2,8 +2,9 @@
 // two compile-time analysis switches. Defaults reproduce the paper's
 // configuration ("unroll up to four-fold iff beneficial", FREP where
 // possible, reassociation, coefficient streaming for register-bound codes)
-// with the verifier on and the cost pass off. compile_kernel reads these
-// and nothing else, so equal options give equal artifacts.
+// with the verifier on and the cost pass off. compile_kernel's arguments,
+// these options among them, alone decide its artifact, so the plan cache
+// can key on them.
 #pragma once
 
 #include "common/types.hpp"
