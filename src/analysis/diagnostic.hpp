@@ -51,7 +51,7 @@ const char* diag_kind_name(DiagKind k);
 
 enum class DiagSeverity : u8 { kError, kWarning };
 
-/// Diagnostic::core of a finding about an overlap DMA job: no core issues
+/// Diagnostic::core of a finding about an overlap DMA job: no core starts
 /// the job, so the finding has no (core, pc) anchor and no disasm window.
 inline constexpr u32 kOverlapDmaCore = ~u32{0};
 
