@@ -5,11 +5,9 @@
 // and FREP push the dynamic compute share toward 1.
 #include <cstdio>
 
-#include "codegen/base_codegen.hpp"
-#include "codegen/layout.hpp"
-#include "codegen/saris_codegen.hpp"
 #include "isa/disasm.hpp"
 #include "report/table.hpp"
+#include "runtime/compiled_kernel.hpp"
 #include "runtime/kernel_runner.hpp"
 #include "runtime/plan_cache.hpp"
 #include "stencil/codes.hpp"
@@ -19,15 +17,8 @@ int main() {
   const StencilCode& sc = example_star7p();
   std::printf("== Listing 1: instruction mix, symmetric 7-point star ==\n");
 
-  BaseCodegen bcg(sc);
-  SarisCodegen scg(sc);
-  std::vector<std::array<u32, 2>> counts = scg.idx_counts(8);
-  KernelLayout lay_s = make_layout(sc, 8, counts, kTcdmSizeBytes);
-  KernelLayout lay_b = make_layout(
-      sc, 8, std::vector<std::array<u32, 2>>(8, {0u, 0u}), kTcdmSizeBytes);
-
-  Program pb = bcg.emit(0, lay_b);
-  Program ps = scg.emit(0, lay_s);
+  Program pb = compile_kernel(sc, KernelVariant::kBase, {}, 8).programs[0];
+  Program ps = compile_kernel(sc, KernelVariant::kSaris, {}, 8).programs[0];
   Program::Mix mb = pb.mix();
   Program::Mix ms = ps.mix();
 

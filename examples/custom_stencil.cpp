@@ -75,9 +75,7 @@ int main() {
   std::printf("max rel error vs reference: %.2e\n\n", saris_m.max_rel_err);
 
   // Print the generated inner loop (the FREP body, if any).
-  std::vector<std::array<u32, 2>> counts = cg.idx_counts(8);
-  KernelLayout lay = make_layout(sc, 8, counts, kTcdmSizeBytes);
-  Program p = cg.emit(0, lay);
+  Program p = compile_kernel(sc, KernelVariant::kSaris, {}, 8).programs[0];
   std::printf("generated saris program for core 0 (%u instructions); "
               "around the point loop:\n",
               p.size());

@@ -1,7 +1,5 @@
 #include "codegen/base_codegen.hpp"
 
-#include <algorithm>
-
 #include "common/log.hpp"
 #include "isa/builder.hpp"
 
@@ -73,142 +71,66 @@ BaseCodegen::BaseCodegen(const StencilCode& sc, CodegenOptions opt)
 std::vector<Instr> BaseCodegen::lower_instances(
     u32 count, const std::map<PtrKey, XReg>& ptrs, XReg out_ptr,
     XReg cb) const {
-  const i32 const_coeff =
-      sc_.const_term ? static_cast<i32>(sc_.n_coeffs) - 1 : -1;
-  std::vector<std::vector<Instr>> per_inst(count);
+  // Taps and spilled coefficients are loaded into the instance's staging
+  // registers; the point's value is stored through the out pointer.
+  // Instance u's offsets are its own x offset in the block: epilogue
+  // pointers have already been advanced past the unrolled blocks, so
+  // offsets restart at 0.
+  struct Sources {
+    using Item = Instr;
+    const BaseCodegen& g;
+    const std::map<PtrKey, XReg>& ptrs;
+    XReg out_ptr;
+    XReg cb;
+    std::vector<u32> staged;  ///< staging registers taken, per instance
 
-  for (u32 slot = 0; slot < count; ++slot) {
-    // `instance` equals `slot` here: epilogue pointers have already been
-    // advanced past the unrolled blocks, so offsets restart at 0.
-    std::vector<Instr>& seq = per_inst[slot];
-    u8 inst_base = static_cast<u8>(inst_reg0_ + slot * regs_per_instance_);
-    u32 stage_next = 0;
-    std::vector<u8> tmp_fifo;
-    u32 tmp_next = 0;
-
-    auto acc = [&](i32 c) { return f(static_cast<u8>(inst_base + c)); };
-    auto stage_alloc = [&]() {
-      u8 r = static_cast<u8>(inst_base + sched_.chains + sched_.tmp_regs +
-                             (stage_next % kStagingRegs));
-      ++stage_next;
-      return f(r);
-    };
-    auto tmp_alloc = [&]() {
-      u8 r = static_cast<u8>(inst_base + sched_.chains +
-                             (tmp_next % std::max<u32>(1, sched_.tmp_regs)));
-      ++tmp_next;
-      tmp_fifo.push_back(r);
-      return f(r);
-    };
-    auto tmp_pop = [&]() {
-      SARIS_CHECK(!tmp_fifo.empty(), "pair consume without producer");
-      u8 r = tmp_fifo.front();
-      tmp_fifo.erase(tmp_fifo.begin());
-      return f(r);
-    };
-
-    auto tap_src = [&](i32 tap) {
-      const Tap& t = sc_.taps[static_cast<u32>(tap)];
+    FReg load(u32 u, XReg base, i32 offs, std::vector<Instr>& seq) {
+      FReg s = f(static_cast<u8>(
+          g.inst_reg0_ + u * g.regs_per_instance_ + g.sched_.chains +
+          g.sched_.tmp_regs + staged[u]++ % kStagingRegs));
+      seq.push_back(fld_i(s, base, offs));
+      return s;
+    }
+    FReg tap(u32 u, const Step&, i32 tap, std::vector<Instr>& seq) {
+      const Tap& t = g.sc_.taps[static_cast<u32>(tap)];
       auto it = ptrs.find(PtrKey{t.array, t.dz});
       SARIS_CHECK(it != ptrs.end(), "missing pointer register");
-      i32 offs = (t.dy * static_cast<i32>(sc_.tile_nx) + t.dx +
-                  static_cast<i32>(slot * interleave_x(sc_))) *
-                 static_cast<i32>(kWordBytes);
-      FReg s = stage_alloc();
-      seq.push_back(fld_i(s, it->second, offs));
-      return s;
-    };
-    auto coeff_src = [&](i32 c) {
-      SARIS_CHECK(c >= 0, "missing coefficient");
-      if (static_cast<u32>(c) < resident_coeffs_) {
-        return f(static_cast<u8>(coeff_reg0_ + c));
+      return load(u, it->second,
+                  (t.dy * static_cast<i32>(g.sc_.tile_nx) + t.dx +
+                   static_cast<i32>(u * interleave_x(g.sc_))) *
+                      static_cast<i32>(kWordBytes),
+                  seq);
+    }
+    FReg coeff(u32 u, i32 c, std::vector<Instr>& seq) {
+      if (static_cast<u32>(c) < g.resident_coeffs_) {
+        return f(static_cast<u8>(g.coeff_reg0_ + c));
       }
-      FReg s = stage_alloc();
-      seq.push_back(fld_i(s, cb, 8 * c));
-      return s;
-    };
-
-    for (const Step& st : sched_.steps) {
-      Op op = lower_step_op(st.kind);
-      FReg dst = acc(st.kind == StepKind::kCombine || st.final_out
-                         ? 0
-                         : st.chain);
-      switch (st.kind) {
-        case StepKind::kSeedMulTap:
-          dst = st.final_out ? acc(0) : acc(st.chain);
-          seq.push_back(fp3(op, dst, coeff_src(st.coeff), tap_src(st.tap_a)));
-          break;
-        case StepKind::kSeedMulTapConst: {
-          FReg creg = coeff_src(const_coeff);
-          dst = st.final_out ? acc(0) : acc(st.chain);
-          seq.push_back(
-              fp4(op, dst, coeff_src(st.coeff), tap_src(st.tap_a), creg));
-          break;
-        }
-        case StepKind::kFmaTap:
-          dst = acc(st.chain);
-          seq.push_back(
-              fp4(op, dst, coeff_src(st.coeff), tap_src(st.tap_a), dst));
-          break;
-        case StepKind::kSeedAddTaps:
-          dst = acc(st.chain);
-          seq.push_back(fp3(op, dst, tap_src(st.tap_a), tap_src(st.tap_b)));
-          break;
-        case StepKind::kAddTap:
-          dst = acc(st.chain);
-          seq.push_back(fp3(op, dst, dst, tap_src(st.tap_a)));
-          break;
-        case StepKind::kPairAdd:
-          seq.push_back(
-              fp3(op, tmp_alloc(), tap_src(st.tap_a), tap_src(st.tap_b)));
-          break;
-        case StepKind::kSeedMulPair:
-          dst = acc(st.chain);
-          seq.push_back(fp3(op, dst, coeff_src(st.coeff), tmp_pop()));
-          break;
-        case StepKind::kFmaPair:
-          dst = acc(st.chain);
-          seq.push_back(
-              fp4(op, dst, coeff_src(st.coeff), tmp_pop(), acc(st.chain)));
-          break;
-        case StepKind::kCombine:
-          seq.push_back(fp3(op, acc(0), acc(0), acc(st.chain)));
-          break;
-        case StepKind::kScale:
-          seq.push_back(fp3(op, acc(0), coeff_src(st.coeff), acc(0)));
-          break;
-        case StepKind::kSubTap:
-          seq.push_back(fp3(op, acc(0), acc(0), tap_src(st.tap_a)));
-          break;
-      }
-      if (st.final_out) {
-        seq.push_back(fsd_i(acc(0), out_ptr,
-                            static_cast<i32>(slot * interleave_x(sc_) *
+      return load(u, cb, 8 * c, seq);
+    }
+    void push(u32 u, const Instr& in, bool final_out,
+              std::vector<Instr>& seq) {
+      seq.push_back(in);
+      if (final_out) {
+        seq.push_back(fsd_i(in.frd, out_ptr,
+                            static_cast<i32>(u * interleave_x(g.sc_) *
                                              kWordBytes)));
       }
     }
-  }
+  } src{*this, ptrs, out_ptr, cb, std::vector<u32>(count, 0)};
 
-  std::vector<Instr> merged;
-  if (spilled_coeffs() > 0) {
-    // Register-bound: with the file exhausted by resident coefficients the
-    // compiler cannot extend live ranges to schedule across iterations, so
-    // instances stay in expression order (Listing 1b) and the short
-    // load-use / accumulation distances surface as dependency stalls --
-    // the paper's base-IPC drop to ~0.69 on box3d1r/j3d27pt.
-    for (const auto& s : per_inst) {
-      merged.insert(merged.end(), s.begin(), s.end());
-    }
-    return merged;
-  }
+  const PointRegs regs{inst_reg0_, regs_per_instance_, 1};
   // Register-rich: round-robin interleave across instances (what -Ofast's
   // scheduler achieves with spare registers).
-  std::size_t longest = 0;
-  for (const auto& s : per_inst) longest = std::max(longest, s.size());
-  for (std::size_t i = 0; i < longest; ++i) {
-    for (u32 u = 0; u < count; ++u) {
-      if (i < per_inst[u].size()) merged.push_back(per_inst[u][i]);
-    }
+  if (spilled_coeffs() == 0) return lower_points(sched_, 0, count, regs, src);
+  // Register-bound: with the file exhausted by resident coefficients the
+  // compiler cannot extend live ranges to schedule across iterations, so
+  // instances stay in expression order (Listing 1b) and the short
+  // load-use / accumulation distances surface as dependency stalls --
+  // the paper's base-IPC drop to ~0.69 on box3d1r/j3d27pt.
+  std::vector<Instr> merged;
+  for (u32 u = 0; u < count; ++u) {
+    std::vector<Instr> one = lower_points(sched_, u, 1, regs, src);
+    merged.insert(merged.end(), one.begin(), one.end());
   }
   return merged;
 }

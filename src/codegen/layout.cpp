@@ -33,7 +33,6 @@ KernelLayout make_layout(const StencilCode& sc, u32 num_cores,
     lay.coeffs_per_core.push_back(
         take((static_cast<u64>(sc.n_coeffs) + 1) * sizeof(double)));
   }
-  lay.coeffs = lay.coeffs_per_core.front();
 
   for (u32 c = 0; c < static_cast<u32>(idx_counts.size()); ++c) {
     std::array<IdxArraySpec, 2> specs{};

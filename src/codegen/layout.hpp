@@ -27,7 +27,6 @@ struct KernelLayout {
   /// that skews consecutive copies across banks) keeps eight cores reading
   /// coefficients in lockstep from colliding on the same TCDM banks.
   std::vector<Addr> coeffs_per_core;
-  Addr coeffs = 0;  ///< convenience alias of coeffs_per_core[0]
 
   u32 row_bytes = 0;    ///< tile row pitch (tile_nx * 8)
   u32 plane_bytes = 0;  ///< tile plane pitch (tile_nx * tile_ny * 8)

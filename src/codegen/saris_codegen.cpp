@@ -1,7 +1,5 @@
 #include "codegen/saris_codegen.hpp"
 
-#include <algorithm>
-
 #include "common/log.hpp"
 #include "core/frep.hpp"
 #include "isa/builder.hpp"
@@ -128,163 +126,63 @@ u16 SarisCodegen::idx_of(const ReadRec& r, u32 x_pt) const {
 
 std::vector<SarisCodegen::BodyInstr> SarisCodegen::lower_instances(
     u32 count, u32 first_instance) const {
-  const i32 const_coeff = sc_.const_term ? static_cast<i32>(sc_.n_coeffs) - 1
-                                         : -1;
-  std::vector<std::vector<BodyInstr>> per_inst(count);
-
-  for (u32 slot = 0; slot < count; ++slot) {
-    u32 instance = first_instance + slot;
-    std::vector<BodyInstr>& seq = per_inst[slot];
-    u32 toggle = 0;
-    // Pair-temporary FIFO (registers rotate; schedule keeps <= tmp_regs live).
-    std::vector<u8> tmp_fifo;
-    u32 tmp_next = 0;
-    u8 inst_base = static_cast<u8>(acc_reg0_ + slot * inst_stride_);
-
-    // Logical register L lives at inst_base + L*stagger_: the FREP stagger
-    // offsets (+0..stagger-1) rotate through the run of physical registers
-    // reserved for each logical one.
-    auto acc = [&](i32 c) {
-      SARIS_CHECK(c >= 0 && c < static_cast<i32>(sched_.chains), "bad chain");
-      return f(static_cast<u8>(inst_base + c * stagger_));
-    };
-    auto tmp_alloc = [&]() {
-      u32 logical = sched_.chains +
-                    (tmp_next % std::max<u32>(1, sched_.tmp_regs));
-      u8 r = static_cast<u8>(inst_base + logical * stagger_);
-      ++tmp_next;
-      tmp_fifo.push_back(r);
-      return f(r);
-    };
-    auto tmp_pop = [&]() {
-      SARIS_CHECK(!tmp_fifo.empty(), "pair consume without producer");
-      u8 r = tmp_fifo.front();
-      tmp_fifo.erase(tmp_fifo.begin());
-      return f(r);
-    };
-
+  // Taps and streamed coefficients are stream registers, each read recorded
+  // on the op that pops it; the point's value goes to the SR2 write stream,
+  // or with an SR2 coefficient spill to its register and an fsd against
+  // the out pointer.
+  struct Sources {
+    using Item = BodyInstr;
+    const SarisCodegen& g;
+    u32 first_instance;
+    std::vector<u32> lone_taps;  ///< single-tap reads so far, per instance
     std::vector<ReadRec> reads;
-    auto tap_src = [&](i32 tap, i32 forced_lane) {
-      u32 lane;
-      if (forced_lane >= 0) {
-        lane = static_cast<u32>(forced_lane);
-      } else if (stream_coeffs_) {
-        lane = 0;  // taps on SR0, coefficients on SR1
-      } else {
-        lane = toggle;
-        toggle ^= 1;
-      }
-      ReadRec r;
-      r.lane = lane;
-      r.tap = tap;
-      r.instance = instance;
-      reads.push_back(r);
+
+    FReg tap(u32 u, const Step& st, i32 tap, std::vector<BodyInstr>&) {
+      // A two-tap op reads tap_a on SR0 and tap_b on SR1; lone taps
+      // alternate, or stay on SR0 while SR1 streams coefficients.
+      u32 lane = st.tap_b >= 0      ? (tap == st.tap_b ? 1u : 0u)
+                 : g.stream_coeffs_ ? 0u
+                                    : lone_taps[u]++ % 2;
+      reads.push_back(ReadRec{lane, false, tap, 0, first_instance + u});
       return lane == 0 ? kFt0 : kFt1;
-    };
-    auto const_reg = [&]() {
+    }
+    FReg coeff(u32 u, i32 c, std::vector<BodyInstr>&) {
       // The constant term occupies the last resident coefficient slot.
-      return f(static_cast<u8>(coeff_reg0_ + resident_coeffs_ - 1));
-    };
-    auto coeff_src = [&](i32 c) {
-      SARIS_CHECK(c >= 0, "missing coefficient");
-      if (stream_coeffs_) {
-        if (c == const_coeff) return const_reg();
-        ReadRec r;
-        r.lane = 1;
-        r.is_coeff = true;
-        r.coeff = static_cast<u32>(c);
-        r.instance = instance;
-        reads.push_back(r);
+      if (c == g.sched_.const_coeff) {
+        return f(static_cast<u8>(g.coeff_reg0_ + g.resident_coeffs_ - 1));
+      }
+      if (g.stream_coeffs_) {
+        reads.push_back(ReadRec{1, true, -1, static_cast<u32>(c),
+                                first_instance + u});
         return kFt1;
       }
-      if (spill_sr2_ > 0) {
-        if (c == const_coeff) return const_reg();
-        if (static_cast<u32>(c) >= spilled_from()) {
-          return kFt2;  // wrapping affine coefficient stream (no index)
-        }
+      if (g.spill_sr2_ > 0 && static_cast<u32>(c) >= g.spilled_from()) {
+        return kFt2;  // wrapping affine coefficient stream (no index)
       }
-      return f(static_cast<u8>(coeff_reg0_ + c));
-    };
-    auto push = [&](const Instr& in) {
+      return f(static_cast<u8>(g.coeff_reg0_ + c));
+    }
+    void push(u32 u, Instr in, bool final_out,
+              std::vector<BodyInstr>& seq) {
+      const bool out_via_lsu = g.spill_sr2_ > 0;
+      if (final_out && !out_via_lsu) in.frd = kFt2;
       seq.push_back(BodyInstr{in, std::move(reads)});
       reads.clear();
-    };
-
-    // With an SR2 coefficient spill the output goes through the FP LSU
-    // instead of a write stream: the final op targets acc(0) and an fsd
-    // against the out pointer follows.
-    const bool out_via_lsu = spill_sr2_ > 0;
-    auto final_dst = [&](FReg reg_dst) {
-      return out_via_lsu ? reg_dst : kFt2;
-    };
-    auto emit_store = [&]() {
-      Instr in;
-      in.op = Op::kFsd;
-      in.frs2 = acc(0);
-      in.rs1 = kSarisOutPtr;
-      in.imm = static_cast<i32>(slot * interleave_x(sc_) * kWordBytes);
-      push(in);
-    };
-
-    for (const Step& st : sched_.steps) {
-      Op op = lower_step_op(st.kind);
-      FReg dst = st.final_out ? final_dst(acc(st.chain)) : acc(st.chain);
-      switch (st.kind) {
-        case StepKind::kSeedMulTap:
-          push(fp3(op, dst, coeff_src(st.coeff), tap_src(st.tap_a, -1)));
-          break;
-        case StepKind::kSeedMulTapConst:
-          push(fp4(op, dst, coeff_src(st.coeff), tap_src(st.tap_a, -1),
-                   const_reg()));
-          break;
-        case StepKind::kFmaTap:
-          push(fp4(op, dst, coeff_src(st.coeff), tap_src(st.tap_a, -1),
-                   acc(st.chain)));
-          break;
-        case StepKind::kSeedAddTaps:
-          push(fp3(op, dst, tap_src(st.tap_a, 0), tap_src(st.tap_b, 1)));
-          break;
-        case StepKind::kAddTap:
-          push(fp3(op, dst, acc(st.chain), tap_src(st.tap_a, -1)));
-          break;
-        case StepKind::kPairAdd:
-          push(fp3(op, tmp_alloc(), tap_src(st.tap_a, 0),
-                   tap_src(st.tap_b, 1)));
-          break;
-        case StepKind::kSeedMulPair:
-          push(fp3(op, dst, coeff_src(st.coeff), tmp_pop()));
-          break;
-        case StepKind::kFmaPair:
-          push(fp4(op, dst, coeff_src(st.coeff), tmp_pop(), acc(st.chain)));
-          break;
-        case StepKind::kCombine:
-          push(fp3(op, st.final_out ? final_dst(acc(0)) : acc(0), acc(0),
-                   acc(st.chain)));
-          break;
-        case StepKind::kScale:
-          push(fp3(op, st.final_out ? final_dst(acc(0)) : dst,
-                   coeff_src(st.coeff), acc(0)));
-          break;
-        case StepKind::kSubTap:
-          push(fp3(op, st.final_out ? final_dst(acc(0)) : dst, acc(0),
-                   tap_src(st.tap_a, -1)));
-          break;
+      if (final_out && out_via_lsu) {
+        Instr st;
+        st.op = Op::kFsd;
+        st.frs2 = in.frd;
+        st.rs1 = kSarisOutPtr;
+        st.imm = static_cast<i32>(u * interleave_x(g.sc_) * kWordBytes);
+        seq.push_back(BodyInstr{st, {}});
       }
-      if (st.final_out && out_via_lsu) emit_store();
     }
-  }
+  } src{*this, first_instance, std::vector<u32>(count, 0), {}};
 
-  // Round-robin interleave across instances (reordering optimization §2.2:
-  // spaces dependent ops of one point by the unroll factor).
-  std::vector<BodyInstr> merged;
-  std::size_t longest = 0;
-  for (const auto& s : per_inst) longest = std::max(longest, s.size());
-  for (std::size_t i = 0; i < longest; ++i) {
-    for (u32 u = 0; u < count; ++u) {
-      if (i < per_inst[u].size()) merged.push_back(per_inst[u][i]);
-    }
-  }
-  return merged;
+  // Logical register L lives at inst_base + L*stagger_: the FREP stagger
+  // offsets (+0..stagger-1) rotate through the run of physical registers
+  // reserved for each logical one.
+  return lower_points(sched_, 0, count,
+                      PointRegs{acc_reg0_, inst_stride_, stagger_}, src);
 }
 
 SarisCodegen::RowPlan SarisCodegen::build_row_plan(u32 core) const {
@@ -298,47 +196,34 @@ SarisCodegen::RowPlan SarisCodegen::build_row_plan(u32 core) const {
   if (p.remainder > 0) {
     p.epilogue = lower_instances(p.remainder, p.blocks * unroll_);
   }
-  return p;
-}
-
-std::array<std::vector<u16>, 2> SarisCodegen::idx_values(u32 core) const {
-  RowPlan p = build_row_plan(core);
-  CoreWork w = core_work(sc_, core);
-  std::array<std::vector<u16>, 2> out;
+  // Stream-read order over one full row: the body once per block, then
+  // the epilogue.
   for (u32 b = 0; b < p.blocks; ++b) {
     for (const BodyInstr& bi : p.body) {
       for (const ReadRec& r : bi.reads) {
         u32 point = b * unroll_ + r.instance;
-        out[r.lane].push_back(idx_of(r, x_of(w, point)));
+        p.idx[r.lane].push_back(idx_of(r, x_of(w, point)));
       }
     }
   }
   for (const BodyInstr& bi : p.epilogue) {
     for (const ReadRec& r : bi.reads) {
-      out[r.lane].push_back(idx_of(r, x_of(w, r.instance)));
+      p.idx[r.lane].push_back(idx_of(r, x_of(w, r.instance)));
     }
   }
-  return out;
+  return p;
 }
 
-std::vector<std::array<u32, 2>> SarisCodegen::idx_counts(
-    u32 num_cores) const {
-  std::vector<std::array<u32, 2>> counts;
-  for (u32 c = 0; c < num_cores; ++c) {
-    auto vals = idx_values(c);
-    counts.push_back({static_cast<u32>(vals[0].size()),
-                      static_cast<u32>(vals[1].size())});
-  }
-  return counts;
+std::array<std::vector<u16>, 2> SarisCodegen::idx_values(u32 core) const {
+  return build_row_plan(core).idx;
 }
 
 Program SarisCodegen::emit(u32 core, const KernelLayout& lay) const {
   CoreWork w = core_work(sc_, core);
   RowPlan plan = build_row_plan(core);
-  auto vals = idx_values(core);
   SARIS_CHECK(lay.core_idx.size() > core, "layout lacks core index arrays");
   for (u32 l = 0; l < 2; ++l) {
-    SARIS_CHECK(lay.core_idx[core][l].count == vals[l].size(),
+    SARIS_CHECK(lay.core_idx[core][l].count == plan.idx[l].size(),
                 "layout/codegen index count mismatch on lane " << l);
   }
 
@@ -370,9 +255,9 @@ Program SarisCodegen::emit(u32 core, const KernelLayout& lay) const {
 
   // Indirect lane static configuration.
   for (u32 l = 0; l < 2; ++l) {
-    if (vals[l].empty()) continue;
+    if (plan.idx[l].empty()) continue;
     cfg(l, kSsrIdxBase, lay.core_idx[core][l].addr);
-    cfg(l, kSsrIdxCount, static_cast<u32>(vals[l].size()));
+    cfg(l, kSsrIdxCount, static_cast<u32>(plan.idx[l].size()));
     cfg(l, kSsrIdxSize, 2);
   }
 
@@ -451,8 +336,8 @@ Program SarisCodegen::emit(u32 core, const KernelLayout& lay) const {
 
   // Launch the indirect reads for this row (SARIS step 1: SRIR with the
   // row base; index arrays stay the same).
-  if (!vals[0].empty()) b.scfgwi(t0, 0, kSsrLaunchIndirect);
-  if (!vals[1].empty()) {
+  if (!plan.idx[0].empty()) b.scfgwi(t0, 0, kSsrLaunchIndirect);
+  if (!plan.idx[1].empty()) {
     b.scfgwi(stream_coeffs_ ? cb : t0, 1, kSsrLaunchIndirect);
   }
 

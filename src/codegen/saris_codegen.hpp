@@ -44,9 +44,6 @@ class SarisCodegen {
   u32 spilled_from() const;
   const Schedule& schedule() const { return sched_; }
 
-  /// Index-array sizes per core and indirect lane (for layout allocation).
-  std::vector<std::array<u32, 2>> idx_counts(u32 num_cores) const;
-
   /// Index-array contents for one core (pop order over one full row).
   std::array<std::vector<u16>, 2> idx_values(u32 core) const;
 
@@ -70,6 +67,7 @@ class SarisCodegen {
     std::vector<BodyInstr> epilogue;  ///< remainder points
     u32 blocks = 0;
     u32 remainder = 0;
+    std::array<std::vector<u16>, 2> idx;  ///< index arrays (idx_values)
   };
 
   RowPlan build_row_plan(u32 core) const;
@@ -77,7 +75,7 @@ class SarisCodegen {
   u32 x_of(const CoreWork& w, u32 point_index) const;
 
   /// Lower the schedule for `count` instances starting at unrolled-instance
-  /// offset `first_instance` and merge round-robin.
+  /// offset `first_instance`, merged round-robin.
   std::vector<BodyInstr> lower_instances(u32 count, u32 first_instance) const;
 
   const StencilCode& sc_;

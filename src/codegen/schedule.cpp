@@ -8,27 +8,6 @@ namespace saris {
 
 namespace {
 
-Op step_op(StepKind k) {
-  switch (k) {
-    case StepKind::kSeedMulTap:
-    case StepKind::kSeedMulPair:
-    case StepKind::kScale:
-      return Op::kFmulD;
-    case StepKind::kSeedMulTapConst:
-    case StepKind::kFmaTap:
-    case StepKind::kFmaPair:
-      return Op::kFmaddD;
-    case StepKind::kSeedAddTaps:
-    case StepKind::kAddTap:
-    case StepKind::kPairAdd:
-    case StepKind::kCombine:
-      return Op::kFaddD;
-    case StepKind::kSubTap:
-      return Op::kFsubD;
-  }
-  SARIS_CHECK(false, "bad step kind");
-}
-
 void mark_final(Schedule& s) {
   SARIS_CHECK(!s.steps.empty(), "empty schedule");
   s.steps.back().final_out = true;
@@ -40,6 +19,7 @@ Schedule fma_chain(const StencilCode& sc, u32 k) {
   Schedule s;
   s.chains = k;
   s.n_taps = n;
+  if (sc.const_term) s.const_coeff = static_cast<i32>(sc.n_coeffs) - 1;
   std::vector<bool> seeded(k, false);
   for (u32 i = 0; i < n; ++i) {
     const Tap& t = sc.taps[i];
@@ -179,7 +159,7 @@ Schedule axis_pairs(const StencilCode& sc, u32 k, u32 pair_pipeline) {
 
 u32 Schedule::flops() const {
   u32 f = 0;
-  for (const Step& st : steps) f += flops_of(step_op(st.kind));
+  for (const Step& st : steps) f += flops_of(step_row(st.kind).op);
   return f;
 }
 
@@ -212,10 +192,5 @@ u32 default_chains(const StencilCode& sc) {
   }
   return 2;
 }
-
-/// Exposed for tests via schedule.hpp? (kept internal; op mapping mirrored
-/// in the code generators through lower_step_op)
-Op lower_step_op(StepKind k);  // fwd decl to give the symbol external linkage
-Op lower_step_op(StepKind k) { return step_op(k); }
 
 }  // namespace saris

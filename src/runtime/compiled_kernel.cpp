@@ -64,21 +64,23 @@ CompiledKernel compile_kernel(const StencilCode& sc, KernelVariant variant,
   ck.options = cg;
   ck.n_cores = n_cores;
   ck.tcdm_bytes = tcdm_bytes;
-  ck.idx_counts.assign(n_cores, {0, 0});
   ck.programs.reserve(n_cores);
 
+  std::vector<std::array<u32, 2>> counts(n_cores, {0, 0});
   if (variant == KernelVariant::kSaris) {
     const SarisCodegen scg(sc, cg);
-    ck.idx_counts = scg.idx_counts(n_cores);
-    ck.layout = make_layout(sc, n_cores, ck.idx_counts, tcdm_bytes);
-    ck.idx_values.resize(n_cores);
     for (u32 c = 0; c < n_cores; ++c) {
-      ck.idx_values[c] = scg.idx_values(c);
+      ck.idx_values.push_back(scg.idx_values(c));
+      counts[c] = {static_cast<u32>(ck.idx_values[c][0].size()),
+                   static_cast<u32>(ck.idx_values[c][1].size())};
+    }
+    ck.layout = make_layout(sc, n_cores, counts, tcdm_bytes);
+    for (u32 c = 0; c < n_cores; ++c) {
       ck.programs.push_back(scg.emit(c, ck.layout));
     }
   } else {
     const BaseCodegen bcg(sc, cg);
-    ck.layout = make_layout(sc, n_cores, ck.idx_counts, tcdm_bytes);
+    ck.layout = make_layout(sc, n_cores, counts, tcdm_bytes);
     for (u32 c = 0; c < n_cores; ++c) {
       ck.programs.push_back(bcg.emit(c, ck.layout));
     }

@@ -1,7 +1,7 @@
 // Compile stage of the run pipeline: everything about a (code, variant,
 // options, machine shape) cell that does not depend on the run's data —
-// per-core programs, the TCDM layout, SSR index vectors and their sizes,
-// and the steady-state overlap-DMA job templates.
+// per-core programs, the TCDM layout, SSR index vectors, and the
+// steady-state overlap-DMA job templates.
 //
 // A CompiledKernel is immutable pure data and compile_kernel is
 // deterministic, so executing from a cached artifact is bit-identical to
@@ -39,7 +39,6 @@ struct CompiledKernel {
 
   std::vector<Program> programs;  ///< one per core, in core order
   KernelLayout layout;
-  std::vector<std::array<u32, 2>> idx_counts;  ///< per core, per indirect lane
   /// Per-core index-array contents (saris variant only; empty for base).
   std::vector<std::array<std::vector<u16>, 2>> idx_values;
   /// One steady-state round of double-buffer DMA traffic (next tile in,

@@ -16,8 +16,13 @@ namespace saris {
 namespace {
 
 KernelLayout layout_for(const StencilCode& sc, const SarisCodegen* scg) {
+  // Index-array sizes per core and lane, as compile_kernel allocates them.
   std::vector<std::array<u32, 2>> counts(8, {0u, 0u});
-  if (scg) counts = scg->idx_counts(8);
+  for (u32 c = 0; scg != nullptr && c < 8; ++c) {
+    auto vals = scg->idx_values(c);
+    counts[c] = {static_cast<u32>(vals[0].size()),
+                 static_cast<u32>(vals[1].size())};
+  }
   return make_layout(sc, 8, counts, kTcdmSizeBytes);
 }
 
@@ -115,17 +120,6 @@ TEST_P(IdxProperty, IndicesResolveToTapElements) {
     if (cg.stream_coeffs()) {
       EXPECT_GT(coeff_reads, 0u);
     }
-  }
-}
-
-TEST_P(IdxProperty, IdxCountsMatchValues) {
-  const StencilCode& sc = code_by_name(GetParam());
-  SarisCodegen cg(sc);
-  auto counts = cg.idx_counts(8);
-  for (u32 c = 0; c < 8; ++c) {
-    auto vals = cg.idx_values(c);
-    EXPECT_EQ(counts[c][0], vals[0].size());
-    EXPECT_EQ(counts[c][1], vals[1].size());
   }
 }
 
@@ -297,7 +291,7 @@ TEST(Layout, RejectsOversizeFootprint) {
 TEST(Layout, InputArraysContiguous) {
   const StencilCode& sc = code_by_name("ac_iso_cd");
   SarisCodegen cg(sc);
-  KernelLayout lay = make_layout(sc, 8, cg.idx_counts(8), kTcdmSizeBytes);
+  KernelLayout lay = layout_for(sc, &cg);
   ASSERT_EQ(lay.inputs.size(), 2u);
   EXPECT_EQ(lay.inputs[1], lay.inputs[0] + lay.tile_bytes);
 }
