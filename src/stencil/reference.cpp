@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -81,50 +82,56 @@ void reference_step(const StencilCode& sc, const std::vector<Grid<>>& inputs,
   }
 }
 
-double max_rel_error(const StencilCode& sc, const Grid<>& a, const Grid<>& b) {
+namespace {
+
+/// The one element error: relative to the larger magnitude, 0 for equal
+/// values, and +inf when it is not a number (a NaN output, or an infinite
+/// one over a finite reference, whose ratio is inf/inf).
+double element_error(double got, double want) {
+  if (got == want) return 0.0;
+  double denom = std::max({std::fabs(got), std::fabs(want), 1e-30});
+  double rel = std::fabs(got - want) / denom;
+  return std::isnan(rel) ? std::numeric_limits<double>::infinity() : rel;
+}
+
+/// Visit every interior element's error in z -> y -> x order until `visit`
+/// returns true.
+template <typename Visit>
+void scan_interior(const StencilCode& sc, const Grid<>& got,
+                   const Grid<>& want, Visit&& visit) {
   u32 r = sc.radius;
   u32 zlo = (sc.dims == 3) ? r : 0;
   u32 zhi = (sc.dims == 3) ? sc.tile_nz - r : 1;
-  double worst = 0.0;
   for (u32 z = zlo; z < zhi; ++z) {
     for (u32 y = r; y < sc.tile_ny - r; ++y) {
       for (u32 x = r; x < sc.tile_nx - r; ++x) {
-        double va = a.at(x, y, z);
-        double vb = b.at(x, y, z);
-        double denom = std::max({std::fabs(va), std::fabs(vb), 1e-30});
-        worst = std::max(worst, std::fabs(va - vb) / denom);
+        double e = element_error(got.at(x, y, z), want.at(x, y, z));
+        if (visit(x, y, z, e)) return;
       }
     }
   }
+}
+
+}  // namespace
+
+double max_rel_error(const StencilCode& sc, const Grid<>& a, const Grid<>& b) {
+  double worst = 0.0;
+  scan_interior(sc, a, b, [&](u32, u32, u32, double e) {
+    worst = std::max(worst, e);
+    return false;
+  });
   return worst;
 }
 
 VerifyMiss first_miss(const StencilCode& sc, const Grid<>& got,
                       const Grid<>& want, double tolerance) {
-  u32 r = sc.radius;
-  u32 zlo = (sc.dims == 3) ? r : 0;
-  u32 zhi = (sc.dims == 3) ? sc.tile_nz - r : 1;
   VerifyMiss m;
-  for (u32 z = zlo; z < zhi; ++z) {
-    for (u32 y = r; y < sc.tile_ny - r; ++y) {
-      for (u32 x = r; x < sc.tile_nx - r; ++x) {
-        double va = got.at(x, y, z);
-        double vb = want.at(x, y, z);
-        double denom = std::max({std::fabs(va), std::fabs(vb), 1e-30});
-        double rel = std::fabs(va - vb) / denom;
-        if (rel > tolerance) {
-          m.found = true;
-          m.x = x;
-          m.y = y;
-          m.z = z;
-          m.got = va;
-          m.want = vb;
-          m.rel_err = rel;
-          return m;
-        }
-      }
+  scan_interior(sc, got, want, [&](u32 x, u32 y, u32 z, double e) {
+    if (e > tolerance) {
+      m = VerifyMiss{true, x, y, z, got.at(x, y, z), want.at(x, y, z), e};
     }
-  }
+    return m.found;
+  });
   return m;
 }
 

@@ -21,7 +21,9 @@ double reference_point(const StencilCode& sc,
                        const std::vector<Grid<>>& inputs,
                        const std::vector<double>& coeffs, u32 x, u32 y, u32 z);
 
-/// Max relative error over the interior between two grids.
+/// Max relative error over the interior between two grids. An element's
+/// error is 0 for equal values and +inf for a NaN or infinite mismatch, so
+/// no tolerance accepts one.
 double max_rel_error(const StencilCode& sc, const Grid<>& a, const Grid<>& b);
 
 /// First interior element (in max_rel_error's z -> y -> x scan order) whose

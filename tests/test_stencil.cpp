@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 
 #include "common/sim_error.hpp"
 #include "stencil/codes.hpp"
@@ -298,6 +299,32 @@ TEST(Reference, MaxRelErrorDetectsMismatch) {
   b.at(10, 10) = 1.0;
   b.at(0, 0) = 99.0;
   EXPECT_DOUBLE_EQ(max_rel_error(sc, a, b), 0.0);
+  // A NaN or infinite output fails any tolerance and first_miss names it:
+  // one interior element (10, 10), then every interior element, where the
+  // first in scan order is (r, r).
+  const double inf = std::numeric_limits<double>::infinity();
+  const u32 r = sc.radius;
+  for (double bad : {std::nan(""), inf, -inf}) {
+    for (bool everywhere : {false, true}) {
+      Grid<> got(sc.tile_nx, sc.tile_ny);
+      got.fill(1.0);
+      for (u32 y = r; y < sc.tile_ny - r; ++y) {
+        for (u32 x = r; x < sc.tile_nx - r; ++x) {
+          if (everywhere || (x == 10 && y == 10)) got.at(x, y) = bad;
+        }
+      }
+      EXPECT_EQ(max_rel_error(sc, got, a), inf) << bad << everywhere;
+      VerifyMiss m = first_miss(sc, got, a, 1e-6);
+      EXPECT_TRUE(m.found) << bad << everywhere;
+      EXPECT_EQ(m.x, everywhere ? r : 10u);
+      EXPECT_EQ(m.y, everywhere ? r : 10u);
+      EXPECT_EQ(m.rel_err, inf);
+    }
+  }
+  // Equal infinities are no error.
+  Grid<> c(sc.tile_nx, sc.tile_ny);
+  c.fill(inf);
+  EXPECT_DOUBLE_EQ(max_rel_error(sc, c, c), 0.0);
 }
 
 // ---- tiling / traffic ----
