@@ -40,10 +40,6 @@ HbmFrontend::HbmFrontend(MainMemory& mem, const HbmConfig& hbm, u32 num_ports,
               "HBM bandwidth rounds to zero bytes/cycle");
 }
 
-double HbmFrontend::bytes_per_cycle() const {
-  return hbm_.bytes_per_cycle_for_clusters(num_ports());
-}
-
 HbmFrontend::Port& HbmFrontend::port(u32 g) {
   SARIS_CHECK(g < ports_.size(), "bad HBM port index " << g);
   return *ports_[g];

@@ -107,17 +107,7 @@ class HbmFrontend {
   /// thread (the System's per-cycle barrier point).
   void begin_cycle();
 
-  /// Aggregate HBM bandwidth in bytes per compute-clock cycle
-  /// (ceil(num_ports / clusters_per_device) devices' worth).
-  double bytes_per_cycle() const;
-
-  /// The per-cycle word-grant budget in 16.16 fixed point — floored from
-  /// HbmConfig's rational bandwidth, so dealing can never exceed the
-  /// configured rate.
-  u64 rate_fp() const { return rate_fp_; }
-
   // ---- statistics ----
-  Cycle cycles() const { return cycles_; }
   u64 granted_bytes() const;
   u64 denied_grants() const;
   /// Granted fraction of the bandwidth offered so far (0 when unlimited or

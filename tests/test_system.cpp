@@ -26,7 +26,7 @@ TEST(HbmFrontend, BudgetAccruesAtConfiguredRate) {
   MainMemory mem(4ull << 20);
   // One port, one device at 1 GHz: 51.2 B/cycle = 6.4 words/cycle.
   HbmFrontend hbm(mem, HbmConfig{}, 1, 4ull << 20, /*limited=*/true);
-  EXPECT_DOUBLE_EQ(hbm.bytes_per_cycle(), 51.2);
+  EXPECT_DOUBLE_EQ(HbmConfig{}.bytes_per_cycle_for_clusters(1), 51.2);
   hbm.port(0).set_manual_demand(true);
   // Before any begin_cycle there are no credits.
   EXPECT_FALSE(hbm.port(0).acquire_word());
