@@ -32,13 +32,6 @@ Dma::Dma(Tcdm& tcdm, MemoryPort& mem)
   make_tcdm_ports();
 }
 
-Dma::Dma(Tcdm& tcdm, MainMemory& mem)
-    : tcdm_(tcdm),
-      owned_port_(std::make_unique<DirectMemoryPort>(mem)),
-      mem_(*owned_port_) {
-  make_tcdm_ports();
-}
-
 void Dma::make_tcdm_ports() {
   u32 lanes = kDmaWidthBytes / kWordBytes;
   SARIS_CHECK(lanes < 32, "DMA datapath too wide for the u32 port bitmask");

@@ -9,11 +9,9 @@
 #pragma once
 
 #include <algorithm>
-#include <memory>
 #include <vector>
 
 #include "common/fixed_queue.hpp"
-#include "mem/main_memory.hpp"
 #include "mem/mem_port.hpp"
 #include "mem/tcdm.hpp"
 
@@ -88,9 +86,6 @@ class Dma {
   /// next cycle; with an always-granting port the engine is bit-identical
   /// to the pre-abstraction direct-memory path.
   Dma(Tcdm& tcdm, MemoryPort& mem);
-  /// Convenience for owned-memory clusters and unit tests: wraps `mem` in
-  /// an internal unlimited DirectMemoryPort.
-  Dma(Tcdm& tcdm, MainMemory& mem);
 
   /// Enqueue a job (fails if the job queue is full — callers check `space`).
   /// Jobs are validated up front: shape, alignment, and the full strided
@@ -163,7 +158,6 @@ class Dma {
   bool advance_row_cursor();  ///< returns false when the job is complete
 
   Tcdm& tcdm_;
-  std::unique_ptr<DirectMemoryPort> owned_port_;  ///< MainMemory-ctor only
   MemoryPort& mem_;
   FaultPlan* faults_ = nullptr;
   u32 fault_cluster_ = 0;

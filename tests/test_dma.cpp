@@ -12,7 +12,8 @@ namespace {
 struct DmaRig {
   Tcdm tcdm;
   MainMemory mem{1 << 20};
-  Dma dma{tcdm, mem};
+  DirectMemoryPort port{mem};
+  Dma dma{tcdm, port};
 
   void run_to_idle() {
     u32 guard = 0;
