@@ -25,7 +25,6 @@ class BaseCodegen {
   explicit BaseCodegen(const StencilCode& sc, CodegenOptions opt = {});
 
   u32 unroll() const { return unroll_; }
-  u32 resident_coeffs() const { return resident_coeffs_; }
   u32 spilled_coeffs() const {
     return sc_.n_coeffs - resident_coeffs_;
   }

@@ -18,7 +18,6 @@ Schedule fma_chain(const StencilCode& sc, u32 k) {
   k = std::min(k, n);
   Schedule s;
   s.chains = k;
-  s.n_taps = n;
   if (sc.const_term) s.const_coeff = static_cast<i32>(sc.n_coeffs) - 1;
   std::vector<bool> seeded(k, false);
   for (u32 i = 0; i < n; ++i) {
@@ -56,7 +55,6 @@ Schedule sum_scale(const StencilCode& sc, u32 k) {
   k = std::max<u32>(1, std::min(k, n / 2));
   Schedule s;
   s.chains = k;
-  s.n_taps = n;
   u32 i = 0;
   for (u32 c = 0; c < k; ++c) {
     Step st;
@@ -100,7 +98,6 @@ Schedule axis_pairs(const StencilCode& sc, u32 k, u32 pair_pipeline) {
   Schedule s;
   s.chains = k;
   s.tmp_regs = pair_pipeline + 1;
-  s.n_taps = n;
 
   // Center tap seeds chain 0.
   {

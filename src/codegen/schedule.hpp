@@ -115,7 +115,6 @@ struct Schedule {
   std::vector<Step> steps;
   u32 chains = 1;     ///< accumulator chains used
   u32 tmp_regs = 0;   ///< live pair temporaries needed (AxisPairs pipelining)
-  u32 n_taps = 0;
   i32 const_coeff = -1;  ///< coefficient of the constant term; -1 if none
 
   u32 ops() const { return static_cast<u32>(steps.size()); }
