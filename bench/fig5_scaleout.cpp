@@ -14,9 +14,9 @@
 // At G=1 the simulated run must be (and is checked to be) bit-identical to
 // the single-cluster run_kernel pipeline.
 //
-// --tiles T streams T tiles back-to-back through every cluster (cluster
-// re-arm + restage between tiles, reloads overlapping across clusters), so
-// the run measures steady-state HBM contention instead of one tile's
+// --tiles T streams T tiles back-to-back through every cluster (a fresh
+// cluster per tile, reloads overlapping across clusters), so the run
+// measures steady-state HBM contention instead of one tile's
 // transient; a steady-state table (first vs steady tile latency and HBM
 // utilization, mean inter-tile reload gap) and BENCH_fig5_steady.json are
 // emitted. --batch k lets the System run up to k cycles between its serial

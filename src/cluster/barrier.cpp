@@ -18,14 +18,6 @@ bool Barrier::released(u32 core) const {
   return !waiting_[core];
 }
 
-void Barrier::reset() {
-  for (std::size_t i = 0; i < waiting_.size(); ++i) waiting_[i] = false;
-  arrived_ = 0;
-  release_pending_ = false;
-  release_at_ = 0;
-  episodes_ = 0;
-}
-
 void Barrier::tick(Cycle now) {
   if (!release_pending_ && arrived_ == waiting_.size()) {
     release_pending_ = true;

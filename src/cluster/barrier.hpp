@@ -22,11 +22,6 @@ class Barrier {
 
   u64 episodes() const { return episodes_; }
 
-  /// Back to power-on: no arrivals, no pending release, episode count zero.
-  /// Cluster re-arm path — call it only between kernels, with the cores
-  /// re-armed too: a core still waiting here would be let through.
-  void reset();
-
  private:
   std::vector<bool> waiting_;
   u32 arrived_ = 0;

@@ -29,14 +29,6 @@ void Cluster::init(MemoryPort& mem_port) {
   dma_ = std::make_unique<Dma>(tcdm_, mem_port);
 }
 
-void Cluster::rearm() {
-  for (auto& c : cores_) c->rearm();
-  barrier_.reset();
-  tcdm_.reset();
-  dma_->reset();
-  now_ = 0;
-}
-
 Core& Cluster::core(u32 i) {
   SARIS_CHECK(i < cores_.size(), "bad core index " << i);
   return *cores_[i];

@@ -7,6 +7,10 @@
 // quiescent fast path: its idle counters and nothing else.
 // tests/test_contract.cpp pins the results for all 20 (code, variant)
 // cells.
+//
+// The constructors are the one definition of power-on state. A cluster runs
+// one kernel; a caller that runs another builds a new cluster, as the
+// system runner does for every tile (System::fresh_cluster).
 #pragma once
 
 #include <memory>
@@ -56,20 +60,6 @@ class Cluster {
 
   /// Advance one cycle: every core, DMA, TCDM arbitration, barrier.
   void step();
-
-  /// Re-arm the cluster for the next kernel without reconstruction: cores
-  /// (including FPU/SSR/FREP/I$ state and counters), barrier, TCDM
-  /// (contents, arbitration state, statistics), and DMA return to power-on
-  /// state, and the clock rewinds to 0. Kept across a re-arm: the cluster
-  /// id, the memory-port binding (and any lazily allocated main-memory
-  /// chunks behind it — overlap-DMA writes may linger there; nothing in the
-  /// pipeline reads them back). Contract:
-  /// a re-armed cluster is bit-identical to a freshly constructed one —
-  /// run the next kernel through KernelRun and every simulated result and
-  /// performance counter matches a fresh cluster's (tests/test_cluster.cpp,
-  /// tests/test_system.cpp enforce this). Must be called between kernels
-  /// (not with cores mid-flight); any cycle state is simply discarded.
-  void rearm();
 
   /// Has every core halted?
   bool all_halted() const {

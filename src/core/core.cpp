@@ -27,16 +27,6 @@ void Core::load_program(Program p) {
   reset();
 }
 
-void Core::rearm() {
-  fpu_.reset();
-  seq_.reset();
-  ssr_.reset();
-  icache_.reset();
-  prog_ = Program{};
-  fp_ops_.clear();
-  reset();
-}
-
 void Core::reset() {
   pc_ = 0;
   xregs_.fill(0);

@@ -42,14 +42,6 @@ class Core {
   /// program and the subsystems' in-flight state are kept.
   void reset();
 
-  /// Full power-on reset: reset() plus the subsystems it leaves alone —
-  /// FPU queue/pipeline, SSR lanes, FREP sequencer, and the instruction
-  /// cache (tags AND hit/miss counters, so a re-armed core pays the same
-  /// cold misses a fresh one would) — and the loaded program is dropped.
-  /// Cluster re-arm path; behaviour after rearm() + load_program() is
-  /// bit-identical to a freshly constructed core.
-  void rearm();
-
   /// Advance one cycle (SSR collect -> FPU -> sequencer -> integer step ->
   /// SSR issue). The cluster arbitrates the TCDM afterwards.
   ///
@@ -96,7 +88,7 @@ class Core {
 
   Program prog_;
   /// decode_fp_op of each FP instruction of prog_, by pc (other pcs hold
-  /// an unused default entry). Filled by load_program, cleared by rearm.
+  /// an unused default entry). Filled by load_program.
   std::vector<FpOp> fp_ops_;
   std::vector<StreamLaunch> launches_;
   u32 pc_ = 0;

@@ -161,13 +161,4 @@ void FpSubsystem::tick(Cycle now) {
   queue_.pop();
 }
 
-void FpSubsystem::reset() {
-  queue_.clear();
-  pipe_.clear();
-  freg_ready_.fill(0);
-  lsu_busy_ = false;
-  lsu_is_load_ = false;
-  lsu_dest_ = FReg{};
-}
-
 }  // namespace saris

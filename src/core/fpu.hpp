@@ -69,11 +69,6 @@ class FpSubsystem {
   /// Core's reset, with the CorePerf counters it splits).
   void clear_pc_stalls(u32 n) { pc_stalls_.assign(n, PcStalls{}); }
 
-  /// Back to power-on: queue, pipeline, scoreboard, and LSU state cleared.
-  /// Part of the cluster re-arm contract (the owning Core resets the shared
-  /// CorePerf counters, the per-pc table and the FP register file itself).
-  void reset();
-
  private:
   /// An issued op: its result and where it goes. The destination is
   /// decided at issue, where a stream destination reserves its FIFO slot,

@@ -44,14 +44,4 @@ void FrepSequencer::next(FpOp& slot) {
   }
 }
 
-void FrepSequencer::reset() {
-  buf_.clear();
-  to_capture_ = 0;
-  reps_left_ = 0;
-  pos_ = 0;
-  stagger_ = 1;
-  stagger_base_ = 32;
-  stagger_off_ = 0;
-}
-
 }  // namespace saris

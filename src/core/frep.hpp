@@ -75,10 +75,6 @@ class FrepSequencer {
   /// registers there.
   void next(FpOp& slot);
 
-  /// Back to power-on (no capture, no replay, empty buffer) — the cluster
-  /// re-arm path; a drained sequencer resets to exactly this state anyway.
-  void reset();
-
  private:
   std::vector<FpOp> buf_;
   u32 to_capture_ = 0;

@@ -47,12 +47,4 @@ u32 ICache::lookup(u32 line) {
   return miss_latency_;
 }
 
-void ICache::reset() {
-  ways_.assign(ways_.size(), Way{});
-  tick_ = 0;
-  last_line_ = kNoLine;
-  hits_ = 0;
-  misses_ = 0;
-}
-
 }  // namespace saris

@@ -35,11 +35,6 @@ class ICache {
     return lookup(line);
   }
 
-  /// Back to power-on: all lines invalid, hit/miss counters zero. Part of
-  /// the cluster re-arm contract — a re-armed core must pay the same cold
-  /// misses a freshly constructed one would.
-  void reset();
-
   u64 hits() const { return hits_; }
   u64 misses() const { return misses_; }
   u32 miss_latency() const { return miss_latency_; }

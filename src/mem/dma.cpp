@@ -214,24 +214,4 @@ double Dma::bandwidth_utilization() const {
          (static_cast<double>(active_cycles_) * kDmaWidthBytes);
 }
 
-void Dma::reset_stats() {
-  bytes_moved_ = 0;
-  active_cycles_ = 0;
-}
-
-void Dma::reset() {
-  job_active_ = false;
-  issuing_done_ = false;
-  cur_ = DmaJob{};
-  cur_row_ = 0;
-  cur_plane_ = 0;
-  row_pos_ = 0;
-  overhead_left_ = 0;
-  words_outstanding_ = 0;
-  busy_mask_ = 0;
-  jobs_.clear();
-  for (Outstanding& o : out_) o = Outstanding{};
-  reset_stats();
-}
-
 }  // namespace saris

@@ -110,10 +110,10 @@ class Dma {
   /// consumed — and the engine retries them on later cycles. Null (the
   /// default) and empty plans are bit-identical to no plan at all.
   /// `cycle_offset` maps the engine's local clock into the plan's timeline:
-  /// the System runner re-arms clusters between tiles (resetting their
-  /// clocks) and rebinds with the cluster's accumulated tick count so plan
-  /// cycles stay monotonic. The binding survives reset(), so every
-  /// KernelRun rebinds at staging, with null for a run without a plan.
+  /// the System runner builds a fresh cluster for each tile (its clock
+  /// starts at 0) and binds with the cluster's accumulated tick count so
+  /// plan cycles stay monotonic. Every KernelRun binds at staging, with null
+  /// for a run without a plan.
   void set_faults(FaultPlan* plan, u32 cluster, Cycle cycle_offset = 0) {
     faults_ = plan;
     fault_cluster_ = cluster;
@@ -125,12 +125,6 @@ class Dma {
   u64 active_cycles() const { return active_cycles_; }
   /// Achieved fraction of the 64 B/cycle peak while the engine was active.
   double bandwidth_utilization() const;
-  void reset_stats();
-
-  /// Back to power-on: job queue, row cursors, outstanding words, and
-  /// statistics cleared. Cluster re-arm path — the TCDM port registrations
-  /// and the memory port binding are kept.
-  void reset();
 
  private:
   /// The word in flight on a datapath port (valid while its busy_mask_ bit

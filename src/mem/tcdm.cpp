@@ -171,23 +171,4 @@ u64 Tcdm::port_accesses(u32 port) const {
   return ports_[port].accesses;
 }
 
-void Tcdm::reset_stats() {
-  total_accesses_ = 0;
-  total_conflicts_ = 0;
-  for (Port& p : ports_) {
-    p.accesses = 0;
-    p.conflicts = 0;
-  }
-}
-
-void Tcdm::reset() {
-  std::memset(mem_.data(), 0, mem_.size());
-  ports_.assign(ports_.size(), Port{});
-  rr_next_.fill(0);
-  bank_count_.fill(0);
-  num_active_ = 0;
-  total_accesses_ = 0;
-  total_conflicts_ = 0;
-}
-
 }  // namespace saris

@@ -99,14 +99,6 @@ class Tcdm {
   u64 total_conflicts() const { return total_conflicts_; }
   u64 port_conflicts(u32 port) const;
   u64 port_accesses(u32 port) const;
-  void reset_stats();
-
-  /// Back to power-on: memory zeroed, every port's request/response state
-  /// and statistics cleared, per-bank round-robin pointers and pending
-  /// lists reset. Port registrations (ids and names) are kept — requesters
-  /// hold their port ids across a cluster re-arm. The ideal-arbitration
-  /// mode is preserved.
-  void reset();
 
  private:
   struct Port {

@@ -143,12 +143,11 @@ class KernelRun {
 
 /// Execute stage: run one KernelRun to completion, raising
 /// SimError(kMaxCyclesExceeded) if it is not done (halted and DMA drained)
-/// within cfg.max_cycles cycles. `cluster` must be at power-on state —
-/// freshly constructed or re-armed (Cluster::rearm), which are
-/// bit-identical; multi-step callers re-arm (or construct) a cluster per
-/// step and reuse one CompiledKernel. When `golden` is non-null it is used
-/// as the reference for verification instead of recomputing it from `io`
-/// (see reference_for_seed for the memoized seeded-random path).
+/// within cfg.max_cycles cycles. `cluster` must be freshly constructed;
+/// multi-step callers construct a cluster per step and reuse one
+/// CompiledKernel. When `golden` is non-null it is used as the reference
+/// for verification instead of recomputing it from `io` (see
+/// reference_for_seed for the memoized seeded-random path).
 RunMetrics execute_kernel(const CompiledKernel& ck, Cluster& cluster,
                           const RunConfig& cfg, KernelIO& io,
                           const Grid<>* golden = nullptr);

@@ -96,24 +96,4 @@ void SsrLane::deliver_index_word(u64 word) {
   idx_fetch_addr_ += kWordBytes;
 }
 
-void SsrLane::reset() {
-  cfg_ = SsrLaneConfig{};
-  kind_ = SsrStreamKind::kNone;
-  affine_ = AffineAddrGen{};
-  rfifo_.clear();
-  to_fetch_ = 0;
-  to_consume_ = 0;
-  inflight_data_ = 0;
-  indir_base_ = 0;
-  idx_fetch_addr_ = 0;
-  idx_to_fetch_ = 0;
-  idx_per_word_ = 0;
-  idx_req_inflight_ = false;
-  pending_gather_.clear();
-  wfifo_.clear();
-  reserved_ = 0;
-  elems_streamed_ = 0;
-  idx_words_fetched_ = 0;
-}
-
 }  // namespace saris

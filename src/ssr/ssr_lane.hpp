@@ -123,11 +123,6 @@ class SsrLane {
             !idx_req_inflight_);
   }
 
-  /// Back to power-on: stream config, FIFOs, in-flight tracking, and
-  /// statistics cleared (the TCDM port registration is kept — port state is
-  /// reset by Tcdm::reset on the cluster re-arm path).
-  void reset();
-
   // ---- statistics ----
   u64 elems_streamed() const { return elems_streamed_; }
   u64 idx_words_fetched() const { return idx_words_fetched_; }

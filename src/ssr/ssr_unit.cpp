@@ -61,12 +61,4 @@ u64 SsrUnit::total_idx_words_fetched() const {
   return n;
 }
 
-void SsrUnit::reset() {
-  for (SsrLane& l : lanes_) l.reset();
-  enabled_ = false;
-  launched_ = false;
-  idx_inflight_lane_ = kNumSsrLanes;
-  idx_rr_ = 0;
-}
-
 }  // namespace saris

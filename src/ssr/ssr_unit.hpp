@@ -73,10 +73,6 @@ class SsrUnit {
   u64 total_elems_streamed() const;
   u64 total_idx_words_fetched() const;
 
-  /// Back to power-on: every lane reset, streaming disabled, index-port
-  /// round-robin and in-flight state cleared. Cluster re-arm path.
-  void reset();
-
  private:
   void issue_index_fetch();
 
@@ -87,8 +83,8 @@ class SsrUnit {
   std::array<SsrLane, kNumSsrLanes> lanes_;
   bool enabled_ = false;
   /// A lane has launched a stream since power-on. Until then every lane is
-  /// SsrStreamKind::kNone (a lane leaves it only at launch and returns only
-  /// at reset) and no index word is in flight, so collect() and tick() have
+  /// SsrStreamKind::kNone (a lane leaves it only at launch and never returns
+  /// to it) and no index word is in flight, so collect() and tick() have
   /// nothing to do. Base kernels never set it.
   bool launched_ = false;
   // Which lane the in-flight index word belongs to; kNumSsrLanes = none.

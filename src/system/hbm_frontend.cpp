@@ -141,17 +141,4 @@ double HbmFrontend::utilization_of(u64 bytes, Cycle cycles) const {
          (static_cast<double>(rate_fp_) * static_cast<double>(cycles));
 }
 
-void HbmFrontend::reset() {
-  for (auto& p : ports_) {
-    p->demand_ = false;
-    p->quarantined_ = false;
-    p->credit_bytes_ = 0;
-    p->granted_bytes_ = 0;
-    p->denied_ = 0;
-  }
-  carry_fp_ = 0;
-  rr_ = 0;
-  cycles_ = 0;
-}
-
 }  // namespace saris

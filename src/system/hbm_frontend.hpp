@@ -42,8 +42,8 @@ class HbmFrontend {
     u64 end_addr() const override { return base_ + span_; }
 
     /// The DMA whose idleness signals this port's bandwidth demand; set by
-    /// the System once the cluster exists. Ports with no client use the
-    /// manual flag below (unit-test hook).
+    /// the System each time it builds the port's cluster. Ports with no
+    /// client use the manual flag below (unit-test hook).
     void set_client(const Dma* dma) { client_ = dma; }
     void set_manual_demand(bool on) { manual_demand_ = on; }
 
@@ -96,9 +96,8 @@ class HbmFrontend {
   /// Attach a fault-injection plan (fault/fault_plan.hpp): while one of its
   /// kHbmThrottle windows is active, begin_cycle deals only the plan's
   /// keep-percent of the per-cycle budget (0 = a denied-grant blackout).
-  /// Null and empty plans are bit-identical to no plan at all. The binding
-  /// survives reset() like the ports' client bindings do; pass nullptr to
-  /// detach.
+  /// Null and empty plans are bit-identical to no plan at all; pass nullptr
+  /// to detach.
   void set_fault_plan(FaultPlan* plan) { faults_ = plan; }
 
   /// Refresh per-port word credits for the coming cycle: round-robin deal
@@ -119,12 +118,6 @@ class HbmFrontend {
   /// run phases (first-tile vs steady-state) pass their own sampled bytes
   /// and window so all reported utilizations share this definition.
   double utilization_of(u64 bytes, Cycle cycles) const;
-
-  /// Back to power-on: per-port credits/demand/statistics, the rotation
-  /// pointer, the budget carry, and the cycle counter cleared. The System
-  /// runner calls this when re-arming a reused System so a second run's
-  /// grant schedule and statistics are bit-identical to a fresh one's.
-  void reset();
 
  private:
   MainMemory& mem_;

@@ -12,26 +12,34 @@ namespace saris {
 System::System(const SystemConfig& cfg)
     : cfg_(cfg),
       mem_(static_cast<u64>(cfg.clusters) * cfg.arena_bytes) {
-  SARIS_CHECK(cfg.clusters >= 1, "a System needs at least one cluster");
-  SARIS_CHECK(cfg.arena_bytes >= 1 &&
-                  cfg.arena_bytes % MainMemory::kChunkBytes == 0,
-              "arena_bytes must be a positive multiple of the memory chunk "
-              "size ("
-                  << MainMemory::kChunkBytes << " B), got "
-                  << cfg.arena_bytes);
+  if (cfg.clusters < 1) {
+    SARIS_RAISE(SimErrc::kBadConfig, 0, "a System needs at least one cluster");
+  }
+  if (cfg.arena_bytes == 0 || cfg.arena_bytes % MainMemory::kChunkBytes != 0) {
+    SARIS_RAISE(SimErrc::kBadConfig, 0,
+                "arena_bytes must be a positive multiple of the memory chunk "
+                "size (" << MainMemory::kChunkBytes << " B), got "
+                         << cfg.arena_bytes);
+  }
   // G=1 forced pass-through: see SystemConfig::hbm_limit.
   bool limited = cfg.hbm_limit && cfg.clusters > 1;
   hbm_ = std::make_unique<HbmFrontend>(mem_, cfg.hbm, cfg.clusters,
                                        cfg.arena_bytes, limited);
-  for (u32 g = 0; g < cfg.clusters; ++g) {
-    clusters_.push_back(
-        std::make_unique<Cluster>(cfg.cluster, hbm_->port(g), g));
-    hbm_->port(g).set_client(&clusters_.back()->dma());
-  }
+  clusters_.resize(cfg.clusters);
+  for (u32 g = 0; g < cfg.clusters; ++g) fresh_cluster(g);
 }
 
 Cluster& System::cluster(u32 g) {
   SARIS_CHECK(g < clusters_.size(), "bad cluster index " << g);
+  return *clusters_[g];
+}
+
+Cluster& System::fresh_cluster(u32 g) {
+  SARIS_CHECK(g < clusters_.size(), "bad cluster index " << g);
+  HbmFrontend::Port& port = hbm_->port(g);
+  clusters_[g] = nullptr;  // never two clusters g alive at once
+  clusters_[g] = std::make_unique<Cluster>(cfg_.cluster, port, g);
+  port.set_client(&clusters_[g]->dma());
   return *clusters_[g];
 }
 

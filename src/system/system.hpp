@@ -52,6 +52,12 @@ class System {
 
   u32 num_clusters() const { return static_cast<u32>(clusters_.size()); }
   Cluster& cluster(u32 g);
+  /// Destroy cluster g, then construct it at power-on on the same HBM port
+  /// and cluster id, and read the port's demand from the new DMA. Whatever
+  /// still refers to the old cluster must be dropped first. The constructor
+  /// builds every cluster this way, and the system runner builds one per
+  /// tile from cluster g's after_tick.
+  Cluster& fresh_cluster(u32 g);
   MainMemory& mem() { return mem_; }
   HbmFrontend& hbm() { return *hbm_; }
   u64 arena_base(u32 g) const { return static_cast<u64>(g) * cfg_.arena_bytes; }

@@ -90,18 +90,42 @@ SystemRunMetrics execute_system_kernel(const CompiledKernel& ck, System& sys,
   const StencilCode& sc = ck.code;
   const u32 g_count = sys.num_clusters();
   const u32 tiles = cfg.tiles;
-  SARIS_CHECK(tiles >= 1, sc.name << ": a system run needs tiles >= 1");
-  SARIS_CHECK(g_count == cfg.clusters,
-              sc.name << ": system has " << g_count
-                      << " clusters but the config asks for "
-                      << cfg.clusters);
-  SARIS_CHECK(ios.size() == static_cast<std::size_t>(g_count) * tiles,
-              sc.name << ": need one KernelIO per (cluster, tile) ("
-                      << ios.size() << " for " << g_count << " x " << tiles
-                      << ")");
-  SARIS_CHECK(goldens.empty() || goldens.size() == ios.size(),
-              sc.name << ": goldens must be empty or one per (cluster, "
-                         "tile)");
+  if (tiles < 1) {
+    SARIS_RAISE(SimErrc::kBadConfig, 0,
+                sc.name << ": a system run needs tiles >= 1");
+  }
+  if (cfg.run.max_cycles == 0) {
+    SARIS_RAISE(SimErrc::kBadConfig, 0,
+                sc.name << ": a system run needs run.max_cycles >= 1");
+  }
+  if (g_count != cfg.clusters) {
+    SARIS_RAISE(SimErrc::kBadConfig, 0,
+                sc.name << ": system has " << g_count
+                        << " clusters but the config asks for "
+                        << cfg.clusters);
+  }
+  if (ios.size() != static_cast<std::size_t>(g_count) * tiles) {
+    SARIS_RAISE(SimErrc::kBadConfig, 0,
+                sc.name << ": need one KernelIO per (cluster, tile) ("
+                        << ios.size() << " for " << g_count << " x " << tiles
+                        << ")");
+  }
+  if (!goldens.empty() && goldens.size() != ios.size()) {
+    SARIS_RAISE(SimErrc::kBadConfig, 0,
+                sc.name << ": goldens must be empty or one per (cluster, "
+                           "tile)");
+  }
+  // A run that kept a staged tile ticks the System's clock (its hang guard
+  // is at least one cycle); one that kept none quarantined every port.
+  bool ran = sys.now() != 0;
+  for (u32 g = 0; g < g_count; ++g) {
+    ran = ran || sys.hbm().port(g).quarantined();
+  }
+  if (ran) {
+    SARIS_RAISE(SimErrc::kBadConfig, 0,
+                sc.name << ": the System has already run; a system run "
+                           "needs a new one");
+  }
 
   // ---- per-cluster tile-streaming state ----
   // Everything below is owned by the worker that ticks cluster g (or the
@@ -142,7 +166,7 @@ SystemRunMetrics execute_system_kernel(const CompiledKernel& ck, System& sys,
 
   // Stage tile t on cluster g: its KernelRun stages the data at the
   // cluster's arena, binds the fault plan with the cluster's accumulated
-  // tick count (a re-armed cluster's clock restarts at 0, the plan's
+  // tick count (each tile's fresh cluster starts its clock at 0, the plan's
   // timeline must not) and applies the tile's first fault hooks.
   auto stage_tile = [&](u32 g, u32 t) {
     TileState& ts = st[g];
@@ -160,12 +184,12 @@ SystemRunMetrics execute_system_kernel(const CompiledKernel& ck, System& sys,
 
   // Completion step for cluster g's current tile, once it has halted and
   // drained: finish the tile (verify + extract metrics, including the
-  // flop-count invariant), then re-arm + restage the next tile or retire
-  // the cluster. Runs on the worker that owns g; touches only cluster-g
-  // state (and this cluster's slots of the metrics matrices).
+  // flop-count invariant), then stage the next tile on a fresh cluster or
+  // retire the cluster. Runs on the worker that owns g; touches only
+  // cluster-g state (and this cluster's slots of the metrics matrices).
   auto complete = [&](u32 g) {
     TileState& ts = st[g];
-    Cluster& cl = sys.cluster(g);
+    const Cycle latency = sys.cluster(g).now();
     const u32 t = ts.cur_tile;
     const std::size_t idx = static_cast<std::size_t>(g) * tiles + t;
     // Finish under this tile's own seed so a verification failure's
@@ -175,19 +199,20 @@ SystemRunMetrics execute_system_kernel(const CompiledKernel& ck, System& sys,
                           system_tile_seed(cfg.run.seed, g, t), g);
     RunMetrics m = ts.run->finish(goldens.empty() ? nullptr : goldens[idx]);
     sm.tiles_window[g][t] = m.cycles;
-    sm.tiles_latency[g][t] = cl.now();
-    sm.tiles_done_sys[g][t] = ts.ticks_base + cl.now();
+    sm.tiles_latency[g][t] = latency;
+    sm.tiles_done_sys[g][t] = ts.ticks_base + latency;
     const u64 granted = sys.hbm().port(g).granted_bytes();
     const u64 denied = sys.hbm().port(g).denied_grants();
     sm.tiles_hbm_bytes[g][t] = granted - ts.granted_base;
     sm.tiles_hbm_denied[g][t] = denied - ts.denied_base;
     sm.tiles_metrics[g][t] = std::move(m);
     if (t + 1 < tiles) {
-      ts.ticks_base += cl.now();
+      ts.ticks_base += latency;
       ts.cur_tile = t + 1;
       ts.granted_base = granted;
       ts.denied_base = denied;
-      cl.rearm();
+      ts.run = std::nullopt;  // it refers to the cluster fresh_cluster drops
+      sys.fresh_cluster(g);
       stage_tile(g, t + 1);
     } else {
       ts.finished = true;
@@ -218,17 +243,11 @@ SystemRunMetrics execute_system_kernel(const CompiledKernel& ck, System& sys,
   };
 
   // ---- stage tile 0 everywhere ----
-  // rearm() first: staging is re-entrant on a power-on cluster, whether it
-  // was freshly constructed (rearm is then the identity) or carries a
-  // previous run's state. The frontend resets too, so a reused System's
-  // grant schedule and statistics are bit-identical to a fresh one's.
-  sys.hbm().reset();
+  // The System has not run, so every cluster and the frontend are at
+  // power-on.
   sys.hbm().set_fault_plan(faults);
   if (faults) faults->rewind();
   for (u32 g = 0; g < g_count; ++g) {
-    sys.cluster(g).rearm();
-    st[g].granted_base = sys.hbm().port(g).granted_bytes();
-    st[g].denied_base = sys.hbm().port(g).denied_grants();
     try {
       stage_tile(g, 0);
     } catch (const SimError& e) {
@@ -241,9 +260,9 @@ SystemRunMetrics execute_system_kernel(const CompiledKernel& ck, System& sys,
   // last halt and keeps it ticking (DMA drain only) until its engine idles
   // — that drain still contends for HBM bandwidth, which is exactly why it
   // is part of the simulated tile latency. The moment a tile drains, the
-  // same after_tick invocation finishes it (verify + metrics), re-arms the
-  // cluster, and stages the next tile, so the next system cycle already
-  // ticks the new tile — reloads overlap with every other cluster's
+  // same after_tick invocation finishes it (verify + metrics), builds a
+  // fresh cluster, and stages the next tile there, so the next system cycle
+  // already ticks the new tile — reloads overlap with every other cluster's
   // progress.
   auto done = [&](u32 g) { return st[g].finished; };
   auto may_spawn_dma = [&](u32 g) {
@@ -376,8 +395,6 @@ SystemRunMetrics execute_system_kernel(const CompiledKernel& ck, System& sys,
 
 SystemRunMetrics run_system_kernel(const StencilCode& sc,
                                    const SystemRunConfig& cfg) {
-  SARIS_CHECK(cfg.clusters >= 1, "system run needs at least one cluster");
-  SARIS_CHECK(cfg.tiles >= 1, "system run needs at least one tile");
   SystemConfig scfg;
   scfg.clusters = cfg.clusters;
   scfg.cluster = cfg.run.cluster;

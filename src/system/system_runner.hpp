@@ -9,14 +9,13 @@
 // real cross-cluster interference, not the analytic fair-share assumption.
 //
 // With tiles = T > 1 every cluster streams T tiles back-to-back: when a
-// cluster's tile completes (cores halted, DMA drained) the cluster is
-// re-armed in place (Cluster::rearm — no reconstruction, the lazy memory
-// pool and cluster id survive), the next tile's data and programs are
-// restaged with that (cluster, tile)'s seed, and its arena-offset overlap
-// DMA is re-queued — all while the other clusters keep ticking. Drain tails
-// and reloads therefore overlap across clusters and the HBM frontend sees
-// the paper's sustained steady-state contention instead of one tile's
-// transient.
+// cluster's tile completes (cores halted, DMA drained) the System builds a
+// fresh cluster in its place (System::fresh_cluster: same HBM port and
+// cluster id), the next tile's data and programs are staged there with that
+// (cluster, tile)'s seed, and its arena-offset overlap DMA is queued — all
+// while the other clusters keep ticking. Drain tails and reloads therefore
+// overlap across clusters and the HBM frontend sees the paper's sustained
+// steady-state contention instead of one tile's transient.
 //
 // Every cluster runs each tile through its own KernelRun
 // (runtime/kernel_runner.hpp), the class execute_kernel loops too, so the
@@ -29,7 +28,7 @@
 //  - clusters = 1 is bit-identical to the single-cluster run_kernel path
 //    (same seed, same artifact, same cycle-for-cycle schedule), and every
 //    tile t of a 1-cluster run is bit-identical to a fresh run_kernel with
-//    system_tile_seed(seed, 0, t) — the re-arm contract;
+//    system_tile_seed(seed, 0, t) — the tile-streaming contract;
 //  - parallel = true (cluster ticking on worker threads) is bit-identical
 //    to serial ticking for any G and T;
 //  - batch > 1 (batched-barrier ticking) is bit-identical to batch = 1.
@@ -85,7 +84,7 @@ struct SystemRunConfig {
   u32 threads = 0;
   u64 arena_bytes = 16ull << 20;  ///< per-cluster shared-memory window
   /// T: tiles streamed back-to-back through every cluster (>= 1). Tile 0 of
-  /// each cluster is staged up front; later tiles restage on a re-armed
+  /// each cluster is staged up front; each later tile is staged on a fresh
   /// cluster the moment the previous tile drains.
   u32 tiles = 1;
   /// Batched-barrier ticking: run up to this many cycles between the
@@ -196,10 +195,12 @@ u64 system_tile_seed(u64 seed, u32 g, u32 t);
 /// Execute stage: stage ios[g * cfg.tiles + t] into cluster g as its tile
 /// t, run the interleaved cycle loop (parallel when cfg.parallel, batched
 /// when cfg.batch > 1), verify each tile against goldens[g * cfg.tiles + t]
-/// (or recompute from its io), extract per-tile metrics. Clusters are
-/// re-armed in place between tiles (and up front, so `sys` may be reused
-/// across calls); ios must have one entry per (cluster, tile). goldens may
-/// be empty (= all null).
+/// (or recompute from its io), extract per-tile metrics. `sys` must not
+/// have run (a System runs once), and each tile after the first runs on
+/// sys.fresh_cluster(g). Raises kBadConfig when tiles < 1 or
+/// run.max_cycles is 0, when `sys` has run or has other than cfg.clusters
+/// clusters, when ios has other than one entry per (cluster, tile), or when
+/// goldens is neither empty (= all null) nor one per (cluster, tile).
 SystemRunMetrics execute_system_kernel(const CompiledKernel& ck, System& sys,
                                        const SystemRunConfig& cfg,
                                        std::vector<KernelIO>& ios,

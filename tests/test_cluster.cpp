@@ -1,12 +1,11 @@
 // Unit tests: cluster integration — barrier, multi-core execution,
-// determinism, re-arm, watchdogs.
+// determinism, watchdogs.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "cluster/cluster.hpp"
 #include "isa/builder.hpp"
-#include "ssr/ssr_config.hpp"
 
 namespace saris {
 namespace {
@@ -238,206 +237,6 @@ TEST(Cluster, DeterministicCycleCounts) {
   Cycle b = run_once();
   EXPECT_EQ(a, b);
   EXPECT_GT(a, 0u);
-}
-
-TEST(Cluster, RearmIsBitIdenticalToFreshConstruction) {
-  // Run a deterministic multi-core program twice on ONE cluster with a
-  // rearm() in between, and once on a fresh cluster: cycle counts, per-core
-  // performance counters, icache hit/miss totals, TCDM statistics, and
-  // architectural results must all be identical — the re-arm contract the
-  // multi-tile System streaming relies on.
-  auto load = [](Cluster& cl) {
-    for (u32 c = 0; c < cl.num_cores(); ++c) {
-      ProgramBuilder b;
-      b.li(x(5), 0);
-      b.li(x(6), static_cast<i32>(40 + 7 * c));
-      b.li(x(8), static_cast<i32>(4096 + 64 * c));
-      b.bind("loop");
-      b.fmadd_d(f(4), f(4), f(4), f(4));
-      b.sw(x(5), x(8), 0);
-      b.lw(x(7), x(8), 0);
-      b.addi(x(5), x(5), 1);
-      b.bne(x(5), x(6), "loop");
-      b.barrier();
-      b.halt();
-      cl.core(c).load_program(b.build());
-    }
-  };
-  struct Snapshot {
-    Cycle cycles;
-    std::vector<u64> fp_instrs, int_instrs, fpu_idle, icache_miss,
-        icache_hit;
-    u64 tcdm_accesses, tcdm_conflicts;
-    std::vector<u32> x7;
-  };
-  auto snap = [&](Cluster& cl, Cycle cycles) {
-    Snapshot s{};
-    s.cycles = cycles;
-    for (u32 c = 0; c < cl.num_cores(); ++c) {
-      const CorePerf& p = cl.core(c).perf();
-      s.fp_instrs.push_back(p.fp_instrs);
-      s.int_instrs.push_back(p.int_instrs);
-      s.fpu_idle.push_back(p.fpu_idle_empty);
-      s.icache_miss.push_back(cl.core(c).icache().misses());
-      s.icache_hit.push_back(cl.core(c).icache().hits());
-      s.x7.push_back(cl.core(c).xreg(7));
-    }
-    s.tcdm_accesses = cl.tcdm().total_accesses();
-    s.tcdm_conflicts = cl.tcdm().total_conflicts();
-    return s;
-  };
-  auto eq = [](const Snapshot& a, const Snapshot& b) {
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.fp_instrs, b.fp_instrs);
-    EXPECT_EQ(a.int_instrs, b.int_instrs);
-    EXPECT_EQ(a.fpu_idle, b.fpu_idle);
-    EXPECT_EQ(a.icache_miss, b.icache_miss);
-    EXPECT_EQ(a.icache_hit, b.icache_hit);
-    EXPECT_EQ(a.tcdm_accesses, b.tcdm_accesses);
-    EXPECT_EQ(a.tcdm_conflicts, b.tcdm_conflicts);
-    EXPECT_EQ(a.x7, b.x7);
-  };
-
-  Cluster reused;
-  load(reused);
-  Snapshot first = snap(reused, reused.run_until_halted());
-  reused.rearm();
-  EXPECT_EQ(reused.now(), 0u);
-  EXPECT_FALSE(reused.all_halted());
-  load(reused);
-  Snapshot rearmed = snap(reused, reused.run_until_halted());
-
-  Cluster fresh;
-  load(fresh);
-  Snapshot ref = snap(fresh, fresh.run_until_halted());
-
-  eq(first, ref);
-  eq(rearmed, ref);
-}
-
-// Every CorePerf counter of one core, in declaration order.
-std::vector<u64> perf_fields(const CorePerf& p) {
-  return {p.int_instrs,         p.fp_instrs,
-          p.fp_offloads,        p.fpu_useful_ops,
-          p.flops,              p.fp_loads,
-          p.fp_stores,          p.stall_icache,
-          p.stall_fpu_queue_full, p.stall_seq_busy,
-          p.stall_scfg_busy,    p.stall_branch,
-          p.stall_barrier,      p.stall_int_lsu,
-          p.stall_halt_drain,   p.fpu_stall_operand,
-          p.fpu_stall_sr_empty, p.fpu_stall_sr_full,
-          p.fpu_stall_mem,      p.fpu_idle_empty,
-          p.halted,             p.halted_at};
-}
-
-TEST(Cluster, RearmWithADifferentProgramRunsTheNewOne) {
-  // Two programs with FP ops at the same pcs that differ in opcode and
-  // registers: each core loads, squares or doubles, and stores 12 words of
-  // its own slice. After a re-arm, the second program must run exactly as
-  // on a fresh cluster, so nothing decoded from the first may survive. The
-  // first program also streams its slice's first word through lane 0, so a
-  // launch log kept across the re-arm would show.
-  constexpr u32 kWords = 12;
-  auto slice = [](u32 c) { return static_cast<Addr>(8192 + 256 * c); };
-  auto program = [&](u32 c, bool second) {
-    ProgramBuilder b;
-    if (!second) {
-      b.li(x(5), 1);
-      b.scfgwi(x(5), 0, kSsrBound0);
-      b.li(x(5), static_cast<i32>(slice(c)));
-      b.scfgwi(x(5), 0, kSsrLaunchRead);
-      b.ssr_enable();
-      b.fmv_d(f(10), kFt0);
-      b.ssr_disable();
-    }
-    b.li(x(5), static_cast<i32>(slice(c)));
-    b.li(x(6), static_cast<i32>(slice(c) + 8 * kWords));
-    b.bind("loop");
-    if (second) {
-      b.fld(f(7), x(5), 0);
-      b.fmul_d(f(9), f(7), f(7));
-      b.fsd(f(9), x(5), 0);
-    } else {
-      b.fld(f(4), x(5), 0);
-      b.fadd_d(f(5), f(4), f(4));
-      b.fsd(f(5), x(5), 0);
-    }
-    b.addi(x(5), x(5), 8);
-    b.bne(x(5), x(6), "loop");
-    b.barrier();
-    b.halt();
-    return b.build();
-  };
-  auto run = [&](Cluster& cl, bool second) {
-    for (u32 c = 0; c < cl.num_cores(); ++c) {
-      for (u32 w = 0; w < kWords; ++w) {
-        cl.tcdm().host_write_f64(slice(c) + 8 * w, 1.5 + w + c);
-      }
-      cl.core(c).load_program(program(c, second));
-    }
-    return cl.run_until_halted();
-  };
-  struct Snapshot {
-    Cycle cycles = 0;
-    std::vector<std::vector<u64>> perf;
-    std::vector<std::vector<u64>> pc_stalls;  ///< per core, 4 per pc
-    std::vector<std::vector<u32>> launches;   ///< per core, 3 per launch
-    std::vector<u64> icache_hits, icache_misses;
-    std::vector<u64> port_accesses, port_conflicts;
-    u64 tcdm_accesses = 0, tcdm_conflicts = 0;
-    std::vector<double> stored;
-  };
-  auto snap = [&](Cluster& cl, Cycle cycles) {
-    Snapshot s;
-    s.cycles = cycles;
-    for (u32 c = 0; c < cl.num_cores(); ++c) {
-      s.perf.push_back(perf_fields(cl.core(c).perf()));
-      std::vector<u64>& stalls = s.pc_stalls.emplace_back();
-      for (const PcStalls& p : cl.core(c).pc_stalls()) {
-        stalls.insert(stalls.end(), {p.operand, p.sr_empty, p.sr_full, p.mem});
-      }
-      std::vector<u32>& launches = s.launches.emplace_back();
-      for (const StreamLaunch& l : cl.core(c).launches()) {
-        launches.insert(launches.end(), {l.core, l.pc, l.lane});
-      }
-      s.icache_hits.push_back(cl.core(c).icache().hits());
-      s.icache_misses.push_back(cl.core(c).icache().misses());
-      for (u32 w = 0; w < kWords; ++w) {
-        s.stored.push_back(cl.tcdm().host_read_f64(slice(c) + 8 * w));
-      }
-    }
-    for (u32 p = 0; p < cl.tcdm().num_ports(); ++p) {
-      s.port_accesses.push_back(cl.tcdm().port_accesses(p));
-      s.port_conflicts.push_back(cl.tcdm().port_conflicts(p));
-    }
-    s.tcdm_accesses = cl.tcdm().total_accesses();
-    s.tcdm_conflicts = cl.tcdm().total_conflicts();
-    return s;
-  };
-
-  Cluster reused;
-  run(reused, /*second=*/false);
-  EXPECT_DOUBLE_EQ(reused.tcdm().host_read_f64(slice(0)), 3.0);  // 1.5 + 1.5
-  EXPECT_DOUBLE_EQ(reused.core(0).freg(10), 1.5);  // the streamed word
-  ASSERT_EQ(reused.core(0).launches().size(), 1u);
-  reused.rearm();
-  const Snapshot rearmed = snap(reused, run(reused, /*second=*/true));
-
-  Cluster fresh;
-  const Snapshot ref = snap(fresh, run(fresh, /*second=*/true));
-
-  EXPECT_DOUBLE_EQ(ref.stored[0], 2.25);  // 1.5 squared
-  EXPECT_EQ(rearmed.cycles, ref.cycles);
-  EXPECT_EQ(rearmed.perf, ref.perf);
-  EXPECT_EQ(rearmed.pc_stalls, ref.pc_stalls);
-  EXPECT_EQ(rearmed.launches, ref.launches);
-  EXPECT_EQ(rearmed.icache_hits, ref.icache_hits);
-  EXPECT_EQ(rearmed.icache_misses, ref.icache_misses);
-  EXPECT_EQ(rearmed.port_accesses, ref.port_accesses);
-  EXPECT_EQ(rearmed.port_conflicts, ref.port_conflicts);
-  EXPECT_EQ(rearmed.tcdm_accesses, ref.tcdm_accesses);
-  EXPECT_EQ(rearmed.tcdm_conflicts, ref.tcdm_conflicts);
-  EXPECT_EQ(rearmed.stored, ref.stored);
 }
 
 TEST(Cluster, StepAdvancesTime) {

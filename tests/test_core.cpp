@@ -543,14 +543,5 @@ TEST(ICache, SameLineHitsKeepLruExact) {
   EXPECT_EQ(ic.hits(), 3u);
 }
 
-TEST(ICache, ResetForgetsTheLastLine) {
-  ICache ic(16, 2, 32, 10);
-  EXPECT_EQ(ic.access(0), 10u);
-  ic.reset();
-  EXPECT_EQ(ic.access(0), 10u);
-  EXPECT_EQ(ic.misses(), 1u);
-  EXPECT_EQ(ic.hits(), 0u);
-}
-
 }  // namespace
 }  // namespace saris

@@ -169,22 +169,6 @@ TEST(Dma, UtilizationZeroWhenNeverUsed) {
   EXPECT_DOUBLE_EQ(r.dma.bandwidth_utilization(), 0.0);
 }
 
-TEST(Dma, ResetStats) {
-  DmaRig r;
-  r.mem.write_f64(0, 1.0);
-  DmaJob j;
-  j.to_tcdm = true;
-  j.tcdm_addr = 0;
-  j.mem_addr = 0;
-  j.row_bytes = 8;
-  r.dma.push(j);
-  r.run_to_idle();
-  EXPECT_GT(r.dma.bytes_moved(), 0u);
-  r.dma.reset_stats();
-  EXPECT_EQ(r.dma.bytes_moved(), 0u);
-  EXPECT_EQ(r.dma.active_cycles(), 0u);
-}
-
 TEST(DmaDeath, RejectsUnalignedJob) {
   DmaRig r;
   DmaJob j;

@@ -14,7 +14,6 @@
 #include "runtime/kernel_runner.hpp"
 #include "runtime/sweep.hpp"
 #include "stencil/codes.hpp"
-#include "stencil/reference.hpp"
 #include "system/system_runner.hpp"
 
 namespace saris {
@@ -40,14 +39,6 @@ SimError expect_sim_error(Fn&& fn, SimErrc errc, const std::string& needle) {
 /// A bit-flip payload for a single-input code: word index into the staged
 /// input tile in the high bits, flipped bit index in the low 6.
 u64 bitflip_payload(u64 word, u32 bit) { return (word << 6) | bit; }
-
-/// The seeded-random inputs run_kernel stages for (sc, seed).
-KernelIO seeded_io(const StencilCode& sc, u64 seed) {
-  KernelIO io;
-  io.inputs = seeded_inputs(sc, seed);
-  io.coeffs = sc.default_coeffs();
-  return io;
-}
 
 // ---- FaultPlan determinism ---------------------------------------------
 
@@ -179,38 +170,6 @@ TEST(FaultBitIdentity, NullAndEmptyPlansMatchSystemRun) {
     }
   }
   EXPECT_TRUE(empty.trace().empty());
-}
-
-TEST(FaultBitIdentity, PlanlessRunAfterAFaultedOneMatchesAFreshCluster) {
-  // Cluster::rearm's contract: a re-armed cluster is bit-identical to a
-  // fresh one. Every run binds its own plan, so a run without one must not
-  // keep consulting the plan of the run before it.
-  const StencilCode& sc = code_by_name("jacobi_2d");
-  RunConfig cfg;
-  cfg.variant = KernelVariant::kSaris;
-  const CompiledKernel ck =
-      compile_kernel(sc, cfg.variant, cfg.cg, cfg.cluster.num_cores);
-
-  FaultPlan plan;
-  plan.add({FaultKind::kDmaWordError, 0, 1, 4000, 0, 1});
-  RunConfig faulty = cfg;
-  faulty.faults = &plan;
-  Cluster reused(cfg.cluster);
-  KernelIO io = seeded_io(sc, cfg.seed);
-  execute_kernel(ck, reused, faulty, io);
-  EXPECT_GT(plan.denied_words(0), 0u);
-
-  reused.rearm();
-  plan.rewind();
-  io = seeded_io(sc, cfg.seed);
-  RunMetrics again = execute_kernel(ck, reused, cfg, io);
-  EXPECT_EQ(plan.denied_words(0), 0u);
-
-  Cluster fresh(cfg.cluster);
-  io = seeded_io(sc, cfg.seed);
-  RunMetrics ref = execute_kernel(ck, fresh, cfg, io);
-  std::string why;
-  EXPECT_TRUE(metrics_bit_identical(again, ref, &why)) << why;
 }
 
 // ---- single-cluster fault effects --------------------------------------

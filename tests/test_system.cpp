@@ -3,6 +3,7 @@
 // pipeline, and serial-vs-parallel cluster-ticking determinism.
 #include <gtest/gtest.h>
 
+#include "fault/fault_plan.hpp"
 #include "runtime/plan_cache.hpp"
 #include "runtime/sweep.hpp"
 #include "stencil/codes.hpp"
@@ -11,6 +12,17 @@
 
 namespace saris {
 namespace {
+
+/// The typed error `fn` raises, or kNone when it returns.
+template <typename Fn>
+SimErrc raised(Fn&& fn) {
+  try {
+    fn();
+  } catch (const SimError& e) {
+    return e.errc();
+  }
+  return SimErrc::kNone;
+}
 
 // ---- HbmFrontend unit behaviour -----------------------------------------
 
@@ -128,7 +140,7 @@ TEST(System, MisalignedArenaRejected) {
   SystemConfig cfg;
   cfg.clusters = 2;
   cfg.arena_bytes = MainMemory::kChunkBytes + 4096;
-  EXPECT_DEATH(System sys(cfg), "arena_bytes");
+  EXPECT_EQ(raised([&] { System sys(cfg); }), SimErrc::kBadConfig);
 }
 
 // ---- the G=1 bit-identity contract --------------------------------------
@@ -272,12 +284,12 @@ TEST(HbmFrontend, UtilizationNeverExceedsOneOnSaturatedRuns) {
   }
 }
 
-// ---- multi-tile streaming: cluster re-arm ------------------------------
+// ---- multi-tile streaming ---------------------------------------------
 
-TEST(SystemRunner, RearmedTilesBitIdenticalToFreshClusters) {
-  // Tile t >= 2 runs on a re-armed cluster; with G=1 (no contention) every
-  // tile must be bit-identical to a fresh run_kernel of the same (seed,
-  // kernel) — the acceptance contract for re-arm without reconstruction.
+TEST(SystemRunner, StreamedTilesBitIdenticalToRunKernel) {
+  // Every tile after the first runs on a fresh cluster; with G=1 (no
+  // contention) every tile must be bit-identical to a fresh run_kernel of
+  // the same (seed, kernel) — the tile-streaming contract.
   const StencilCode& sc = code_by_name("jacobi_2d");
   for (KernelVariant v : {KernelVariant::kBase, KernelVariant::kSaris}) {
     SystemRunConfig cfg;
@@ -336,47 +348,6 @@ TEST(SystemRunner, TileStampsAreConsistent) {
   EXPECT_LE(sm.hbm_util_first_tile, 1.0);
   EXPECT_LE(sm.hbm_util_steady, 1.0);
   EXPECT_GT(sm.hbm_util_steady, 0.0);
-}
-
-TEST(SystemRunner, ReusedSystemBitIdenticalToFresh) {
-  // execute_system_kernel promises `sys` may be reused across calls: the
-  // up-front re-arm covers the clusters AND the HBM frontend (credits,
-  // rotation pointer, carry, statistics), so a second run's grant schedule
-  // and metrics match a fresh System's exactly.
-  const StencilCode& sc = code_by_name("jacobi_2d");
-  SystemRunConfig cfg;
-  cfg.clusters = 3;
-  auto make_ios = [&]() {
-    std::vector<KernelIO> ios(cfg.clusters);
-    for (u32 g = 0; g < cfg.clusters; ++g) {
-      ios[g].inputs = seeded_inputs(sc, system_tile_seed(cfg.run.seed, g, 0));
-      ios[g].coeffs = sc.default_coeffs();
-    }
-    return ios;
-  };
-  std::shared_ptr<const CompiledKernel> ck =
-      PlanCache::global().get_or_compile(sc, cfg.run.variant, cfg.run.cg,
-                                         cfg.run.cluster.num_cores,
-                                         cfg.run.cluster.tcdm_bytes);
-  SystemConfig scfg;
-  scfg.clusters = cfg.clusters;
-  scfg.cluster = cfg.run.cluster;
-  scfg.hbm = cfg.hbm;
-  System reused(scfg);
-  std::vector<KernelIO> ios1 = make_ios();
-  SystemRunMetrics first = execute_system_kernel(*ck, reused, cfg, ios1);
-  std::vector<KernelIO> ios2 = make_ios();
-  SystemRunMetrics second = execute_system_kernel(*ck, reused, cfg, ios2);
-  for (u32 g = 0; g < cfg.clusters; ++g) {
-    std::string why;
-    EXPECT_TRUE(metrics_bit_identical(first.tiles_metrics[g][0],
-                                      second.tiles_metrics[g][0], &why))
-        << "cluster " << g << ": " << why;
-  }
-  EXPECT_EQ(first.tiles_latency, second.tiles_latency);
-  EXPECT_EQ(first.hbm_granted_bytes, second.hbm_granted_bytes);
-  EXPECT_EQ(first.hbm_denied_grants, second.hbm_denied_grants);
-  EXPECT_EQ(first.hbm_utilization, second.hbm_utilization);
 }
 
 TEST(SystemRunner, MultiTileSerialVsParallelBitIdentical) {
@@ -496,6 +467,53 @@ TEST(SystemErrors, SerialOverrunRaisesTheLabeledTypedError) {
     EXPECT_NE(std::string(e.what()).find("did not finish within"),
               std::string::npos)
         << e.what();
+  }
+}
+
+TEST(SystemErrors, ZeroTilesClustersOrBudgetRaisesBadConfig) {
+  const StencilCode& sc = code_by_name("jacobi_2d");
+  SystemRunConfig no_tiles;
+  no_tiles.tiles = 0;
+  SystemRunConfig no_clusters;
+  no_clusters.clusters = 0;
+  SystemRunConfig no_budget;
+  no_budget.run.max_cycles = 0;
+  for (const SystemRunConfig& cfg : {no_tiles, no_clusters, no_budget}) {
+    EXPECT_EQ(raised([&] { run_system_kernel(sc, cfg); }), SimErrc::kBadConfig);
+  }
+}
+
+TEST(SystemErrors, ASecondRunOnOneSystemRaisesBadConfig) {
+  // A System starts at power-on once: execute_system_kernel takes one that
+  // has not run, whether the first run ticked or quarantined every cluster
+  // before its first tick.
+  const StencilCode& sc = code_by_name("jacobi_2d");
+  SystemRunConfig cfg;
+  cfg.clusters = 2;
+  std::shared_ptr<const CompiledKernel> ck =
+      PlanCache::global().get_or_compile(sc, cfg.run.variant, cfg.run.cg,
+                                         cfg.run.cluster.num_cores,
+                                         cfg.run.cluster.tcdm_bytes);
+  auto run = [&](System& sys, const SystemRunConfig& rcfg) {
+    std::vector<KernelIO> ios(cfg.clusters);
+    for (u32 g = 0; g < cfg.clusters; ++g) {
+      ios[g].inputs = seeded_inputs(sc, system_tile_seed(cfg.run.seed, g, 0));
+      ios[g].coeffs = sc.default_coeffs();
+    }
+    return execute_system_kernel(*ck, sys, rcfg, ios);
+  };
+  FaultPlan stall_all;
+  for (u32 g = 0; g < cfg.clusters; ++g) {
+    stall_all.add({FaultKind::kClusterStall, g, 0, 1, 0, 1});
+  }
+  for (FaultPlan* plan : {static_cast<FaultPlan*>(nullptr), &stall_all}) {
+    SystemConfig scfg;
+    scfg.clusters = cfg.clusters;
+    System sys(scfg);
+    SystemRunConfig first = cfg;
+    first.run.faults = plan;
+    EXPECT_EQ(run(sys, first).tiles_ok, plan ? 0u : cfg.clusters);
+    EXPECT_EQ(raised([&] { run(sys, cfg); }), SimErrc::kBadConfig);
   }
 }
 

@@ -192,9 +192,6 @@ TEST(Tcdm, PerPortStats) {
   EXPECT_EQ(t.port_accesses(a), 1u);
   EXPECT_EQ(t.port_conflicts(a), 0u);
   EXPECT_EQ(t.total_accesses(), 1u);
-  t.reset_stats();
-  EXPECT_EQ(t.total_accesses(), 0u);
-  EXPECT_EQ(t.port_accesses(a), 0u);
 }
 
 TEST(TcdmDeath, UnalignedAccessAborts) {
