@@ -28,26 +28,7 @@ struct CellStalls {
 CorePerf sum_cores(const RunMetrics& m) {
   CorePerf s;
   for (const CorePerf& p : m.per_core) {
-    s.int_instrs += p.int_instrs;
-    s.fp_instrs += p.fp_instrs;
-    s.fp_offloads += p.fp_offloads;
-    s.fpu_useful_ops += p.fpu_useful_ops;
-    s.flops += p.flops;
-    s.fp_loads += p.fp_loads;
-    s.fp_stores += p.fp_stores;
-    s.stall_icache += p.stall_icache;
-    s.stall_fpu_queue_full += p.stall_fpu_queue_full;
-    s.stall_seq_busy += p.stall_seq_busy;
-    s.stall_scfg_busy += p.stall_scfg_busy;
-    s.stall_branch += p.stall_branch;
-    s.stall_barrier += p.stall_barrier;
-    s.stall_int_lsu += p.stall_int_lsu;
-    s.stall_halt_drain += p.stall_halt_drain;
-    s.fpu_stall_operand += p.fpu_stall_operand;
-    s.fpu_stall_sr_empty += p.fpu_stall_sr_empty;
-    s.fpu_stall_sr_full += p.fpu_stall_sr_full;
-    s.fpu_stall_mem += p.fpu_stall_mem;
-    s.fpu_idle_empty += p.fpu_idle_empty;
+    for (const CounterRow& r : kCounterTable) s.*r.field += p.*r.field;
   }
   return s;
 }
@@ -131,36 +112,23 @@ void write_json(const char* path, const std::vector<CellStalls>& cells) {
   std::fprintf(f, "{\n  \"bench\": \"debug_stalls\",\n  \"cells\": [\n");
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const CellStalls& r = cells[i];
-    const CorePerf& s = r.sum;
-    std::fprintf(
-        f,
-        "    {\"code\": \"%s\", \"variant\": \"%s\", \"cycles\": %llu, "
-        "\"fpu_util\": %.6f, \"ipc\": %.6f, "
-        "\"stall_icache\": %llu, \"stall_fpu_queue_full\": %llu, "
-        "\"stall_seq_busy\": %llu, \"stall_scfg_busy\": %llu, "
-        "\"stall_branch\": %llu, \"stall_barrier\": %llu, "
-        "\"stall_int_lsu\": %llu, \"stall_halt_drain\": %llu, "
-        "\"fpu_stall_operand\": %llu, \"fpu_stall_sr_empty\": %llu, "
-        "\"fpu_stall_sr_full\": %llu, \"fpu_stall_mem\": %llu, "
-        "\"fpu_idle_empty\": %llu, "
-        "\"tcdm_accesses\": %llu, \"tcdm_conflicts\": %llu}%s\n",
-        r.code.c_str(), r.variant, (unsigned long long)r.m.cycles,
-        r.m.fpu_util(), r.m.ipc(), (unsigned long long)s.stall_icache,
-        (unsigned long long)s.stall_fpu_queue_full,
-        (unsigned long long)s.stall_seq_busy,
-        (unsigned long long)s.stall_scfg_busy,
-        (unsigned long long)s.stall_branch,
-        (unsigned long long)s.stall_barrier,
-        (unsigned long long)s.stall_int_lsu,
-        (unsigned long long)s.stall_halt_drain,
-        (unsigned long long)s.fpu_stall_operand,
-        (unsigned long long)s.fpu_stall_sr_empty,
-        (unsigned long long)s.fpu_stall_sr_full,
-        (unsigned long long)s.fpu_stall_mem,
-        (unsigned long long)s.fpu_idle_empty,
-        (unsigned long long)r.m.tcdm_accesses,
-        (unsigned long long)r.m.tcdm_conflicts,
-        i + 1 < cells.size() ? "," : "");
+    std::fprintf(f,
+                 "    {\"code\": \"%s\", \"variant\": \"%s\", \"cycles\": "
+                 "%llu, \"fpu_util\": %.6f, \"ipc\": %.6f, ",
+                 r.code.c_str(), r.variant, (unsigned long long)r.m.cycles,
+                 r.m.fpu_util(), r.m.ipc());
+    // Every stall and idle counter, summed across cores.
+    for (const CounterRow& row : kCounterTable) {
+      if (row.tally != Tally::kIntIssue && row.tally != Tally::kFpuIssue &&
+          row.tally != Tally::kCount) {
+        std::fprintf(f, "\"%s\": %llu, ", row.name,
+                     (unsigned long long)(r.sum.*row.field));
+      }
+    }
+    std::fprintf(f, "\"tcdm_accesses\": %llu, \"tcdm_conflicts\": %llu}%s\n",
+                 (unsigned long long)r.m.tcdm_accesses,
+                 (unsigned long long)r.m.tcdm_conflicts,
+                 i + 1 < cells.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);

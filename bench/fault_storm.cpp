@@ -30,6 +30,7 @@
 
 #include "common/log.hpp"
 #include "common/sim_error.hpp"
+#include "common/splitmix.hpp"
 #include "fault/fault_plan.hpp"
 #include "report/table.hpp"
 #include "runtime/kernel_runner.hpp"
@@ -64,14 +65,6 @@ u64 parse_u64(const char* flag, const char* value) {
     std::exit(2);
   }
   return static_cast<u64>(v);
-}
-
-/// The same generator FaultPlan::storm uses, for picking faulty cells.
-u64 splitmix64(u64& state) {
-  u64 z = (state += 0x9E3779B97F4A7C15ull);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
 }
 
 }  // namespace

@@ -45,7 +45,6 @@ struct RegSet {
   }
   void add_f(u8 i) { f |= 1u << i; }
   bool has_x(u8 i) const { return (x >> i) & 1u; }
-  bool has_f(u8 i) const { return (f >> i) & 1u; }
   bool empty() const { return x == 0 && f == 0; }
 
   RegSet& operator|=(const RegSet& o) {

@@ -17,19 +17,16 @@ class RegPool {
     SARIS_CHECK(next_ <= last_, "register pool exhausted");
     return RegT{next_++};
   }
-  u32 remaining() const { return last_ >= next_ ? last_ - next_ + 1 : 0; }
 
  private:
   u8 next_;
   u8 last_;
 };
 
-using FRegPool = RegPool<FReg>;
 using XRegPool = RegPool<XReg>;
 
 /// FP registers available to kernels: f3..f31 (f0..f2 are the stream
 /// registers; the baseline could use them but we keep variants symmetric).
-inline FRegPool make_freg_pool() { return FRegPool(3, 31); }
 inline constexpr u32 kFRegBudget = 29;
 
 /// Integer registers available: x5..x31 (x0 zero, x1-x4 reserved ABI-style).
@@ -67,15 +64,9 @@ CoreWork core_work(const StencilCode& sc, u32 core);
 /// a verification miss to the core whose program produced the element.
 u32 owning_core(const StencilCode& sc, u32 x, u32 y, u32 z);
 
-/// Interleave strides for a code (identical across cores).
+/// The x interleave stride of a code (identical across cores).
 inline u32 interleave_x(const StencilCode& sc) {
   return sc.dims == 2 ? kInterleaveX : 2;
-}
-inline u32 interleave_y(const StencilCode& /*sc*/) {
-  return kInterleaveY;
-}
-inline u32 interleave_z(const StencilCode& sc) {
-  return sc.dims == 2 ? 1 : 2;
 }
 
 }  // namespace saris

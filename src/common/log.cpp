@@ -4,33 +4,15 @@
 
 namespace saris {
 
-namespace {
-LogLevel g_threshold = LogLevel::kWarn;
-}  // namespace
-
-LogLevel log_threshold() { return g_threshold; }
-void set_log_threshold(LogLevel level) { g_threshold = level; }
-
 namespace detail {
 
-void log_message(LogLevel level, const std::string& msg) {
-  const char* tag = "?";
-  switch (level) {
-    case LogLevel::kDebug: tag = "DEBUG"; break;
-    case LogLevel::kInfo: tag = "INFO"; break;
-    case LogLevel::kWarn: tag = "WARN"; break;
-    case LogLevel::kError: tag = "ERROR"; break;
-  }
+void warn(const std::string& msg) {
   // Prefix the thread's run-context tag (the job a sweep worker / System
   // cluster owner is simulating) so interleaved worker output is
   // attributable.
   std::string job = run_context_tag();
-  if (job.empty()) {
-    std::fprintf(stderr, "[saris:%s] %s\n", tag, msg.c_str());
-  } else {
-    std::fprintf(stderr, "[saris:%s] [%s] %s\n", tag, job.c_str(),
-                 msg.c_str());
-  }
+  if (!job.empty()) job = "[" + job + "] ";
+  std::fprintf(stderr, "[saris:WARN] %s%s\n", job.c_str(), msg.c_str());
 }
 
 void check_failed(const char* file, int line, const char* expr,

@@ -17,33 +17,21 @@
 
 namespace saris {
 
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
-
-/// Global log threshold; messages below it are suppressed.
-LogLevel log_threshold();
-void set_log_threshold(LogLevel level);
-
 namespace detail {
-void log_message(LogLevel level, const std::string& msg);
+void warn(const std::string& msg);
 [[noreturn]] void check_failed(const char* file, int line, const char* expr,
                                const std::string& msg);
 }  // namespace detail
 
 }  // namespace saris
 
-#define SARIS_LOG(level, ...)                                       \
-  do {                                                              \
-    if (static_cast<int>(level) >=                                  \
-        static_cast<int>(::saris::log_threshold())) {               \
-      std::ostringstream saris_log_oss_;                            \
-      saris_log_oss_ << __VA_ARGS__;                                \
-      ::saris::detail::log_message(level, saris_log_oss_.str());    \
-    }                                                               \
+/// One `[saris:WARN]` line on stderr.
+#define SARIS_WARN(...)                           \
+  do {                                            \
+    std::ostringstream saris_warn_oss_;           \
+    saris_warn_oss_ << __VA_ARGS__;               \
+    ::saris::detail::warn(saris_warn_oss_.str()); \
   } while (0)
-
-#define SARIS_DEBUG(...) SARIS_LOG(::saris::LogLevel::kDebug, __VA_ARGS__)
-#define SARIS_INFO(...) SARIS_LOG(::saris::LogLevel::kInfo, __VA_ARGS__)
-#define SARIS_WARN(...) SARIS_LOG(::saris::LogLevel::kWarn, __VA_ARGS__)
 
 /// Hard invariant check, enabled in all build types: the simulator's
 /// correctness claims rest on these. The failure branch is a cold,

@@ -5,7 +5,7 @@
 // diagnostic must identify the job, not just the thread. The run pipeline
 // (execute_kernel, the sweep workers, the System runner's per-cluster
 // completion step) pushes a RunContextScope naming the (code, variant,
-// seed, cluster) being executed; SARIS_CHECK failure messages and SARIS_LOG
+// seed, cluster) being executed; SARIS_CHECK failure messages and SARIS_WARN
 // lines are prefixed with that tag, and SimError's context-filling
 // constructor reads it.
 #pragma once
@@ -28,7 +28,7 @@ struct RunContext {
 const RunContext& current_run_context();
 
 /// "jacobi_2d/saris seed=1 g=0" (g= only for cluster >= 0), or "" when no
-/// scope is open. Used as the SARIS_CHECK / SARIS_LOG job prefix.
+/// scope is open. Used as the SARIS_CHECK / SARIS_WARN job prefix.
 std::string run_context_tag();
 
 /// RAII: sets the thread's run context for the lifetime of the scope and

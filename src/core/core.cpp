@@ -13,6 +13,8 @@ Core::Core(u32 id, Tcdm& tcdm, Barrier& barrier)
       int_port_(tcdm.make_port("ilsu" + std::to_string(id))) {}
 
 void Core::load_program(Program p) {
+  SARIS_CHECK(perf_.fpu_side() == 0,
+              "load_program on core " << id_ << ", which has already ticked");
   SARIS_CHECK(p.size() <= kMaxProgramInstrs,
               "program of " << p.size() << " instructions on core " << id_
                             << " exceeds " << kMaxProgramInstrs);
@@ -24,22 +26,7 @@ void Core::load_program(Program p) {
     fp_ops_[pc] = decode_fp_op(in);
     fp_ops_[pc].pc = static_cast<u16>(pc);
   }
-  reset();
-}
-
-void Core::reset() {
-  pc_ = 0;
-  xregs_.fill(0);
-  fregs_.fill(0.0);
-  perf_ = CorePerf{};
   fpu_.clear_pc_stalls(prog_.size());
-  launches_.clear();
-  stall_cycles_ = 0;
-  barrier_wait_ = false;
-  int_load_wait_ = false;
-  int_store_wait_ = false;
-  icache_paid_pc_ = -1;
-  quiescent_ = compute_quiescent();
 }
 
 bool Core::compute_quiescent() const {

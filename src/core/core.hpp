@@ -12,7 +12,8 @@
 //
 // Besides its CorePerf counters, every run records the FPU's stall cycles
 // by pc (pc_stalls) and each stream launch with its scfgwi pc and lane
-// (launches). reset() clears all three.
+// (launches). A core runs one program from power-on: the constructor is the
+// one definition of empty books and architectural state.
 #pragma once
 
 #include <array>
@@ -35,12 +36,9 @@ class Core {
  public:
   Core(u32 id, Tcdm& tcdm, Barrier& barrier);
 
-  /// Load `p` (at most kMaxProgramInstrs instructions; aborts on more) and
-  /// reset().
+  /// Load `p` (at most kMaxProgramInstrs instructions) and size the per-pc
+  /// tables for it. Aborts on a longer program, or once the core has ticked.
   void load_program(Program p);
-  /// Architectural state, pc, counters and run records back to zero; the
-  /// program and the subsystems' in-flight state are kept.
-  void reset();
 
   /// Advance one cycle (SSR collect -> FPU -> sequencer -> integer step ->
   /// SSR issue). The cluster arbitrates the TCDM afterwards.

@@ -65,8 +65,8 @@ class FpSubsystem {
   /// Stall cycles by the pc of the queue head that stalled; each field sums
   /// to its CorePerf fpu_stall_* counter.
   const std::vector<PcStalls>& pc_stalls() const { return pc_stalls_; }
-  /// Zero the per-pc table, sized for a program of `n` instructions (the
-  /// Core's reset, with the CorePerf counters it splits).
+  /// Size the per-pc table, zeroed, for a program of `n` instructions
+  /// (Core::load_program, before the first tick).
   void clear_pc_stalls(u32 n) { pc_stalls_.assign(n, PcStalls{}); }
 
  private:

@@ -3,20 +3,11 @@
 #include <algorithm>
 #include <sstream>
 
+#include "common/splitmix.hpp"
+
 namespace saris {
 
 namespace {
-
-/// splitmix64: the standard 64-bit mixing PRNG. Chosen because its output is
-/// a pure function of the evolving state word — no hidden global state, so
-/// storm() stays a pure function of (cfg, seed, attempt).
-u64 splitmix64(u64& state) {
-  state += 0x9e3779b97f4a7c15ULL;
-  u64 z = state;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
 
 /// Uniform draw in [lo, hi] (inclusive). Modulo bias is irrelevant here:
 /// the draw only has to be deterministic, not statistically perfect.

@@ -65,7 +65,6 @@ class Tcdm {
   /// instead, so values may differ from it when two ports touch the same
   /// word in the same cycle.
   void set_ideal_arbitration(bool on) { ideal_ = on; }
-  bool ideal_arbitration() const { return ideal_; }
 
   /// Response interface (valid from the cycle after the grant).
   bool response_ready(u32 port) const {

@@ -313,7 +313,7 @@ RunMetrics KernelRun::finish(const Grid<>* golden) {
 RunMetrics execute_kernel(const CompiledKernel& ck, Cluster& cluster,
                           const RunConfig& cfg, KernelIO& io,
                           const Grid<>* golden) {
-  // Tag this thread with the job's identity: every SARIS_LOG line, CHECK
+  // Tag this thread with the job's identity: every SARIS_WARN line, CHECK
   // failure, and context-filling SimError below carries it.
   RunContextScope run_scope(ck.code.name, variant_name(ck.variant),
                             cfg.seed);

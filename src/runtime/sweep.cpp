@@ -17,21 +17,22 @@ u32 sweep_thread_count(u32 requested, std::size_t num_jobs) {
   if (n == 0) {
     if (const char* env = std::getenv("SARIS_SWEEP_THREADS")) {
       // A set-but-broken value is a misconfiguration, not a preference:
-      // reject zero, trailing garbage, and overflow loudly instead of
-      // silently falling back to hardware concurrency (or worse, UB-ishly
+      // reject zero, trailing garbage, and overflow with a typed error
+      // instead of silently falling back to hardware concurrency (or worse,
       // truncating) — the user asked for a specific worker count.
       char* end = nullptr;
       errno = 0;
       long v = std::strtol(env, &end, 10);
-      SARIS_CHECK(end != env && *end == '\0',
-                  "SARIS_SWEEP_THREADS must be a positive integer, got \""
-                      << env << "\"");
-      SARIS_CHECK(errno != ERANGE &&
-                      v <= static_cast<long>(
-                               std::numeric_limits<u32>::max()),
-                  "SARIS_SWEEP_THREADS overflows: \"" << env << "\"");
-      SARIS_CHECK(v >= 1, "SARIS_SWEEP_THREADS must be >= 1, got \""
-                              << env << "\"");
+      auto reject = [&](const char* why) {
+        SARIS_RAISE(SimErrc::kBadConfig, 0,
+                    "SARIS_SWEEP_THREADS " << why << " \"" << env << "\"");
+      };
+      if (end == env || *end != '\0') reject("must be a positive integer, got");
+      if (errno == ERANGE ||
+          v > static_cast<long>(std::numeric_limits<u32>::max())) {
+        reject("overflows:");
+      }
+      if (v < 1) reject("must be >= 1, got");
       n = static_cast<u32>(v);
     }
   }
@@ -198,33 +199,11 @@ bool metrics_bit_identical(const RunMetrics& a, const RunMetrics& b,
     const CorePerf& x = a.per_core[c];
     const CorePerf& y = b.per_core[c];
     const std::string who = "per_core[" + std::to_string(c) + "].";
-#define SARIS_SWEEP_EQ(field)                          \
-  do {                                                 \
-    if (x.field != y.field) return fail(who + #field); \
-  } while (0)
-    SARIS_SWEEP_EQ(int_instrs);
-    SARIS_SWEEP_EQ(fp_instrs);
-    SARIS_SWEEP_EQ(fp_offloads);
-    SARIS_SWEEP_EQ(fpu_useful_ops);
-    SARIS_SWEEP_EQ(flops);
-    SARIS_SWEEP_EQ(fp_loads);
-    SARIS_SWEEP_EQ(fp_stores);
-    SARIS_SWEEP_EQ(stall_icache);
-    SARIS_SWEEP_EQ(stall_fpu_queue_full);
-    SARIS_SWEEP_EQ(stall_seq_busy);
-    SARIS_SWEEP_EQ(stall_scfg_busy);
-    SARIS_SWEEP_EQ(stall_branch);
-    SARIS_SWEEP_EQ(stall_barrier);
-    SARIS_SWEEP_EQ(stall_int_lsu);
-    SARIS_SWEEP_EQ(stall_halt_drain);
-    SARIS_SWEEP_EQ(fpu_stall_operand);
-    SARIS_SWEEP_EQ(fpu_stall_sr_empty);
-    SARIS_SWEEP_EQ(fpu_stall_sr_full);
-    SARIS_SWEEP_EQ(fpu_stall_mem);
-    SARIS_SWEEP_EQ(fpu_idle_empty);
-    SARIS_SWEEP_EQ(halted);
-    SARIS_SWEEP_EQ(halted_at);
-#undef SARIS_SWEEP_EQ
+    for (const CounterRow& r : kCounterTable) {
+      if (x.*r.field != y.*r.field) return fail(who + r.name);
+    }
+    if (x.halted != y.halted) return fail(who + "halted");
+    if (x.halted_at != y.halted_at) return fail(who + "halted_at");
   }
   return true;
 }

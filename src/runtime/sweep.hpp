@@ -75,8 +75,8 @@ std::vector<SweepResult> run_sweep_isolated(const std::vector<SweepJob>& jobs,
 /// Resolve the worker count: `requested` if nonzero, else the
 /// SARIS_SWEEP_THREADS environment variable, else hardware concurrency;
 /// clamped to [1, max(1, num_jobs)]. A set-but-invalid SARIS_SWEEP_THREADS
-/// (zero, non-numeric, trailing garbage, overflow) aborts with a clear
-/// message instead of being silently ignored.
+/// (zero, non-numeric, trailing garbage, overflow) raises kBadConfig naming
+/// the value; either sweep raises it before any job runs.
 u32 sweep_thread_count(u32 requested, std::size_t num_jobs);
 
 /// Run all jobs and return their metrics in job order. `threads` as in

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/log.hpp"
+#include "common/splitmix.hpp"
 #include "common/types.hpp"
 
 namespace saris {
@@ -40,7 +41,7 @@ class Grid {
     for (T& e : data_) e = v;
   }
 
-  /// Deterministic pseudo-random fill (splitmix-style), seedable so tests
+  /// Deterministic pseudo-random fill (splitmix64), seedable so tests
   /// and benches are reproducible.
   ///
   /// The stream origin is the seed passed through a full splitmix64
@@ -52,21 +53,12 @@ class Grid {
   void fill_random(u64 seed, double lo = -1.0, double hi = 1.0) {
     u64 s = mix64(seed * 0x9E3779B97F4A7C15ull + 0xD1B54A32D192ED03ull);
     for (std::size_t i = 0; i < data_.size(); ++i) {
-      s += 0x9E3779B97F4A7C15ull;
-      u64 z = mix64(s);
-      double u = static_cast<double>(z >> 11) * 0x1.0p-53;
+      double u = static_cast<double>(splitmix64(s) >> 11) * 0x1.0p-53;
       data_[i] = static_cast<T>(lo + (hi - lo) * u);
     }
   }
 
  private:
-  /// splitmix64 output finalizer (Steele et al.): a bijective avalanche mix.
-  static u64 mix64(u64 z) {
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    return z ^ (z >> 31);
-  }
-
   u32 nx_, ny_, nz_;
   std::vector<T> data_;
 };

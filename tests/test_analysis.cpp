@@ -13,8 +13,9 @@
 
 #include "analysis/dataflow.hpp"
 #include "analysis/verifier.hpp"
-#include "common/sim_error.hpp"
 #include "cluster/cluster.hpp"
+#include "common/sim_error.hpp"
+#include "common/splitmix.hpp"
 #include "isa/program.hpp"
 #include "runtime/kernel_runner.hpp"
 #include "ssr/ssr_config.hpp"
@@ -557,14 +558,6 @@ TEST(AnalysisStreams, GatherWhoseLargestIndexLeavesItsArena) {
 
 // ---- mutant corpus: every report field pinned over one-instruction mutants
 
-u64 splitmix(u64& s) {
-  s += 0x9E3779B97F4A7C15ull;
-  u64 z = s;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
 /// FNV-1a, fed field by field so no struct padding enters it.
 class Fnv {
  public:
@@ -624,21 +617,21 @@ void digest_report(Fnv& d, const VerifyReport& rep) {
 std::vector<Instr> mutate(const Program& prog, u64& s) {
   std::vector<Instr> in = prog.instrs();
   const u32 n = prog.size();
-  const u32 pc = static_cast<u32>(splitmix(s) % n);
-  switch (splitmix(s) % 5) {
+  const u32 pc = static_cast<u32>(splitmix64(s) % n);
+  switch (splitmix64(s) % 5) {
     case 0:
       in[pc] = Instr{};
       break;
     case 1: {
-      const i32 delta = 1 + static_cast<i32>(splitmix(s) % 64);
-      in[pc].imm += (splitmix(s) & 1) ? delta : -delta;
+      const i32 delta = 1 + static_cast<i32>(splitmix64(s) % 64);
+      in[pc].imm += (splitmix64(s) & 1) ? delta : -delta;
       break;
     }
     case 2:
       if (pc + 1 < n) std::swap(in[pc], in[pc + 1]);
       break;
     case 3:
-      in[pc] = in[splitmix(s) % n];
+      in[pc] = in[splitmix64(s) % n];
       break;
     default: {
       std::vector<u32> branches;
@@ -646,9 +639,9 @@ std::vector<Instr> mutate(const Program& prog, u64& s) {
         if (op_class(in[q].op) == OpClass::kBranch) branches.push_back(q);
       }
       if (branches.empty()) break;
-      Instr& b = in[branches[splitmix(s) % branches.size()]];
-      const u32 delta = 1 + static_cast<u32>(splitmix(s) % 3);
-      b.target = (splitmix(s) & 1) ? b.target + delta : b.target - delta;
+      Instr& b = in[branches[splitmix64(s) % branches.size()]];
+      const u32 delta = 1 + static_cast<u32>(splitmix64(s) % 3);
+      b.target = (splitmix64(s) & 1) ? b.target + delta : b.target - delta;
       break;
     }
   }
@@ -673,7 +666,7 @@ TEST(AnalysisMutants, ReportDigestIsPinned) {
   u32 rejected = 0;
   for (u32 m = 0; m < 1000; ++m) {
     CompiledKernel& ck = cells[m % cells.size()];
-    const u32 core = static_cast<u32>(splitmix(s) % ck.programs.size());
+    const u32 core = static_cast<u32>(splitmix64(s) % ck.programs.size());
     const Program original = ck.programs[core];
     ck.programs[core] = Program::from_instrs(mutate(original, s));
     const VerifyReport rep = verify_kernel(ck);

@@ -10,21 +10,6 @@
 namespace saris {
 namespace {
 
-// The two sums of core/perf_counters.hpp's conservation laws: the integer
-// side tiles a core's busy window (+1 for the halt cycle), the FPU side the
-// cluster's compute window.
-u64 int_side_sum(const CorePerf& p) {
-  return p.int_instrs + p.fp_offloads + p.stall_icache +
-         p.stall_fpu_queue_full + p.stall_seq_busy + p.stall_scfg_busy +
-         p.stall_branch + p.stall_barrier + p.stall_int_lsu +
-         p.stall_halt_drain;
-}
-
-u64 fpu_side_sum(const CorePerf& p) {
-  return p.fp_instrs + p.fpu_stall_operand + p.fpu_stall_sr_empty +
-         p.fpu_stall_sr_full + p.fpu_stall_mem + p.fpu_idle_empty;
-}
-
 // Core c's program: three barrier rounds whose lengths differ per core
 // (an FP op per iteration), then a tail loop of 10 + 90*c iterations and a
 // halt with no closing barrier, so the cores halt at different cycles.
@@ -160,9 +145,9 @@ TEST(Cluster, UnevenBarrierRoundsThenStaggeredHaltsKeepBooks) {
   for (u32 c = 0; c < cl.num_cores(); ++c) {
     const CorePerf& p = cl.core(c).perf();
     const u64 busy = p.halted_at + 1;  // the window starts at cycle 0
-    EXPECT_EQ(int_side_sum(p) + 1, busy)
+    EXPECT_EQ(p.int_side() + 1, busy)
         << "integer-side conservation, core " << c;
-    EXPECT_EQ(fpu_side_sum(p), window) << "FPU-side conservation, core " << c;
+    EXPECT_EQ(p.fpu_side(), window) << "FPU-side conservation, core " << c;
     EXPECT_EQ(p.halted_at, halted_at[c]) << "core " << c;
     EXPECT_EQ(p.stall_barrier, stall_barrier[c]) << "core " << c;
     EXPECT_EQ(p.fpu_idle_empty, fpu_idle_empty[c]) << "core " << c;
@@ -180,7 +165,7 @@ TEST(Cluster, FpuBooksTileEveryStep) {
   while (!cl.all_halted()) {
     cl.step();
     for (u32 c = 0; c < cl.num_cores(); ++c) {
-      ASSERT_EQ(fpu_side_sum(cl.core(c).perf()), cl.now())
+      ASSERT_EQ(cl.core(c).perf().fpu_side(), cl.now())
           << "core " << c << " at cycle " << cl.now();
     }
   }

@@ -83,15 +83,8 @@ std::string join(const std::vector<T>& v) {
 
 std::string perf_line(const CorePerf& p) {
   std::ostringstream os;
-  os << p.int_instrs << ' ' << p.fp_instrs << ' ' << p.fp_offloads << ' '
-     << p.fpu_useful_ops << ' ' << p.flops << ' ' << p.fp_loads << ' '
-     << p.fp_stores << ' ' << p.stall_icache << ' ' << p.stall_fpu_queue_full
-     << ' ' << p.stall_seq_busy << ' ' << p.stall_scfg_busy << ' '
-     << p.stall_branch << ' ' << p.stall_barrier << ' ' << p.stall_int_lsu
-     << ' ' << p.stall_halt_drain << ' ' << p.fpu_stall_operand << ' '
-     << p.fpu_stall_sr_empty << ' ' << p.fpu_stall_sr_full << ' '
-     << p.fpu_stall_mem << ' ' << p.fpu_idle_empty << ' ' << p.halted << ' '
-     << p.halted_at;
+  for (const CounterRow& r : kCounterTable) os << p.*r.field << ' ';
+  os << p.halted << ' ' << p.halted_at;
   return os.str();
 }
 

@@ -264,12 +264,6 @@ TEST(Core, FpuQueueBackpressuresFetch) {
   EXPECT_GT(cl.core(0).perf().stall_fpu_queue_full, 0u);
 }
 
-// The FPU-side conservation sum: one counter per FPU tick.
-u64 fpu_side_sum(const CorePerf& p) {
-  return p.fp_instrs + p.fpu_stall_operand + p.fpu_stall_sr_empty +
-         p.fpu_stall_sr_full + p.fpu_stall_mem + p.fpu_idle_empty;
-}
-
 TEST(Core, WriteStreamBackpressureStallsIssueOnFullFifo) {
   // No generated kernel fills a write lane's FIFO. Here core 0 streams 32
   // results through lane 2 to addresses 256 bytes apart, all in TCDM bank
@@ -312,8 +306,8 @@ TEST(Core, WriteStreamBackpressureStallsIssueOnFullFifo) {
   EXPECT_EQ(p1.fp_instrs, 48u);
   EXPECT_EQ(p1.fpu_stall_mem, 17u);
   EXPECT_EQ(cl.tcdm().total_conflicts(), 42u);
-  EXPECT_EQ(fpu_side_sum(p0), cycles);
-  EXPECT_EQ(fpu_side_sum(p1), cycles);
+  EXPECT_EQ(p0.fpu_side(), cycles);
+  EXPECT_EQ(p1.fpu_side(), cycles);
   for (u32 i = 0; i < 32; ++i) {
     EXPECT_DOUBLE_EQ(cl.tcdm().host_read_f64(4096 + 256 * i), 1.5) << i;
   }
@@ -456,16 +450,19 @@ TEST(CoreDeath, LoadRejectsAProgramPastTheFpOpPcWidth) {
                "exceeds 65536");
 }
 
-TEST(Core, ResetClearsState) {
-  Cluster cl;
+// A core runs one program from power-on: loading again is fine until its
+// first tick, and aborts after it.
+TEST(CoreDeath, LoadAfterTheFirstTickAborts) {
+  Tcdm tcdm;
+  Barrier bar(1);
+  Core core(0, tcdm, bar);
   ProgramBuilder b;
-  b.li(x(5), 99);
   b.halt();
-  run_on_core0(cl, b.build());
-  EXPECT_EQ(cl.core(0).xreg(5), 99u);
-  cl.core(0).reset();
-  EXPECT_EQ(cl.core(0).xreg(5), 0u);
-  EXPECT_FALSE(cl.core(0).halted());
+  const Program halt = b.build();
+  core.load_program(halt);
+  core.load_program(halt);
+  core.tick(0);
+  EXPECT_DEATH(core.load_program(halt), "has already ticked");
 }
 
 TEST(FpOp, DecodeMatchesTheOpTableRow) {

@@ -49,18 +49,6 @@ Cell run_cell(const std::string& name, KernelVariant variant) {
   return cell;
 }
 
-u64 int_side_sum(const CorePerf& p) {
-  return p.int_instrs + p.fp_offloads + p.stall_icache +
-         p.stall_fpu_queue_full + p.stall_seq_busy + p.stall_scfg_busy +
-         p.stall_branch + p.stall_barrier + p.stall_int_lsu +
-         p.stall_halt_drain;
-}
-
-u64 fpu_side_sum(const CorePerf& p) {
-  return p.fp_instrs + p.fpu_stall_operand + p.fpu_stall_sr_empty +
-         p.fpu_stall_sr_full + p.fpu_stall_mem + p.fpu_idle_empty;
-}
-
 class CostModelTest : public ::testing::TestWithParam<
                           std::tuple<std::string, KernelVariant>> {};
 
@@ -78,10 +66,9 @@ TEST_P(CostModelTest, StallAccountingConservation) {
   ASSERT_EQ(m.core_busy.size(), kCores);
   for (u32 c = 0; c < kCores; ++c) {
     const CorePerf& p = m.per_core[c];
-    EXPECT_EQ(int_side_sum(p) + 1, m.core_busy[c])
+    EXPECT_EQ(p.int_side() + 1, m.core_busy[c])
         << "integer-side conservation, core " << c;
-    EXPECT_EQ(fpu_side_sum(p), m.cycles)
-        << "FPU-side conservation, core " << c;
+    EXPECT_EQ(p.fpu_side(), m.cycles) << "FPU-side conservation, core " << c;
   }
 }
 
@@ -103,29 +90,10 @@ TEST_P(CostModelTest, PredictionMeetsAccuracyContract) {
       const CorePerf& pred = cost.cores[c].perf;
       const CorePerf& meas = m.per_core[c];
       EXPECT_EQ(cost.cores[c].busy, m.core_busy[c]) << "core " << c;
-#define SARIS_EXPECT_CAUSE(field) \
-  EXPECT_EQ(pred.field, meas.field) << "core " << c << " " #field
-      SARIS_EXPECT_CAUSE(int_instrs);
-      SARIS_EXPECT_CAUSE(fp_instrs);
-      SARIS_EXPECT_CAUSE(fp_offloads);
-      SARIS_EXPECT_CAUSE(fpu_useful_ops);
-      SARIS_EXPECT_CAUSE(flops);
-      SARIS_EXPECT_CAUSE(fp_loads);
-      SARIS_EXPECT_CAUSE(fp_stores);
-      SARIS_EXPECT_CAUSE(stall_icache);
-      SARIS_EXPECT_CAUSE(stall_fpu_queue_full);
-      SARIS_EXPECT_CAUSE(stall_seq_busy);
-      SARIS_EXPECT_CAUSE(stall_scfg_busy);
-      SARIS_EXPECT_CAUSE(stall_branch);
-      SARIS_EXPECT_CAUSE(stall_barrier);
-      SARIS_EXPECT_CAUSE(stall_int_lsu);
-      SARIS_EXPECT_CAUSE(stall_halt_drain);
-      SARIS_EXPECT_CAUSE(fpu_stall_operand);
-      SARIS_EXPECT_CAUSE(fpu_stall_sr_empty);
-      SARIS_EXPECT_CAUSE(fpu_stall_sr_full);
-      SARIS_EXPECT_CAUSE(fpu_stall_mem);
-      SARIS_EXPECT_CAUSE(fpu_idle_empty);
-#undef SARIS_EXPECT_CAUSE
+      for (const CounterRow& r : kCounterTable) {
+        EXPECT_EQ(pred.*r.field, meas.*r.field)
+            << "core " << c << ' ' << r.name;
+      }
     }
   } else {
     // Banded: the ideal TCDM never loses arbitration, so the prediction is
@@ -149,19 +117,17 @@ TEST_P(CostModelTest, PredictedCountersConserve) {
   ASSERT_TRUE(cost.complete);
   for (u32 c = 0; c < cost.cores.size(); ++c) {
     const CorePerf& p = cost.cores[c].perf;
-    EXPECT_EQ(int_side_sum(p) + 1, cost.cores[c].busy) << "core " << c;
-    EXPECT_EQ(fpu_side_sum(p), cost.predicted_cycles) << "core " << c;
-    PcStalls sum;
-    for (const PcStalls& s : cost.cores[c].pc_stalls) {
-      sum.operand += s.operand;
-      sum.sr_empty += s.sr_empty;
-      sum.sr_full += s.sr_full;
-      sum.mem += s.mem;
+    EXPECT_EQ(p.int_side() + 1, cost.cores[c].busy) << "core " << c;
+    EXPECT_EQ(p.fpu_side(), cost.predicted_cycles) << "core " << c;
+    for (const CounterRow& r : kCounterTable) {
+      if (r.tally == Tally::kFpuStall) {
+        ASSERT_NE(r.by_pc, nullptr) << r.name;
+      }
+      if (r.by_pc == nullptr) continue;
+      u64 sum = 0;
+      for (const PcStalls& s : cost.cores[c].pc_stalls) sum += s.*r.by_pc;
+      EXPECT_EQ(sum, p.*r.field) << "core " << c << ' ' << r.name;
     }
-    EXPECT_EQ(sum.operand, p.fpu_stall_operand) << "core " << c;
-    EXPECT_EQ(sum.sr_empty, p.fpu_stall_sr_empty) << "core " << c;
-    EXPECT_EQ(sum.sr_full, p.fpu_stall_sr_full) << "core " << c;
-    EXPECT_EQ(sum.mem, p.fpu_stall_mem) << "core " << c;
   }
 }
 

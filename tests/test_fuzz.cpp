@@ -8,32 +8,25 @@
 #include <algorithm>
 #include <set>
 
+#include "common/splitmix.hpp"
 #include "runtime/kernel_runner.hpp"
 #include "stencil/stencil_def.hpp"
 
 namespace saris {
 namespace {
 
-u64 splitmix(u64& s) {
-  s += 0x9E3779B97F4A7C15ull;
-  u64 z = s;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
 /// Build a random stencil: random dims/radius, a random set of unique taps
 /// within the halo (center always included), fma-chain or sum-scale.
 StencilCode random_code(u64 seed) {
   u64 s = seed;
   StencilCode sc;
-  sc.dims = (splitmix(s) % 2) ? 2 : 3;
+  sc.dims = (splitmix64(s) % 2) ? 2 : 3;
   if (sc.dims == 2) {
-    sc.radius = 1 + splitmix(s) % 3;
+    sc.radius = 1 + splitmix64(s) % 3;
     sc.tile_nx = sc.tile_ny = 64;
     sc.tile_nz = 1;
   } else {
-    sc.radius = 1 + splitmix(s) % 2;
+    sc.radius = 1 + splitmix64(s) % 2;
     sc.tile_nx = sc.tile_ny = sc.tile_nz = 16;
   }
   sc.name = "fuzz_" + std::to_string(seed);
@@ -43,21 +36,21 @@ StencilCode random_code(u64 seed) {
   // 2-D stencil only has 9) or the tap-uniqueness loop cannot terminate.
   u32 max_taps = 1;
   for (u32 d = 0; d < sc.dims; ++d) max_taps *= 2 * sc.radius + 1;
-  u32 want = std::min(4 + static_cast<u32>(splitmix(s) % 14), max_taps);
+  u32 want = std::min(4 + static_cast<u32>(splitmix64(s) % 14), max_taps);
   std::set<std::tuple<i32, i32, i32>> offs;
   offs.insert({0, 0, 0});
   while (offs.size() < want) {
-    i32 dx = static_cast<i32>(splitmix(s) % (2 * sc.radius + 1)) - r;
-    i32 dy = static_cast<i32>(splitmix(s) % (2 * sc.radius + 1)) - r;
+    i32 dx = static_cast<i32>(splitmix64(s) % (2 * sc.radius + 1)) - r;
+    i32 dy = static_cast<i32>(splitmix64(s) % (2 * sc.radius + 1)) - r;
     i32 dz = sc.dims == 3
-                 ? static_cast<i32>(splitmix(s) % (2 * sc.radius + 1)) - r
+                 ? static_cast<i32>(splitmix64(s) % (2 * sc.radius + 1)) - r
                  : 0;
     offs.insert({dx, dy, dz});
   }
 
-  bool sum_scale = (splitmix(s) % 4) == 0;
+  bool sum_scale = (splitmix64(s) % 4) == 0;
   sc.sched = sum_scale ? ScheduleClass::kSumScale : ScheduleClass::kFmaChain;
-  sc.const_term = !sum_scale && (splitmix(s) % 2) == 0;
+  sc.const_term = !sum_scale && (splitmix64(s) % 2) == 0;
   u32 coeff = 0;
   for (const auto& [dx, dy, dz] : offs) {
     Tap t;

@@ -8,6 +8,7 @@
 #include "runtime/kernel_runner.hpp"
 #include "stencil/codes.hpp"
 #include "stencil/reference.hpp"
+#include "stencil/tiling.hpp"
 
 namespace saris {
 namespace {
@@ -126,6 +127,23 @@ TEST(Runtime, OverlapDmaCostsLittle) {
   EXPECT_GT(m_on.dma_bytes, 0u);
   // Interference exists but stays in the low percent range.
   EXPECT_LT(m_on.cycles, m_off.cycles + m_off.cycles / 12);
+}
+
+// The overlap jobs the DMA moves and tile_traffic, which prices a tile for
+// the scale-out model, the roofline and fig5, must agree on every cell.
+TEST(Runtime, OverlapJobsMoveTheTileTraffic) {
+  RunConfig cfg;
+  cfg.cg.verify = false;
+  for (const StencilCode& sc : all_codes()) {
+    for (KernelVariant v : {KernelVariant::kBase, KernelVariant::kSaris}) {
+      const CompiledKernel ck =
+          compile_kernel(sc, v, cfg.cg, cfg.cluster.num_cores);
+      u64 bytes = 0;
+      for (const DmaJob& job : ck.overlap_jobs) bytes += job.total_bytes();
+      EXPECT_EQ(bytes, tile_traffic(sc).total())
+          << sc.name << "/" << variant_name(v);
+    }
+  }
 }
 
 TEST(Runtime, VerifyOffSkipsCheckButStillRuns) {

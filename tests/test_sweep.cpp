@@ -25,26 +25,31 @@ TEST(SweepThreads, EnvOverrideWhenNotRequested) {
   ASSERT_EQ(unsetenv("SARIS_SWEEP_THREADS"), 0);
 }
 
-// A set-but-invalid SARIS_SWEEP_THREADS is a misconfiguration and must fail
-// loudly, not silently clamp or fall back to hardware concurrency.
+// A set-but-invalid SARIS_SWEEP_THREADS is a misconfiguration: it raises
+// kBadConfig naming the value, not a silent clamp or a fall back to
+// hardware concurrency.
 TEST(SweepThreads, InvalidEnvValuesAreRejected) {
   auto with_env = [](const char* value) {
     ASSERT_EQ(setenv("SARIS_SWEEP_THREADS", value, /*overwrite=*/1), 0);
   };
-  with_env("0");
-  EXPECT_DEATH(sweep_thread_count(0, 100), "must be >= 1");
-  with_env("-3");
-  EXPECT_DEATH(sweep_thread_count(0, 100), "must be >= 1");
-  with_env("abc");
-  EXPECT_DEATH(sweep_thread_count(0, 100), "positive integer");
-  with_env("4x");
-  EXPECT_DEATH(sweep_thread_count(0, 100), "positive integer");
-  with_env("");
-  EXPECT_DEATH(sweep_thread_count(0, 100), "positive integer");
-  with_env("99999999999999999999");  // > LONG_MAX: strtol reports ERANGE
-  EXPECT_DEATH(sweep_thread_count(0, 100), "overflows");
-  with_env("5000000000");  // fits in long but not in u32
-  EXPECT_DEATH(sweep_thread_count(0, 100), "overflows");
+  auto rejects = [&](const char* value, const std::string& why) {
+    with_env(value);
+    try {
+      sweep_thread_count(0, 100);
+      ADD_FAILURE() << "accepted \"" << value << "\"";
+    } catch (const SimError& e) {
+      const std::string msg = e.what();
+      EXPECT_EQ(e.errc(), SimErrc::kBadConfig) << msg;
+      EXPECT_NE(msg.find(why + " \"" + value + '"'), std::string::npos) << msg;
+    }
+  };
+  rejects("0", "must be >= 1, got");
+  rejects("-3", "must be >= 1, got");
+  rejects("abc", "positive integer, got");
+  rejects("4x", "positive integer, got");
+  rejects("", "positive integer, got");
+  rejects("99999999999999999999", "overflows:");  // > LONG_MAX: ERANGE
+  rejects("5000000000", "overflows:");  // fits in long but not in u32
   // An explicit in-code request does not consult the (broken) environment.
   with_env("abc");
   EXPECT_EQ(sweep_thread_count(3, 100), 3u);
