@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/sim_error.hpp"
 #include "report/table.hpp"
 #include "runtime/kernel_runner.hpp"
 #include "runtime/trace.hpp"
@@ -103,11 +104,12 @@ void print_matrix(const std::vector<CellStalls>& cells) {
   std::printf("stall cycles summed across cores:\n%s\n", t.str().c_str());
 }
 
-void write_json(const char* path, const std::vector<CellStalls>& cells) {
+/// False when `path` cannot be opened.
+bool write_json(const char* path, const std::vector<CellStalls>& cells) {
   FILE* f = std::fopen(path, "w");
   if (!f) {
     std::fprintf(stderr, "cannot open %s\n", path);
-    return;
+    return false;
   }
   std::fprintf(f, "{\n  \"bench\": \"debug_stalls\",\n  \"cells\": [\n");
   for (std::size_t i = 0; i < cells.size(); ++i) {
@@ -132,6 +134,13 @@ void write_json(const char* path, const std::vector<CellStalls>& cells) {
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
+  return true;
+}
+
+int usage(const char* argv0) {
+  std::fprintf(stderr, "usage: %s [CODE [base|saris]] [--all] [--json PATH]\n",
+               argv0);
+  return 2;
 }
 
 }  // namespace
@@ -144,39 +153,45 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--all") == 0) {
       all = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
+    } else if (std::strcmp(argv[i], "--json") == 0) {
+      if (i + 1 == argc) return usage(argv[0]);
       json_path = argv[++i];
     } else if (!name) {
       name = argv[i];
     } else if (!var_arg) {
       var_arg = argv[i];
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [CODE [base|saris]] [--all] [--json PATH]\n",
-                   argv[0]);
-      return 2;
+      return usage(argv[0]);
     }
+  }
+  KernelVariant v = KernelVariant::kSaris;
+  if (var_arg && std::strcmp(var_arg, "base") == 0) {
+    v = KernelVariant::kBase;
+  } else if (var_arg && std::strcmp(var_arg, "saris") != 0) {
+    return usage(argv[0]);
+  }
+  const StencilCode* code = nullptr;
+  try {
+    code = &code_by_name(name ? name : "box2d1r");
+  } catch (const SimError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return usage(argv[0]);
   }
 
   std::vector<CellStalls> cells;
   if (all) {
     for (const StencilCode& sc : all_codes()) {
-      for (KernelVariant v : {KernelVariant::kBase, KernelVariant::kSaris}) {
-        cells.push_back(run_cell(sc, v, /*timeline=*/false));
+      for (KernelVariant kv : {KernelVariant::kBase, KernelVariant::kSaris}) {
+        cells.push_back(run_cell(sc, kv, /*timeline=*/false));
       }
     }
     print_matrix(cells);
   } else {
-    KernelVariant v = (var_arg && std::strcmp(var_arg, "base") == 0)
-                          ? KernelVariant::kBase
-                          : KernelVariant::kSaris;
-    cells.push_back(
-        run_cell(code_by_name(name ? name : "box2d1r"), v,
-                 /*timeline=*/true));
+    cells.push_back(run_cell(*code, v, /*timeline=*/true));
     print_detail(cells.back());
   }
   if (json_path) {
-    write_json(json_path, cells);
+    if (!write_json(json_path, cells)) return 1;
     std::printf("wrote %s\n", json_path);
   }
   return 0;

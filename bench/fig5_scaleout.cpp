@@ -19,14 +19,10 @@
 // measures steady-state HBM contention instead of one tile's
 // transient; a steady-state table (first vs steady tile latency and HBM
 // utilization, mean inter-tile reload gap) and BENCH_fig5_steady.json are
-// emitted. --batch k lets the System run up to k cycles between its serial
-// synchronization points where legal — bit-identical to k = 1.
+// emitted.
 //
-//   fig5_scaleout [--simulate G] [--tiles T] [--batch k] [--parallel]
-//                 [--threads N] [--codes a,b,...] [--json PATH]
-//                 [--fault-seed S]
-// (--threads N implies --parallel; --parallel alone resolves the worker
-// count like the sweep engine: SARIS_SWEEP_THREADS, then hardware.)
+//   fig5_scaleout [--simulate G] [--tiles T] [--codes a,b,...]
+//                 [--json PATH] [--steady-json PATH] [--fault-seed S]
 //
 // --fault-seed S arms a seeded fault storm (fault/fault_plan.hpp) on every
 // simulated cell: one injected cluster stall kills 1 of the G clusters
@@ -74,7 +70,7 @@ double analytic_tile_g(const StencilCode& sc, const RunMetrics& m,
 
 /// Strict flag-value parsing (same spirit as the SARIS_SWEEP_THREADS
 /// validation): reject garbage, trailing junk, and overflow instead of
-/// atoi-truncating them into surprising cluster/thread counts.
+/// atoi-truncating them into surprising cluster/tile counts.
 u32 parse_u32(const char* flag, const char* value, u32 min_value) {
   char* end = nullptr;
   errno = 0;
@@ -145,9 +141,6 @@ int main(int argc, char** argv) {
   using namespace saris;
   u32 simulate = 0;
   u32 tiles = 1;
-  u32 batch = 1;
-  bool parallel = false;
-  u32 threads = 0;
   u64 fault_seed = 0;
   bool faulted = false;
   const char* json_path = "BENCH_fig5_sim.json";
@@ -158,13 +151,6 @@ int main(int argc, char** argv) {
       simulate = parse_u32("--simulate", argv[++i], 1);
     } else if (std::strcmp(argv[i], "--tiles") == 0 && i + 1 < argc) {
       tiles = parse_u32("--tiles", argv[++i], 1);
-    } else if (std::strcmp(argv[i], "--batch") == 0 && i + 1 < argc) {
-      batch = parse_u32("--batch", argv[++i], 1);
-    } else if (std::strcmp(argv[i], "--parallel") == 0) {
-      parallel = true;
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = parse_u32("--threads", argv[++i], 1);
-      parallel = true;  // an explicit worker count implies parallel ticking
     } else if (std::strcmp(argv[i], "--fault-seed") == 0 && i + 1 < argc) {
       char* end = nullptr;
       errno = 0;
@@ -192,15 +178,14 @@ int main(int argc, char** argv) {
       }
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--simulate G] [--tiles T] [--batch k] "
-                   "[--parallel] [--threads N] [--codes a,b,...] "
+                   "usage: %s [--simulate G] [--tiles T] [--codes a,b,...] "
                    "[--json PATH] [--steady-json PATH] [--fault-seed S]\n",
                    argv[0]);
       return 2;
     }
   }
-  if ((tiles > 1 || batch > 1 || faulted) && simulate == 0) {
-    std::fprintf(stderr, "--tiles/--batch/--fault-seed need --simulate G\n");
+  if ((tiles > 1 || faulted) && simulate == 0) {
+    std::fprintf(stderr, "--tiles/--fault-seed need --simulate G\n");
     return 2;
   }
 
@@ -288,8 +273,7 @@ int main(int argc, char** argv) {
         "\n== Simulated %u-cluster system (HBM-arbitrated) vs analytic ==\n",
         simulate);
     if (tiles > 1) {
-      std::printf("   (%u tiles streamed per cluster, barrier batch %u)\n",
-                  tiles, batch);
+      std::printf("   (%u tiles streamed per cluster)\n", tiles);
     }
     TextTable st({"code", "variant", "sim t_tile", "analytic", "delta",
                   "hbm util", "denied", "sim speedup", "analytic speedup"});
@@ -312,10 +296,7 @@ int main(int argc, char** argv) {
         sc_cfg.clusters = simulate;
         sc_cfg.run.variant = variants[v];
         sc_cfg.hbm = cfg.hbm;
-        sc_cfg.parallel = parallel;
-        sc_cfg.threads = threads;
         sc_cfg.tiles = tiles;
-        sc_cfg.batch = batch;
         FaultPlan fplan;
         if (faulted) {
           // One injected stall kills one of the G clusters mid-run; the
@@ -430,9 +411,8 @@ int main(int argc, char** argv) {
     }
     std::fprintf(f,
                  "{\n  \"bench\": \"fig5_scaleout_sim\",\n"
-                 "  \"clusters\": %u,\n  \"parallel\": %s,\n"
-                 "  \"rows\": [\n",
-                 simulate, parallel ? "true" : "false");
+                 "  \"clusters\": %u,\n  \"rows\": [\n",
+                 simulate);
     for (std::size_t i = 0; i < sim_rows.size(); ++i) {
       const SimRow& r = sim_rows[i];
       std::fprintf(
@@ -479,9 +459,8 @@ int main(int argc, char** argv) {
       std::fprintf(sf,
                    "{\n  \"bench\": \"fig5_scaleout_steady\",\n"
                    "  \"clusters\": %u,\n  \"tiles\": %u,\n"
-                   "  \"batch\": %u,\n  \"parallel\": %s,\n"
                    "  \"rows\": [\n",
-                   simulate, tiles, batch, parallel ? "true" : "false");
+                   simulate, tiles);
       for (std::size_t i = 0; i < steady_rows.size(); ++i) {
         const SteadyRow& r = steady_rows[i];
         std::fprintf(

@@ -7,7 +7,7 @@ namespace saris {
 Cluster::Cluster(const ClusterConfig& cfg)
     : cfg_(cfg),
       tcdm_(cfg.tcdm_bytes),
-      owned_mem_(std::make_unique<MainMemory>(cfg.main_mem_bytes)),
+      owned_mem_(std::make_unique<MainMemory>(kClusterMemBytes)),
       owned_port_(std::make_unique<DirectMemoryPort>(*owned_mem_)),
       barrier_(cfg.num_cores) {
   init(*owned_port_);

@@ -25,15 +25,18 @@
 
 namespace saris {
 
+/// Main memory a standalone cluster owns. It is chunk-lazy, so its size
+/// costs nothing until written.
+inline constexpr u64 kClusterMemBytes = 512ull << 20;
+
 struct ClusterConfig {
   u32 num_cores = 8;
   u32 tcdm_bytes = kTcdmSizeBytes;
-  u64 main_mem_bytes = 512ull * 1024 * 1024;
 };
 
 class Cluster {
  public:
-  /// Standalone cluster: owns its MainMemory (cfg.main_mem_bytes), DMA
+  /// Standalone cluster: owns its MainMemory (kClusterMemBytes), DMA
   /// issues through an unlimited direct port — the single-cluster default.
   explicit Cluster(const ClusterConfig& cfg = ClusterConfig{});
 
@@ -41,8 +44,7 @@ class Cluster {
   /// — typically one HBM-frontend port of a multi-cluster System, whose
   /// per-cycle word grants arbitrate the shared-memory bandwidth across
   /// clusters. `cluster_id` identifies this cluster within the system
-  /// (grant order and sharding are keyed on it). cfg.main_mem_bytes is
-  /// ignored.
+  /// (grant order and sharding are keyed on it).
   Cluster(const ClusterConfig& cfg, MemoryPort& mem_port, u32 cluster_id);
 
   u32 num_cores() const { return static_cast<u32>(cores_.size()); }

@@ -7,9 +7,8 @@ namespace saris {
 namespace detail {
 
 void warn(const std::string& msg) {
-  // Prefix the thread's run-context tag (the job a sweep worker / System
-  // cluster owner is simulating) so interleaved worker output is
-  // attributable.
+  // Prefix the thread's run-context tag (the job a sweep worker or System
+  // cluster is simulating) so interleaved worker output is attributable.
   std::string job = run_context_tag();
   if (!job.empty()) job = "[" + job + "] ";
   std::fprintf(stderr, "[saris:WARN] %s%s\n", job.c_str(), msg.c_str());

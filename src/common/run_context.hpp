@@ -1,7 +1,7 @@
 // Thread-local run context: which job this thread is currently simulating.
 //
-// Sweep workers and System cluster owners run many jobs per process; when
-// one of them dies — a SARIS_CHECK abort, a SimError, a log line — the
+// Sweep workers and System runs execute many jobs per process; when one
+// of them dies — a SARIS_CHECK abort, a SimError, a log line — the
 // diagnostic must identify the job, not just the thread. The run pipeline
 // (execute_kernel, the sweep workers, the System runner's per-cluster
 // completion step) pushes a RunContextScope naming the (code, variant,

@@ -69,8 +69,6 @@ class FrepSequencer {
   /// iteration).
   void capture(const FpOp& q);
 
-  /// During replay: is there a next op to inject?
-  bool has_next() const { return replaying(); }
   /// Copy the next op into `slot`, a fresh FPU queue entry, and stagger its
   /// registers there.
   void next(FpOp& slot);

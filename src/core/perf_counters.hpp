@@ -79,7 +79,6 @@ struct PcStalls {
   u64 sr_empty = 0;  ///< SSR read FIFO empty
   u64 sr_full = 0;   ///< SSR write FIFO full
   u64 mem = 0;       ///< FP LSU busy
-  u64 total() const { return operand + sr_empty + sr_full + mem; }
 };
 
 /// One u64 counter of CorePerf: its name, member, what it tallies and, for

@@ -193,8 +193,8 @@ std::vector<FiredFault> FaultPlan::trace() const {
   for (const PerCluster& pc : per_cluster_) {
     out.insert(out.end(), pc.fired.begin(), pc.fired.end());
   }
-  // Canonical order makes the trace comparable across serial / parallel /
-  // batched runs, whatever order the owner threads hit their events in.
+  // Canonical order makes the trace comparable across runs, whatever order
+  // the clusters hit their events in.
   std::sort(out.begin(), out.end(), [](const FiredFault& a,
                                        const FiredFault& b) {
     if (a.cluster != b.cluster) return a.cluster < b.cluster;

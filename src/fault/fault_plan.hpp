@@ -2,13 +2,12 @@
 //
 // A FaultPlan is a pre-compiled schedule of fault events, each addressed to
 // a (cluster, cycle) coordinate; the run pipeline consults it at fixed
-// points of the cycle loop, so the same plan produces bit-identical fault
-// behavior across serial, parallel, and batched System ticking (the trace
-// is test-enforced). The stall and bit-flip hooks run in KernelRun
-// (runtime/kernel_runner.hpp) at every cycle boundary from staging until
-// the DMA drains, in the single-cluster and System loops alike. Four fault
-// kinds cover the failure modes the paper's machine would see in
-// production:
+// points of the cycle loop, so the same plan replays bit-identical fault
+// behavior on every run (the trace is test-enforced). The stall and
+// bit-flip hooks run in KernelRun (runtime/kernel_runner.hpp) at every
+// cycle boundary from staging until the DMA drains, in the single-cluster
+// and System loops alike. Four fault kinds cover the failure modes the
+// paper's machine would see in production:
 //
 //  - kHbmThrottle: for `duration` system cycles the HBM frontend deals only
 //    `payload`% of its word-grant budget (0 = blackout: a denied-grant
@@ -35,11 +34,10 @@
 //    (runtime/sweep.hpp) deterministically clears transient faults
 //    (persistence 1) and deterministically keeps hitting sticky ones.
 //
-// Threading: per-cluster queries (dma_deny, stall_due, take_bitflip) keep
-// per-cluster cursors and must come from the cluster's owning thread with
-// non-decreasing cycles — exactly how System::run_until ticks clusters.
-// hbm_keep_percent must be called from the per-cycle serial point. trace()
-// and the counters are for after the run.
+// Call order: per-cluster queries (dma_deny, stall_due, take_bitflip) keep
+// per-cluster cursors and must come with non-decreasing cycles, as
+// System::run_until ticks clusters. trace() and the counters are for after
+// the run.
 #pragma once
 
 #include <string>
@@ -133,7 +131,7 @@ class FaultPlan {
   /// Words denied by kDmaWordError windows on `cluster` so far.
   u64 denied_words(u32 cluster) const;
   /// Every fired fault in canonical (cluster, cycle, kind, payload) order —
-  /// comparable across serial/parallel/batched runs of the same plan.
+  /// comparable across runs of the same plan.
   std::vector<FiredFault> trace() const;
   std::string trace_string() const;  ///< one line per fired fault
 
@@ -146,7 +144,7 @@ class FaultPlan {
     std::vector<FaultEvent> word_errors;  ///< sorted by cycle
     std::vector<FaultEvent> bitflips;     ///< sorted by cycle
     Cycle stall_cycle = kNever;           ///< earliest stall event
-    // Cursors / latches (owner-thread mutable state).
+    // Cursors / latches.
     std::size_t we_cur = 0;
     Cycle we_active_until = 0;
     std::size_t bf_cur = 0;

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "common/log.hpp"
+#include "common/sim_error.hpp"
 
 namespace saris {
 
@@ -25,17 +25,27 @@ u64 HbmConfig::bytes_per_cycle_fp_for_clusters(u32 clusters) const {
 }
 
 void validate(const HbmConfig& hbm) {
-  SARIS_CHECK(hbm.devices >= 1, "HbmConfig: devices must be >= 1");
-  SARIS_CHECK(hbm.pins_per_device >= 1,
-              "HbmConfig: pins_per_device must be >= 1");
-  SARIS_CHECK(hbm.clusters_per_device >= 1,
-              "HbmConfig: clusters_per_device must be >= 1");
-  SARIS_CHECK(std::isfinite(hbm.gbps_per_pin) && hbm.gbps_per_pin > 0.0,
-              "HbmConfig: gbps_per_pin must be positive (got "
-                  << hbm.gbps_per_pin << ")");
-  SARIS_CHECK(std::isfinite(hbm.freq_ghz) && hbm.freq_ghz > 0.0,
-              "HbmConfig: freq_ghz must be positive (got " << hbm.freq_ghz
-                                                           << ")");
+  if (hbm.devices < 1) {
+    SARIS_RAISE(SimErrc::kBadConfig, 0, "HbmConfig: devices must be >= 1");
+  }
+  if (hbm.pins_per_device < 1) {
+    SARIS_RAISE(SimErrc::kBadConfig, 0,
+                "HbmConfig: pins_per_device must be >= 1");
+  }
+  if (hbm.clusters_per_device < 1) {
+    SARIS_RAISE(SimErrc::kBadConfig, 0,
+                "HbmConfig: clusters_per_device must be >= 1");
+  }
+  if (!(std::isfinite(hbm.gbps_per_pin) && hbm.gbps_per_pin > 0.0)) {
+    SARIS_RAISE(SimErrc::kBadConfig, 0,
+                "HbmConfig: gbps_per_pin must be positive (got "
+                    << hbm.gbps_per_pin << ")");
+  }
+  if (!(std::isfinite(hbm.freq_ghz) && hbm.freq_ghz > 0.0)) {
+    SARIS_RAISE(SimErrc::kBadConfig, 0,
+                "HbmConfig: freq_ghz must be positive (got " << hbm.freq_ghz
+                                                             << ")");
+  }
 }
 
 }  // namespace saris

@@ -48,11 +48,11 @@ struct HbmConfig {
   u64 bytes_per_cycle_fp_for_clusters(u32 clusters) const;
 };
 
-/// Abort (with the offending field in the message) unless every HbmConfig
-/// field is positive and finite — a zero device count, pin rate, or clock
-/// would turn the bandwidth arithmetic above into divisions by zero or a
-/// zero peak. Every consumer (scale-out estimator, HBM frontend) validates
-/// up front instead of producing NaNs mid-estimate.
+/// Raise SimError(kBadConfig), naming the offending field, unless every
+/// HbmConfig field is positive and finite — a zero device count, pin rate,
+/// or clock would turn the bandwidth arithmetic above into divisions by
+/// zero or a zero peak. Every consumer (scale-out estimator, HBM frontend)
+/// validates up front instead of producing NaNs mid-estimate.
 void validate(const HbmConfig& hbm);
 
 }  // namespace saris

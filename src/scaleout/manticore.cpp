@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/log.hpp"
+#include "common/sim_error.hpp"
 #include "stencil/tiling.hpp"
 
 namespace saris {
@@ -42,11 +43,17 @@ VariantScaleout variant_estimate(const StencilCode& sc, const RunMetrics& m,
 }  // namespace
 
 void validate(const ManticoreConfig& cfg) {
-  SARIS_CHECK(cfg.groups >= 1, "ManticoreConfig: groups must be >= 1");
-  SARIS_CHECK(cfg.clusters_per_group >= 1,
-              "ManticoreConfig: clusters_per_group must be >= 1");
-  SARIS_CHECK(cfg.cores_per_cluster >= 1,
-              "ManticoreConfig: cores_per_cluster must be >= 1");
+  if (cfg.groups < 1) {
+    SARIS_RAISE(SimErrc::kBadConfig, 0, "ManticoreConfig: groups must be >= 1");
+  }
+  if (cfg.clusters_per_group < 1) {
+    SARIS_RAISE(SimErrc::kBadConfig, 0,
+                "ManticoreConfig: clusters_per_group must be >= 1");
+  }
+  if (cfg.cores_per_cluster < 1) {
+    SARIS_RAISE(SimErrc::kBadConfig, 0,
+                "ManticoreConfig: cores_per_cluster must be >= 1");
+  }
   validate(cfg.hbm);
 }
 

@@ -49,10 +49,11 @@ struct ScaleoutResult {
   u64 tiles = 0;
 };
 
-/// Abort unless the machine shape is non-degenerate (all counts >= 1 and
-/// the embedded HbmConfig valid): the estimator divides by the
-/// freq_ghz-derived peak and the per-cluster bandwidth share, and a zeroed
-/// field would silently turn the whole figure into NaNs.
+/// Raise SimError(kBadConfig), naming the offending field, unless the
+/// machine shape is non-degenerate (all counts >= 1 and the embedded
+/// HbmConfig valid): the estimator divides by the freq_ghz-derived peak and
+/// the per-cluster bandwidth share, and a zeroed field would silently turn
+/// the whole figure into NaNs.
 void validate(const ManticoreConfig& cfg);
 
 ScaleoutResult estimate_scaleout(const StencilCode& sc,

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/log.hpp"
+#include "common/sim_error.hpp"
 #include "fault/fault_plan.hpp"
 #include "mem/dma.hpp"
 
@@ -36,8 +37,13 @@ HbmFrontend::HbmFrontend(MainMemory& mem, const HbmConfig& hbm, u32 num_ports,
   // construction. llround here used to over-grant whenever the fractional
   // part rounded up, letting long saturated runs report > 100% utilization.
   rate_fp_ = hbm_.bytes_per_cycle_fp_for_clusters(num_ports);
-  SARIS_CHECK(!limited_ || rate_fp_ >= 1,
-              "HBM bandwidth rounds to zero bytes/cycle");
+  if (limited_ && rate_fp_ == 0) {
+    SARIS_RAISE(SimErrc::kBadConfig, 0,
+                "HbmConfig: gbps_per_pin " << hbm.gbps_per_pin
+                    << " x pins_per_device " << hbm.pins_per_device
+                    << " / freq_ghz " << hbm.freq_ghz
+                    << " rounds to zero bytes/cycle");
+  }
 }
 
 HbmFrontend::Port& HbmFrontend::port(u32 g) {
@@ -50,8 +56,7 @@ void HbmFrontend::begin_cycle() {
   if (!limited_) return;
 
   // Latch demand: a port wants bandwidth iff its cluster's DMA has work
-  // (job active, queued, or words in flight). Reading the DMAs here is safe
-  // — begin_cycle is the serial point between cycles.
+  // (job active, queued, or words in flight).
   for (auto& p : ports_) {
     p->demand_ = !p->quarantined_ &&
                  (p->client_ ? !p->client_->idle() : p->manual_demand_);
@@ -59,8 +64,7 @@ void HbmFrontend::begin_cycle() {
 
   // An active injected HBM-throttle window scales this cycle's fresh budget
   // to its keep-percent (0 = blackout: every demanding DMA word is denied
-  // until the window passes). begin_cycle is the serial point, so querying
-  // the shared plan here is race-free and identical under parallel ticking.
+  // until the window passes).
   u64 rate = rate_fp_;
   if (faults_) rate = rate * faults_->hbm_keep_percent(cycles_) / 100;
 

@@ -9,14 +9,14 @@
 // more words than its grants stalls and retries — that is the cross-cluster
 // contention the analytic scale-out model approximates with a fair share.
 //
-// Determinism: credits are dealt at the cycle boundary (begin_cycle, a
-// serial point), each port's credits are consumed only by its own cluster's
-// DMA during the tick, and the deal order is fixed by cluster id and the
-// rotation counter — so parallel cluster ticking is bit-identical to serial.
+// Credits are dealt at the cycle boundary (begin_cycle), before any cluster
+// ticks; each port's credits are consumed only by its own cluster's DMA
+// during the tick, and the deal order is fixed by cluster id and the
+// rotation counter.
 //
 // Ports carry an address window ([cluster_id * arena, +arena)): any word
-// access outside the owning cluster's arena aborts, which is what makes
-// concurrent cluster ticks race-free on the shared (chunk-lazy) memory.
+// access outside the owning cluster's arena aborts, so no cluster reads or
+// writes another's data.
 #pragma once
 
 #include <memory>
@@ -85,7 +85,9 @@ class HbmFrontend {
   /// [g * arena_bytes, (g+1) * arena_bytes)); mem must be at least
   /// num_ports * arena_bytes. `limited` = false turns every port into an
   /// unconditional pass-through (used by 1-cluster systems to preserve the
-  /// run_kernel bit-identity contract).
+  /// run_kernel bit-identity contract). Raises kBadConfig when `hbm` fails
+  /// validate(), or when limited and its bandwidth floors to a zero 16.16
+  /// rate.
   HbmFrontend(MainMemory& mem, const HbmConfig& hbm, u32 num_ports,
               u64 arena_bytes, bool limited);
 
@@ -102,8 +104,7 @@ class HbmFrontend {
 
   /// Refresh per-port word credits for the coming cycle: round-robin deal
   /// of the cycle's bandwidth budget across demanding ports. Must be called
-  /// exactly once per system cycle, before any cluster ticks, from a single
-  /// thread (the System's per-cycle barrier point).
+  /// exactly once per system cycle, before any cluster ticks.
   void begin_cycle();
 
   // ---- statistics ----

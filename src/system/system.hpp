@@ -3,17 +3,11 @@
 //
 // Each cluster keeps its private TCDM, cores, barrier, and DMA engine; only
 // the main-memory side is shared. Cluster g's DMA issues through HBM port g,
-// whose address window is the cluster's private arena of the shared memory
-// — arenas are chunk-aligned, so concurrent cluster ticks never touch the
-// same lazily-allocated chunk and parallel ticking is race-free.
+// whose address window is the cluster's private arena of the shared memory.
 //
-// Cycle protocol: every system cycle starts at a serial point
-// (HbmFrontend::begin_cycle — HBM word credits dealt round-robin across
-// demanding clusters in cluster-id order), then all clusters tick.
-// run_until() ticks them serially or fans the ticks across worker threads
-// with a per-cycle barrier whose completion step is the serial point —
-// grant order is fixed by cluster id either way, so parallel results are
-// bit-identical to serial (tests/test_system.cpp enforces it).
+// Cycle protocol: every system cycle first deals the HBM word credits
+// (HbmFrontend::begin_cycle, round-robin across demanding clusters in
+// cluster-id order), then ticks the clusters in cluster-id order.
 //
 // A 1-cluster System forces the frontend into pass-through mode, preserving
 // the contract that a simulated 1-cluster run is bit-identical to the
@@ -32,9 +26,7 @@ namespace saris {
 
 struct SystemConfig {
   u32 clusters = 1;
-  /// Shape of every cluster. main_mem_bytes is ignored — clusters share the
-  /// system memory (clusters * arena_bytes) instead of owning 512 MiB each.
-  ClusterConfig cluster{};
+  ClusterConfig cluster{};  ///< shape of every cluster
   HbmConfig hbm{};
   /// Model the shared-memory bandwidth (the point of the System layer).
   /// Forced off for 1-cluster systems regardless of this flag: G=1 must stay
@@ -42,7 +34,8 @@ struct SystemConfig {
   /// memory to itself.
   bool hbm_limit = true;
   /// Per-cluster window of the shared memory; must be a multiple of
-  /// MainMemory::kChunkBytes (keeps concurrent clusters off shared chunks).
+  /// MainMemory::kChunkBytes, so no two arenas share a lazily allocated
+  /// chunk.
   u64 arena_bytes = 16ull << 20;
 };
 
@@ -64,41 +57,14 @@ class System {
   u64 arena_bytes() const { return cfg_.arena_bytes; }
   Cycle now() const { return now_; }
 
-  /// Advance cycles until done(g) holds for every cluster; a cluster is
-  /// ticked only while its own done(g) is false (and done is re-evaluated
-  /// at every batch boundary, before the tick). after_tick(g), when set,
-  /// runs right after each cluster tick — on the worker that owns g, so it
-  /// may touch only cluster g's state. With threads > 1 the clusters tick
-  /// on a worker pool with a per-boundary barrier; results are
-  /// bit-identical to threads=1. Raises SimError(kMaxCyclesExceeded) with
-  /// `label` in the message if max_cycles elapse (in the parallel path the
-  /// overrun is latched at the barrier's noexcept completion step and
-  /// raised from the calling thread once the pool has joined, so the
-  /// labeled typed error propagates instead of a mid-barrier termination).
-  /// after_tick runs on worker threads and must not let exceptions escape —
-  /// a throwing callback would std::terminate the pool; catch run-level
-  /// errors inside it and resolve them at the serial point (the system
-  /// runner's quarantine does exactly this). Returns cycles elapsed.
-  ///
-  /// `batch` > 1 amortizes the per-cycle serial point: each boundary runs
-  /// up to `batch` cycles before the next done/credit synchronization,
-  /// when that is provably bit-identical to batch = 1. The HBM credit cap
-  /// is one DMA datapath round, which a demanding engine can drain in a
-  /// single cycle — so while any unfinished cluster's DMA holds work (or
-  /// may_spawn_dma(g) says its after_tick may stage new work mid-batch)
-  /// the credits must be re-dealt every cycle and the batch collapses to
-  /// 1; demand-free spans (and the whole run when bandwidth is
-  /// unarbitrated) batch freely, with the boundary dealing each skipped
-  /// cycle's (empty) budget up front. Consequence of batching: done(g) is
-  /// observed at boundaries only, so a cluster may be ticked up to
-  /// batch - 1 cycles past the cycle its done(g) first became true —
-  /// callers' per-tick bookkeeping must (and the system runner's does)
-  /// treat those trailing ticks as no-ops.
-  Cycle run_until(const std::function<bool(u32)>& done, u32 threads,
-                  Cycle max_cycles, const std::string& label,
-                  const std::function<void(u32)>& after_tick = {},
-                  u32 batch = 1,
-                  const std::function<bool(u32)>& may_spawn_dma = {});
+  /// Advance cycles until done(g) holds for every cluster. Each cycle
+  /// re-checks done(g), deals the HBM credits and ticks the clusters whose
+  /// done(g) was false, in cluster-id order; after_tick(g), when set, runs
+  /// right after cluster g's tick. Raises SimError(kMaxCyclesExceeded) with
+  /// `label` in the message if max_cycles elapse. Returns cycles elapsed.
+  Cycle run_until(const std::function<bool(u32)>& done, Cycle max_cycles,
+                  const std::string& label,
+                  const std::function<void(u32)>& after_tick = {});
 
  private:
   SystemConfig cfg_;

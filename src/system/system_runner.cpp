@@ -9,7 +9,6 @@
 #include "common/run_context.hpp"
 #include "fault/fault_plan.hpp"
 #include "runtime/plan_cache.hpp"
-#include "runtime/sweep.hpp"
 #include "stencil/reference.hpp"
 
 namespace saris {
@@ -98,6 +97,13 @@ SystemRunMetrics execute_system_kernel(const CompiledKernel& ck, System& sys,
     SARIS_RAISE(SimErrc::kBadConfig, 0,
                 sc.name << ": a system run needs run.max_cycles >= 1");
   }
+  if (cfg.parallel || cfg.batch != 1) {
+    SARIS_RAISE(SimErrc::kBadConfig, 0,
+                sc.name << ": parallel and batch are retired; a system run "
+                           "ticks serially every cycle (parallel = "
+                        << (cfg.parallel ? "true" : "false")
+                        << ", batch = " << cfg.batch << ")");
+  }
   if (g_count != cfg.clusters) {
     SARIS_RAISE(SimErrc::kBadConfig, 0,
                 sc.name << ": system has " << g_count
@@ -128,18 +134,11 @@ SystemRunMetrics execute_system_kernel(const CompiledKernel& ck, System& sys,
   }
 
   // ---- per-cluster tile-streaming state ----
-  // Everything below is owned by the worker that ticks cluster g (or the
-  // single serial loop): the tile state machine advances inside after_tick,
-  // which System::run_until runs on g's owner right after each tick.
+  // The tile state machine advances inside after_tick, which
+  // System::run_until runs right after each tick of cluster g.
   struct TileState {
     u32 cur_tile = 0;
-    /// System cycles this cluster ticked before its current tile was
-    /// staged. The cluster ticks every system cycle until it finishes its
-    /// last tile, so ticks_base + cluster.now() is the current system
-    /// cycle — computed without reading the (batch-granular) system clock,
-    /// which keeps every stamp bit-identical across batch sizes.
-    Cycle ticks_base = 0;
-    bool finished = false;   ///< all tiles done; later ticks are no-ops
+    bool finished = false;   ///< all tiles done, or quarantined
     u64 granted_base = 0;    ///< port granted_bytes at current tile start
     u64 denied_base = 0;     ///< port denied_grants at current tile start
     std::optional<KernelRun> run;  ///< the current tile
@@ -165,28 +164,29 @@ SystemRunMetrics execute_system_kernel(const CompiledKernel& ck, System& sys,
   FaultPlan* const faults = cfg.run.faults;
 
   // Stage tile t on cluster g: its KernelRun stages the data at the
-  // cluster's arena, binds the fault plan with the cluster's accumulated
-  // tick count (each tile's fresh cluster starts its clock at 0, the plan's
-  // timeline must not) and applies the tile's first fault hooks.
+  // cluster's arena, binds the fault plan with the current system cycle as
+  // the tile's tick offset (each tile's fresh cluster starts its clock at 0,
+  // the plan's timeline must not; an unfinished cluster ticks every system
+  // cycle, so its accumulated tick count is the system cycle) and applies
+  // the tile's first fault hooks.
   auto stage_tile = [&](u32 g, u32 t) {
     TileState& ts = st[g];
     RunConfig tile_cfg = cfg.run;
     tile_cfg.seed = system_tile_seed(cfg.run.seed, g, t);
-    // Tag the owning thread with the (cluster, tile)'s identity for the
+    // Tag the run context with the (cluster, tile)'s identity for the
     // duration of staging, so a raise or log line names the shard.
     RunContextScope scope(sc.name, variant_name(ck.variant), tile_cfg.seed,
                           g);
     ts.run.emplace(ck, sys.cluster(g), tile_cfg,
                    ios[static_cast<std::size_t>(g) * tiles + t],
-                   sys.arena_base(g), ts.ticks_base);
-    sm.tiles_start[g][t] = ts.ticks_base;
+                   sys.arena_base(g), sys.now());
+    sm.tiles_start[g][t] = sys.now();
   };
 
   // Completion step for cluster g's current tile, once it has halted and
   // drained: finish the tile (verify + extract metrics, including the
   // flop-count invariant), then stage the next tile on a fresh cluster or
-  // retire the cluster. Runs on the worker that owns g; touches only
-  // cluster-g state (and this cluster's slots of the metrics matrices).
+  // retire the cluster.
   auto complete = [&](u32 g) {
     TileState& ts = st[g];
     const Cycle latency = sys.cluster(g).now();
@@ -200,14 +200,13 @@ SystemRunMetrics execute_system_kernel(const CompiledKernel& ck, System& sys,
     RunMetrics m = ts.run->finish(goldens.empty() ? nullptr : goldens[idx]);
     sm.tiles_window[g][t] = m.cycles;
     sm.tiles_latency[g][t] = latency;
-    sm.tiles_done_sys[g][t] = ts.ticks_base + latency;
+    sm.tiles_done_sys[g][t] = sys.now();
     const u64 granted = sys.hbm().port(g).granted_bytes();
     const u64 denied = sys.hbm().port(g).denied_grants();
     sm.tiles_hbm_bytes[g][t] = granted - ts.granted_base;
     sm.tiles_hbm_denied[g][t] = denied - ts.denied_base;
     sm.tiles_metrics[g][t] = std::move(m);
     if (t + 1 < tiles) {
-      ts.ticks_base += latency;
       ts.cur_tile = t + 1;
       ts.granted_base = granted;
       ts.denied_base = denied;
@@ -224,9 +223,7 @@ SystemRunMetrics execute_system_kernel(const CompiledKernel& ck, System& sys,
   // bandwidth share flows to the survivors, and its remaining tiles are
   // abandoned (kNotYet stamps). The recorded error is re-contextualized
   // with the cluster id and tile seed when the inner raise site did not
-  // know them. Runs on g's owner thread; the port flag is only read at the
-  // frontend's serial point, which the per-boundary barrier orders after
-  // any tick-phase write.
+  // know them.
   auto quarantine = [&](u32 g, const SimError& e) {
     TileState& ts = st[g];
     const u64 tile_seed = system_tile_seed(cfg.run.seed, g, ts.cur_tile);
@@ -265,17 +262,12 @@ SystemRunMetrics execute_system_kernel(const CompiledKernel& ck, System& sys,
   // already ticks the new tile — reloads overlap with every other cluster's
   // progress.
   auto done = [&](u32 g) { return st[g].finished; };
-  auto may_spawn_dma = [&](u32 g) {
-    return !st[g].finished && st[g].cur_tile + 1 < tiles;
-  };
-  // after_tick runs on worker threads under run_until's no-escaping-
-  // exceptions contract: every run-level SimError of this cluster — a fault
-  // hook's raise, the wall-clock watchdog, a verify miss or flop-invariant
-  // breach in complete, a bad restage — is caught here and resolved as a
-  // quarantine; only the policy decides later whether it surfaces.
+  // Every run-level SimError of this cluster — a fault hook's raise, the
+  // wall-clock watchdog, a verify miss or flop-invariant breach in
+  // complete, a bad restage — is caught here and resolved as a quarantine;
+  // only the policy decides later whether it surfaces.
   auto after_tick = [&](u32 g) {
     TileState& ts = st[g];
-    if (ts.finished) return;  // trailing ticks of a batched boundary
     try {
       ts.run->after_step();
       if (ts.run->done()) complete(g);
@@ -284,17 +276,12 @@ SystemRunMetrics execute_system_kernel(const CompiledKernel& ck, System& sys,
     }
   };
 
-  u32 threads = 1;
-  if (cfg.parallel) {
-    threads = sweep_thread_count(cfg.threads, g_count);
-  }
   const std::string label =
       sc.name + std::string("/") + variant_name(ck.variant);
   // The hang guard budgets each tile round; a T-tile stream gets T budgets.
   const Cycle budget = cfg.run.max_cycles * static_cast<Cycle>(tiles);
   auto wall0 = std::chrono::steady_clock::now();
-  sys.run_until(done, threads, budget, label, after_tick, cfg.batch,
-                may_spawn_dma);
+  sys.run_until(done, budget, label, after_tick);
   double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
           .count();
@@ -302,8 +289,7 @@ SystemRunMetrics execute_system_kernel(const CompiledKernel& ck, System& sys,
   // ---- resolve the fault policy ----
   // kRaise: the survivors were allowed to finish (their state is consistent
   // for the caller's post-mortem), but the run as a whole fails with the
-  // first quarantined cluster's typed error — cluster-id order, so the
-  // raised error is deterministic however the workers raced.
+  // first quarantined cluster's typed error, in cluster-id order.
   if (cfg.on_error == SystemFaultPolicy::kRaise) {
     for (u32 g = 0; g < g_count; ++g) {
       if (st[g].error) throw SimError(*st[g].error);
@@ -347,9 +333,7 @@ SystemRunMetrics execute_system_kernel(const CompiledKernel& ck, System& sys,
   if (limited && sm.cycles > 0) {
     // All utilization ratios share HbmFrontend::utilization_of — measured
     // against the frontend's 16.16 budget over tick-exact windows, so they
-    // are <= 1 and independent of the barrier batch size (the frontend's
-    // own cycle counter can overshoot the last completion by up to
-    // batch - 1 dealt-but-unused cycles).
+    // are <= 1.
     sm.hbm_utilization =
         sys.hbm().utilization_of(sm.hbm_granted_bytes, sm.cycles);
     // Phase windows are chosen so every attributed byte provably lies
@@ -415,8 +399,7 @@ SystemRunMetrics run_system_kernel(const StencilCode& sc,
       io.inputs = seeded_inputs(sc, seed);
       io.coeffs = sc.default_coeffs();
       if (cfg.run.verify) {
-        // Precomputed host-side (and memoized per seed), so the cycle
-        // loop's workers never touch the reference memo.
+        // Precomputed host-side and memoized per seed.
         golden_refs.push_back(reference_for_seed(sc, seed, &io.inputs));
         goldens.push_back(golden_refs.back().get());
       }

@@ -28,10 +28,7 @@
 //  - clusters = 1 is bit-identical to the single-cluster run_kernel path
 //    (same seed, same artifact, same cycle-for-cycle schedule), and every
 //    tile t of a 1-cluster run is bit-identical to a fresh run_kernel with
-//    system_tile_seed(seed, 0, t) — the tile-streaming contract;
-//  - parallel = true (cluster ticking on worker threads) is bit-identical
-//    to serial ticking for any G and T;
-//  - batch > 1 (batched-barrier ticking) is bit-identical to batch = 1.
+//    system_tile_seed(seed, 0, t) — the tile-streaming contract.
 // Fault handling: a run-level SimError on one cluster (injected stall,
 // verify miss, wall-clock timeout, bad staging) does not tear the system
 // run down. Under the default kQuarantine policy the faulted cluster is
@@ -62,7 +59,7 @@ enum class SystemFaultPolicy {
 };
 
 struct SystemRunConfig {
-  u32 clusters = 1;  ///< G: tile-grid shards running concurrently
+  u32 clusters = 1;  ///< G: tile-grid shards sharing the HBM
   /// Per-cluster run configuration (variant, codegen options, cluster
   /// shape, seed, verification, budgets). seed seeds cluster 0's first
   /// tile; tile t of cluster g uses system_tile_seed(seed, g, t). The hang
@@ -76,21 +73,16 @@ struct SystemRunConfig {
   /// Arbitrate shared-memory bandwidth (see SystemConfig::hbm_limit; forced
   /// off at G=1 either way).
   bool hbm_limit = true;
-  /// Tick clusters on a worker pool (per-boundary HBM barrier) instead of
-  /// serially. Results are bit-identical either way.
+  /// Retired: the System ticks its clusters in one serial loop. Kept for
+  /// callers that assign the default; true raises kBadConfig.
   bool parallel = false;
-  /// Worker count when parallel (0 = SARIS_SWEEP_THREADS / hardware
-  /// concurrency, clamped to G).
-  u32 threads = 0;
   u64 arena_bytes = 16ull << 20;  ///< per-cluster shared-memory window
   /// T: tiles streamed back-to-back through every cluster (>= 1). Tile 0 of
   /// each cluster is staged up front; each later tile is staged on a fresh
   /// cluster the moment the previous tile drains.
   u32 tiles = 1;
-  /// Batched-barrier ticking: run up to this many cycles between the
-  /// System's serial synchronization points when legal (see
-  /// System::run_until — demand-free spans, or the whole run when the
-  /// frontend is unarbitrated). 1 = per-cycle. Bit-identical for any value.
+  /// Retired: the System deals credits and ticks every cycle. Kept for
+  /// callers that assign the default; any value but 1 raises kBadConfig.
   u32 batch = 1;
   /// Reaction to a cluster's run-level SimError (see the file comment).
   /// run.faults, when set, is the system-wide fault plan: it drives the
@@ -120,8 +112,7 @@ struct SystemRunMetrics {
   std::vector<std::vector<Cycle>> tiles_latency;
   /// System cycle at which each tile was staged / completed. Restaging is a
   /// zero-time host operation, so tiles_start[g][t] ==
-  /// tiles_done[g][t-1]; both stamps are batch-independent (derived from
-  /// the cluster's own tick count, not the batched system clock).
+  /// tiles_done_sys[g][t-1].
   std::vector<std::vector<Cycle>> tiles_start;
   std::vector<std::vector<Cycle>> tiles_done_sys;
   /// HBM bytes granted to / word grants denied for the cluster's port
@@ -193,14 +184,14 @@ u64 system_cluster_seed(u64 seed, u32 g);
 u64 system_tile_seed(u64 seed, u32 g, u32 t);
 
 /// Execute stage: stage ios[g * cfg.tiles + t] into cluster g as its tile
-/// t, run the interleaved cycle loop (parallel when cfg.parallel, batched
-/// when cfg.batch > 1), verify each tile against goldens[g * cfg.tiles + t]
-/// (or recompute from its io), extract per-tile metrics. `sys` must not
-/// have run (a System runs once), and each tile after the first runs on
-/// sys.fresh_cluster(g). Raises kBadConfig when tiles < 1 or
-/// run.max_cycles is 0, when `sys` has run or has other than cfg.clusters
-/// clusters, when ios has other than one entry per (cluster, tile), or when
-/// goldens is neither empty (= all null) nor one per (cluster, tile).
+/// t, run the interleaved cycle loop, verify each tile against
+/// goldens[g * cfg.tiles + t] (or recompute from its io), extract per-tile
+/// metrics. `sys` must not have run (a System runs once), and each tile
+/// after the first runs on sys.fresh_cluster(g). Raises kBadConfig when
+/// tiles < 1 or run.max_cycles is 0, when parallel is set or batch is not
+/// 1, when `sys` has run or has other than cfg.clusters clusters, when ios
+/// has other than one entry per (cluster, tile), or when goldens is neither
+/// empty (= all null) nor one per (cluster, tile).
 SystemRunMetrics execute_system_kernel(const CompiledKernel& ck, System& sys,
                                        const SystemRunConfig& cfg,
                                        std::vector<KernelIO>& ios,

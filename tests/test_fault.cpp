@@ -514,9 +514,9 @@ TEST(FaultSystem, OneClusterRunFollowsRunKernelHookSchedule) {
             (std::pair<Cycle, Cycle>(3214, 3214)));
 }
 
-TEST(FaultSystem, StormTraceAndMetricsMatchSerialVsParallel) {
-  // The same seeded storm against serial and worker-pool ticking: the
-  // fired-fault traces and every surviving tile's metrics are identical.
+TEST(FaultSystem, StormReplaysTheSameTraceAndMetrics) {
+  // The same seeded storm on two fresh systems: the fired-fault traces, the
+  // quarantined shard set and every surviving tile's metrics are identical.
   FaultStormConfig storm;
   storm.clusters = 3;
   storm.hbm_throttles = 1;
@@ -525,21 +525,20 @@ TEST(FaultSystem, StormTraceAndMetricsMatchSerialVsParallel) {
   storm.cluster_stalls = 1;
   storm.horizon = 4000;
 
-  auto run = [&](bool parallel, FaultPlan& plan) {
+  auto run = [&](FaultPlan& plan) {
     SystemRunConfig cfg;
     cfg.clusters = 3;
     cfg.tiles = 2;
-    cfg.parallel = parallel;
     cfg.run.faults = &plan;
     return run_system_kernel(code_by_name("jacobi_2d"), cfg);
   };
   FaultPlan pa = FaultPlan::storm(storm, 7);
   FaultPlan pb = FaultPlan::storm(storm, 7);
-  SystemRunMetrics a = run(false, pa);
-  SystemRunMetrics b = run(true, pb);
+  SystemRunMetrics a = run(pa);
+  SystemRunMetrics b = run(pb);
 
-  EXPECT_EQ(pa.trace(), pb.trace()) << "serial:\n"
-                                    << pa.trace_string() << "parallel:\n"
+  EXPECT_EQ(pa.trace(), pb.trace()) << "first:\n"
+                                    << pa.trace_string() << "second:\n"
                                     << pb.trace_string();
   EXPECT_EQ(a.cycles, b.cycles);
   EXPECT_EQ(a.tiles_ok, b.tiles_ok);

@@ -35,7 +35,7 @@ TEST(FrepSequencer, CaptureThenReplayCount) {
   // Two remaining iterations -> four injected instructions.
   u32 n = 0;
   FpOp q;
-  while (s.has_next()) {
+  while (s.replaying()) {
     s.next(q);
     EXPECT_EQ(q.dst.idx, n % 2 == 0 ? 4 : 7);
     ++n;

@@ -2,6 +2,7 @@
 // estimator.
 #include <gtest/gtest.h>
 
+#include "common/sim_error.hpp"
 #include "runtime/kernel_runner.hpp"
 #include "scaleout/manticore.hpp"
 #include "stencil/codes.hpp"
@@ -21,9 +22,9 @@ TEST(Hbm, PaperBandwidthNumbers) {
 }
 
 // The estimator divides by the freq_ghz-derived peak and the per-cluster
-// bandwidth share; a zeroed config field must abort with the field name
-// instead of quietly producing NaN figures.
-TEST(Manticore, DegenerateConfigAborts) {
+// bandwidth share; a zeroed config field must raise a typed error naming the
+// field instead of quietly producing NaN figures.
+TEST(Manticore, DegenerateConfigRaisesBadConfig) {
   const StencilCode& sc = code_by_name("jacobi_2d");
   RunMetrics m;
   m.cycles = 1000;
@@ -33,24 +34,34 @@ TEST(Manticore, DegenerateConfigAborts) {
   m.core_busy.assign(8, 1000);
   m.per_core.resize(8);
 
+  auto expect_bad = [&](const ManticoreConfig& bad, const char* field) {
+    try {
+      estimate_scaleout(sc, m, m, bad);
+      ADD_FAILURE() << "no error for a bad " << field;
+    } catch (const SimError& e) {
+      EXPECT_EQ(e.errc(), SimErrc::kBadConfig) << e.what();
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  };
   ManticoreConfig bad;
   bad.hbm.freq_ghz = 0.0;
-  EXPECT_DEATH(estimate_scaleout(sc, m, m, bad), "freq_ghz");
+  expect_bad(bad, "freq_ghz");
   bad = ManticoreConfig{};
   bad.hbm.devices = 0;
-  EXPECT_DEATH(estimate_scaleout(sc, m, m, bad), "devices");
+  expect_bad(bad, "devices");
   bad = ManticoreConfig{};
   bad.hbm.gbps_per_pin = -1.0;
-  EXPECT_DEATH(estimate_scaleout(sc, m, m, bad), "gbps_per_pin");
+  expect_bad(bad, "gbps_per_pin");
   bad = ManticoreConfig{};
   bad.hbm.clusters_per_device = 0;
-  EXPECT_DEATH(estimate_scaleout(sc, m, m, bad), "clusters_per_device");
+  expect_bad(bad, "clusters_per_device");
   bad = ManticoreConfig{};
   bad.groups = 0;
-  EXPECT_DEATH(estimate_scaleout(sc, m, m, bad), "groups");
+  expect_bad(bad, "groups");
   bad = ManticoreConfig{};
   bad.cores_per_cluster = 0;
-  EXPECT_DEATH(estimate_scaleout(sc, m, m, bad), "cores_per_cluster");
+  expect_bad(bad, "cores_per_cluster");
 }
 
 TEST(Manticore, SystemShape) {

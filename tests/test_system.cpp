@@ -1,6 +1,6 @@
 // Unit tests: the multi-cluster System layer — HBM frontend arbitration,
 // the G=1 bit-identity contract against the single-cluster run_kernel
-// pipeline, and serial-vs-parallel cluster-ticking determinism.
+// pipeline, tile streaming, and typed config errors.
 #include <gtest/gtest.h>
 
 #include "fault/fault_plan.hpp"
@@ -183,49 +183,7 @@ TEST(SystemRunner, OneClusterTimelineMatchesRunKernel) {
   EXPECT_EQ(sim.tiles_metrics[0][0].fpu_timeline, solo.fpu_timeline);
 }
 
-// ---- multi-cluster determinism ------------------------------------------
-
-TEST(SystemRunner, SerialVsParallelBitIdentical) {
-  for (const char* name : {"jacobi_2d", "box3d1r"}) {
-    const StencilCode& sc = code_by_name(name);
-    SystemRunConfig cfg;
-    cfg.clusters = 3;
-    cfg.run.variant = KernelVariant::kSaris;
-    SystemRunMetrics serial = run_system_kernel(sc, cfg);
-    cfg.parallel = true;
-    cfg.threads = 3;
-    SystemRunMetrics par = run_system_kernel(sc, cfg);
-
-    ASSERT_EQ(serial.tiles_metrics.size(), par.tiles_metrics.size());
-    for (u32 g = 0; g < serial.tiles_metrics.size(); ++g) {
-      std::string why;
-      EXPECT_TRUE(metrics_bit_identical(serial.tiles_metrics[g][0],
-                                        par.tiles_metrics[g][0], &why))
-          << sc.name << " cluster " << g << ": " << why;
-    }
-    EXPECT_EQ(serial.tiles_latency, par.tiles_latency);
-    EXPECT_EQ(serial.tiles_window, par.tiles_window);
-    EXPECT_EQ(serial.hbm_granted_bytes, par.hbm_granted_bytes);
-    EXPECT_EQ(serial.hbm_denied_grants, par.hbm_denied_grants);
-  }
-}
-
-TEST(SystemRunner, FewerThreadsThanClustersStillBitIdentical) {
-  const StencilCode& sc = code_by_name("jacobi_2d");
-  SystemRunConfig cfg;
-  cfg.clusters = 4;
-  SystemRunMetrics serial = run_system_kernel(sc, cfg);
-  cfg.parallel = true;
-  cfg.threads = 2;  // each worker owns two clusters
-  SystemRunMetrics par = run_system_kernel(sc, cfg);
-  for (u32 g = 0; g < 4; ++g) {
-    std::string why;
-    EXPECT_TRUE(metrics_bit_identical(serial.tiles_metrics[g][0],
-                                      par.tiles_metrics[g][0], &why))
-        << "cluster " << g << ": " << why;
-  }
-  EXPECT_EQ(serial.tiles_latency, par.tiles_latency);
-}
+// ---- multi-cluster contention -------------------------------------------
 
 TEST(SystemRunner, ContentionStretchesTileLatency) {
   // jacobi_2d is the most bandwidth-hungry code per compute cycle: four
@@ -350,69 +308,6 @@ TEST(SystemRunner, TileStampsAreConsistent) {
   EXPECT_GT(sm.hbm_util_steady, 0.0);
 }
 
-TEST(SystemRunner, MultiTileSerialVsParallelBitIdentical) {
-  const StencilCode& sc = code_by_name("jacobi_2d");
-  SystemRunConfig cfg;
-  cfg.clusters = 3;
-  cfg.tiles = 3;
-  cfg.run.variant = KernelVariant::kSaris;
-  SystemRunMetrics serial = run_system_kernel(sc, cfg);
-  cfg.parallel = true;
-  cfg.threads = 2;  // fewer workers than clusters on purpose
-  SystemRunMetrics par = run_system_kernel(sc, cfg);
-  for (u32 g = 0; g < 3; ++g) {
-    for (u32 t = 0; t < 3; ++t) {
-      std::string why;
-      EXPECT_TRUE(metrics_bit_identical(serial.tiles_metrics[g][t],
-                                        par.tiles_metrics[g][t], &why))
-          << "cluster " << g << " tile " << t << ": " << why;
-    }
-    EXPECT_EQ(serial.tiles_latency[g], par.tiles_latency[g]);
-    EXPECT_EQ(serial.tiles_done_sys[g], par.tiles_done_sys[g]);
-    EXPECT_EQ(serial.tiles_hbm_bytes[g], par.tiles_hbm_bytes[g]);
-    EXPECT_EQ(serial.tiles_hbm_denied[g], par.tiles_hbm_denied[g]);
-  }
-  EXPECT_EQ(serial.hbm_granted_bytes, par.hbm_granted_bytes);
-  EXPECT_EQ(serial.hbm_denied_grants, par.hbm_denied_grants);
-  EXPECT_EQ(serial.cycles, par.cycles);
-}
-
-// ---- batched-barrier ticking -------------------------------------------
-
-TEST(SystemRunner, BatchedTickingBitIdenticalToPerCycle) {
-  const StencilCode& sc = code_by_name("jacobi_2d");
-  for (u32 clusters : {3u, 4u}) {
-    SystemRunConfig cfg;
-    cfg.clusters = clusters;
-    cfg.tiles = 2;
-    SystemRunMetrics ref = run_system_kernel(sc, cfg);  // batch = 1
-    for (bool parallel : {false, true}) {
-      SystemRunConfig b = cfg;
-      b.batch = 8;
-      b.parallel = parallel;
-      b.threads = parallel ? 2 : 0;
-      SystemRunMetrics got = run_system_kernel(sc, b);
-      for (u32 g = 0; g < clusters; ++g) {
-        for (u32 t = 0; t < 2; ++t) {
-          std::string why;
-          EXPECT_TRUE(metrics_bit_identical(ref.tiles_metrics[g][t],
-                                            got.tiles_metrics[g][t], &why))
-              << "G=" << clusters << (parallel ? " par" : " ser")
-              << " cluster " << g << " tile " << t << ": " << why;
-        }
-        EXPECT_EQ(ref.tiles_latency[g], got.tiles_latency[g]);
-        EXPECT_EQ(ref.tiles_done_sys[g], got.tiles_done_sys[g]);
-        EXPECT_EQ(ref.tiles_hbm_bytes[g], got.tiles_hbm_bytes[g]);
-        EXPECT_EQ(ref.tiles_hbm_denied[g], got.tiles_hbm_denied[g]);
-      }
-      EXPECT_EQ(ref.hbm_granted_bytes, got.hbm_granted_bytes);
-      EXPECT_EQ(ref.hbm_denied_grants, got.hbm_denied_grants);
-      EXPECT_EQ(ref.cycles, got.cycles);
-      EXPECT_EQ(ref.hbm_utilization, got.hbm_utilization);
-    }
-  }
-}
-
 // ---- run_until edge cases ----------------------------------------------
 
 TEST(System, RunUntilImmediateDoneNeverTicksNorCallsAfterTick) {
@@ -424,34 +319,12 @@ TEST(System, RunUntilImmediateDoneNeverTicksNorCallsAfterTick) {
   cfg.clusters = 2;
   System sys(cfg);
   u32 after_ticks = 0;
-  Cycle elapsed = sys.run_until([](u32) { return true; }, /*threads=*/1,
+  Cycle elapsed = sys.run_until([](u32) { return true; },
                                 /*max_cycles=*/10, "immediate",
                                 [&](u32) { ++after_ticks; });
   EXPECT_EQ(elapsed, 0u);
   EXPECT_EQ(after_ticks, 0u);
   EXPECT_EQ(sys.cluster(0).now(), 0u);
-}
-
-TEST(SystemErrors, ParallelOverrunRaisesTheLabeledTypedError) {
-  // The overrun is latched at the barrier's noexcept completion step and
-  // raised from the owning thread after the pool joins — as a typed,
-  // catchable kMaxCyclesExceeded with the same labeled message the serial
-  // path gives.
-  const StencilCode& sc = code_by_name("jacobi_2d");
-  SystemRunConfig cfg;
-  cfg.clusters = 2;
-  cfg.parallel = true;
-  cfg.threads = 2;
-  cfg.run.max_cycles = 50;  // far below any real tile latency
-  try {
-    run_system_kernel(sc, cfg);
-    FAIL() << "expected SimError(kMaxCyclesExceeded)";
-  } catch (const SimError& e) {
-    EXPECT_EQ(e.errc(), SimErrc::kMaxCyclesExceeded);
-    EXPECT_NE(std::string(e.what()).find("did not finish within"),
-              std::string::npos)
-        << e.what();
-  }
 }
 
 TEST(SystemErrors, SerialOverrunRaisesTheLabeledTypedError) {
@@ -478,7 +351,25 @@ TEST(SystemErrors, ZeroTilesClustersOrBudgetRaisesBadConfig) {
   no_clusters.clusters = 0;
   SystemRunConfig no_budget;
   no_budget.run.max_cycles = 0;
-  for (const SystemRunConfig& cfg : {no_tiles, no_clusters, no_budget}) {
+  // The retired ticking modes accept only their defaults.
+  SystemRunConfig parallel;
+  parallel.parallel = true;
+  SystemRunConfig batched;
+  batched.batch = 8;
+  // Bad HBM configs: no clock at G=1, where the frontend passes through;
+  // at G=2, where it arbitrates, no device and a bandwidth whose 16.16 rate
+  // floors to zero.
+  SystemRunConfig no_clock;
+  no_clock.hbm.freq_ghz = 0.0;
+  SystemRunConfig no_devices;
+  no_devices.clusters = 2;
+  no_devices.hbm.devices = 0;
+  SystemRunConfig zero_rate;
+  zero_rate.clusters = 2;
+  zero_rate.hbm.gbps_per_pin = 1e-9;
+  for (const SystemRunConfig& cfg : {no_tiles, no_clusters, no_budget,
+                                     parallel, batched, no_clock,
+                                     no_devices, zero_rate}) {
     EXPECT_EQ(raised([&] { run_system_kernel(sc, cfg); }), SimErrc::kBadConfig);
   }
 }
