@@ -23,9 +23,7 @@ CostReport analyze_cost(const CompiledKernel& ck, const VerifyReport& rep) {
   Cluster cluster(cfg);
   cluster.tcdm().set_ideal_arbitration(true);
   stage_programs(ck, cluster);
-  while (!cluster.all_halted() && cluster.now() < kCostCycleBudget) {
-    cluster.step();
-  }
+  cluster.run_until_halted(kCostCycleBudget);
 
   CostReport out;
   out.complete = cluster.all_halted();

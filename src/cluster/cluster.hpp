@@ -71,9 +71,8 @@ class Cluster {
     return true;
   }
 
-  /// Step until every core has halted; returns cycles elapsed. Aborts (with
-  /// a CHECK diagnostic) if `max_cycles` elapse first — a deadlocked stream
-  /// or missing halt is a programming error.
+  /// Step until every core has halted or `max_cycles` have passed; returns
+  /// the cycles it ran. all_halted() tells which ended the run.
   Cycle run_until_halted(Cycle max_cycles = 100'000'000);
 
  private:

@@ -1,5 +1,5 @@
 // Unit tests: cluster integration — barrier, multi-core execution,
-// determinism, watchdogs.
+// determinism, a run's cycle budget.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -86,6 +86,7 @@ TEST(Cluster, AllCoresRunIndependentPrograms) {
     cl.core(c).load_program(b.build());
   }
   cl.run_until_halted();
+  ASSERT_TRUE(cl.all_halted());
   for (u32 c = 0; c < cl.num_cores(); ++c) {
     EXPECT_EQ(cl.core(c).xreg(7), (c + 1) * 100);
   }
@@ -111,6 +112,7 @@ TEST(Cluster, BarrierSynchronizesCores) {
     cl.core(c).load_program(b.build());
   }
   cl.run_until_halted();
+  ASSERT_TRUE(cl.all_halted());
   u32 core0_arrival = cl.core(0).xreg(8);
   EXPECT_GT(core0_arrival, 1000u);
   for (u32 c = 0; c < cl.num_cores(); ++c) {
@@ -136,6 +138,7 @@ TEST(Cluster, UnevenBarrierRoundsThenStaggeredHaltsKeepBooks) {
     cl.core(c).load_program(uneven_rounds_program(c));
   }
   const Cycle window = cl.run_until_halted();
+  ASSERT_TRUE(cl.all_halted());
   EXPECT_EQ(window, 6053u);
   const u64 halted_at[] = {3532, 3892, 4252, 4612, 4972, 5332, 5692, 6052};
   const u64 stall_barrier[] = {1806, 1356, 2106, 1656,
@@ -198,6 +201,7 @@ TEST(Cluster, SharedTcdmVisibleAcrossCores) {
     cl.core(c).load_program(b.build());
   }
   cl.run_until_halted();
+  ASSERT_TRUE(cl.all_halted());
   EXPECT_EQ(cl.core(1).xreg(7), 1234u);
 }
 
@@ -216,7 +220,9 @@ TEST(Cluster, DeterministicCycleCounts) {
       b.halt();
       cl.core(c).load_program(b.build());
     }
-    return cl.run_until_halted();
+    const Cycle cycles = cl.run_until_halted();
+    EXPECT_TRUE(cl.all_halted());
+    return cycles;
   };
   Cycle a = run_once();
   Cycle b = run_once();
@@ -231,7 +237,9 @@ TEST(Cluster, StepAdvancesTime) {
   EXPECT_EQ(cl.now(), 1u);
 }
 
-TEST(ClusterDeath, WatchdogFiresWithoutHalt) {
+// A program that never halts is not an abort: the run stops at its budget
+// and all_halted() says so.
+TEST(Cluster, RunUntilHaltedStopsAtItsBudget) {
   Cluster cl;
   for (u32 c = 0; c < cl.num_cores(); ++c) {
     ProgramBuilder b;
@@ -239,7 +247,9 @@ TEST(ClusterDeath, WatchdogFiresWithoutHalt) {
     b.j("forever");
     cl.core(c).load_program(b.build());
   }
-  EXPECT_DEATH(cl.run_until_halted(1000), "did not halt");
+  EXPECT_EQ(cl.run_until_halted(1000), 1000u);
+  EXPECT_FALSE(cl.all_halted());
+  EXPECT_EQ(cl.now(), 1000u);
 }
 
 }  // namespace

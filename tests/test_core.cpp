@@ -22,7 +22,9 @@ Cycle run_on_core0(Cluster& cl, Program p, Cycle max_cycles = 100000) {
     cl.core(c).load_program(b.build());
   }
   cl.core(0).load_program(std::move(p));
-  return cl.run_until_halted(max_cycles);
+  const Cycle cycles = cl.run_until_halted(max_cycles);
+  EXPECT_TRUE(cl.all_halted());
+  return cycles;
 }
 
 TEST(Core, IntegerAluSemantics) {
@@ -296,6 +298,7 @@ TEST(Core, WriteStreamBackpressureStallsIssueOnFullFifo) {
   cl.core(0).set_freg(4, 1.5);
   cl.core(1).load_program(l.build());
   const Cycle cycles = cl.run_until_halted(100000);
+  ASSERT_TRUE(cl.all_halted());
 
   const CorePerf& p0 = cl.core(0).perf();
   const CorePerf& p1 = cl.core(1).perf();
@@ -341,6 +344,7 @@ TEST(Core, WriteBackRouteIsFixedAtIssue) {
   cl.core(0).set_freg(4, 3.0);
   cl.core(0).set_freg(5, 7.0);
   const Cycle cycles = cl.run_until_halted(1000);
+  ASSERT_TRUE(cl.all_halted());
   EXPECT_DOUBLE_EQ(cl.core(0).freg(2), 9.0);
   EXPECT_DOUBLE_EQ(cl.tcdm().host_read_f64(64), 7.0);
   EXPECT_EQ(cycles, 33u);
@@ -351,6 +355,7 @@ TEST(Core, WriteBackRouteIsFixedAtIssue) {
 Core& run_alone(Cluster& cl, Program p) {
   cl.core(0).load_program(std::move(p));
   cl.run_until_halted(1000);
+  EXPECT_TRUE(cl.all_halted());
   return cl.core(0);
 }
 

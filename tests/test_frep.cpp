@@ -166,7 +166,9 @@ Cycle run_core0(Cluster& cl, Program p) {
     cl.core(c).load_program(b.build());
   }
   cl.core(0).load_program(std::move(p));
-  return cl.run_until_halted();
+  const Cycle cycles = cl.run_until_halted();
+  EXPECT_TRUE(cl.all_halted());
+  return cycles;
 }
 
 TEST(Frep, ComputesRepeatedBody) {
