@@ -26,13 +26,12 @@
 // caller. A sample with no Cluster::step frame is "outside Cluster::step".
 // The `verify` workload charges samples under verify_kernel to its stages
 // instead: CFG build (Cfg, check_structure), dataflow (analyze_dataflow)
-// and abstract walk (abstract_interpret, which also counts each bank's
-// requesters). The table gives each component's share of the
-// samples under the profiled frame and of all samples. It gives no host time
-// per simulated cycle: process CPU time has no control for host speed, which
-// drifts up to 2x between runs, so only shares compare two builds. To turn a
-// share into time, multiply it by the repository benchmark's 1/sim_mcps,
-// which is in reference seconds.
+// and abstract walk (abstract_interpret). The table gives each component's
+// share of the samples under the profiled frame and of all samples. It
+// gives no host time per simulated cycle: process CPU time has no control
+// for host speed, which drifts up to 2x between runs, so only shares
+// compare two builds. To turn a share into time, multiply it by the
+// repository benchmark's 1/sim_mcps, which is in reference seconds.
 //
 // Inlined frames need debug info. Configure a separate build with -g:
 //

@@ -67,41 +67,6 @@ u64 count_within(const AffinePattern& pat, u64 limit) {
   return n;
 }
 
-/// Add `n` accesses at a, a + stride, ... to the bank histogram
-/// `per_bank`. The bank index steps by stride / 8 (mod kTcdmBanks), so it
-/// repeats with period kTcdmBanks / gcd(step, kTcdmBanks).
-void count_run(u64* per_bank, i64 a, i64 stride, u64 n) {
-  static_assert(std::has_single_bit(kTcdmBanks));
-  constexpr u32 kMask = kTcdmBanks - 1;
-  const u32 step = static_cast<u32>(stride / kWordBytes) & kMask;
-  const u32 period = step == 0 ? 1 : kTcdmBanks >> std::countr_zero(step);
-  const u64 full = n / period;
-  const u64 rest = n % period;
-  u32 bank = Tcdm::bank_of(static_cast<Addr>(a));
-  for (u32 k = 0; k < period && k < n; ++k) {
-    per_bank[bank] += full + (k < rest ? 1 : 0);
-    bank = (bank + step) & kMask;
-  }
-}
-
-/// Account every address of `pat` on `p` (their words are inside TCDM, so
-/// no address wraps).
-void account_pattern(PortPrediction& p, const AffinePattern& pat, u64 n) {
-  p.accesses += n;
-  const auto& b = pat.bounds;
-  const auto& s = pat.strides;
-  for (u64 i3 = 0; i3 < b[3]; ++i3) {
-    for (u64 i2 = 0; i2 < b[2]; ++i2) {
-      for (u64 i1 = 0; i1 < b[1]; ++i1) {
-        const i64 row = pat.base + static_cast<i64>(i1) * s[1] +
-                        static_cast<i64>(i2) * s[2] +
-                        static_cast<i64>(i3) * s[3];
-        count_run(p.per_bank.data(), row, s[0], b[0]);
-      }
-    }
-  }
-}
-
 }  // namespace
 
 const char* core_port_name(u32 port) {
@@ -239,9 +204,6 @@ struct TraceStreams {
   u64 count = 0;  ///< accesses per iteration
   i64 lo = 0;     ///< lowest offset
   i64 hi = 0;     ///< highest offset
-  /// Accesses per bank at lo's bank, when every offset is lo's plus a
-  /// multiple of the word size; the trace is not accelerated otherwise.
-  std::array<u64, kTcdmBanks> banks{};
 };
 
 /// One conditional branch of a loop trace, with the outcome it took.
@@ -285,9 +247,6 @@ class Walker {
          std::vector<Diagnostic>& diags)
       : ck_(ck), prog_(ck.programs.at(core)), core_(core), am_(am),
         diags_(diags) {
-    for (PortPrediction& p : pred_.ports) {
-      p.per_bank.assign(kTcdmBanks, 0);
-    }
     const u32 n = prog_.size();
     loop_of_.assign(n, -1);
     for (u32 pc = 0; pc < n; ++pc) {
@@ -428,17 +387,8 @@ class Walker {
         continue;
       }
       if ((off - g.lo) % kWordBytes != 0) return false;
-      if (off < g.lo) {  // re-anchor the histogram at the new lowest word
-        const u64 shift = static_cast<u64>((g.lo - off) / kWordBytes);
-        std::array<u64, kTcdmBanks> moved{};
-        for (u32 q = 0; q < kTcdmBanks; ++q) {
-          moved[(q + shift) % kTcdmBanks] = g.banks[q];
-        }
-        g.banks = moved;
-        g.lo = off;
-      }
+      g.lo = std::min(g.lo, off);
       g.hi = std::max(g.hi, off);
-      ++g.banks[static_cast<u64>((off - g.lo) / kWordBytes) % kTcdmBanks];
       ++g.count;
       return true;
     }
@@ -449,7 +399,6 @@ class Walker {
     g.is_write = is_write;
     g.count = 1;
     g.lo = g.hi = off;
-    g.banks[0] = 1;
     sum.streams.push_back(g);
     return true;
   }
@@ -558,21 +507,7 @@ class Walker {
       }
     }
     for (const TraceStreams& g : sum.streams) {
-      const i64 x = value(Sym{g.base, 0});
-      const i64 stride = static_cast<i32>(slope(Sym{g.base, 0}));
-      // Banks one access visits over the iterations, from bank 0, spread
-      // over the group's banks at iteration 0.
-      std::array<u64, kTcdmBanks> run{};
-      count_run(run.data(), 0, stride, iters);
-      PortPrediction& p = pred_.ports[g.port];
-      p.accesses += iters * g.count;
-      const u32 b0 = Tcdm::bank_of(static_cast<Addr>(x + g.lo));
-      for (u32 d = 0; d < kTcdmBanks; ++d) {
-        if (run[d] == 0) continue;
-        for (u32 q = 0; q < kTcdmBanks; ++q) {
-          p.per_bank[(b0 + q + d) % kTcdmBanks] += g.banks[q] * run[d];
-        }
-      }
+      pred_.ports[g.port].accesses += iters * g.count;
     }
     accounted_ += iters * sum.accesses;
     std::array<u32, kNumXRegs> next{};
@@ -651,7 +586,7 @@ class Walker {
       return true;  // keep walking; the access itself is not accounted
     }
     last_arena_ = arena;
-    pred_.ports[port].account(a);
+    ++pred_.ports[port].accesses;
     return true;
   }
 
@@ -679,7 +614,7 @@ class Walker {
       return false;
     }
     accounted_ += n;
-    account_pattern(pred_.ports[port], pat, n);
+    pred_.ports[port].accesses += n;
     return true;
   }
 
@@ -790,12 +725,7 @@ class Walker {
     if (all_legal(base + i64{g.lo} * kWordBytes, base + i64{g.hi} * kWordBytes,
                   g.count, kWordBytes, /*is_write=*/false)) {
       accounted_ += g.count;
-      PortPrediction& p = pred_.ports[kPortSsr0 + lane];
-      p.accesses += g.count;
-      const u32 bank0 = Tcdm::bank_of(base);
-      for (u32 r = 0; r < kTcdmBanks; ++r) {
-        p.per_bank[(bank0 + r) % kTcdmBanks] += g.residues[r];
-      }
+      pred_.ports[kPortSsr0 + lane].accesses += g.count;
       return true;
     }
     for (u32 k = 0; k < cfg.idx_count; ++k) {
@@ -811,13 +741,12 @@ class Walker {
   }
 
   /// One lane's gather indices, summarized for launches that reuse them:
-  /// the extremes and a histogram of index mod kTcdmBanks.
+  /// their extremes.
   struct GatherSummary {
     const std::vector<u16>* vals = nullptr;
     u32 count = 0;
     u16 lo = 0;
     u16 hi = 0;
-    std::array<u64, kTcdmBanks> residues{};
   };
 
   static GatherSummary summarize_gather(const std::vector<u16>* vals,
@@ -829,7 +758,6 @@ class Walker {
     const auto [lo, hi] = std::minmax_element(first, first + g.count);
     g.lo = *lo;
     g.hi = *hi;
-    for (u32 k = 0; k < g.count; ++k) ++g.residues[(*vals)[k] % kTcdmBanks];
     return g;
   }
 
@@ -874,11 +802,6 @@ AbsintResult abstract_interpret(const CompiledKernel& ck,
     Walker w(ck, c, am, diags);
     const CorePrediction& cp = r.cores.emplace_back(w.run());
     r.all_complete = r.all_complete && cp.complete;
-    for (const PortPrediction& p : cp.ports) {
-      for (u32 b = 0; b < kTcdmBanks; ++b) {
-        r.bank_requesters[b] += p.per_bank[b] > 0;
-      }
-    }
   }
 
   // Each overlap DMA job's whole TCDM extent must lie inside the TCDM, as

@@ -22,14 +22,13 @@
 // the TCDM extent check Dma::push applies at run time.
 //
 // As a by-product the walk records, per TCDM requester port, the exact
-// number of accesses and the per-bank access histogram. Those counts are
-// schedule-independent in the simulator (arbitration delays requests, it
-// never reroutes or drops them), so they double as a static cross-check of
-// the simulator's port statistics, and they show whether any bank has two
-// core requesters (AbsintResult::conflict_free).
+// number of accesses. Those counts are schedule-independent in the
+// simulator (arbitration delays requests, it never reroutes or drops them),
+// so they double as a static cross-check of the simulator's port
+// statistics. The walk works out no banks: the priced run records each
+// port's bank traffic (CostReport::port_banks).
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <string>
 #include <vector>
@@ -75,15 +74,9 @@ struct ArenaMap {
   i32 find(Addr addr, u32 size, i32 hint = -1) const;
 };
 
-/// Predicted access counts for one TCDM requester port.
+/// Predicted access count for one TCDM requester port.
 struct PortPrediction {
   u64 accesses = 0;
-  std::vector<u64> per_bank;  ///< size = kTcdmBanks
-
-  void account(Addr addr) {
-    ++accesses;
-    per_bank[Tcdm::bank_of(addr)] += 1;
-  }
 };
 
 struct CorePrediction {
@@ -96,17 +89,7 @@ struct CorePrediction {
 
 struct AbsintResult {
   std::vector<CorePrediction> cores;
-  /// Per TCDM bank, the number of core ports whose walk touched it.
-  std::array<u32, kTcdmBanks> bank_requesters{};
   bool all_complete = false;
-
-  /// No bank has two core requesters. A port posts at most one request per
-  /// cycle and a bank's lone pending request is granted, so the cores'
-  /// traffic then never conflicts (the overlap DMA's may).
-  bool conflict_free() const {
-    return std::all_of(bank_requesters.begin(), bank_requesters.end(),
-                       [](u32 n) { return n <= 1; });
-  }
 };
 
 /// Walk every core's program and range-check the overlap DMA jobs. Appends

@@ -40,10 +40,28 @@ CostReport analyze_cost(const CompiledKernel& ck, const VerifyReport& rep) {
     out.launches.insert(out.launches.end(), core.launches().begin(),
                         core.launches().end());
   }
-  out.exact = out.complete && rep.absint.all_complete &&
-              rep.absint.conflict_free();
+  out.port_banks.resize(cluster.num_cores() * kCorePorts);
+  for (u32 port = 0; port < out.port_banks.size(); ++port) {
+    for (u32 b = 0; b < kTcdmBanks; ++b) {
+      out.port_banks[port][b] = cluster.tcdm().bank_grants(port, b);
+    }
+  }
+  out.exact = out.complete && rep.absint.all_complete && out.conflict_free();
   out.lint = lint_kernel(ck, rep, out);
   return out;
+}
+
+u32 CostReport::requesters(u32 b) const {
+  u32 n = 0;
+  for (const auto& banks : port_banks) n += banks[b] > 0;
+  return n;
+}
+
+bool CostReport::conflict_free() const {
+  for (u32 b = 0; b < kTcdmBanks; ++b) {
+    if (requesters(b) > 1) return false;
+  }
+  return true;
 }
 
 }  // namespace saris

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <numeric>
 #include <sstream>
 
 #include "analysis/verifier.hpp"
@@ -107,36 +108,31 @@ void lint_idle_lanes(const CompiledKernel& ck, const CostReport& cost,
 }
 
 /// Rule 4: a stream whose busiest bank carries far more than its uniform
-/// share while other core ports touch the same bank — traffic that waits
+/// share while other core ports use the same bank — traffic that waits
 /// on arbitration. Worst port per core, attributed to the launching
 /// scfgwi.
-void lint_bank_hotspots(const VerifyReport& rep, const CostReport& cost,
-                        std::vector<Diagnostic>& out) {
-  if (rep.absint.conflict_free()) return;
-  const auto& requesters = rep.absint.bank_requesters;
-
-  for (u32 c = 0; c < rep.absint.cores.size(); ++c) {
-    const CorePrediction& cp = rep.absint.cores[c];
+void lint_bank_hotspots(const CostReport& cost, std::vector<Diagnostic>& out) {
+  if (cost.conflict_free()) return;
+  for (u32 c = 0; c < cost.cores.size(); ++c) {
     double worst_skew = 0;
     u32 worst_lane = 0, worst_bank = 0;
     u64 worst_peak = 0, worst_total = 0;
     for (u32 lane = 0; lane < kNumSsrLanes; ++lane) {
-      const PortPrediction& p = cp.ports[kPortSsr0 + lane];
-      if (p.accesses == 0 || p.per_bank.empty()) continue;
+      const auto& banks = cost.port_banks[c * kCorePorts + kPortSsr0 + lane];
+      const u64 total = std::accumulate(banks.begin(), banks.end(), u64{0});
+      if (total == 0) continue;
       const u32 b = static_cast<u32>(
-          std::max_element(p.per_bank.begin(), p.per_bank.end()) -
-          p.per_bank.begin());
-      if (requesters[b] <= 1) continue;
-      const double uniform = std::max(
-          1.0, static_cast<double>(p.accesses) /
-                   static_cast<double>(p.per_bank.size()));
-      const double skew = static_cast<double>(p.per_bank[b]) / uniform;
+          std::max_element(banks.begin(), banks.end()) - banks.begin());
+      if (cost.requesters(b) <= 1) continue;
+      const double uniform =
+          std::max(1.0, static_cast<double>(total) / kTcdmBanks);
+      const double skew = static_cast<double>(banks[b]) / uniform;
       if (skew > worst_skew) {
         worst_skew = skew;
         worst_lane = lane;
         worst_bank = b;
-        worst_peak = p.per_bank[b];
-        worst_total = p.accesses;
+        worst_peak = banks[b];
+        worst_total = total;
       }
     }
     if (worst_skew < kLintHotspotSkew) continue;
@@ -152,7 +148,7 @@ void lint_bank_hotspots(const VerifyReport& rep, const CostReport& cost,
     os << "bank hotspot: SSR lane " << worst_lane << " places " << worst_peak
        << " of its " << worst_total << " accesses on TCDM bank " << worst_bank
        << " (" << static_cast<u32>(worst_skew * 100.0)
-       << "% of uniform share) which " << requesters[worst_bank] - 1
+       << "% of uniform share) which " << cost.requesters(worst_bank) - 1
        << " other requester(s) also touch; restride or pad the arena";
     out.push_back(finding(DiagKind::kPerfBankHotspot, c, pc, os.str()));
   }
@@ -167,7 +163,7 @@ std::vector<Diagnostic> lint_kernel(const CompiledKernel& ck,
   lint_issue_gaps(ck, cost, out);
   lint_register_pressure(rep, out);
   lint_idle_lanes(ck, cost, out);
-  lint_bank_hotspots(rep, cost, out);
+  lint_bank_hotspots(cost, out);
   return out;
 }
 

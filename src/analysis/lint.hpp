@@ -1,8 +1,8 @@
 // Performance linter over the priced run's records.
 //
-// Turns the cost pass's per-pc FPU stalls and stream launches
-// (analysis/cost.hpp, read off an ideal-TCDM run) and dataflow facts into
-// actionable, pc-anchored advisory diagnostics (DiagSeverity::kWarning,
+// Turns the cost pass's per-pc FPU stalls, stream launches and per-bank
+// grants (analysis/cost.hpp, read off an ideal-TCDM run) and dataflow facts
+// into actionable, pc-anchored advisory diagnostics (DiagSeverity::kWarning,
 // kPerf* kinds). Findings live in CostReport::lint only — they are never
 // merged into VerifyReport::diags, so they cannot fail a compile. Four
 // rules:
@@ -13,7 +13,7 @@
 //   * idle SSR lane — streaming enabled but a lane never launched (a load
 //     stream the kernel could still offload);
 //   * bank hotspot — a stream concentrating its accesses on a TCDM bank
-//     that other core ports also touch (absint's per-bank histograms and
+//     that other core ports also use (the priced run's per-bank grants and
 //     requester counts, attributed back to the launching scfgwi).
 #pragma once
 

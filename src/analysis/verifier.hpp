@@ -7,8 +7,9 @@
 //      dead stores, and each core's register pressure from liveness.
 //   3. Abstract interpretation (analysis/absint.hpp) — every memory access
 //      and SSR stream bounded against the layout's TCDM arenas, every
-//      overlap DMA job against the TCDM, plus exact per-port access counts
-//      and the per-bank requester counts behind the conflict-free verdict.
+//      overlap DMA job against the TCDM, plus exact per-port access counts.
+//      Bank traffic and the conflict-free verdict come from the cost pass's
+//      priced run (analysis/cost.hpp), not from this walk.
 //
 // verify_kernel runs all three; verify_programs runs stages 1-2 only (no
 // layout needed) and is the entry the negative tests use on hand-built

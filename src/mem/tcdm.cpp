@@ -16,6 +16,7 @@ u32 Tcdm::make_port(std::string name) {
   ports_.push_back(Port{});
   port_names_.push_back(std::move(name));
   pending_.resize(kTcdmBanks * ports_.size());
+  if (ideal_) bank_grants_.resize(kTcdmBanks * ports_.size());
   return static_cast<u32>(ports_.size() - 1);
 }
 
@@ -91,6 +92,7 @@ void Tcdm::arbitrate_ideal() {
       p.resp_ready = true;
       ++p.accesses;
       ++total_accesses_;
+      ++bank_grants_[pend[j] * kTcdmBanks + bank];
     }
     bank_count_[bank] = 0;
   }
@@ -169,6 +171,12 @@ u64 Tcdm::port_conflicts(u32 port) const {
 u64 Tcdm::port_accesses(u32 port) const {
   SARIS_CHECK(port < ports_.size(), "bad port");
   return ports_[port].accesses;
+}
+
+u64 Tcdm::bank_grants(u32 port, u32 bank) const {
+  SARIS_CHECK(port < ports_.size() && bank < kTcdmBanks, "bad port or bank");
+  const std::size_t i = std::size_t{port} * kTcdmBanks + bank;
+  return i < bank_grants_.size() ? bank_grants_[i] : 0;
 }
 
 }  // namespace saris

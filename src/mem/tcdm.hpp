@@ -12,6 +12,10 @@
 // SsrUnit::idx_inflight_lane_, FpSubsystem::lsu_busy_, Core's LSU waits,
 // Dma::busy_mask_), so requesters never poll port_idle(). post() checks the
 // port and aborts on a busy one, which catches any drift in that state.
+//
+// bank_of is the one definition of which bank an address hits. Under ideal
+// arbitration the TCDM counts every port's grants per bank (bank_grants):
+// the static cost pass reads bank traffic off that record.
 #pragma once
 
 #include <array>
@@ -63,8 +67,12 @@ class Tcdm {
   /// the same word sees the written value and one posted before it does
   /// not. The arbitrated run grants such a pair in round-robin order
   /// instead, so values may differ from it when two ports touch the same
-  /// word in the same cycle.
-  void set_ideal_arbitration(bool on) { ideal_ = on; }
+  /// word in the same cycle. In this mode the TCDM also counts each port's
+  /// grants per bank (bank_grants); arbitrated runs count none.
+  void set_ideal_arbitration(bool on) {
+    ideal_ = on;
+    if (on) bank_grants_.resize(kTcdmBanks * ports_.size());
+  }
 
   /// Response interface (valid from the cycle after the grant).
   bool response_ready(u32 port) const {
@@ -98,6 +106,9 @@ class Tcdm {
   u64 total_conflicts() const { return total_conflicts_; }
   u64 port_conflicts(u32 port) const;
   u64 port_accesses(u32 port) const;
+  /// Grants of `port` on `bank` under ideal arbitration; 0 for a port that
+  /// never ran in that mode.
+  u64 bank_grants(u32 port, u32 bank) const;
 
  private:
   struct Port {
@@ -140,6 +151,8 @@ class Tcdm {
 
   u64 total_accesses_ = 0;
   u64 total_conflicts_ = 0;
+  /// Ideal mode only: grants of port p on bank b at p * kTcdmBanks + b.
+  std::vector<u64> bank_grants_;
 };
 
 }  // namespace saris

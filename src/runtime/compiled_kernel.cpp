@@ -91,7 +91,7 @@ CompiledKernel compile_kernel(const StencilCode& sc, KernelVariant variant,
   // ever executes them. The report rides with the artifact (and thus the
   // plan cache) so warm-cache executions keep the verdict. The cost pass
   // runs the lowered programs on an ideal-TCDM cluster and needs the
-  // report's per-bank requester counts and register pressure, so asking for
+  // report's walk completeness and register pressure, so asking for
   // analysis alone still runs verification — it just doesn't reject on
   // errors. Only `cg` decides either pass, so the plan-cache key, which
   // holds `cg`, says what the artifact carries.

@@ -336,16 +336,20 @@ TEST(AnalysisLiveness, SolverTracksDefsAndUses) {
 
 TEST(AnalysisConflicts, SingleCoreBaseIsProvablyFreeAndExact) {
   // One base core: only the FP LSU port issues requests, so every bank has
-  // at most one requester. The verifier must say so and the simulator must
-  // measure zero conflicts, with per-port access counts matching exactly.
+  // at most one requester. The priced run must say so and claim an exact
+  // price, and the simulator must measure zero conflicts, with per-port
+  // access counts matching the walk's exactly.
   const StencilCode& sc = code_by_name("jacobi_2d");
-  CompiledKernel ck = compile_kernel(sc, KernelVariant::kBase,
-                                     CodegenOptions{}, 1);
+  CodegenOptions cg;
+  cg.analyze_cost = true;
+  CompiledKernel ck = compile_kernel(sc, KernelVariant::kBase, cg, 1);
   ASSERT_NE(ck.verify_report, nullptr);
   const VerifyReport& rep = *ck.verify_report;
   ASSERT_TRUE(rep.ok());
   ASSERT_TRUE(rep.absint.all_complete);
-  EXPECT_TRUE(rep.absint.conflict_free());
+  ASSERT_TRUE(rep.cost.has_value());
+  EXPECT_TRUE(rep.cost->conflict_free());
+  EXPECT_TRUE(rep.cost->exact);
 
   ClusterConfig ccfg;
   ccfg.num_cores = 1;
@@ -491,9 +495,6 @@ TEST(AnalysisStreams, ZeroStrideOuterDimension) {
   EXPECT_TRUE(rep.diags.empty()) << diag_lines(rep).front();
   const CorePrediction& c = rep.absint.cores.at(0);
   EXPECT_EQ(port_counts(c), (std::vector<u64>{0, 0, 0, 20, 0, 0}));
-  std::vector<u64> banks(kTcdmBanks, 0);
-  for (u32 b = 28; b < 32; ++b) banks[b] = 5;  // words 0x7FC..0x7FF
-  EXPECT_EQ(c.ports[kPortSsr2].per_bank, banks);
   EXPECT_TRUE(c.complete);
 }
 
@@ -509,7 +510,6 @@ TEST(AnalysisStreams, AffineReadStraddlingTwoArenas) {
   EXPECT_TRUE(rep.diags.empty()) << diag_lines(rep).front();
   const CorePrediction& c = rep.absint.cores.at(0);
   EXPECT_EQ(port_counts(c), (std::vector<u64>{0, 64, 0, 0, 0, 0}));
-  EXPECT_EQ(c.ports[kPortSsr0].per_bank, std::vector<u64>(kTcdmBanks, 2));
   EXPECT_TRUE(c.complete);
 }
 

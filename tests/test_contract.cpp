@@ -8,9 +8,10 @@
 //   * every field metrics_bit_identical compares (record_timeline on, the
 //     timeline as a digest) and a digest of the output grid;
 //   * from a compile with verify and cost on: the diagnostic count, absint
-//     per-port counts, each core's register pressure (peak live x and f
-//     registers and their pcs), the cost pass's predicted cycles and
-//     per-core counters, the lint count,
+//     per-port counts, a digest of each core's per-bank grants in the
+//     priced run (CostReport::port_banks), each core's register pressure
+//     (peak live x and f registers and their pcs), the cost pass's
+//     predicted cycles and per-core counters, the lint count,
 //     digests of every lint finding (kind, core, pc, message) and of the
 //     stream launch log (core, pc, lane), and a digest of each core's
 //     disassembly.
@@ -134,15 +135,16 @@ void record_compile(const StencilCode& sc, KernelVariant variant,
   const CompiledKernel ck = compile_kernel(sc, variant, cg, kCores);
   const VerifyReport& rep = *ck.verify_report;
 
+  const CostReport& cost = *rep.cost;
   os << "verify diags " << rep.diags.size() << " complete "
      << rep.absint.all_complete << "\n";
   for (std::size_t c = 0; c < rep.absint.cores.size(); ++c) {
     const CorePrediction& cp = rep.absint.cores[c];
-    Digest banks;
     os << "absint core " << c << " steps " << cp.int_steps << " ports";
-    for (const PortPrediction& p : cp.ports) {
-      os << ' ' << p.accesses;
-      for (u64 b : p.per_bank) banks.pod(b);
+    for (const PortPrediction& p : cp.ports) os << ' ' << p.accesses;
+    Digest banks;
+    for (u32 k = 0; k < kCorePorts; ++k) {
+      for (u64 b : cost.port_banks[c * kCorePorts + k]) banks.pod(b);
     }
     os << " banks " << banks.hex() << "\n";
   }
@@ -151,7 +153,6 @@ void record_compile(const StencilCode& sc, KernelVariant variant,
     os << "pressure core " << c << ' ' << rp.max_live_x << '@' << rp.at_pc_x
        << ' ' << rp.max_live_f << '@' << rp.at_pc_f << "\n";
   }
-  const CostReport& cost = *rep.cost;
   os << "cost cycles " << cost.predicted_cycles << " complete "
      << cost.complete << " exact " << cost.exact << " lint "
      << cost.lint.size() << " launches " << cost.launches.size() << "\n";

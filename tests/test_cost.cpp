@@ -15,13 +15,17 @@
 //     optimistic bound within 10% of measured.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "analysis/verifier.hpp"
+#include "isa/builder.hpp"
 #include "runtime/kernel_runner.hpp"
 #include "runtime/plan_cache.hpp"
+#include "ssr/ssr_config.hpp"
 #include "stencil/codes.hpp"
 
 namespace saris {
@@ -146,6 +150,65 @@ INSTANTIATE_TEST_SUITE_P(
       return std::get<0>(info.param) + std::string("_") +
              variant_name(std::get<1>(info.param));
     });
+
+// ---- the priced run's bank record ----------------------------------------
+
+/// The priced run of one core over a hand-built layout (input0
+/// [0x1000, 0x2000), input1 [0x2000, 0x3000), output [0x3000, 0x4000)):
+/// it writes `cfg`'s (word, value) pairs to SSR lane `lane`, the last one a
+/// launch, pops all `elems` elements of the stream and halts.
+CostReport price_stream(u32 lane, const std::vector<std::pair<u32, i32>>& cfg,
+                        u32 elems) {
+  ProgramBuilder b;
+  for (const auto& [word, value] : cfg) {
+    b.li(x(5), value);
+    b.scfgwi(x(5), lane, word);
+  }
+  b.ssr_enable();
+  for (u32 k = 0; k < elems; ++k) b.fmv_d(f(4), f(lane));
+  b.ssr_disable();
+  b.halt();
+  CompiledKernel ck;
+  ck.n_cores = 1;
+  ck.tcdm_bytes = kTcdmSizeBytes;
+  ck.programs.push_back(b.build());
+  ck.layout.inputs = {0x1000, 0x2000};
+  ck.layout.output = 0x3000;
+  ck.layout.tile_bytes = 0x1000;
+  const VerifyReport rep = verify_kernel(ck);
+  EXPECT_TRUE(rep.ok());
+  EXPECT_TRUE(rep.absint.all_complete);
+  CostReport cost = analyze_cost(ck, rep);
+  EXPECT_TRUE(cost.complete);
+  EXPECT_EQ(cost.port_banks.size(), kCorePorts);
+  EXPECT_TRUE(cost.conflict_free());
+  return cost;
+}
+
+TEST(CostBanks, ZeroStrideOuterDimension) {
+  // Lane 2 reads the four words at 0x3FE0 (words 0x7FC..0x7FF, banks
+  // 28-31) five times over.
+  const CostReport cost = price_stream(2,
+                                       {{kSsrBound0, 4},
+                                        {kSsrStride0, 8},
+                                        {kSsrBound1, 5},
+                                        {kSsrStride1, 0},
+                                        {kSsrLaunchRead, 0x3FE0}},
+                                       20);
+  std::array<u64, kTcdmBanks> banks{};
+  for (u32 b = 28; b < 32; ++b) banks[b] = 5;
+  EXPECT_EQ(cost.port_banks.at(kPortSsr2), banks);
+}
+
+TEST(CostBanks, AffineReadStraddlingTwoArenas) {
+  // Lane 0 reads 64 words from 0x1F00, across input0 into input1: twice
+  // round the 32 banks.
+  const CostReport cost = price_stream(
+      0, {{kSsrBound0, 64}, {kSsrStride0, 8}, {kSsrLaunchRead, 0x1F00}}, 64);
+  std::array<u64, kTcdmBanks> banks{};
+  banks.fill(2);
+  EXPECT_EQ(cost.port_banks.at(kPortSsr0), banks);
+}
 
 // ---- plumbing ------------------------------------------------------------
 
