@@ -6,10 +6,11 @@
 
 namespace saris {
 
-SsrLane::SsrLane(Tcdm& tcdm, u32 lane_id)
+SsrLane::SsrLane(Tcdm& tcdm, u32 core_id, u32 lane_id)
     : tcdm_(tcdm),
       lane_id_(lane_id),
-      data_port_(tcdm.make_port("ssr" + std::to_string(lane_id))) {}
+      data_port_(tcdm.make_port("ssr" + std::to_string(lane_id) + "/core" +
+                                std::to_string(core_id))) {}
 
 bool SsrLane::busy() const {
   return kind_ != SsrStreamKind::kNone && to_consume_ > 0;

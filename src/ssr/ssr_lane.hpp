@@ -20,8 +20,9 @@ namespace saris {
 class SsrLane {
  public:
   /// Lanes below kNumIndirectSsrLanes are indirection-capable (Snitch
-  /// SSSR); the rest are affine-only.
-  SsrLane(Tcdm& tcdm, u32 lane_id);
+  /// SSSR); the rest are affine-only. `core_id` only names the data port
+  /// (`ssr<lane>/core<core>`) in TCDM diagnostics.
+  SsrLane(Tcdm& tcdm, u32 core_id, u32 lane_id);
 
   // ---- configuration (integer core, via scfgwi and SsrUnit::write_cfg) ----
   /// True while a stream is armed and not fully consumed/drained; config

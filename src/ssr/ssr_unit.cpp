@@ -7,7 +7,8 @@ static_assert(kNumSsrLanes == 3, "SsrUnit constructs exactly three lanes");
 SsrUnit::SsrUnit(Tcdm& tcdm, u32 core_id)
     : tcdm_(tcdm),
       idx_port_(tcdm.make_port("idx" + std::to_string(core_id))),
-      lanes_{SsrLane(tcdm, 0), SsrLane(tcdm, 1), SsrLane(tcdm, 2)} {}
+      lanes_{SsrLane(tcdm, core_id, 0), SsrLane(tcdm, core_id, 1),
+             SsrLane(tcdm, core_id, 2)} {}
 
 bool SsrUnit::write_cfg(u32 lane_id, u32 word, u32 value) {
   const bool launch = lane(lane_id).write_cfg(word, value);

@@ -355,6 +355,16 @@ TEST(SsrLaneDeath, PopPastEndAborts) {
   EXPECT_DEATH(lane.pop(), "empty");
 }
 
+// Each lane's TCDM port carries its lane and its core, so an abort on the
+// port says whose lane it was. The unit registers its index port first,
+// then lanes 0-2, so lane 1 is port 2.
+TEST(SsrLaneDeath, TcdmAbortNamesTheLaneAndItsCore) {
+  Tcdm tcdm;
+  SsrUnit unit{tcdm, 3};
+  tcdm.post(2, 0, 8, false, 0);
+  EXPECT_DEATH(tcdm.post(2, 8, 8, false, 0), "busy port ssr1/core3");
+}
+
 TEST(SsrUnitDeath, DisableWhileBusyAborts) {
   LaneRig r;
   r.unit.set_enabled(true);
