@@ -254,6 +254,7 @@ int main(int argc, char** argv) {
   std::fclose(f);
   std::printf("wrote %s\n", json_path);
 
-  std::printf("%s", PlanCache::global().summary().c_str());
+  std::printf("%s\n%s", PlanCache::global().summary().c_str(),
+              PlanCache::global().cell_summary().c_str());
   return 0;
 }
