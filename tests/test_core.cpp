@@ -2,6 +2,7 @@
 // offload behaviour, FP load/store, SSR register mapping, halt draining.
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -453,6 +454,77 @@ TEST(CoreLaunches, OnlyTheLaunchWordIsLogged) {
   EXPECT_EQ(core.launches()[0].core, 0u);
   EXPECT_EQ(core.launches()[0].pc, 9u);
   EXPECT_EQ(core.launches()[0].lane, 1u);
+}
+
+TEST(Core, HandOffsFromAnIdleCoreKeepTheirTiming) {
+  // A core with nothing in flight hands work over in each way the integer
+  // step can: an FP load and an FP compute op to the FPU, a load and a
+  // store to the integer LSU (then a load that reads the store back), an
+  // frep to the sequencer, and an scfgwi that launches a read stream the
+  // FPU then pops. A dozen integer ops before each hand-off let every
+  // subsystem drain. The halt cycle, every counter and each TCDM port's
+  // accesses are pinned.
+  Cluster cl(one_core());
+  cl.tcdm().host_write_f64(0, 1.5);
+  cl.tcdm().host_write_u64(64, 42);
+  for (u32 i = 0; i < 4; ++i) cl.tcdm().host_write_f64(512 + 8 * i, i + 1.0);
+  ProgramBuilder b;
+  const auto drain = [&b] {
+    for (u32 i = 0; i < 12; ++i) b.addi(x(7), x(7), 1);
+  };
+  b.li(x(5), 0);
+  drain();
+  b.fld(f(4), x(5), 0);
+  drain();
+  b.fadd_d(f(5), f(4), f(4));
+  drain();
+  b.lw(x(6), x(5), 64);
+  drain();
+  b.sw(x(6), x(5), 128);
+  drain();
+  b.lw(x(10), x(5), 128);  // stalls until the sw's ack is taken
+  drain();
+  b.li(x(8), 3);
+  drain();
+  b.frep(x(8), 1);
+  b.fmul_d(f(5), f(5), f(4));
+  drain();
+  b.li(x(9), 4);
+  b.scfgwi(x(9), 0, kSsrBound0);
+  b.li(x(9), 8);
+  b.scfgwi(x(9), 0, kSsrStride0);
+  b.li(x(9), 512);
+  drain();
+  b.scfgwi(x(9), 0, kSsrLaunchRead);
+  b.ssr_enable();
+  for (u32 i = 0; i < 4; ++i) b.fadd_d(f(6), f(6), kFt0);
+  b.ssr_disable();
+  drain();
+  b.halt();
+  const Core& core = run_alone(cl, b.build());
+
+  EXPECT_EQ(core.xreg(7), 12u * 10);
+  EXPECT_EQ(core.xreg(10), 42u);
+  EXPECT_EQ(cl.tcdm().host_read_u64(128), 42u);
+  EXPECT_DOUBLE_EQ(core.freg(5), 3.0 * 1.5 * 1.5 * 1.5);
+  EXPECT_DOUBLE_EQ(core.freg(6), 10.0);
+  std::ostringstream books;
+  books << "halted_at " << core.perf().halted_at;
+  for (const CounterRow& r : kCounterTable) {
+    books << " " << r.name << " " << core.perf().*r.field;
+  }
+  books << " ports";
+  for (u32 p = 0; p < cl.tcdm().num_ports(); ++p) {
+    books << " " << cl.tcdm().port_accesses(p);
+  }
+  EXPECT_EQ(books.str(),
+            "halted_at 339 int_instrs 134 fp_instrs 9 fp_offloads 7 "
+            "fpu_useful_ops 8 flops 8 fp_loads 1 fp_stores 0 "
+            "stall_icache 198 stall_fpu_queue_full 0 stall_seq_busy 0 "
+            "stall_scfg_busy 0 stall_branch 0 stall_barrier 0 "
+            "stall_int_lsu 0 stall_halt_drain 0 fpu_stall_operand 5 "
+            "fpu_stall_sr_empty 0 fpu_stall_sr_full 0 fpu_stall_mem 0 "
+            "fpu_idle_empty 326 ports 0 4 0 0 1 3 0 0 0 0 0 0 0 0");
 }
 
 TEST(CoreDeath, LoadRejectsAProgramPastTheFpOpPcWidth) {
