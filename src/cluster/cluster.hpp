@@ -1,10 +1,9 @@
 // The Snitch compute cluster: eight cores, 128 KiB / 32-bank TCDM, DMA
 // engine, hardware barrier, single clock domain.
 //
-// Every cycle ticks every core, as the RTL clocks them, so each core's
-// performance counters are exact after every step. A core with nothing in
-// flight (waiting at the barrier, or halted) ticks through Core::tick's
-// quiescent fast path: its idle counters and nothing else.
+// Every cycle ticks every core through the one Core::tick, as the RTL
+// clocks them, so each core's performance counters are exact after every
+// step, including those of a core waiting at the barrier or halted.
 // tests/test_contract.cpp pins the results for all 20 (code, variant)
 // cells.
 //

@@ -29,24 +29,7 @@ void Core::load_program(Program p) {
   fpu_.clear_pc_stalls(prog_.size());
 }
 
-bool Core::compute_quiescent() const {
-  return fpu_.drained() && ssr_.quiescent() && !seq_.busy() &&
-         !int_store_wait_ && !int_load_wait_;
-}
-
 void Core::tick(Cycle now) {
-  if (quiescent_) {
-    // Fast path: with the FPU, SSR lanes, sequencer, and LSU all idle, the
-    // full traversal below reduces to one FPU idle-counter bump plus the
-    // integer step. int_step clears quiescent_ whenever it hands work to a
-    // subsystem; a stream launched by scfgwi this very cycle still gets its
-    // same-cycle SSR issue slot, exactly like the full traversal.
-    ++perf_.fpu_idle_empty;
-    int_step(now);
-    if (!quiescent_) ssr_.tick(now);
-    return;
-  }
-
   // Order matters: absorb last cycle's memory grants first so this cycle's
   // issue logic sees them; emit new SSR requests last so they use FIFO slots
   // freed this cycle.
@@ -62,7 +45,6 @@ void Core::tick(Cycle now) {
   if (seq_.replaying() && !fpu_.queue_full()) seq_.next(fpu_.enqueue());
   int_step(now);
   ssr_.tick(now);
-  quiescent_ = compute_quiescent();
 }
 
 void Core::int_step(Cycle now) {
@@ -144,7 +126,6 @@ void Core::int_step(Cycle now) {
         q.target = xregs_[in.rs1.idx] + static_cast<u32>(in.imm);
       }
       ++perf_.fp_offloads;
-      quiescent_ = false;
       if (seq_.capturing()) {
         SARIS_CHECK(d.frep_body, "frep bodies must contain FP compute only");
         seq_.capture(q);
@@ -184,7 +165,6 @@ void Core::int_step(Cycle now) {
                    xregs_[in.rs2.idx]);
         int_store_wait_ = true;
       }
-      quiescent_ = false;
       break;
     }
     case OpClass::kSys:
@@ -204,7 +184,6 @@ bool Core::sys_step(const Instr& in, Cycle now) {
       }
       seq_.start(xregs_[in.rs1.idx], frep_body_len(in.imm),
                  frep_stagger(in.imm), frep_stagger_base(in.imm));
-      quiescent_ = false;
       return true;
     case Op::kScfgwi: {
       const ScfgSel sel = scfg_select(in.imm);
@@ -216,7 +195,6 @@ bool Core::sys_step(const Instr& in, Cycle now) {
       if (ssr_.write_cfg(sel.lane, sel.word, xregs_[in.rs1.idx])) {
         launches_.push_back(StreamLaunch{id_, pc_, sel.lane});
       }
-      quiescent_ = false;  // the write may have launched a stream
       return true;
     }
     case Op::kSsrEn:

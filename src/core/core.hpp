@@ -41,12 +41,9 @@ class Core {
   void load_program(Program p);
 
   /// Advance one cycle (SSR collect -> FPU -> sequencer -> integer step ->
-  /// SSR issue). The cluster arbitrates the TCDM afterwards.
-  ///
-  /// When every subsystem below the integer pipeline is quiescent the tick
-  /// collapses to the integer step plus the FPU idle-counter update, which
-  /// is exactly what the full traversal would have done; counters stay
-  /// bit-identical.
+  /// SSR issue). The cluster arbitrates the TCDM afterwards. A core with
+  /// nothing in flight takes the same path; each subsystem's own idle
+  /// checks keep it cheap.
   void tick(Cycle now);
 
   bool halted() const { return perf_.halted; }
@@ -78,7 +75,6 @@ class Core {
   /// One kSys instruction; false when it stalled (or halted) and must not
   /// retire.
   bool sys_step(const Instr& in, Cycle now);
-  bool compute_quiescent() const;
 
   u32 id_;
   Tcdm& tcdm_;
@@ -109,13 +105,6 @@ class Core {
   u32 stall_cycles_ = 0;
   bool barrier_wait_ = false;
   i64 icache_paid_pc_ = -1;
-
-  /// True while the FPU, SSR streamer, FREP sequencer, and integer LSU all
-  /// have no queued or in-flight work, so tick() takes its fast path (a
-  /// core waiting at the barrier or halted stays here). Cleared by int_step
-  /// when it hands work to a subsystem (FP offload, FREP, scfgwi,
-  /// load/store), recomputed at the end of every full-traversal tick.
-  bool quiescent_ = true;
 };
 
 }  // namespace saris

@@ -55,9 +55,8 @@ class FpSubsystem {
   /// Phase 2: retire finished ops, then try to issue the queue head.
   void tick(Cycle now);
 
-  /// True when no instruction is queued, in flight, or waiting on memory.
-  /// Then collect() is a no-op and tick() only bumps the idle counter, so
-  /// the Core may take an equivalent fast path.
+  /// True when no instruction is queued, in flight, or waiting on memory:
+  /// what halt and ssr_dis wait for.
   bool drained() const {
     return queue_.empty() && pipe_.empty() && !lsu_busy_;
   }

@@ -113,17 +113,6 @@ class SsrLane {
   void index_word_sent();                ///< the shared port took our request
   void deliver_index_word(u64 word);     ///< response arrived
 
-  /// Cheap activity flag: when true, collect() and tick() are no-ops until
-  /// the next launch (or, for a write lane, the next FPU push) — callers may
-  /// skip them. A lane with nothing left to fetch, nothing in flight, and an
-  /// empty write FIFO generates no TCDM traffic even if elements remain to
-  /// be popped from its read FIFO.
-  bool quiescent() const {
-    return kind_ == SsrStreamKind::kNone ||
-           (to_fetch_ == 0 && inflight_data_ == 0 && wfifo_.empty() &&
-            !idx_req_inflight_);
-  }
-
   // ---- statistics ----
   u64 elems_streamed() const { return elems_streamed_; }
   u64 idx_words_fetched() const { return idx_words_fetched_; }

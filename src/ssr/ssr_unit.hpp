@@ -40,18 +40,6 @@ class SsrUnit {
 
   bool any_busy() const;
 
-  /// Cheap activity flag: when true, collect() and tick() are no-ops until
-  /// the integer core launches a stream (or the FPU pushes into a write
-  /// lane) — callers may skip them.
-  bool quiescent() const {
-    if (!launched_) return true;
-    if (idx_inflight_lane_ < kNumSsrLanes) return false;
-    for (const SsrLane& l : lanes_) {
-      if (!l.quiescent()) return false;
-    }
-    return true;
-  }
-
   /// Phase 1 each cycle: absorb data + index responses.
   void collect(Cycle now) {
     if (!launched_) return;
