@@ -21,7 +21,6 @@
 //
 //   fault_storm [--seed S] [--faulty K] [--retries R] [--clusters G]
 //               [--tiles T] [--threads N] [--json PATH]
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -32,42 +31,13 @@
 #include "common/sim_error.hpp"
 #include "common/splitmix.hpp"
 #include "fault/fault_plan.hpp"
+#include "flags.hpp"
 #include "report/table.hpp"
 #include "runtime/kernel_runner.hpp"
 #include "runtime/plan_cache.hpp"
 #include "runtime/sweep.hpp"
 #include "stencil/codes.hpp"
 #include "system/system_runner.hpp"
-
-namespace {
-
-using namespace saris;
-
-u32 parse_u32(const char* flag, const char* value, u32 min_value) {
-  char* end = nullptr;
-  errno = 0;
-  unsigned long v = std::strtoul(value, &end, 10);
-  if (end == value || *end != '\0' || errno == ERANGE ||
-      v > 0xFFFFFFFFull || v < min_value) {
-    std::fprintf(stderr, "%s needs an integer >= %u, got \"%s\"\n", flag,
-                 min_value, value);
-    std::exit(2);
-  }
-  return static_cast<u32>(v);
-}
-
-u64 parse_u64(const char* flag, const char* value) {
-  char* end = nullptr;
-  errno = 0;
-  unsigned long long v = std::strtoull(value, &end, 10);
-  if (end == value || *end != '\0' || errno == ERANGE) {
-    std::fprintf(stderr, "%s needs an integer, got \"%s\"\n", flag, value);
-    std::exit(2);
-  }
-  return static_cast<u64>(v);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace saris;

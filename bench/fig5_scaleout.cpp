@@ -27,10 +27,10 @@
 // --fault-seed S arms a seeded fault storm (fault/fault_plan.hpp) on every
 // simulated cell: one injected cluster stall kills 1 of the G clusters
 // mid-run, the System quarantines it, and the run completes on the
-// survivors — the quarantined shard set is reported per cell. Cells with a
+// survivors — the quarantined shard set is reported per cell. It needs
+// G >= 2, so that a survivor remains. Cells with a
 // quarantined cluster measure the degraded machine, so the analytic
 // comparison columns read as "what the fault cost", not as model error.
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -40,6 +40,7 @@
 
 #include "common/sim_error.hpp"
 #include "common/stats.hpp"
+#include "flags.hpp"
 #include "fault/fault_plan.hpp"
 #include "report/csv.hpp"
 #include "report/table.hpp"
@@ -66,22 +67,6 @@ double analytic_tile_g(const StencilCode& sc, const RunMetrics& m,
   double t_mem =
       static_cast<double>(tile_traffic(sc).total()) / (share * dma_util);
   return std::max(t_comp, t_mem);
-}
-
-/// Strict flag-value parsing (same spirit as the SARIS_SWEEP_THREADS
-/// validation): reject garbage, trailing junk, and overflow instead of
-/// atoi-truncating them into surprising cluster/tile counts.
-u32 parse_u32(const char* flag, const char* value, u32 min_value) {
-  char* end = nullptr;
-  errno = 0;
-  unsigned long v = std::strtoul(value, &end, 10);
-  if (end == value || *end != '\0' || errno == ERANGE ||
-      v > 0xFFFFFFFFull || v < min_value) {
-    std::fprintf(stderr, "%s needs an integer >= %u, got \"%s\"\n", flag,
-                 min_value, value);
-    std::exit(2);
-  }
-  return static_cast<u32>(v);
 }
 
 struct SimRow {
@@ -146,21 +131,20 @@ int main(int argc, char** argv) {
   const char* json_path = "BENCH_fig5_sim.json";
   const char* steady_json_path = "BENCH_fig5_steady.json";
   std::vector<std::string> only_codes;
+  const auto usage = [argv] {
+    std::fprintf(stderr,
+                 "usage: %s [--simulate G] [--tiles T] [--codes a,b,...] "
+                 "[--json PATH] [--steady-json PATH] [--fault-seed S]\n",
+                 argv[0]);
+    return 2;
+  };
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--simulate") == 0 && i + 1 < argc) {
       simulate = parse_u32("--simulate", argv[++i], 1);
     } else if (std::strcmp(argv[i], "--tiles") == 0 && i + 1 < argc) {
       tiles = parse_u32("--tiles", argv[++i], 1);
     } else if (std::strcmp(argv[i], "--fault-seed") == 0 && i + 1 < argc) {
-      char* end = nullptr;
-      errno = 0;
-      fault_seed = std::strtoull(argv[i + 1], &end, 10);
-      if (end == argv[i + 1] || *end != '\0' || errno == ERANGE) {
-        std::fprintf(stderr, "--fault-seed needs an integer, got \"%s\"\n",
-                     argv[i + 1]);
-        return 2;
-      }
-      ++i;
+      fault_seed = parse_u64("--fault-seed", argv[++i]);
       faulted = true;
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
@@ -177,16 +161,16 @@ int main(int argc, char** argv) {
         pos = comma == std::string::npos ? comma : comma + 1;
       }
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--simulate G] [--tiles T] [--codes a,b,...] "
-                   "[--json PATH] [--steady-json PATH] [--fault-seed S]\n",
-                   argv[0]);
-      return 2;
+      return usage();
     }
   }
   if ((tiles > 1 || faulted) && simulate == 0) {
     std::fprintf(stderr, "--tiles/--fault-seed need --simulate G\n");
     return 2;
+  }
+  if (faulted && simulate < 2) {
+    std::fprintf(stderr, "--fault-seed needs --simulate G with G >= 2\n");
+    return usage();
   }
 
   // Validate every requested name up front (code_by_name raises kBadConfig
@@ -319,7 +303,7 @@ int main(int argc, char** argv) {
                         sm.errors[g].c_str());
           }
         }
-        if (simulate == 1 && !faulted) {
+        if (simulate == 1) {
           // Acceptance self-check: a 1-cluster simulated run must be
           // bit-identical to the single-cluster pipeline that produced the
           // analytic inputs above.
@@ -390,7 +374,7 @@ int main(int argc, char** argv) {
         "geomean saris speedup at %u clusters: simulated %.2fx vs analytic "
         "%.2fx\n",
         simulate, geomean(sim_sp), geomean(ana_sp));
-    if (simulate == 1 && !faulted) {
+    if (simulate == 1) {
       std::printf("1-cluster simulated runs bit-identical to run_kernel: "
                   "all %zu cells OK\n",
                   sim_rows.size());
