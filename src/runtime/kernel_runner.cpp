@@ -220,10 +220,10 @@ void KernelRun::apply_fault_hooks() {
 RunMetrics KernelRun::finish(const Grid<>* golden) {
   const StencilCode& sc = ck_.code;
   // The reference is pure host-side data (io_.inputs is untouched by the
-  // run): compute it only when this run verifies and the caller did not
-  // hand one in (memoized or stepped).
+  // run): compute it only when the caller did not hand one in (memoized or
+  // stepped).
   std::unique_ptr<Grid<>> golden_own;
-  if (cfg_.verify && golden == nullptr) {
+  if (golden == nullptr) {
     golden_own = std::make_unique<Grid<>>(sc.tile_nx, sc.tile_ny, sc.tile_nz);
     golden_own->fill(0.0);
     reference_step(sc, io_.inputs, io_.coeffs, *golden_own);
@@ -234,40 +234,38 @@ RunMetrics KernelRun::finish(const Grid<>* golden) {
   Grid<> out_sim(sc.tile_nx, sc.tile_ny, sc.tile_nz);
   cluster_.tcdm().host_read(ck_.layout.output, out_sim.data(),
                             static_cast<u32>(out_sim.bytes()));
-  if (cfg_.verify) {
-    m.max_rel_err = max_rel_error(sc, out_sim, *golden);
-    if (!(m.max_rel_err <= cfg_.tolerance)) {
-      // Typed run failure, attributed: an injected TCDM bit flip on record
-      // for this cluster makes this kInjectedFault (the harness planted the
-      // corruption); otherwise it is a genuine kVerifyFailed. The seed and
-      // tolerance are part of the diagnostic so a failure line alone is
-      // enough to reproduce the cell.
-      SimErrc errc =
-          (cfg_.faults && cfg_.faults->fired(FaultKind::kTcdmBitFlip,
-                                             cluster_.cluster_id()))
-              ? SimErrc::kInjectedFault
-              : SimErrc::kVerifyFailed;
-      // Pin the miss to an element, the core that computed it, and that
-      // core's final pc, and show the disassembly around it — enough to read
-      // the failing inner loop straight off the error message.
-      std::ostringstream ctx;
-      const VerifyMiss miss = first_miss(sc, out_sim, *golden, cfg_.tolerance);
-      if (miss.found) {
-        const u32 core_id = owning_core(sc, miss.x, miss.y, miss.z);
-        const Core& core = cluster_.core(core_id);
-        ctx << "; first miss at (" << miss.x << ", " << miss.y << ", "
-            << miss.z << "): got " << miss.got << ", want " << miss.want
-            << " (rel err " << miss.rel_err << "), computed by core "
-            << core_id << ", final pc " << core.pc() << "\n"
-            << disasm_window(core.program(), core.pc(), 3);
-      }
-      SARIS_RAISE(errc, window_,
-                  sc.name << "/" << variant_name(ck_.variant)
-                          << ": verification failed, max rel err "
-                          << m.max_rel_err << " > tolerance "
-                          << cfg_.tolerance << " (seed " << cfg_.seed << ")"
-                          << ctx.str());
+  m.max_rel_err = max_rel_error(sc, out_sim, *golden);
+  if (!(m.max_rel_err <= cfg_.tolerance)) {
+    // Typed run failure, attributed: an injected TCDM bit flip on record
+    // for this cluster makes this kInjectedFault (the harness planted the
+    // corruption); otherwise it is a genuine kVerifyFailed. The seed and
+    // tolerance are part of the diagnostic so a failure line alone is
+    // enough to reproduce the cell.
+    SimErrc errc =
+        (cfg_.faults && cfg_.faults->fired(FaultKind::kTcdmBitFlip,
+                                           cluster_.cluster_id()))
+            ? SimErrc::kInjectedFault
+            : SimErrc::kVerifyFailed;
+    // Pin the miss to an element, the core that computed it, and that
+    // core's final pc, and show the disassembly around it — enough to read
+    // the failing inner loop straight off the error message.
+    std::ostringstream ctx;
+    const VerifyMiss miss = first_miss(sc, out_sim, *golden, cfg_.tolerance);
+    if (miss.found) {
+      const u32 core_id = owning_core(sc, miss.x, miss.y, miss.z);
+      const Core& core = cluster_.core(core_id);
+      ctx << "; first miss at (" << miss.x << ", " << miss.y << ", "
+          << miss.z << "): got " << miss.got << ", want " << miss.want
+          << " (rel err " << miss.rel_err << "), computed by core "
+          << core_id << ", final pc " << core.pc() << "\n"
+          << disasm_window(core.program(), core.pc(), 3);
     }
+    SARIS_RAISE(errc, window_,
+                sc.name << "/" << variant_name(ck_.variant)
+                        << ": verification failed, max rel err "
+                        << m.max_rel_err << " > tolerance "
+                        << cfg_.tolerance << " (seed " << cfg_.seed << ")"
+                        << ctx.str());
   }
   io_.outputs.clear();
   io_.outputs.push_back(std::move(out_sim));
@@ -350,8 +348,8 @@ RunMetrics run_kernel(const StencilCode& sc, const RunConfig& cfg) {
   KernelIO io;
   io.inputs = seeded_inputs(sc, cfg.seed);
   io.coeffs = sc.default_coeffs();
-  std::shared_ptr<const Grid<>> golden;
-  if (cfg.verify) golden = reference_for_seed(sc, cfg.seed, &io.inputs);
+  const std::shared_ptr<const Grid<>> golden =
+      reference_for_seed(sc, cfg.seed, &io.inputs);
   std::shared_ptr<const CompiledKernel> ck =
       PlanCache::global().get_or_compile(sc, cfg.variant, cfg.cg,
                                          cfg.cluster.num_cores,

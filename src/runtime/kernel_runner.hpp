@@ -39,7 +39,6 @@ struct RunConfig {
   CodegenOptions cg{};
   ClusterConfig cluster{};  ///< cores, TCDM and main-memory sizes
   bool overlap_dma = true;  ///< model steady-state double-buffered DMA
-  bool verify = true;
   bool record_timeline = false;  ///< fill RunMetrics::fpu_timeline
   u64 seed = 1;
   /// Hang guard: raise SimError(kMaxCyclesExceeded) — with the code,
@@ -114,7 +113,7 @@ class KernelRun {
   bool done() const { return done_; }
 
   /// Read back the output tile into io.outputs, verify it against `golden`
-  /// (computed from io when null and cfg.verify is set), and extract
+  /// (computed from io when null), and extract
   /// RunMetrics. Raises kVerifyFailed, or kInjectedFault when a TCDM bit
   /// flip of cfg.faults hit this cluster, on a miss beyond cfg.tolerance.
   RunMetrics finish(const Grid<>* golden = nullptr);

@@ -398,11 +398,9 @@ SystemRunMetrics run_system_kernel(const StencilCode& sc,
       KernelIO& io = ios[static_cast<std::size_t>(g) * cfg.tiles + t];
       io.inputs = seeded_inputs(sc, seed);
       io.coeffs = sc.default_coeffs();
-      if (cfg.run.verify) {
-        // Precomputed host-side and memoized per seed.
-        golden_refs.push_back(reference_for_seed(sc, seed, &io.inputs));
-        goldens.push_back(golden_refs.back().get());
-      }
+      // Precomputed host-side and memoized per seed.
+      golden_refs.push_back(reference_for_seed(sc, seed, &io.inputs));
+      goldens.push_back(golden_refs.back().get());
     }
     // Fetched once per cluster on purpose: the per-cell plan-cache footer
     // then shows the G-cluster run as 1 compile + (G-1) hits.

@@ -146,16 +146,6 @@ TEST(Runtime, OverlapJobsMoveTheTileTraffic) {
   }
 }
 
-TEST(Runtime, VerifyOffSkipsCheckButStillRuns) {
-  const StencilCode& sc = code_by_name("jacobi_2d");
-  RunConfig cfg;
-  cfg.variant = KernelVariant::kBase;
-  cfg.verify = false;
-  RunMetrics m = run_kernel(sc, cfg);
-  EXPECT_GT(m.cycles, 0u);
-  EXPECT_EQ(m.max_rel_err, 0.0);  // untouched
-}
-
 TEST(Runtime, DefaultToleranceAcceptsReassociationRounding) {
   // The reordered 27-point sums round differently from the reference:
   // 1.03e-10 relative error here, with default settings, on a correct run.
