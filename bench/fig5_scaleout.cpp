@@ -28,9 +28,9 @@
 // simulated cell: one injected cluster stall kills 1 of the G clusters
 // mid-run, the System quarantines it, and the run completes on the
 // survivors — the quarantined shard set is reported per cell. It needs
-// G >= 2, so that a survivor remains. Cells with a
-// quarantined cluster measure the degraded machine, so the analytic
-// comparison columns read as "what the fault cost", not as model error.
+// G >= 2, so that a survivor remains. Cells with a quarantined cluster
+// measure the degraded machine, so the analytic comparison columns read as
+// "what the fault cost", not as model error.
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -40,8 +40,8 @@
 
 #include "common/sim_error.hpp"
 #include "common/stats.hpp"
-#include "flags.hpp"
 #include "fault/fault_plan.hpp"
+#include "flags.hpp"
 #include "report/csv.hpp"
 #include "report/table.hpp"
 #include "runtime/plan_cache.hpp"

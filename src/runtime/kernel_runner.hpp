@@ -113,9 +113,9 @@ class KernelRun {
   bool done() const { return done_; }
 
   /// Read back the output tile into io.outputs, verify it against `golden`
-  /// (computed from io when null), and extract
-  /// RunMetrics. Raises kVerifyFailed, or kInjectedFault when a TCDM bit
-  /// flip of cfg.faults hit this cluster, on a miss beyond cfg.tolerance.
+  /// (computed from io when null), and extract RunMetrics. Raises
+  /// kVerifyFailed, or kInjectedFault when a TCDM bit flip of cfg.faults
+  /// hit this cluster, on a miss beyond cfg.tolerance.
   RunMetrics finish(const Grid<>* golden = nullptr);
 
  private:
