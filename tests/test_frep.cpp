@@ -92,6 +92,21 @@ TEST(FrepSequencer, StaggerRotatesEveryFmaOperandAboveBase) {
   EXPECT_FALSE(s.busy());
 }
 
+TEST(FrepSequencer, UnusedStaggerOffsetsNeverRotate) {
+  // Stagger 4 over 2 reps: the one replay uses offset 1, which moves f30
+  // to f31. Offsets 2 and 3 would pass f31, but no replay reaches them.
+  FrepSequencer s;
+  s.start(/*reps=*/2, /*body_len=*/1, /*stagger=*/4, /*stagger_base=*/10);
+  s.capture(fadd(30, 30, 9));
+  ASSERT_TRUE(s.replaying());
+  FpOp q;
+  s.next(q);
+  EXPECT_EQ(q.dst.idx, 31);
+  EXPECT_EQ(q.src[0].idx, 31);
+  EXPECT_EQ(q.src[1].idx, 9);
+  EXPECT_FALSE(s.busy());
+}
+
 TEST(FrepSequencer, NoStaggerKeepsRegisters) {
   FrepSequencer s;
   s.start(2, 1);
@@ -147,6 +162,21 @@ TEST(FrepSequencerDeath, OversizeBodyAborts) {
 TEST(FrepSequencerDeath, ZeroRepsAborts) {
   FrepSequencer s;
   EXPECT_DEATH(s.start(0, 1), "zero repetitions");
+}
+
+TEST(FrepSequencerDeath, StaggerPastF31Aborts) {
+  // Stagger 2 over 3 reps: the first replay uses offset 1, which moves
+  // f31 past the register file.
+  EXPECT_DEATH(
+      {
+        FrepSequencer s;
+        s.start(/*reps=*/3, /*body_len=*/1, /*stagger=*/2,
+                /*stagger_base=*/10);
+        s.capture(fadd(31, 4, 5));
+        FpOp q;
+        while (s.replaying()) s.next(q);
+      },
+      "stagger past f31");
 }
 
 TEST(FrepSequencerDeath, NonComputeBodyAborts) {
