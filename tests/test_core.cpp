@@ -527,6 +527,51 @@ TEST(Core, HandOffsFromAnIdleCoreKeepTheirTiming) {
             "fpu_idle_empty 326 ports 0 4 0 0 1 3 0 0 0 0 0 0 0 0");
 }
 
+TEST(Core, StalledOffloadAndScfgwiKeepTheirTiming) {
+  // Two stalls of the integer step. An fadd offloaded right after an frep
+  // waits on the replaying sequencer, whose dependent replays fill the FPU
+  // queue, and then on the full queue. An scfgwi to lane 0 waits while the
+  // queued fadds still pop lane 0's stream. The halt cycle and every
+  // counter are pinned.
+  Cluster cl(one_core());
+  for (u32 i = 0; i < 8; ++i) cl.tcdm().host_write_f64(512 + 8 * i, i + 1.0);
+  ProgramBuilder b;
+  b.li(x(9), 8);
+  b.scfgwi(x(9), 0, kSsrBound0);
+  b.scfgwi(x(9), 0, kSsrStride0);
+  b.li(x(9), 512);
+  b.scfgwi(x(9), 0, kSsrLaunchRead);
+  b.ssr_enable();
+  b.li(x(8), 24);
+  b.frep(x(8), 1);
+  b.fadd_d(f(4), f(4), f(8));  // each replay reads the one before
+  b.fadd_d(f(5), f(6), f(6));
+  for (u32 i = 0; i < 8; ++i) b.fadd_d(f(7), f(7), kFt0);
+  b.scfgwi(x(9), 0, kSsrBound0);  // lane 0 is busy until the last pop
+  b.ssr_disable();
+  b.halt();
+  cl.core(0).set_freg(6, 2.0);
+  cl.core(0).set_freg(8, 1.0);
+  const Core& core = run_alone(cl, b.build());
+
+  EXPECT_DOUBLE_EQ(core.freg(4), 24.0);
+  EXPECT_DOUBLE_EQ(core.freg(5), 4.0);
+  EXPECT_DOUBLE_EQ(core.freg(7), 36.0);
+  std::ostringstream books;
+  books << "halted_at " << core.perf().halted_at;
+  for (const CounterRow& r : kCounterTable) {
+    books << " " << r.name << " " << core.perf().*r.field;
+  }
+  EXPECT_EQ(books.str(),
+            "halted_at 96 int_instrs 10 fp_instrs 33 fp_offloads 10 "
+            "fpu_useful_ops 33 flops 33 fp_loads 0 fp_stores 0 "
+            "stall_icache 33 stall_fpu_queue_full 8 stall_seq_busy 30 "
+            "stall_scfg_busy 4 stall_branch 0 stall_barrier 0 "
+            "stall_int_lsu 0 stall_halt_drain 1 fpu_stall_operand 30 "
+            "fpu_stall_sr_empty 0 fpu_stall_sr_full 0 fpu_stall_mem 0 "
+            "fpu_idle_empty 34");
+}
+
 TEST(CoreDeath, LoadRejectsAProgramPastTheFpOpPcWidth) {
   Tcdm tcdm;
   Barrier bar(1);
