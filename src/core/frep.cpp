@@ -1,5 +1,7 @@
 #include "core/frep.hpp"
 
+#include <algorithm>
+
 #include "common/log.hpp"
 
 namespace saris {
@@ -14,11 +16,12 @@ void FrepSequencer::start(u64 reps, u32 body_len, u32 stagger,
   SARIS_CHECK(frep_stagger_ok(stagger), "bad frep stagger " << stagger);
   buf_.clear();
   to_capture_ = body_len;
-  reps_left_ = reps - 1;  // first iteration goes through the fetch path
-  pos_ = 0;
-  stagger_ = stagger;
+  // The first iteration goes through the fetch path.
+  ops_left_ = (reps - 1) * body_len;
+  copies_ = static_cast<u32>(std::min<u64>(stagger, reps));
+  buf_.reserve(copies_ * body_len);
+  cur_ = copies_ > 1 ? body_len : 0;  // iteration 1 replays copy 1 % copies_
   stagger_base_ = stagger_base;
-  stagger_off_ = 1 % stagger;  // the fetch pass was iteration 0
 }
 
 void FrepSequencer::capture(const FpOp& q) {
@@ -26,22 +29,25 @@ void FrepSequencer::capture(const FpOp& q) {
   SARIS_CHECK(op_desc(q.op).frep_body,
               "frep body must be FP compute instructions");
   buf_.push_back(q);
-  --to_capture_;
+  if (--to_capture_ == 0) stagger_copies();
+}
+
+void FrepSequencer::stagger_copies() {
+  const u32 len = static_cast<u32>(buf_.size());
+  for (u32 off = 1; off < copies_; ++off) {
+    for (u32 pos = 0; pos < len; ++pos) {
+      buf_.push_back(buf_[pos]);  // reserved in start(): no reallocation
+      SARIS_CHECK(stagger_rotate(buf_.back(), stagger_base_, off),
+                  "stagger past f31");
+    }
+  }
 }
 
 void FrepSequencer::next(FpOp& slot) {
   SARIS_CHECK(replaying(), "next() while not replaying");
-  slot = buf_[pos_];
-  if (stagger_ > 1) {
-    const bool in_range = stagger_rotate(slot, stagger_base_, stagger_off_);
-    SARIS_CHECK(in_range, "stagger past f31");
-  }
-  ++pos_;
-  if (pos_ == buf_.size()) {
-    pos_ = 0;
-    --reps_left_;
-    if (++stagger_off_ == stagger_) stagger_off_ = 0;
-  }
+  slot = buf_[cur_];
+  if (++cur_ == buf_.size()) cur_ = 0;
+  --ops_left_;
 }
 
 }  // namespace saris

@@ -5,8 +5,10 @@
 // fetch path, and the sequencer captures the decoded FPU queue entries
 // (core/fp_op.hpp) it enqueued; the remaining `reps-1` iterations are
 // injected straight into the FPU queue while the integer core runs ahead —
-// Snitch's pseudo-dual-issue. A replay copies the captured entry into the
-// queue slot and staggers its registers there, so nothing is re-decoded.
+// Snitch's pseudo-dual-issue. When the capture completes, the sequencer
+// staggers the body once for each register offset the replays will use, so
+// a replay only copies its entry into the queue slot: nothing is re-decoded
+// or re-staggered.
 #pragma once
 
 #include <vector>
@@ -62,25 +64,31 @@ class FrepSequencer {
 
   bool capturing() const { return to_capture_ > 0; }
   /// Replay phase active (injecting instructions into the FPU queue)?
-  bool replaying() const { return !capturing() && reps_left_ > 0; }
+  bool replaying() const { return !capturing() && ops_left_ > 0; }
   bool busy() const { return capturing() || replaying(); }
 
   /// Capture the decoded entry of one fetched FP body instruction (first
-  /// iteration).
+  /// iteration). The body's last op also builds its staggered copies, and
+  /// aborts if a register of one passes f31.
   void capture(const FpOp& q);
 
-  /// Copy the next op into `slot`, a fresh FPU queue entry, and stagger its
-  /// registers there.
+  /// Copy the next op, already staggered, into `slot`, a fresh FPU queue
+  /// entry.
   void next(FpOp& slot);
 
  private:
+  /// Append a copy of the captured body for each offset 1..copies_-1.
+  void stagger_copies();
+
+  /// The body staggered by offset 0, 1, ..., copies_-1, one after another.
+  /// Iteration k replays copy k % stagger, and a replay reaches only
+  /// min(stagger, reps) offsets, so no other copy is built.
   std::vector<FpOp> buf_;
   u32 to_capture_ = 0;
-  u64 reps_left_ = 0;  ///< full iterations still to inject
-  u32 pos_ = 0;
-  u32 stagger_ = 1;
+  u64 ops_left_ = 0;  ///< replayed ops still to inject
+  u32 cur_ = 0;       ///< index in buf_ of the next op to inject
+  u32 copies_ = 1;
   u32 stagger_base_ = 32;
-  u32 stagger_off_ = 0;  ///< replay iteration mod stagger_ (fetch pass = 0)
 };
 
 }  // namespace saris
