@@ -47,8 +47,40 @@ void Core::tick(Cycle now) {
   ssr_.tick(now);
 }
 
+bool Core::offload_stalls() {
+  if (seq_.replaying()) {
+    ++perf_.stall_seq_busy;
+    return true;
+  }
+  if (fpu_.queue_full()) {
+    ++perf_.stall_fpu_queue_full;
+    return true;
+  }
+  return false;
+}
+
+bool Core::scfg_stalls(u32 lane) {
+  if (!ssr_.lane(lane).busy()) return false;
+  ++perf_.stall_scfg_busy;
+  return true;
+}
+
 void Core::int_step(Cycle now) {
   if (perf_.halted) return;
+  // A waiting instruction was fetched and decoded when it first stalled;
+  // nothing but its reason can have changed since.
+  switch (wait_) {
+    case Wait::kNone:
+      break;
+    case Wait::kOffload:
+      if (offload_stalls()) return;
+      wait_ = Wait::kNone;
+      break;
+    case Wait::kScfg:
+      if (scfg_stalls(wait_lane_)) return;
+      wait_ = Wait::kNone;
+      break;
+  }
   if (prog_.empty()) {  // no program loaded: the core halts at once
     perf_.halted = true;
     perf_.halted_at = now;
@@ -109,12 +141,8 @@ void Core::int_step(Cycle now) {
   switch (d.cls) {
     case OpClass::kFpCompute:
     case OpClass::kFpMem: {  // offload to the FP subsystem
-      if (seq_.replaying()) {
-        ++perf_.stall_seq_busy;
-        return;
-      }
-      if (fpu_.queue_full()) {
-        ++perf_.stall_fpu_queue_full;
+      if (offload_stalls()) {
+        wait_ = Wait::kOffload;
         return;
       }
       // Copy the decoded entry into its queue slot; never build it on the
@@ -188,8 +216,9 @@ bool Core::sys_step(const Instr& in, Cycle now) {
     case Op::kScfgwi: {
       const ScfgSel sel = scfg_select(in.imm);
       SARIS_CHECK(sel.lane_ok(), "scfgwi to bad lane " << sel.lane);
-      if (ssr_.lane(sel.lane).busy()) {
-        ++perf_.stall_scfg_busy;
+      if (scfg_stalls(sel.lane)) {
+        wait_ = Wait::kScfg;
+        wait_lane_ = sel.lane;
         return false;
       }
       if (ssr_.write_cfg(sel.lane, sel.word, xregs_[in.rs1.idx])) {

@@ -10,6 +10,12 @@
 // the queue. Addresses of offloaded fld/fsd are computed by the integer
 // core at offload time (as on Snitch) and written into the entry's target.
 //
+// Two stalls of the integer step wait on another unit: an FP offload behind
+// a replaying FREP sequencer or a full FPU queue, and an scfgwi to a busy
+// stream lane. The core keeps the reason it stalled and, each later cycle,
+// re-tests only that reason and books its counter, skipping fetch and
+// decode, until it clears; then the instruction takes the full path again.
+//
 // Besides its CorePerf counters, every run records the FPU's stall cycles
 // by pc (pc_stalls) and each stream launch with its scfgwi pc and lane
 // (launches). A core runs one program from power-on: the constructor is the
@@ -71,10 +77,19 @@ class Core {
   void set_freg(u8 i, double v) { fregs_[i] = v; }
 
  private:
+  /// What a stalled instruction waits for (see the file comment).
+  enum class Wait : u8 { kNone, kOffload, kScfg };
+
   void int_step(Cycle now);
   /// One kSys instruction; false when it stalled (or halted) and must not
   /// retire.
   bool sys_step(const Instr& in, Cycle now);
+  /// The stall tests, shared by an instruction's first attempt and its
+  /// wait: each books one stall cycle and returns true while the reason
+  /// holds. An FP offload waits while the sequencer replays or the FPU
+  /// queue is full; an scfgwi waits while its lane is busy.
+  bool offload_stalls();
+  bool scfg_stalls(u32 lane);
 
   u32 id_;
   Tcdm& tcdm_;
@@ -103,6 +118,8 @@ class Core {
   u32 int_load_size_ = 4;
 
   u32 stall_cycles_ = 0;
+  Wait wait_ = Wait::kNone;
+  u32 wait_lane_ = 0;  ///< the busy lane an scfgwi waits for
   bool barrier_wait_ = false;
   i64 icache_paid_pc_ = -1;
 };
