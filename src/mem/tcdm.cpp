@@ -108,6 +108,13 @@ void Tcdm::arbitrate_sparse() {
     const u32 bank = active_banks_[bi];
     u32* const pend = &pending_[bank * n];
     u32& count = bank_count_[bank];
+    if (count == 1) {
+      // A lone request wins outright and conflicts with nothing.
+      grant(pend[0], bank);
+      count = 0;
+      active_banks_[bi] = active_banks_[--num_active_];
+      continue;
+    }
     // Round robin: the winner is the pending port with the smallest
     // circular distance from the bank's pointer. Every pending port is
     // charged a conflict in the same pass, and the winner's is taken back.
