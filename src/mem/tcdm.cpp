@@ -15,13 +15,14 @@ u32 Tcdm::make_port(std::string name) {
   SARIS_CHECK(num_active_ == 0, "make_port with requests pending");
   ports_.push_back(Port{});
   port_names_.push_back(std::move(name));
-  pending_.resize(kTcdmBanks * ports_.size());
-  if (ideal_) bank_grants_.resize(kTcdmBanks * ports_.size());
-  return static_cast<u32>(ports_.size() - 1);
+  ++num_ports_;
+  pending_.resize(kTcdmBanks * num_ports_);
+  if (ideal_) bank_grants_.resize(kTcdmBanks * num_ports_);
+  return num_ports_ - 1;
 }
 
 void Tcdm::post(u32 port, Addr addr, u32 size, bool is_write, u64 wdata) {
-  SARIS_CHECK(port < ports_.size(), "bad port " << port);
+  SARIS_CHECK(port < num_ports_, "bad port " << port);
   Port& p = ports_[port];
   SARIS_CHECK(!p.pending && !p.resp_ready,
               "post to busy port " << port_names_[port]);
@@ -37,7 +38,7 @@ void Tcdm::post(u32 port, Addr addr, u32 size, bool is_write, u64 wdata) {
   const u32 bank = bank_of(addr);
   u32& count = bank_count_[bank];
   if (count == 0) active_banks_[num_active_++] = bank;
-  pending_[bank * num_ports() + count++] = port;
+  pending_[bank * num_ports_ + count++] = port;
 }
 
 u64 Tcdm::do_access(Port& p) {
@@ -66,7 +67,7 @@ void Tcdm::grant(u32 winner, u32 bank) {
   w.resp_ready = true;
   ++w.accesses;
   ++total_accesses_;
-  rr_next_[bank] = winner + 1 == num_ports() ? 0 : winner + 1;
+  rr_next_[bank] = winner + 1 == num_ports_ ? 0 : winner + 1;
 }
 
 void Tcdm::arbitrate(Cycle /*now*/) {
@@ -84,7 +85,7 @@ void Tcdm::arbitrate_ideal() {
   // Round-robin pointers are left untouched — there are never losers.
   for (u32 bi = 0; bi < num_active_; ++bi) {
     const u32 bank = active_banks_[bi];
-    const u32* const pend = &pending_[bank * num_ports()];
+    const u32* const pend = &pending_[bank * num_ports_];
     for (u32 j = 0; j < bank_count_[bank]; ++j) {
       Port& p = ports_[pend[j]];
       p.rdata = do_access(p);
@@ -103,7 +104,7 @@ void Tcdm::arbitrate_sparse() {
   // Visit only banks that have pending requests; each port has at most one
   // request in exactly one bank, so banks are independent and the visit
   // order does not affect the outcome.
-  const u32 n = num_ports();
+  const u32 n = num_ports_;
   for (u32 bi = 0; bi < num_active_;) {
     const u32 bank = active_banks_[bi];
     u32* const pend = &pending_[bank * n];
@@ -171,17 +172,17 @@ double Tcdm::host_read_f64(Addr addr) const {
 void Tcdm::host_write_f64(Addr addr, double v) { host_write(addr, &v, 8); }
 
 u64 Tcdm::port_conflicts(u32 port) const {
-  SARIS_CHECK(port < ports_.size(), "bad port");
+  SARIS_CHECK(port < num_ports_, "bad port");
   return ports_[port].conflicts;
 }
 
 u64 Tcdm::port_accesses(u32 port) const {
-  SARIS_CHECK(port < ports_.size(), "bad port");
+  SARIS_CHECK(port < num_ports_, "bad port");
   return ports_[port].accesses;
 }
 
 u64 Tcdm::bank_grants(u32 port, u32 bank) const {
-  SARIS_CHECK(port < ports_.size() && bank < kTcdmBanks, "bad port or bank");
+  SARIS_CHECK(port < num_ports_ && bank < kTcdmBanks, "bad port or bank");
   const std::size_t i = std::size_t{port} * kTcdmBanks + bank;
   return i < bank_grants_.size() ? bank_grants_[i] : 0;
 }

@@ -36,12 +36,12 @@ class Tcdm {
 
   /// Register a requester; returns its port id. `name` is for diagnostics.
   u32 make_port(std::string name);
-  u32 num_ports() const { return static_cast<u32>(ports_.size()); }
+  u32 num_ports() const { return num_ports_; }
 
   /// True iff the port has neither a pending request nor an unread response.
   /// For tests; requesters track this themselves (see the file comment).
   bool port_idle(u32 port) const {
-    SARIS_CHECK(port < ports_.size(), "bad port " << port);
+    SARIS_CHECK(port < num_ports_, "bad port " << port);
     const Port& p = ports_[port];
     return !p.pending && !p.resp_ready;
   }
@@ -71,16 +71,16 @@ class Tcdm {
   /// grants per bank (bank_grants); arbitrated runs count none.
   void set_ideal_arbitration(bool on) {
     ideal_ = on;
-    if (on) bank_grants_.resize(kTcdmBanks * ports_.size());
+    if (on) bank_grants_.resize(kTcdmBanks * num_ports_);
   }
 
   /// Response interface (valid from the cycle after the grant).
   bool response_ready(u32 port) const {
-    SARIS_CHECK(port < ports_.size(), "bad port " << port);
+    SARIS_CHECK(port < num_ports_, "bad port " << port);
     return ports_[port].resp_ready;
   }
   u64 take_response(u32 port) {
-    SARIS_CHECK(port < ports_.size(), "bad port " << port);
+    SARIS_CHECK(port < num_ports_, "bad port " << port);
     Port& p = ports_[port];
     SARIS_CHECK(p.resp_ready, "no response on port " << port_names_[port]);
     p.resp_ready = false;
@@ -135,6 +135,8 @@ class Tcdm {
 
   std::vector<u8> mem_;
   std::vector<Port> ports_;
+  /// ports_.size(), kept so that the hot paths do not divide by sizeof(Port).
+  u32 num_ports_ = 0;
   std::vector<std::string> port_names_;  ///< diagnostics, by port id
   /// Per-bank round-robin pointer, < num_ports.
   std::array<u32, kTcdmBanks> rr_next_{};
