@@ -53,7 +53,8 @@ class SsrLane {
   // ---- cycle behaviour ----
   /// Phase 1: absorb TCDM responses granted last cycle.
   void collect(Cycle /*now*/) {
-    if (inflight_data_ == 0 || !tcdm_.response_ready(data_port_)) return;
+    // A lane with nothing in flight has no response, so one poll suffices.
+    if (!tcdm_.response_ready(data_port_)) return;
     const u64 data = tcdm_.take_response(data_port_);
     --inflight_data_;
     if (is_read_stream()) {
