@@ -43,11 +43,4 @@ void FrepSequencer::stagger_copies() {
   }
 }
 
-void FrepSequencer::next(FpOp& slot) {
-  SARIS_CHECK(replaying(), "next() while not replaying");
-  slot = buf_[cur_];
-  if (++cur_ == buf_.size()) cur_ = 0;
-  --ops_left_;
-}
-
 }  // namespace saris

@@ -13,6 +13,7 @@
 
 #include <vector>
 
+#include "common/log.hpp"
 #include "common/types.hpp"
 #include "core/fp_op.hpp"
 #include "isa/instr.hpp"
@@ -90,5 +91,12 @@ class FrepSequencer {
   u32 copies_ = 1;
   u32 stagger_base_ = 32;
 };
+
+inline void FrepSequencer::next(FpOp& slot) {
+  SARIS_CHECK(replaying(), "next() while not replaying");
+  slot = buf_[cur_];
+  if (++cur_ == buf_.size()) cur_ = 0;
+  --ops_left_;
+}
 
 }  // namespace saris

@@ -80,4 +80,24 @@ class SsrUnit {
   u32 idx_rr_ = 0;
 };
 
+inline void SsrUnit::issue_index_fetch() {
+  // One shared index fetch per cycle, round-robin between the indirect-
+  // capable lanes only — the affine lane can never want an index word.
+  if (idx_inflight_lane_ != kNumSsrLanes) return;
+  for (u32 k = 0; k < kNumIndirectSsrLanes; ++k) {
+    const u32 cand = (idx_rr_ + k) % kNumIndirectSsrLanes;
+    Addr addr = 0;
+    if (lanes_[cand].wants_index_word(&addr)) {
+      // Index fetches are 64-bit word reads; align down (layouts align
+      // index arrays to 8 B, so this is exact).
+      tcdm_.post(idx_port_, addr & ~static_cast<Addr>(7), kWordBytes,
+                 /*is_write=*/false, 0);
+      lanes_[cand].index_word_sent();
+      idx_inflight_lane_ = cand;
+      idx_rr_ = (cand + 1) % kNumIndirectSsrLanes;
+      return;
+    }
+  }
+}
+
 }  // namespace saris
