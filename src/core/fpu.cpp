@@ -23,6 +23,18 @@ bool FpSubsystem::src_ready(FReg r, Cycle now) const {
   return freg_ready_[r.idx] <= now;
 }
 
+bool FpSubsystem::stream_pops_ready(const FpOp& q) const {
+  if (!ssr_.enabled()) return true;
+  for (u32 k = 0; k < q.nsrc; ++k) {
+    const FReg r = q.src[k];
+    if (!is_ssr_reg(r)) continue;
+    u32 pops = 1;  // this source's, then one per earlier source naming r
+    for (u32 j = 0; j < k; ++j) pops += q.src[j].idx == r.idx ? 1 : 0;
+    if (!ssr_.lane(ssr_lane_of(r)).can_pop(pops)) return false;
+  }
+  return true;
+}
+
 double FpSubsystem::read_src(FReg r) {
   if (ssr_.enabled() && is_ssr_reg(r)) {
     return ssr_.lane(ssr_lane_of(r)).pop();
@@ -34,7 +46,7 @@ bool FpSubsystem::operands_ready(const FpOp& q, Cycle now) const {
   for (u32 k = 0; k < q.nsrc; ++k) {
     if (!src_ready(q.src[k], now)) return false;
   }
-  return true;
+  return !repeated_srcs_ || stream_pops_ready(q);
 }
 
 std::array<double, 3> FpSubsystem::read_sources(const FpOp& q) {
@@ -107,7 +119,7 @@ void FpSubsystem::tick(Cycle now) {
   // Arithmetic / moves.
   if (!operands_ready(q, now)) {
     // Attribute the stall: SR FIFO empty vs scoreboard.
-    bool sr_block = false;
+    bool sr_block = repeated_srcs_ && !stream_pops_ready(q);
     for (u32 k = 0; k < q.nsrc; ++k) {
       const FReg r = q.src[k];
       sr_block = sr_block || (ssr_.enabled() && is_ssr_reg(r) &&

@@ -3,9 +3,11 @@
 // The integer core (or the FREP sequencer) enqueues offloaded FP
 // instructions into a small queue; the FPU issues them strictly in order,
 // at most one per cycle, with a pipelined 3-cycle latency for arithmetic.
-// Register reads of ft0..ft2 pop SSR FIFOs when streaming is enabled;
-// writes to a write-configured stream register push into the lane's store
-// FIFO. An FP LSU with a single pipelined TCDM port serves fld/fsd.
+// Register reads of ft0..ft2 pop SSR FIFOs when streaming is enabled, once
+// per source, so an op that names one stream register twice issues only
+// once two elements are buffered; writes to a write-configured stream
+// register push into the lane's store FIFO. An FP LSU with a single
+// pipelined TCDM port serves fld/fsd.
 //
 // Each op is decoded once per program load (decode_fp_op, core/fp_op.hpp)
 // into the 16-byte queue entry that issue reads. Issue also fixes where the
@@ -67,6 +69,10 @@ class FpSubsystem {
   /// Size the per-pc table, zeroed, for a program of `n` instructions
   /// (Core::load_program, before the first tick).
   void clear_pc_stalls(u32 n) { pc_stalls_.assign(n, PcStalls{}); }
+  /// Whether an op of the loaded program repeats a source (FpOp::repeats_src;
+  /// Core::load_program, before the first tick). Only such an op pops one
+  /// stream lane twice, so only then does issue count each lane's pops.
+  void set_repeated_sources(bool any) { repeated_srcs_ = any; }
 
  private:
   /// An issued op: its result and where it goes. The destination is
@@ -85,6 +91,9 @@ class FpSubsystem {
   /// order.
   std::array<double, 3> read_sources(const FpOp& q);
   bool src_ready(FReg r, Cycle now) const;
+  /// Each stream source of `q` has an element buffered for it after those
+  /// the op's earlier sources pop.
+  bool stream_pops_ready(const FpOp& q) const;
 
   Tcdm& tcdm_;
   SsrUnit& ssr_;
@@ -99,6 +108,7 @@ class FpSubsystem {
   FixedQueue<Inflight, kFpuLatencyCycles> pipe_;
   std::array<Cycle, kNumFRegs> freg_ready_{};
   std::vector<PcStalls> pc_stalls_;
+  bool repeated_srcs_ = false;
 
   u32 lsu_port_;
   bool lsu_busy_ = false;

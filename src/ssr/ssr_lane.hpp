@@ -35,8 +35,10 @@ class SsrLane {
            kind_ == SsrStreamKind::kIndirectRead;
   }
   bool is_write_stream() const { return kind_ == SsrStreamKind::kAffineWrite; }
-  /// Read stream: data available to pop this cycle?
-  bool can_pop() const { return is_read_stream() && !rfifo_.empty(); }
+  /// Read stream: `n` elements available to pop this cycle?
+  bool can_pop(u32 n = 1) const {
+    return is_read_stream() && rfifo_.size() >= n;
+  }
   double pop() {
     SARIS_CHECK(can_pop(), "pop on empty SSR lane " << lane_id_);
     SARIS_CHECK(to_consume_ > 0, "pop past end of stream");

@@ -572,6 +572,43 @@ TEST(Core, StalledOffloadAndScfgwiKeepTheirTiming) {
             "fpu_idle_empty 34");
 }
 
+TEST(Core, AnOpReadingOneStreamTwiceWaitsForTwoElements) {
+  // fadd.d f, ft0, ft0 pops lane 0 twice, so it issues only once two
+  // elements are buffered; with one, it books an SR-empty stall.
+  Cluster cl(one_core());
+  for (u32 i = 0; i < 8; ++i) cl.tcdm().host_write_f64(512 + 8 * i, i + 1.0);
+  ProgramBuilder b;
+  b.li(x(9), 8);
+  b.scfgwi(x(9), 0, kSsrBound0);
+  b.scfgwi(x(9), 0, kSsrStride0);
+  b.li(x(9), 512);
+  b.scfgwi(x(9), 0, kSsrLaunchRead);
+  for (u32 i = 0; i < 12; ++i) b.addi(x(7), x(7), 1);
+  b.ssr_enable();
+  for (u8 i = 0; i < 4; ++i) b.fadd_d(f(10 + i), kFt0, kFt0);
+  b.ssr_disable();
+  b.halt();
+  const Core& core = run_alone(cl, b.build());
+
+  EXPECT_DOUBLE_EQ(core.freg(10), 3.0);
+  EXPECT_DOUBLE_EQ(core.freg(11), 7.0);
+  EXPECT_DOUBLE_EQ(core.freg(12), 11.0);
+  EXPECT_DOUBLE_EQ(core.freg(13), 15.0);
+  std::ostringstream books;
+  books << "halted_at " << core.perf().halted_at;
+  for (const CounterRow& r : kCounterTable) {
+    books << " " << r.name << " " << core.perf().*r.field;
+  }
+  EXPECT_EQ(books.str(),
+            "halted_at 59 int_instrs 19 fp_instrs 4 fp_offloads 4 "
+            "fpu_useful_ops 4 flops 4 fp_loads 0 fp_stores 0 "
+            "stall_icache 33 stall_fpu_queue_full 0 stall_seq_busy 0 "
+            "stall_scfg_busy 0 stall_branch 0 stall_barrier 0 "
+            "stall_int_lsu 0 stall_halt_drain 3 fpu_stall_operand 0 "
+            "fpu_stall_sr_empty 1 fpu_stall_sr_full 0 fpu_stall_mem 0 "
+            "fpu_idle_empty 55");
+}
+
 TEST(CoreDeath, LoadRejectsAProgramPastTheFpOpPcWidth) {
   Tcdm tcdm;
   Barrier bar(1);
@@ -626,6 +663,22 @@ TEST(FpOp, DecodeMatchesTheOpTableRow) {
     for (u32 k = 0; k < q.nsrc; ++k) EXPECT_EQ(q.src[k].idx, srcs[k]);
   }
   EXPECT_EQ(ops, 9u);
+}
+
+TEST(FpOp, RepeatsSrcFindsTwoSourcesNamingOneRegister) {
+  Instr in;
+  in.op = Op::kFmaddD;
+  in.frd = f(10);
+  in.frs1 = kFt0;
+  in.frs2 = f(4);
+  in.frs3 = f(5);
+  EXPECT_FALSE(decode_fp_op(in).repeats_src());
+  in.frs3 = kFt0;  // frs1 and frs3 name one register
+  EXPECT_TRUE(decode_fp_op(in).repeats_src());
+  in.op = Op::kFaddD;  // reads frs1 and frs2 only
+  EXPECT_FALSE(decode_fp_op(in).repeats_src());
+  in.frs2 = kFt0;
+  EXPECT_TRUE(decode_fp_op(in).repeats_src());
 }
 
 TEST(FpOpDeath, DecodeRejectsNonFpOps) {
