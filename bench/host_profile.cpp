@@ -33,6 +33,11 @@
 // compare two builds. To turn a share into time, multiply it by the
 // repository benchmark's 1/sim_mcps, which is in reference seconds.
 //
+// Below the table it lists the 15 source lines that take the most samples
+// under the profiled frame: each sample counts once, for the innermost
+// frame of its interrupted pc, printed as `function @ file:line`.
+// Component shares say which class is hot; this list says which line.
+//
 // Inlined frames need debug info. Configure a separate build with -g:
 //
 //   cmake -B build-prof -S . -DCMAKE_BUILD_TYPE=Release
@@ -45,7 +50,7 @@
 // subtracts the executable's load base from every pc inside it (found with
 // dl_iterate_phdr), so both work. Without -g, addr2line still names the
 // non-inlined functions, which is enough to tell the cycle loop from the
-// rest.
+// rest; its hot-line list then reads ?? for every line.
 //
 // Exit status 1 when no sample was recorded, or when fewer than 90% of the
 // samples fall under the profiled frame (Cluster::step, or verify_kernel).
@@ -249,10 +254,16 @@ ExeMap exe_map() {
   return m;
 }
 
+/// One frame of addr2line's inline chain.
+struct Frame {
+  std::string function;
+  std::string line;  ///< file:line, or ??:? without debug info
+};
+
 /// addr2line's inline chain (innermost first) for each executable address.
-std::map<uintptr_t, std::vector<std::string>> symbolize(
+std::map<uintptr_t, std::vector<Frame>> symbolize(
     const std::vector<uintptr_t>& addrs) {
-  std::map<uintptr_t, std::vector<std::string>> out;
+  std::map<uintptr_t, std::vector<Frame>> out;
   char exe[4096];
   const ssize_t len = readlink("/proc/self/exe", exe, sizeof exe - 1);
   if (len <= 0) return out;
@@ -269,7 +280,7 @@ std::map<uintptr_t, std::vector<std::string>> symbolize(
     FILE* p = popen(cmd.c_str(), "r");
     if (p == nullptr) return out;
     // Per address: its "0x..." line, then (function, file:line) pairs.
-    std::vector<std::string>* cur = nullptr;
+    std::vector<Frame>* cur = nullptr;
     bool want_function = false;
     char line[8192];
     while (std::fgets(line, sizeof line, p) != nullptr) {
@@ -278,7 +289,11 @@ std::map<uintptr_t, std::vector<std::string>> symbolize(
         cur = &out[std::strtoul(line, nullptr, 16)];
         want_function = true;
       } else if (cur != nullptr) {
-        if (want_function) cur->emplace_back(line);
+        if (want_function) {
+          cur->push_back(Frame{line, ""});
+        } else {
+          cur->back().line = line;
+        }
         want_function = !want_function;
       }
     }
@@ -325,15 +340,31 @@ bool starts_with(const std::string& s, const char* prefix) {
 
 /// Index into `components` of the innermost component frame, or -1.
 int classify(const std::vector<Component>& components,
-             const std::vector<const std::string*>& chain) {
-  for (const std::string* f : chain) {
+             const std::vector<const Frame*>& chain) {
+  for (const Frame* f : chain) {
     for (std::size_t c = 0; c < components.size(); ++c) {
       for (const char* prefix : components[c].prefixes) {
-        if (starts_with(*f, prefix)) return static_cast<int>(c);
+        if (starts_with(f->function, prefix)) return static_cast<int>(c);
       }
     }
   }
   return -1;
+}
+
+/// `function @ file:line` of a frame, the file relative to the source tree
+/// (the directory above this file's bench/) and without addr2line's
+/// "(discriminator N)" suffix, so that one line is one entry.
+std::string source_line(const Frame& f) {
+  static const std::string root = [] {
+    const std::string self = __FILE__;
+    const std::size_t at = self.rfind("bench/host_profile.cpp");
+    return at == std::string::npos ? std::string() : self.substr(0, at);
+  }();
+  std::string line = f.line.substr(0, f.line.find(" ("));
+  if (!root.empty() && line.compare(0, root.size(), root) == 0) {
+    line.erase(0, root.size());
+  }
+  return f.function + " @ " + line;
 }
 
 }  // namespace
@@ -431,20 +462,22 @@ int main(int argc, char** argv) {
       verify ? "saris::verify_kernel" : "saris::Cluster::step";
   const char* const frame_name = verify ? "verify_kernel" : "Cluster::step";
   std::vector<u64> counts(components.size(), 0);
+  std::map<std::string, u64> lines;  ///< samples by innermost source line
   u64 loop = 0, loop_other = 0;
   for (const std::vector<uintptr_t>& stack : stacks) {
-    std::vector<const std::string*> chain;
+    std::vector<const Frame*> chain;
     for (uintptr_t a : stack) {
       const auto it = symbols.find(a);
       if (it == symbols.end()) continue;
-      for (const std::string& f : it->second) chain.push_back(&f);
+      for (const Frame& f : it->second) chain.push_back(&f);
     }
     bool in_loop = false;
-    for (const std::string* f : chain) {
-      in_loop = in_loop || starts_with(*f, frame);
+    for (const Frame* f : chain) {
+      in_loop = in_loop || starts_with(f->function, frame);
     }
     if (!in_loop) continue;
     ++loop;
+    ++lines[source_line(*chain.front())];
     const int c = classify(components, chain);
     if (c < 0) {
       ++loop_other;
@@ -484,6 +517,25 @@ int main(int argc, char** argv) {
   std::printf("\nsampling noise: a share's standard error is at most %.1f "
               "points\n",
               50.0 / std::sqrt(total));
+
+  constexpr std::size_t kHotLines = 15;
+  std::vector<std::pair<u64, std::string>> hot;
+  for (const auto& [where, count] : lines) hot.emplace_back(count, where);
+  std::sort(hot.begin(), hot.end(), [](const auto& a, const auto& b) {
+    return a.first != b.first ? a.first > b.first : a.second < b.second;
+  });
+  hot.resize(std::min(hot.size(), kHotLines));
+  std::printf("\nhottest lines under %s (innermost frame of each sample)\n",
+              frame_name);
+  TextTable h({verify ? "% of verify" : "% of loop", "samples",
+               "function @ file:line"});
+  for (const auto& [count, where] : hot) {
+    h.add_row({TextTable::pct(static_cast<double>(count) /
+                                  static_cast<double>(loop),
+                              1),
+               std::to_string(count), where});
+  }
+  std::printf("%s", h.str().c_str());
 
   if (static_cast<double>(loop) < kMinLoopShare * total) {
     std::fprintf(stderr, "host_profile: under %.0f%% of samples in %s\n",
