@@ -20,16 +20,13 @@ void Core::load_program(Program p) {
                             << " exceeds " << kMaxProgramInstrs);
   prog_ = std::move(p);
   fp_ops_.assign(prog_.size(), FpOp{});
-  bool repeats = false;
   for (u32 pc = 0; pc < prog_.size(); ++pc) {
     const Instr& in = prog_.instrs()[pc];
     if (!is_fp_op(in.op)) continue;
     fp_ops_[pc] = decode_fp_op(in);
     fp_ops_[pc].pc = static_cast<u16>(pc);
-    repeats = repeats || fp_ops_[pc].repeats_src();
   }
   fpu_.clear_pc_stalls(prog_.size());
-  fpu_.set_repeated_sources(repeats);
 }
 
 void Core::tick(Cycle now) {

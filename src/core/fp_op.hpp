@@ -48,17 +48,6 @@ struct FpOp {
 
   /// Every FP op but a store writes `dst` (checked against f_write below).
   bool writes_dst() const { return mem != MemDir::kStore; }
-  /// Two sources name one register, as in fadd.d f10, ft0, ft0. Register
-  /// staggering keeps the answer: it moves every register at or above its
-  /// base by the same offset.
-  bool repeats_src() const {
-    for (u32 k = 1; k < nsrc; ++k) {
-      for (u32 j = 0; j < k; ++j) {
-        if (src[j].idx == src[k].idx) return true;
-      }
-    }
-    return false;
-  }
 };
 static_assert(sizeof(FpOp) == 16);
 static_assert(kMaxProgramInstrs - 1 <= std::numeric_limits<u16>::max());

@@ -16,23 +16,14 @@ FpSubsystem::FpSubsystem(Tcdm& tcdm, SsrUnit& ssr, CorePerf& perf,
   freg_ready_.fill(0);
 }
 
-bool FpSubsystem::src_ready(FReg r, Cycle now) const {
+bool FpSubsystem::src_ready(const FpOp& q, u32 k, Cycle now) const {
+  const FReg r = q.src[k];
   if (ssr_.enabled() && is_ssr_reg(r)) {
-    return ssr_.lane(ssr_lane_of(r)).can_pop();
-  }
-  return freg_ready_[r.idx] <= now;
-}
-
-bool FpSubsystem::stream_pops_ready(const FpOp& q) const {
-  if (!ssr_.enabled()) return true;
-  for (u32 k = 0; k < q.nsrc; ++k) {
-    const FReg r = q.src[k];
-    if (!is_ssr_reg(r)) continue;
     u32 pops = 1;  // this source's, then one per earlier source naming r
     for (u32 j = 0; j < k; ++j) pops += q.src[j].idx == r.idx ? 1 : 0;
-    if (!ssr_.lane(ssr_lane_of(r)).can_pop(pops)) return false;
+    return ssr_.lane(ssr_lane_of(r)).can_pop(pops);
   }
-  return true;
+  return freg_ready_[r.idx] <= now;
 }
 
 double FpSubsystem::read_src(FReg r) {
@@ -44,9 +35,9 @@ double FpSubsystem::read_src(FReg r) {
 
 bool FpSubsystem::operands_ready(const FpOp& q, Cycle now) const {
   for (u32 k = 0; k < q.nsrc; ++k) {
-    if (!src_ready(q.src[k], now)) return false;
+    if (!src_ready(q, k, now)) return false;
   }
-  return !repeated_srcs_ || stream_pops_ready(q);
+  return true;
 }
 
 std::array<double, 3> FpSubsystem::read_sources(const FpOp& q) {
@@ -119,11 +110,10 @@ void FpSubsystem::tick(Cycle now) {
   // Arithmetic / moves.
   if (!operands_ready(q, now)) {
     // Attribute the stall: SR FIFO empty vs scoreboard.
-    bool sr_block = repeated_srcs_ && !stream_pops_ready(q);
+    bool sr_block = false;
     for (u32 k = 0; k < q.nsrc; ++k) {
-      const FReg r = q.src[k];
-      sr_block = sr_block || (ssr_.enabled() && is_ssr_reg(r) &&
-                              !ssr_.lane(ssr_lane_of(r)).can_pop());
+      sr_block = sr_block || (ssr_.enabled() && is_ssr_reg(q.src[k]) &&
+                              !src_ready(q, k, now));
     }
     if (sr_block) {
       ++perf_.fpu_stall_sr_empty;

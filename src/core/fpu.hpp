@@ -69,10 +69,6 @@ class FpSubsystem {
   /// Size the per-pc table, zeroed, for a program of `n` instructions
   /// (Core::load_program, before the first tick).
   void clear_pc_stalls(u32 n) { pc_stalls_.assign(n, PcStalls{}); }
-  /// Whether an op of the loaded program repeats a source (FpOp::repeats_src;
-  /// Core::load_program, before the first tick). Only such an op pops one
-  /// stream lane twice, so only then does issue count each lane's pops.
-  void set_repeated_sources(bool any) { repeated_srcs_ = any; }
 
  private:
   /// An issued op: its result and where it goes. The destination is
@@ -90,10 +86,10 @@ class FpSubsystem {
   /// Read (popping stream registers) every FP source of `q`, in operand
   /// order.
   std::array<double, 3> read_sources(const FpOp& q);
-  bool src_ready(FReg r, Cycle now) const;
-  /// Each stream source of `q` has an element buffered for it after those
-  /// the op's earlier sources pop.
-  bool stream_pops_ready(const FpOp& q) const;
+  /// Source `k` of `q` can be read: a stream source has an element
+  /// buffered for it after those the op's earlier sources pop, any other
+  /// source is ready on the scoreboard.
+  bool src_ready(const FpOp& q, u32 k, Cycle now) const;
 
   Tcdm& tcdm_;
   SsrUnit& ssr_;
@@ -108,7 +104,6 @@ class FpSubsystem {
   FixedQueue<Inflight, kFpuLatencyCycles> pipe_;
   std::array<Cycle, kNumFRegs> freg_ready_{};
   std::vector<PcStalls> pc_stalls_;
-  bool repeated_srcs_ = false;
 
   u32 lsu_port_;
   bool lsu_busy_ = false;

@@ -665,22 +665,6 @@ TEST(FpOp, DecodeMatchesTheOpTableRow) {
   EXPECT_EQ(ops, 9u);
 }
 
-TEST(FpOp, RepeatsSrcFindsTwoSourcesNamingOneRegister) {
-  Instr in;
-  in.op = Op::kFmaddD;
-  in.frd = f(10);
-  in.frs1 = kFt0;
-  in.frs2 = f(4);
-  in.frs3 = f(5);
-  EXPECT_FALSE(decode_fp_op(in).repeats_src());
-  in.frs3 = kFt0;  // frs1 and frs3 name one register
-  EXPECT_TRUE(decode_fp_op(in).repeats_src());
-  in.op = Op::kFaddD;  // reads frs1 and frs2 only
-  EXPECT_FALSE(decode_fp_op(in).repeats_src());
-  in.frs2 = kFt0;
-  EXPECT_TRUE(decode_fp_op(in).repeats_src());
-}
-
 TEST(FpOpDeath, DecodeRejectsNonFpOps) {
   Instr in;
   in.op = Op::kAddi;
