@@ -5,8 +5,9 @@
 // a per-pc table of these entries and writes each entry's pc. The fetch
 // path copies a pc's entry into the FPU queue slot and writes only the
 // fld/fsd address; the FREP sequencer captures the entries the fetch pass
-// enqueued and replays each by copying it into a queue slot and staggering
-// its registers there. So no offloaded or replayed op reads a kOpTable row
+// enqueued, staggers one copy of the body per register offset once the
+// capture completes, and replays an op by copying its pre-staggered entry
+// into a queue slot. So no offloaded or replayed op reads a kOpTable row
 // or a slot mask again, and a replayed op still carries its body pc, to
 // which the FPU charges its stalls.
 #pragma once
