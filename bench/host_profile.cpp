@@ -35,8 +35,10 @@
 //
 // Below the table it lists the 15 source lines that take the most samples
 // under the profiled frame: each sample counts once, for the innermost
-// frame of its interrupted pc, printed as `function @ file:line`.
-// Component shares say which class is hot; this list says which line.
+// saris:: frame of its interrupted pc (a sample in std:: or libc code
+// counts for the simulator line that called it; one with no saris:: frame
+// for its innermost frame), printed as `function @ file:line`. Component
+// shares say which class is hot; this list says which line.
 //
 // Inlined frames need debug info. Configure a separate build with -g:
 //
@@ -351,6 +353,15 @@ int classify(const std::vector<Component>& components,
   return -1;
 }
 
+/// The innermost saris:: frame of `chain`, or its innermost frame if it has
+/// none: the line a hot-line sample counts for.
+const Frame& hot_frame(const std::vector<const Frame*>& chain) {
+  for (const Frame* f : chain) {
+    if (starts_with(f->function, "saris::")) return *f;
+  }
+  return *chain.front();
+}
+
 /// `function @ file:line` of a frame, the file relative to the source tree
 /// (the directory above this file's bench/) and without addr2line's
 /// "(discriminator N)" suffix, so that one line is one entry.
@@ -462,7 +473,7 @@ int main(int argc, char** argv) {
       verify ? "saris::verify_kernel" : "saris::Cluster::step";
   const char* const frame_name = verify ? "verify_kernel" : "Cluster::step";
   std::vector<u64> counts(components.size(), 0);
-  std::map<std::string, u64> lines;  ///< samples by innermost source line
+  std::map<std::string, u64> lines;  ///< samples by hot_frame's source line
   u64 loop = 0, loop_other = 0;
   for (const std::vector<uintptr_t>& stack : stacks) {
     std::vector<const Frame*> chain;
@@ -477,7 +488,7 @@ int main(int argc, char** argv) {
     }
     if (!in_loop) continue;
     ++loop;
-    ++lines[source_line(*chain.front())];
+    ++lines[source_line(hot_frame(chain))];
     const int c = classify(components, chain);
     if (c < 0) {
       ++loop_other;
@@ -525,7 +536,8 @@ int main(int argc, char** argv) {
     return a.first != b.first ? a.first > b.first : a.second < b.second;
   });
   hot.resize(std::min(hot.size(), kHotLines));
-  std::printf("\nhottest lines under %s (innermost frame of each sample)\n",
+  std::printf("\nhottest lines under %s (innermost saris:: frame of each "
+              "sample)\n",
               frame_name);
   TextTable h({verify ? "% of verify" : "% of loop", "samples",
                "function @ file:line"});
