@@ -67,56 +67,55 @@ bool Core::scfg_stalls(u32 lane) {
 
 void Core::int_step(Cycle now) {
   if (perf_.halted) return;
-  // A waiting instruction was fetched and decoded when it first stalled;
-  // nothing but its reason can have changed since.
-  switch (wait_) {
-    case Wait::kNone:
-      break;
-    case Wait::kOffload:
-      if (offload_stalls()) return;
-      wait_ = Wait::kNone;
-      break;
-    case Wait::kScfg:
-      if (scfg_stalls(wait_lane_)) return;
-      wait_ = Wait::kNone;
-      break;
+  // The core waits on at most one reason at a time (see the file comment)
+  // and re-tests only it; fetch and decode run once it clears. A core with
+  // no program never waits.
+  if (wait_ != Wait::kNone) {
+    switch (wait_) {
+      case Wait::kNone:  // excluded above
+        break;
+      case Wait::kBarrier:
+        if (!barrier_.released(id_)) {
+          ++perf_.stall_barrier;
+          return;
+        }
+        break;
+      case Wait::kCycles:
+        if (stall_cycles_ > 0) {
+          --stall_cycles_;
+          return;
+        }
+        break;
+      case Wait::kLoad: {
+        if (!tcdm_.response_ready(int_port_)) {
+          ++perf_.stall_int_lsu;
+          return;
+        }
+        u64 data = tcdm_.take_response(int_port_);
+        u32 v;
+        if (int_load_size_ == 2) {
+          v = static_cast<u32>(
+              static_cast<i32>(static_cast<i16>(data & 0xFFFF)));
+        } else {
+          v = static_cast<u32>(data);
+        }
+        set_xreg(int_load_rd_.idx, v);
+        break;  // the core resumes fetching this cycle
+      }
+      case Wait::kOffload:
+        if (offload_stalls()) return;
+        break;
+      case Wait::kScfg:
+        if (scfg_stalls(wait_lane_)) return;
+        break;
+    }
+    wait_ = Wait::kNone;
   }
+
   if (prog_.empty()) {  // no program loaded: the core halts at once
     perf_.halted = true;
     perf_.halted_at = now;
     return;
-  }
-
-  if (barrier_wait_) {
-    if (barrier_.released(id_)) {
-      barrier_wait_ = false;
-    } else {
-      ++perf_.stall_barrier;
-      return;
-    }
-  }
-
-  if (stall_cycles_ > 0) {
-    --stall_cycles_;
-    return;
-  }
-
-  if (int_load_wait_) {
-    if (!tcdm_.response_ready(int_port_)) {
-      ++perf_.stall_int_lsu;
-      return;
-    }
-    u64 data = tcdm_.take_response(int_port_);
-    u32 v;
-    if (int_load_size_ == 2) {
-      v = static_cast<u32>(
-          static_cast<i32>(static_cast<i16>(data & 0xFFFF)));
-    } else {
-      v = static_cast<u32>(data);
-    }
-    set_xreg(int_load_rd_.idx, v);
-    int_load_wait_ = false;
-    // Fall through: the core resumes fetching this cycle.
   }
 
   SARIS_CHECK(pc_ < prog_.size(), "pc ran off the program end on core "
@@ -128,6 +127,7 @@ void Core::int_step(Cycle now) {
     icache_paid_pc_ = static_cast<i64>(pc_);
     if (pen > 0) {
       stall_cycles_ = pen;
+      wait_ = Wait::kCycles;
       // The miss-detection cycle itself retires nothing, so account pen + 1
       // cycles: this one plus the `pen` refill cycles burned below.
       perf_.stall_icache += pen + 1;
@@ -170,6 +170,7 @@ void Core::int_step(Cycle now) {
       if (branch_taken(in.op, xregs_[in.rs1.idx], xregs_[in.rs2.idx])) {
         pc_ = in.target;
         stall_cycles_ = kBranchPenaltyCycles;
+        wait_ = Wait::kCycles;
         perf_.stall_branch += kBranchPenaltyCycles;
       } else {
         ++pc_;
@@ -185,7 +186,7 @@ void Core::int_step(Cycle now) {
       const Addr a = xregs_[in.rs1.idx] + static_cast<u32>(in.imm);
       if (d.mem == MemDir::kLoad) {
         tcdm_.post(int_port_, a, d.mem_bytes, /*is_write=*/false, 0);
-        int_load_wait_ = true;
+        wait_ = Wait::kLoad;
         int_load_rd_ = in.rd;
         int_load_size_ = d.mem_bytes;
       } else {
@@ -238,7 +239,7 @@ bool Core::sys_step(const Instr& in, Cycle now) {
       return true;
     case Op::kBarrier:
       barrier_.arrive(id_);
-      barrier_wait_ = true;
+      wait_ = Wait::kBarrier;
       return true;
     case Op::kHalt:
       if (!fpu_.drained() || ssr_.any_busy() || seq_.busy()) {

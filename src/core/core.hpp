@@ -10,11 +10,16 @@
 // the queue. Addresses of offloaded fld/fsd are computed by the integer
 // core at offload time (as on Snitch) and written into the entry's target.
 //
-// Two stalls of the integer step wait on another unit: an FP offload behind
-// a replaying FREP sequencer or a full FPU queue, and an scfgwi to a busy
-// stream lane. The core keeps the reason it stalled and, each later cycle,
-// re-tests only that reason and books its counter, skipping fetch and
-// decode, until it clears; then the instruction takes the full path again.
+// The integer step waits on at most one reason at a time and keeps it
+// (Core::Wait): a barrier, branch or I$ refill cycles, an integer load's
+// response, an FP offload behind a replaying FREP sequencer or a full FPU
+// queue, or an scfgwi to a busy stream lane. Each cycle it re-tests only
+// that reason and books its counter; fetch and decode run once it clears.
+// A stalled offload or scfgwi was already fetched and decoded, and pc_ has
+// not moved, so it then takes the full path again, which re-tests its stall
+// with the same code as the wait. The rarer stalls (an frep behind a busy
+// sequencer, halt or ssr_dis draining, an integer access behind an owed
+// store ack) keep no reason and retry the full step each cycle.
 //
 // Besides its CorePerf counters, every run records the FPU's stall cycles
 // by pc (pc_stalls) and each stream launch with its scfgwi pc and lane
@@ -77,8 +82,16 @@ class Core {
   void set_freg(u8 i, double v) { fregs_[i] = v; }
 
  private:
-  /// What a stalled instruction waits for (see the file comment).
-  enum class Wait : u8 { kNone, kOffload, kScfg };
+  /// What the integer step waits for before it fetches again (see the
+  /// file comment).
+  enum class Wait : u8 {
+    kNone,
+    kBarrier,  ///< the barrier's release
+    kCycles,   ///< stall_cycles_ more branch or I$ refill cycles
+    kLoad,     ///< the integer load's response on int_port_
+    kOffload,  ///< the FREP sequencer to finish or an FPU queue slot
+    kScfg,     ///< stream lane wait_lane_ to go idle
+  };
 
   void int_step(Cycle now);
   /// One kSys instruction; false when it stalled (or halted) and must not
@@ -112,7 +125,6 @@ class Core {
   ICache icache_;
 
   u32 int_port_;
-  bool int_load_wait_ = false;
   bool int_store_wait_ = false;  ///< a write ack is owed on the port
   XReg int_load_rd_{};
   u32 int_load_size_ = 4;
@@ -120,7 +132,6 @@ class Core {
   u32 stall_cycles_ = 0;
   Wait wait_ = Wait::kNone;
   u32 wait_lane_ = 0;  ///< the busy lane an scfgwi waits for
-  bool barrier_wait_ = false;
   i64 icache_paid_pc_ = -1;
 };
 
